@@ -59,6 +59,10 @@ class SampleState:
         self.prev_path = [1]
         self.chain_log = np.zeros(self.count)
         self.conditionals = [] if record_conditionals else None
+        # Scratch for the open-sibling down message, allocated once: fresh
+        # per-node products of this size would each be a new mmap (and page
+        # faults) whenever they exceed the allocator's mmap threshold.
+        self._work = np.empty(2 * self.count * model.max_bond() ** 3)
 
     # -- message maintenance ------------------------------------------------
 
@@ -90,15 +94,20 @@ class SampleState:
                 w = w.reshape(self.count, da, d2)
             m = np.matmul(w.transpose(0, 2, 1), np.matmul(d, w))
         else:
-            y = np.matmul(d, t.reshape(da, d1 * d2)).reshape(
-                self.count, da, d1, d2)
+            # y and its transposed copy live in the reused workspace
+            size = self.count * da * d1 * d2
+            y = self._work[:size].reshape(self.count, da, d1 * d2)
+            np.matmul(d, t.reshape(da, d1 * d2), out=y)
+            y = y.reshape(self.count, da, d1, d2)
             if child_axis == 1:
-                yt = y.transpose(0, 2, 1, 3).reshape(self.count, d1, da * d2)
+                yt = y.transpose(0, 2, 1, 3)
                 tt = t.transpose(0, 2, 1).reshape(da * d2, d1)
             else:
-                yt = y.transpose(0, 3, 1, 2).reshape(self.count, d2, da * d1)
+                yt = y.transpose(0, 3, 1, 2)
                 tt = t.reshape(da * d1, d2)
-            m = np.matmul(yt, tt)
+            buf = self._work[size:2 * size].reshape(yt.shape)
+            np.copyto(buf, yt)
+            m = np.matmul(buf.reshape(self.count, yt.shape[1], -1), tt)
         return _rescale_batch(m)
 
     def _ensure_path(self, leaf: int):

@@ -10,9 +10,10 @@ center is canonical, the partition function is the squared norm of the
 center and per-sample environments come from cached subtree messages, so a
 full epoch costs one message update per edge crossing.
 
-The two-site step never materializes the merged tensor when that would be
-wasteful: the gradient is a rank-(1 + batch) correction of the merged
-tensor, so its exact SVD is computed in factored form.
+The gradient of the two-site step is a rank-(1 + batch) correction of the
+merged tensor.  With a small batch the step works on that factored form and
+never materializes the merge; otherwise it materializes the merge and never
+the batch x batch Gram, so its memory stays linear in the batch.
 """
 
 from __future__ import annotations
@@ -482,9 +483,19 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     jmat: bond x cols) and the batch environments of each side (uk: S x rows,
     vj: S x cols).  Gradient-updates the merge with a backtracked step and
     returns the truncated factors (k_new rows x r, j_new r x cols) plus the
-    truncation error, computing the exact SVD in factored form when the
-    merge would be large.  Singular values land on the j factor when
+    truncation error.  Singular values land on the j factor when
     ``center_on_j``.
+
+    The step is c0 * K J + alpha * M with M = uk^T diag(w) vj, a rank-S
+    correction.  One of two forms is chosen once, from the shapes:
+
+    - factored, when bond + S < 0.8 * min(rows, cols): the line search runs
+      on the S x S Gram of the environments and the exact SVD is taken in
+      factored form, O(S^2 (rows + cols)).  Here S^2 < rows * cols, so the
+      Gram is never larger than the merged tensor.
+    - dense, otherwise: M is formed (rows x cols), the line search reads
+      u_s^T M v_s and ||M||_F^2 from it, and the merge c0 * K J + alpha * M
+      is split by a dense SVD, O(S * rows * cols).  No S x S array exists.
     """
     c_kk = kmat.T @ kmat
     c_jj = jmat @ jmat.T
@@ -499,14 +510,21 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     psi = _check_zero_amplitudes(np.einsum('sb,sb->s', a_env, b_env),
                                  cfg.zero_amplitude, stats)
     b = psi.shape[0]
+    rows, cols = kmat.shape[0], jmat.shape[1]
+    factored = kmat.shape[1] + b < 0.8 * min(rows, cols)
     norm_sq = 1.0
     w_base = (2.0 / b) / psi
-    # Gram matrix of environments and their overlaps with the merge, all in
-    # the cached scale (per-sample factors cancel against psi).
-    gram = (uk @ uk.T) * (vj @ vj.T)
-    gw = gram @ w_base
+    # Overlaps of each environment with M (gw) and |M|^2 (wgw), all in the
+    # cached scale (per-sample factors cancel against psi).
+    if factored:
+        gram = (uk @ uk.T) * (vj @ vj.T)
+        gw = gram @ w_base
+        wgw = float(w_base @ gw)
+    else:
+        m_grad = (uk.T * w_base[None, :]) @ vj          # (rows, cols)
+        gw = np.einsum('sc,sc->s', uk @ m_grad, vj)
+        wgw = float(np.vdot(m_grad, m_grad))
     psi_w = float(psi @ w_base)
-    wgw = float(w_base @ gw)
 
     def local_nll(alpha):
         c0 = 1.0 - 2.0 * alpha / norm_sq
@@ -528,14 +546,14 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     else:
         stats.rejected_steps += 1
     c0 = 1.0 - 2.0 * accepted / norm_sq
-    a_fac = np.concatenate([c0 * kmat, uk.T * (accepted * w_base)[None, :]],
-                           axis=1)
-    bt_fac = np.concatenate([jmat, vj], axis=0)
-    rows, cols = a_fac.shape[0], bt_fac.shape[1]
-    if a_fac.shape[1] < 0.8 * min(rows, cols):
+    if factored:
+        a_fac = np.concatenate([c0 * kmat, uk.T * (accepted * w_base)[None, :]],
+                               axis=1)
+        bt_fac = np.concatenate([jmat, vj], axis=0)
         u, s, vt, err = _split_factored(a_fac, bt_fac, cfg.d_max, cfg.svd_cutoff)
     else:
-        u, s, vt, err = _split_dense(a_fac @ bt_fac, cfg.d_max, cfg.svd_cutoff)
+        merged = c0 * (kmat @ jmat) + accepted * m_grad
+        u, s, vt, err = _split_dense(merged, cfg.d_max, cfg.svd_cutoff)
     if center_on_j:
         k_new = u
         j_new = s[:, None] * vt

@@ -107,6 +107,83 @@ class TestChainRule:
         assert abs(total - chain[0]) < 1e-12
 
 
+def _uneven_model():
+    """16 pixels trained under a d_max cap, some of them constant, so bonds
+    run from 2 to 5 and differ between siblings."""
+    model = build_random(16, 2, seed=40)
+    data = gen_random_patterns(16, 12, seed=41).samples.copy()
+    data[:, 0:2] = 0
+    data[:, 8:12] = 1
+    model, _ = train(model, data, TrainConfig(d_max=5, epochs=3))
+    return model
+
+
+def _direct_down_message(state, u, c):
+    """Doubled-network environment above c, contracted by one einsum."""
+    t = state.model.tensors[u].data
+    sib = c ^ 1
+    if u == 1:
+        tc = t if c == 2 else t.T                    # (d_c, d_sib)
+        if sib in state.complete:
+            w = state.complete[sib] @ tc.T
+            m = np.einsum('sa,sb->sab', w, w)
+        else:
+            m = np.broadcast_to(np.einsum('ax,bx->ab', tc, tc),
+                                (state.count,) + (tc.shape[0],) * 2)
+    else:
+        tc = t if c == 2 * u else t.transpose(0, 2, 1)   # (da, d_c, d_sib)
+        d = state.downs[u]
+        if sib in state.complete:
+            v = state.complete[sib]
+            m = np.einsum('sab,acx,bey,sx,sy->sce', d, tc, tc, v, v)
+        else:
+            m = np.einsum('sab,acx,bex->sce', d, tc, tc)
+    scale = np.max(np.abs(m.reshape(len(m), -1)), axis=1)
+    return m / scale[:, None, None]
+
+
+class TestDownMessages:
+    def test_every_down_message_matches_the_doubled_network(self):
+        from ttnborn.sampling import SampleState, _rooted_copy
+        model = _rooted_copy(_uneven_model())
+        # inner nodes (children not leaves) whose two child bonds differ
+        assert any(model.tensors[u].shape[1] != model.tensors[u].shape[2]
+                   for u in range(2, model.n_tensors // 2 + 1))
+        seen = set()
+
+        class Checked(SampleState):
+            def _down_message(self, u, c):
+                got = super()._down_message(u, c)
+                want = _direct_down_message(self, u, c)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-12
+                seen.add((u == 1, c % 2, (c ^ 1) in self.complete))
+                return got
+
+        uniforms = np.random.default_rng(0).random((7, 16))
+        for order in (list(range(16)), list(range(15, -1, -1))):
+            Checked(model, uniforms, order).run()
+        # root and inner nodes, both child axes, sibling open and complete
+        assert len(seen) == 8
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
+        import ttnborn.sampling as sampling
+        model = _uneven_model()
+        whole, log = sample_batch(model, 20, seed=5, return_chain_log=True)
+        monkeypatch.setattr(sampling, "_chunk_rows", lambda m, c: chunk)
+        rows, logs = sample_batch(model, 20, seed=5, return_chain_log=True)
+        first, first_log = sample_batch(model, 1, seed=5,
+                                        return_chain_log=True)
+        assert np.array_equal(rows, whole)
+        assert np.array_equal(first[0], whole[0])
+        assert np.array_equal(sample_one(model, 5), whole[0])
+        # completed-subtree messages are one GEMM over the chunk, whose
+        # rounding depends on the number of rows
+        assert np.max(np.abs(logs - log)) < 1e-12
+        assert abs(first_log[0] - log[0]) < 1e-12
+
+
 class TestMemorizedSampling:
     def test_all_samples_come_from_the_training_set(self):
         data = gen_random_patterns(16, 10, seed=50, distinct=True)

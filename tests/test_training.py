@@ -285,6 +285,86 @@ class TestMergeSplitTwoSite:
                                  TrainConfig())
 
 
+def _near_optimal_merge(n_samples, seed, size=16):
+    """A merge that nearly fits its samples: each sample's environments are
+    a noisy one-hot pair and the merge holds a noisy unit weight there."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(size * size, size=n_samples, replace=False)
+    a, b = cells // size, cells % size
+    theta = np.zeros((size, size))
+    theta[a, b] = 1.0 + 0.2 * rng.standard_normal(n_samples)
+    u, s, vt = np.linalg.svd(theta)
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    kmat = u[:, :rank] * s[:rank]
+    jmat = vt[:rank]
+    uk = np.eye(size)[a] + 0.05 * rng.standard_normal((n_samples, size))
+    vj = np.eye(size)[b] + 0.05 * rng.standard_normal((n_samples, size))
+    return kmat, jmat, uk, vj
+
+
+def _local_nll(merged, uk, vj):
+    psi = np.einsum('sr,rc,sc->s', uk, merged, vj)
+    return (math.log(float(np.vdot(merged, merged)))
+            - (2.0 / len(psi)) * float(np.sum(np.log(np.abs(psi)))))
+
+
+class TestGuardedMergeFactors:
+    # 16 x 16 merges: S = 5 (bond 5) takes the factored form, S = 40 the
+    # dense one; learning rate 0.05 is accepted and 1.0 overshoots.
+    @pytest.mark.parametrize("n_samples, dense", [(5, False), (40, True)])
+    @pytest.mark.parametrize("lr, rejected", [(0.05, 0), (1.0, 1)])
+    def test_matches_direct_evaluation(self, monkeypatch, n_samples, dense,
+                                       lr, rejected):
+        import ttnborn.training as training
+        dense_calls = []
+        split_dense = training._split_dense
+
+        def spy(m, d_max, cutoff):
+            dense_calls.append(m.shape)
+            return split_dense(m, d_max, cutoff)
+
+        monkeypatch.setattr(training, "_split_dense", spy)
+        kmat, jmat, uk, vj = _near_optimal_merge(n_samples, seed=n_samples)
+        cfg = TrainConfig(learning_rate=lr, d_max=16, svd_cutoff=0.0,
+                          max_backtracks=0)
+        stats = training.TrainStats()
+        k_new, j_new, err = training.guarded_merge_factors(
+            kmat, jmat, uk, vj, cfg, stats, center_on_j=True)
+        assert bool(dense_calls) == dense
+        assert stats.rejected_steps == rejected
+        assert err < 1e-20
+
+        k_hat = kmat / np.linalg.norm(kmat @ jmat)
+        base = k_hat @ jmat
+        psi = np.einsum('sr,rc,sc->s', uk, base, vj)
+        m_grad = uk.T @ (((2.0 / n_samples) / psi)[:, None] * vj)
+        stepped = (1.0 - 2.0 * lr) * base + lr * m_grad
+        expected = base if rejected else stepped
+        got = k_new @ j_new
+        expected = expected / np.linalg.norm(expected)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert (_local_nll(stepped, uk, vj) > _local_nll(base, uk, vj)) \
+            == bool(rejected)
+
+    def test_memory_is_linear_in_the_batch(self):
+        # the S x S Gram alone would be 4000^2 doubles = 128 MB
+        import tracemalloc
+        from ttnborn.training import TrainStats, guarded_merge_factors
+        rng = np.random.default_rng(3)
+        kmat = rng.standard_normal((16, 4))
+        jmat = rng.standard_normal((4, 16))
+        uk = rng.standard_normal((4000, 16))
+        vj = rng.standard_normal((4000, 16))
+        tracemalloc.start()
+        try:
+            guarded_merge_factors(kmat, jmat, uk, vj, TrainConfig(d_max=16),
+                                  TrainStats(), center_on_j=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestTrain:
     def test_zero_epochs_identity(self):
         model = build_random(8, 3, seed=28)
