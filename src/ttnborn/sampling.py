@@ -21,23 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import TtnModel, canonicalize
+from .ttn import TtnModel, _rescale_batch, _rooted_copy
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
-
-_EYE2 = np.eye(2)
-
-
-def _rescale_batch(arr):
-    """Scale each sample's message to unit max magnitude (scales cancel in
-    every conditional, so no log bookkeeping is needed)."""
-    flat = arr.reshape(arr.shape[0], -1)
-    mx = np.max(np.abs(flat), axis=1)
-    nz = mx > 0
-    if np.any(nz):
-        flat[nz] /= mx[nz, None]
-    return arr
-
 
 class SampleState:
     """Lockstep sampling state for one chunk of samples.
@@ -186,15 +172,6 @@ class SampleState:
         return self.samples
 
 
-def _rooted_copy(model: TtnModel) -> TtnModel:
-    if model.canonical_center is None:
-        raise StateError("sampling requires a canonicalized model")
-    work = model.copy()
-    if work.canonical_center != 1:
-        canonicalize(work, 1)
-    return work
-
-
 def _chunk_rows(model: TtnModel, count: int) -> int:
     d = max(model.max_bond(), 2)
     return int(max(64, min(count, 65536, 4_000_000 // (d * d))))
@@ -218,6 +195,8 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
         pixel_order = list(range(model.n_sites - 1, -1, -1))
     else:
         raise ValueError(f"unknown sampling order {order!r}")
+    if model.canonical_center is None:
+        raise StateError("sampling requires a canonicalized model")
     work = _rooted_copy(model)
     uniforms = np.random.default_rng(seed).random((count, model.n_sites))
     chunk = _chunk_rows(work, count)

@@ -364,101 +364,156 @@ def nll(model: TtnModel, dataset) -> float:
 
 # -- doubled-network contractions (marginals, correlations) ------------------
 
-def _pixel_operators(n_sites: int, assignment) -> np.ndarray:
-    """(n, 2, 2) stack: clamped pixels get |v><v|, free pixels the identity."""
-    ops = np.broadcast_to(_EYE2, (n_sites, 2, 2)).copy()
-    for k, v in (assignment or {}).items():
-        if not 0 <= k < n_sites:
-            raise ValueError(f"pixel {k} out of range")
-        if v not in (0, 1):
-            raise ValueError(f"pixel value must be 0 or 1, got {v}")
-        ops[k] = 0.0
-        ops[k, v, v] = 1.0
-    return ops
+def _rooted_copy(model: TtnModel) -> TtnModel:
+    """A root-canonical copy of ``model`` that shares every tensor rooting
+    leaves alone.
+
+    The copy has its own tensor list, and ``canonicalize`` replaces the
+    tensors it touches (those on the center-to-root path, or all of them
+    when ``model`` has no center) instead of writing into them, so
+    ``model`` is unchanged.
+    """
+    work = TtnModel(model.n_sites, model.tensors, model.canonical_center,
+                    model.d_max)
+    if work.canonical_center != 1:
+        canonicalize(work, 1)
+    return work
 
 
-def _rescale_mat(m, log):
-    mx = float(np.max(np.abs(m)))
-    if mx > 0:
-        return m / mx, log + math.log(mx)
-    return m, log
+def _rescale_batch(arr):
+    """Scale each branch (leading index) to unit max magnitude; zero branches
+    stay zero.  Scales cancel in every normalized output, so no log
+    bookkeeping is needed."""
+    arr = np.ascontiguousarray(arr)
+    flat = arr.reshape(arr.shape[0], -1)
+    mx = np.max(np.abs(flat), axis=1)
+    nz = mx > 0
+    if np.any(nz):
+        flat[nz] /= mx[nz, None]
+    return arr
 
 
-def _doubled_up(model: TtnModel, ops):
-    """Bra-ket upward messages (D, D) per node for given pixel operators."""
-    msgs, logs = {}, {}
-    for n in range(model.n_tensors, 1, -1):
-        t = model.tensors[n]
-        if model.is_leaf(n):
-            k1, k2 = model.pixels_of_leaf(n)
-            x = np.einsum('apq,pP->aPq', t.data, ops[k1])
-            x = np.einsum('aPq,qQ->aPQ', x, ops[k2])
-            m = np.tensordot(x, t.data, axes=([1, 2], [1, 2]))
-            log = 2.0 * t.log_scale
+def _up_message(t, left, right):
+    """sum T[a,b,c] L[s,b,d] R[s,c,e] T[f,d,e], (B, a, f), where an absent
+    (None) child message stands for the identity."""
+    x = t if right is None else np.matmul(t, right[:, None])
+    if left is not None:
+        x = np.matmul(left.transpose(0, 2, 1)[:, None], x)
+    da = t.shape[0]
+    return np.matmul(x.reshape(-1, da, x.shape[-2] * x.shape[-1]),
+                     t.reshape(da, -1).T)
+
+
+def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
+    """(B, n_sites, 2) conditional marginals of every pixel, one block per
+    clamp assignment in ``assignments``.
+
+    Works on a root-canonical copy, where every tensor below the root is an
+    isometry onto its parent bond, so a subtree without a clamped pixel
+    contracts to the identity in the doubled network.  Doubled up-messages
+    are formed only for subtrees that hold a clamped pixel (of any
+    branch); the one downward pass carries the B branches stacked.  Clamped
+    pixels get a one-hot row.  Raises if a branch has zero mass.
+    """
+    work = _rooted_copy(model)
+    n_sites, count = work.n_sites, len(assignments)
+    # diagonal pixel operators per branch: (1, 1) free, one-hot clamped
+    ops = np.ones((count, n_sites, 2))
+    hot = set()
+    for s, assignment in enumerate(assignments):
+        for k, v in assignment.items():
+            if not 0 <= k < n_sites:
+                raise ValueError(f"pixel {k} out of range")
+            if v not in (0, 1):
+                raise ValueError(f"pixel value must be 0 or 1, got {v}")
+            ops[s, k, 1 - v] = 0.0
+            node = work.leaf_of_pixel(k)[0]
+            while node > 1 and node not in hot:
+                hot.add(node)
+                node //= 2
+
+    up = {}
+    for node in sorted(hot, reverse=True):
+        t = work.tensors[node].data
+        if work.is_leaf(node):
+            k1, k2 = work.pixels_of_leaf(node)
+            w = ops[:, k1, :, None] * ops[:, k2, None, :]
+            t2 = t.reshape(t.shape[0], 4)
+            m = np.matmul(t2 * w.reshape(count, 1, 4), t2.T)
         else:
-            x = np.tensordot(model.tensors[n].data, msgs[2 * n], axes=([1], [0]))
-            x = np.tensordot(x, msgs[2 * n + 1], axes=([1], [0]))
-            m = np.tensordot(x, t.data, axes=([1, 2], [1, 2]))
-            log = logs[2 * n] + logs[2 * n + 1] + 2.0 * t.log_scale
-        msgs[n], logs[n] = _rescale_mat(m, log)
-    return msgs, logs
+            m = _up_message(t, up.get(2 * node), up.get(2 * node + 1))
+        up[node] = _rescale_batch(m)
 
+    # Environments above each node, (B, D, D).  Through an isometry with an
+    # identity sibling the trace is preserved, so only the root's messages
+    # and those with a clamped sibling need rescaling.
+    t1 = work.tensors[1].data
+    down = {}
+    for c, tc in ((2, t1), (3, t1.T)):
+        sib = up.get(c ^ 1, np.eye(tc.shape[1]))
+        down[c] = _rescale_batch((tc @ sib @ tc.T) * np.ones((count, 1, 1)))
+    for node in range(2, work.first_leaf):
+        t = work.tensors[node].data
+        e = down.pop(node)
+        da, dl, dr = t.shape
+        y = e.reshape(count * da, da) @ t.reshape(da, dl * dr)
+        y = y.reshape(count, da, dl, dr)
+        # each child's environment: [s, from y, from t]
+        ul, ur = up.get(2 * node), up.get(2 * node + 1)
+        if ur is None:
+            yt = y.transpose(0, 2, 1, 3).reshape(count * dl, da * dr)
+            left = yt @ t.transpose(0, 2, 1).reshape(da * dr, dl)
+            down[2 * node] = left.reshape(count, dl, dl)
+        else:
+            down[2 * node] = _rescale_batch(np.einsum(
+                "saed,scd,abc->seb", y, ur, t, optimize=True))
+        if ul is None:
+            down[2 * node + 1] = np.matmul(
+                y.reshape(count, da * dl, dr).transpose(0, 2, 1),
+                t.reshape(da * dl, dr))
+        else:
+            down[2 * node + 1] = _rescale_batch(np.einsum(
+                "sade,sbd,abc->sec", y, ul, t, optimize=True))
 
-def _doubled_down(model: TtnModel, up, uplogs):
-    """Bra-ket downward messages: environment above each node."""
-    t1 = model.tensors[1]
-    down, downlogs = {}, {}
-    down[2], downlogs[2] = _rescale_mat(
-        (t1.data @ up[3]) @ t1.data.T, uplogs[3] + 2.0 * t1.log_scale)
-    down[3], downlogs[3] = _rescale_mat(
-        (t1.data.T @ up[2]) @ t1.data, uplogs[2] + 2.0 * t1.log_scale)
-    for n in range(2, model.n_tensors + 1):
-        if model.is_leaf(n):
-            continue
-        t = model.tensors[n]
-        x = np.tensordot(down[n], t.data, axes=([0], [0]))   # (a', b, c)
-        for child, sib_axis in ((2 * n, 2), (2 * n + 1, 1)):
-            sib = 2 * n + 1 if child == 2 * n else 2 * n
-            y = np.tensordot(x, up[sib], axes=([sib_axis], [0]))
-            # y axes: (a', kept-child-bond, sib')
-            m = np.tensordot(y, t.data, axes=([0, 2], [0, sib_axis]))
-            log = downlogs[n] + uplogs[sib] + 2.0 * t.log_scale
-            down[child], downlogs[child] = _rescale_mat(m, log)
-    return down, downlogs
+    # joint doubled weight of each leaf's two pixels, one stacked product
+    # per leaf bond dimension
+    first, n_leaves = work.first_leaf, n_sites // 2
+    dims = np.array([work.tensors[first + i].shape[0]
+                     for i in range(n_leaves)])
+    joint = np.empty((count, n_leaves, 4))
+    for d in np.unique(dims):
+        pick = np.flatnonzero(dims == d)
+        e = np.stack([down[first + i] for i in pick], axis=1)
+        t2 = np.stack([work.tensors[first + i].data.reshape(d, 4)
+                       for i in pick])
+        joint[:, pick] = np.sum(np.matmul(e, t2) * t2, axis=2)
+    joint = joint.reshape(count, n_leaves, 2, 2)
+    pairs = ops.reshape(count, n_leaves, 2, 2)
+    out = np.empty((count, n_leaves, 2, 2))
+    out[:, :, 0] = np.einsum("slpq,slq->slp", joint, pairs[:, :, 1])
+    out[:, :, 1] = np.einsum("slpq,slp->slq", joint, pairs[:, :, 0])
+    out = out.reshape(count, n_sites, 2)
+    np.maximum(out, 0.0, out=out)
+    totals = out.sum(axis=2)
+    if np.any(totals <= 0.0):
+        raise DegenerateDistributionError(
+            "clamped configuration has zero probability mass")
+    out /= totals[:, :, None]
+    for s, assignment in enumerate(assignments):
+        for k, v in assignment.items():
+            out[s, k] = 0.0
+            out[s, k, v] = 1.0
+    return out
 
 
 def single_site_marginals(model: TtnModel, assignment=None) -> np.ndarray:
     """(n_sites, 2) conditional marginals of every pixel given ``assignment``.
 
     Clamped pixels get a one-hot row.  Raises if the clamped assignment has
-    zero total probability mass.
+    zero total probability mass.  Relies on the canonical form: a model with
+    a canonical center must be canonical about it.
     """
-    assignment = dict(assignment or {})
-    ops = _pixel_operators(model.n_sites, assignment)
-    up, uplogs = _doubled_up(model, ops)
-    down, downlogs = _doubled_down(model, up, uplogs)
-    out = np.zeros((model.n_sites, 2))
-    for leaf in range(model.first_leaf, model.n_sites):
-        t = model.tensors[leaf]
-        k1, k2 = model.pixels_of_leaf(leaf)
-        env = down[leaf]
-        # marginal of k1 with k2's operator inserted, and vice versa
-        x = np.tensordot(env, t.data, axes=([0], [0]))          # (a', p, q)
-        y2 = np.tensordot(x, ops[k2], axes=([2], [0]))          # (a', p, Q)
-        m1 = np.tensordot(y2, t.data, axes=([0, 2], [0, 2]))    # (p, P)
-        y1 = np.tensordot(x, ops[k1], axes=([1], [0]))          # (a', q, P)
-        m2 = np.tensordot(y1, t.data, axes=([0, 2], [0, 1]))    # (q, Q)
-        out[k1] = np.maximum(np.diag(m1), 0.0)
-        out[k2] = np.maximum(np.diag(m2), 0.0)
-    totals = out.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise DegenerateDistributionError(
-            "clamped configuration has zero probability mass")
-    out /= totals[:, None]
-    for k, v in assignment.items():
-        out[k] = 0.0
-        out[k, v] = 1.0
-    return out
+    return _marginal_stack(model, [dict(assignment or {})])[0]
 
 
 def marginal(model: TtnModel, fixed, open_pixel: int):
@@ -476,32 +531,24 @@ def correlation(model: TtnModel, pixel_i: int, pixel_j: int) -> float:
     """Connected correlation <s_i s_j> - <s_i><s_j> with pixels mapped to +-1."""
     if pixel_i == pixel_j:
         raise ValueError("correlation requires two distinct pixels")
-    base = single_site_marginals(model)
-    spin = np.array([-1.0, 1.0])
-    mean_i = float(base[pixel_i] @ spin)
-    mean_j = float(base[pixel_j] @ spin)
-    joint = 0.0
-    for v in (0, 1):
-        pv = float(base[pixel_i, v])
-        if pv == 0.0:
-            continue
-        cond = single_site_marginals(model, {pixel_i: v})
-        joint += spin[v] * pv * float(cond[pixel_j] @ spin)
-    return joint - mean_i * mean_j
+    if not 0 <= pixel_j < model.n_sites:
+        raise ValueError(f"pixel {pixel_j} out of range")
+    return float(correlation_map(model, pixel_i)[pixel_j])
 
 
 def correlation_map(model: TtnModel, ref_pixel: int) -> np.ndarray:
-    """Connected correlations of ``ref_pixel`` with every pixel (0 at itself)."""
+    """Connected correlations of ``ref_pixel`` with every pixel (its
+    variance at itself)."""
+    if not 0 <= ref_pixel < model.n_sites:
+        raise ValueError(f"pixel {ref_pixel} out of range")
     base = single_site_marginals(model)
     spin = np.array([-1.0, 1.0])
     means = base @ spin
+    values = [v for v in (0, 1) if base[ref_pixel, v] != 0.0]
+    conds = _marginal_stack(model, [{ref_pixel: v} for v in values])
     joint = np.zeros(model.n_sites)
-    for v in (0, 1):
-        pv = float(base[ref_pixel, v])
-        if pv == 0.0:
-            continue
-        cond = single_site_marginals(model, {ref_pixel: v})
-        joint += spin[v] * pv * (cond @ spin)
+    for v, cond in zip(values, conds):
+        joint += spin[v] * float(base[ref_pixel, v]) * (cond @ spin)
     out = joint - means[ref_pixel] * means
     out[ref_pixel] = 1.0 - means[ref_pixel] ** 2
     return out

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from ttnborn import DenseTensor, MpsModel, TtnModel
+from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
+                     build_random, gen_random_patterns, train)
 
 
 def all_configs(n):
@@ -81,6 +82,18 @@ def mps_from_patterns(patterns) -> MpsModel:
             data[min(a, dl - 1), patterns[a, i], min(a, dr - 1)] = 1.0
         tensors.append(DenseTensor(data, validate=False))
     return MpsModel(tensors, canonical_center=None, d_max=count)
+
+
+def uneven_ttn() -> TtnModel:
+    """16 pixels trained under a d_max cap, some of them constant, so bonds
+    run from 2 to 5 and differ between siblings.  Training leaves the
+    canonical center on leaf 15."""
+    model = build_random(16, 2, seed=40)
+    data = gen_random_patterns(16, 12, seed=41).samples.copy()
+    data[:, 0:2] = 0
+    data[:, 8:12] = 1
+    model, _ = train(model, data, TrainConfig(d_max=5, epochs=3))
+    return model
 
 
 def uniform_ttn(n_sites) -> TtnModel:

@@ -8,7 +8,7 @@ from ttnborn import pbm
 from ttnborn.errors import StateError
 
 from helpers import all_configs, chi_square_pvalue, config_indices, \
-    ttn_from_patterns, uniform_ttn
+    ttn_from_patterns, uneven_ttn, uniform_ttn
 
 
 class TestSampleOne:
@@ -107,17 +107,6 @@ class TestChainRule:
         assert abs(total - chain[0]) < 1e-12
 
 
-def _uneven_model():
-    """16 pixels trained under a d_max cap, some of them constant, so bonds
-    run from 2 to 5 and differ between siblings."""
-    model = build_random(16, 2, seed=40)
-    data = gen_random_patterns(16, 12, seed=41).samples.copy()
-    data[:, 0:2] = 0
-    data[:, 8:12] = 1
-    model, _ = train(model, data, TrainConfig(d_max=5, epochs=3))
-    return model
-
-
 def _direct_down_message(state, u, c):
     """Doubled-network environment above c, contracted by one einsum."""
     t = state.model.tensors[u].data
@@ -144,8 +133,9 @@ def _direct_down_message(state, u, c):
 
 class TestDownMessages:
     def test_every_down_message_matches_the_doubled_network(self):
-        from ttnborn.sampling import SampleState, _rooted_copy
-        model = _rooted_copy(_uneven_model())
+        from ttnborn.sampling import SampleState
+        from ttnborn.ttn import _rooted_copy
+        model = _rooted_copy(uneven_ttn())
         # inner nodes (children not leaves) whose two child bonds differ
         assert any(model.tensors[u].shape[1] != model.tensors[u].shape[2]
                    for u in range(2, model.n_tensors // 2 + 1))
@@ -169,7 +159,7 @@ class TestDownMessages:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
         import ttnborn.sampling as sampling
-        model = _uneven_model()
+        model = uneven_ttn()
         whole, log = sample_batch(model, 20, seed=5, return_chain_log=True)
         monkeypatch.setattr(sampling, "_chunk_rows", lambda m, c: chunk)
         rows, logs = sample_batch(model, 20, seed=5, return_chain_log=True)

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ttnborn import (DenseTensor, TtnModel, amplitude, build_random,
                      canonicalize, contract_pixel_vectors, correlation,
                      correlation_map, frobenius_norm, gen_random_patterns,
                      log_prob, log_probs, marginal, max_canonical_deviation,
-                     nll, partition_function, single_site_marginals, train,
-                     TrainConfig)
+                     nll, partition_function, sample_batch,
+                     single_site_marginals, train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
+from ttnborn.ttn import _marginal_stack
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     ttn_from_patterns, uniform_ttn)
+                     ttn_from_patterns, uneven_ttn, uniform_ttn)
 
 
 class TestBuildRandom:
@@ -295,6 +298,155 @@ class TestCorrelation:
         cmap = correlation_map(m, 2)
         for j in (0, 4, 7):
             assert abs(cmap[j] - correlation(m, 2, j)) < 1e-12
+
+
+_CONFIGS16 = all_configs(16)
+
+
+@pytest.fixture(scope="module")
+def uneven():
+    return uneven_ttn()
+
+
+def _enumerated(model, fixed):
+    """(mass of the clamped set, (n, 2) conditional marginals given it)."""
+    p = brute_force_amplitudes(model) ** 2
+    p = p / p.sum()
+    mask = np.ones(len(p), dtype=bool)
+    for k, v in fixed.items():
+        mask &= _CONFIGS16[:, k] == v
+    mass = float(p[mask].sum())
+    p1 = p[mask] @ _CONFIGS16[mask] / mass
+    return mass, np.stack([1.0 - p1, p1], axis=1)
+
+
+def _model_state(model):
+    return (model.canonical_center, [id(t) for t in model.tensors[1:]],
+            [(t.data.tobytes(), t.log_scale) for t in model.tensors[1:]])
+
+
+class TestMarginalsByEnumeration:
+    """Every pixel's conditional marginals on a 16-pixel tree with uneven
+    bonds, against the full enumerated distribution."""
+
+    CLAMPS = [
+        {},
+        {3: 1},
+        {2: 0, 13: 1},                 # both halves of the root cut
+        {4: 1, 5: 0},                  # both pixels of one leaf
+        {0: 0, 6: 1, 7: 0, 9: 1, 14: 0},
+    ]
+
+    @pytest.mark.parametrize("center", [15, 6, 2, 1])
+    def test_every_center(self, uneven, center):
+        model = uneven.copy()
+        canonicalize(model, center)
+        for fixed in self.CLAMPS:
+            _, want = _enumerated(model, fixed)
+            got = single_site_marginals(model, fixed)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_model_without_canonical_center(self):
+        patterns = gen_random_patterns(16, 5, seed=3).samples
+        model = ttn_from_patterns(patterns)
+        before = _model_state(model)
+        for fixed in ({}, {int(k): int(patterns[1, k]) for k in (0, 1, 9)}):
+            _, want = _enumerated(model, fixed)
+            assert np.max(np.abs(single_site_marginals(model, fixed)
+                                 - want)) < 1e-12
+        assert _model_state(model) == before
+
+    def test_correlation_map_matches_enumeration(self, uneven):
+        model = uneven.copy()
+        canonicalize(model, 12)
+        p = brute_force_amplitudes(model) ** 2
+        p = p / p.sum()
+        s = 2.0 * _CONFIGS16 - 1.0
+        for ref in (0, 5, 10):
+            want = p @ (s * s[:, ref:ref + 1]) - (p @ s[:, ref]) * (p @ s)
+            assert np.max(np.abs(correlation_map(model, ref) - want)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 15), st.integers(0, 1),
+                                    max_size=8),
+                    min_size=1, max_size=3))
+    def test_stacked_random_clamps(self, uneven, branches):
+        wants = []
+        for fixed in branches:
+            mass, want = _enumerated(uneven, fixed)
+            assume(mass > 1e-6)
+            wants.append(want)
+        got = _marginal_stack(uneven, branches)
+        assert got.shape == (len(branches), 16, 2)
+        assert np.max(np.abs(got - np.array(wants))) < 1e-9
+
+    @pytest.mark.parametrize("fixed", [{16: 0}, {-1: 1}, {3: 2}])
+    def test_bad_clamp_rejected(self, uneven, fixed):
+        with pytest.raises(ValueError):
+            single_site_marginals(uneven, fixed)
+
+    def test_bad_reference_pixel_rejected(self, uneven):
+        with pytest.raises(ValueError):
+            correlation_map(uneven, 16)
+        with pytest.raises(ValueError):
+            correlation(uneven, 3, 16)
+
+    def test_evaluation_leaves_the_model_untouched(self, uneven):
+        model = uneven.copy()
+        canonicalize(model, 6)
+        before = _model_state(model)
+        sample_batch(model, 5, seed=0)
+        single_site_marginals(model, {3: 1})
+        correlation_map(model, 7)
+        assert _model_state(model) == before
+
+
+def _sharp_product_ttn(n_sites, p1):
+    """Bond-1 tree of independent pixels, each 1 with probability p1,
+    canonical at the root."""
+    amp = np.sqrt([1.0 - p1, p1])
+    tensors = [None, DenseTensor(np.ones((1, 1)))]
+    for node in range(2, n_sites):
+        if 2 * node > n_sites - 1:
+            tensors.append(DenseTensor(np.outer(amp, amp)[None]))
+        else:
+            tensors.append(DenseTensor(np.ones((1, 1, 1))))
+    return TtnModel(n_sites, tensors, canonical_center=1, d_max=1)
+
+
+class TestMarginalsAtScale:
+    @pytest.mark.parametrize("kind", ["random", "sharp"])
+    def test_heavy_clamping_stays_exact(self, kind):
+        # every pixel but one clamped to a held-out row: the marginal is the
+        # ratio of the two completions' probabilities.  In the sharp model
+        # the clamped row has probability ~1e-2000, far below the float range.
+        if kind == "random":
+            model = build_random(1024, 6, seed=21)
+            canonicalize(model, 700)
+            row = gen_random_patterns(1024, 1, seed=22).samples[0]
+        else:
+            model = _sharp_product_ttn(1024, 0.01)
+            row = np.ones(1024)
+        row = row.astype(int)
+        for open_pixel in (0, 513, 1023):
+            fixed = {k: int(v) for k, v in enumerate(row) if k != open_pixel}
+            completions = np.repeat(row[None], 2, axis=0)
+            completions[:, open_pixel] = (0, 1)
+            lp0, lp1 = log_probs(model, completions)
+            assert lp0 < -500.0
+            _, p1 = marginal(model, fixed, open_pixel)
+            assert abs(p1 - 1.0 / (1.0 + math.exp(lp0 - lp1))) < 1e-10
+
+    def test_correlation_map_mirrors_the_benchmark_check(self):
+        model = build_random(64, 6, seed=23)
+        data = gen_random_patterns(64, 30, seed=24).samples
+        model, _ = train(model, data, TrainConfig(d_max=6, epochs=2))
+        means = single_site_marginals(model) @ np.array([-1.0, 1.0])
+        for ref in (0, 21, 42, 63):
+            cmap = correlation_map(model, ref)
+            assert cmap[ref] == 1.0 - means[ref] ** 2
+            assert np.all(np.isfinite(cmap))
+            assert np.all(np.abs(cmap) <= 1.0 + 1e-9)
 
 
 class TestGaugeAndCapacity:
