@@ -17,7 +17,7 @@ from .ttn import (Amplitude, TtnModel, amplitude, amplitudes_from_vectors,
 from .training import (TrainConfig, TrainStats, gradient_one_site,
                        gradient_two_site, merge_split_two_site, merged_tensor,
                        sweep_epoch, sweep_steps, train, update_one_site)
-from .sampling import SampleState, sample_batch, sample_one, save_samples_pbm
+from .sampling import sample_batch, sample_one, save_samples_pbm
 from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
                    gen_random_patterns, invert_ordering, load_binarized_text,
                    make_ordering, morton_index, save_binarized_text)

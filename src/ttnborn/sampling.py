@@ -1,19 +1,32 @@
 """Direct (ancestral) sampling from a trained model.
 
-Pixels are drawn one at a time in leaf order from their exact conditionals,
-so a returned configuration has exactly its model probability; no Markov
-chain is involved.  With the canonical center parked at the root, every
-untouched subtree traces to the identity, so the conditional of the next
-pixel only needs (a) clamped vector messages from completed subtrees, built
-once each, and (b) doubled matrix messages down the current root-to-leaf
-path, refreshed only on the path segments that change.  Sampling a full
-image therefore costs O(sites) message updates.
+Configurations are drawn from the exact Born distribution p(x), so a
+returned row has exactly its model probability; no Markov chain is
+involved.  The model is rooted first: below the root every tensor is then
+an isometry, so the amplitude vectors of each subtree are orthonormal.
 
-Batches are drawn in lockstep: all requested samples advance through the
-same pixel schedule with vectorized messages.  The uniform variates for
-sample ``i`` are the ``i``-th row of the stream of the seeded generator,
-so row ``i`` is reproducible from (seed, i) alone and batches of any size
-agree with ``sample_one`` on shared indices.
+A node entered with a pure state ``v`` has the amplitude matrix
+``M = v . T`` over its two child bonds, and the first child's pixels are
+distributed as ``p(x_first) = sum_s |M[:, s] . C_first(x_first)|^2`` over
+the open sibling's bond index ``s``.  The sampler draws ``s`` with weight
+``|M[:, s]|^2`` as an auxiliary variable, samples the first subtree from
+the pure state ``M[:, s]``, then the second subtree from the pure state
+``M^T C_first(x_first)``.  At a leaf the two pixels are drawn in turn from
+``|v . T[:, x1, x2]|^2``.  The auxiliary index is forgotten once the first
+subtree is drawn, so the rows follow p(x) exactly while every message is a
+per-row vector: one depth-first pass costs O(D^3) per node and row.  Order
+``leaf-reversed`` mirrors the pass, drawing right subtrees first.
+
+The chain log returned with the samples is log p(x) itself, from the
+amplitude assembled in the same pass: the completed subtree vectors carry
+their log scales up to the root, where ``psi = C_2^T T_1 C_3``.
+
+Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
+seeded generator's uniform stream, with one column per pixel and one per
+internal node, so it is reproducible from (seed, i) alone and batches of any
+size agree with ``sample_one`` on shared indices.  (The streams changed once
+when the auxiliary-index pass replaced per-pixel conditionals; the
+distribution did not.)
 """
 
 from __future__ import annotations
@@ -21,160 +34,115 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import TtnModel, _rescale_batch, _rooted_copy
+from .ttn import TtnModel, _rescale_batch, _rooted_copy, partition_function
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
+def _uniform_columns(model: TtnModel) -> int:
+    """One uniform per pixel (column k) and per internal node u (column
+    n_sites + u - 1)."""
+    return model.n_sites + model.first_leaf - 1
+
+
 class SampleState:
-    """Lockstep sampling state for one chunk of samples.
+    """Lockstep sampling of one chunk of rows from a root-canonical model."""
 
-    Holds the partial assignment, the completed-subtree vector messages and
-    the doubled messages cached along the current root-to-leaf path.
-    """
-
-    def __init__(self, model: TtnModel, uniforms: np.ndarray, order,
-                 record_conditionals=False):
+    def __init__(self, model: TtnModel, uniforms: np.ndarray, order: str):
         self.model = model
         self.u = uniforms
         self.count = uniforms.shape[0]
-        self.order = order
-        self.samples = np.zeros((self.count, model.n_sites), dtype=np.int64)
-        self.assigned = np.zeros(model.n_sites, dtype=bool)
-        self.complete = {}    # node -> (count, D) clamped subtree message
-        self.downs = {}       # node -> (count, D, D) environment above node
-        self.prev_path = [1]
+        self.reverse = order == "leaf-reversed"
+        self.samples = np.zeros((self.count, model.n_sites), dtype=np.uint8)
         self.chain_log = np.zeros(self.count)
-        self.conditionals = [] if record_conditionals else None
-        # Scratch for the open-sibling down message, allocated once: fresh
-        # per-node products of this size would each be a new mmap (and page
-        # faults) whenever they exceed the allocator's mmap threshold.
-        self._work = np.empty(2 * self.count * model.max_bond() ** 3)
+        self._rows = np.arange(self.count)
 
-    # -- message maintenance ------------------------------------------------
-
-    def _down_message(self, u: int, c: int):
-        model = self.model
-        t = model.tensors[u].data
-        if u == 1:
-            sib = 3 if c == 2 else 2
-            if sib in self.complete:
-                v = self.complete[sib]
-                w = v @ t.T if c == 2 else v @ t
-                # w: (count, D_c); environment is the rank-1 pair w (x) w
-                m = w[:, :, None] * w[:, None, :]
-            else:
-                g = t @ t.T if c == 2 else t.T @ t
-                m = np.broadcast_to(g, (self.count,) + g.shape).copy()
-            return _rescale_batch(m)
-        d = self.downs[u]
-        child_axis = 1 if c == 2 * u else 2
-        sib = 2 * u + 1 if c == 2 * u else 2 * u
-        da, d1, d2 = t.shape
-        if sib in self.complete:
-            v = self.complete[sib]
-            if child_axis == 1:
-                w = (v @ t.transpose(2, 0, 1).reshape(d2, da * d1))
-                w = w.reshape(self.count, da, d1)
-            else:
-                w = (v @ t.transpose(1, 0, 2).reshape(d1, da * d2))
-                w = w.reshape(self.count, da, d2)
-            m = np.matmul(w.transpose(0, 2, 1), np.matmul(d, w))
-        else:
-            # y and its transposed copy live in the reused workspace
-            size = self.count * da * d1 * d2
-            y = self._work[:size].reshape(self.count, da, d1 * d2)
-            np.matmul(d, t.reshape(da, d1 * d2), out=y)
-            y = y.reshape(self.count, da, d1, d2)
-            if child_axis == 1:
-                yt = y.transpose(0, 2, 1, 3)
-                tt = t.transpose(0, 2, 1).reshape(da * d2, d1)
-            else:
-                yt = y.transpose(0, 3, 1, 2)
-                tt = t.reshape(da * d1, d2)
-            buf = self._work[size:2 * size].reshape(yt.shape)
-            np.copyto(buf, yt)
-            m = np.matmul(buf.reshape(self.count, yt.shape[1], -1), tt)
-        return _rescale_batch(m)
-
-    def _ensure_path(self, leaf: int):
-        path = self.model.path(1, leaf)
-        keep = set(path)
-        for node in self.prev_path:
-            if node not in keep:
-                self.downs.pop(node, None)
-        for u, c in zip(path[:-1], path[1:]):
-            if c not in self.downs:
-                self.downs[c] = self._down_message(u, c)
-        self.prev_path = path
-
-    def _complete_leaf(self, leaf: int):
-        model = self.model
-        k1, k2 = model.pixels_of_leaf(leaf)
-        t = model.tensors[leaf].data
-        vec = t[:, self.samples[:, k1], self.samples[:, k2]].T.copy()
-        self.complete[leaf] = _rescale_batch(vec)
-        node = leaf
-        while node > 3:
-            parent = model.parent(node)
-            sib = 2 * parent + 1 if node == 2 * parent else 2 * parent
-            if sib not in self.complete:
-                break
-            tp = model.tensors[parent].data
-            vl, vr = self.complete[2 * parent], self.complete[2 * parent + 1]
-            x = np.tensordot(vl, tp, axes=([1], [1]))   # (count, a, c)
-            vec = np.einsum('sac,sc->sa', x, vr)
-            self.complete[parent] = _rescale_batch(vec)
-            node = parent
-
-    # -- the conditional of one pixel ----------------------------------------
-
-    def _conditional(self, leaf: int, axis: int, pixel: int):
-        model = self.model
-        t = model.tensors[leaf].data
-        d = self.downs[leaf]
-        k1, k2 = model.pixels_of_leaf(leaf)
-        other = k2 if axis == 1 else k1
-        probs = np.empty((2, self.count))
-        for v in (0, 1):
-            if axis == 1:
-                slab = t[:, v, :]                     # (D, 2) over other pixel
-            else:
-                slab = t[:, :, v]
-            if self.assigned[other]:
-                g = slab[:, self.samples[:, other]].T  # (count, D)
-                e = np.matmul(d, g[:, :, None])[:, :, 0]
-                probs[v] = np.sum(g * e, axis=1)
-            else:
-                kmat = slab @ slab.T
-                probs[v] = np.einsum('sab,ab->s', d, kmat)
-        np.maximum(probs, 0.0, out=probs)
-        total = probs[0] + probs[1]
-        if np.any(total <= 0.0):
+    def _pixel(self, weights, pixel: int):
+        """Draw pixel values from (count, 2) weights: 1 iff u < p1."""
+        total = weights[:, 0] + weights[:, 1]
+        if not np.all(total > 0.0):
             raise DegenerateDistributionError(
                 f"zero conditional mass at pixel {pixel}")
-        return probs[1] / total
+        return (self.u[:, pixel] < weights[:, 1] / total).astype(np.uint8)
+
+    def _bond_index(self, weights, node: int):
+        """Draw the smallest s with cum_weight[s] > u * total, so an index
+        of zero weight is never chosen (u lies in [0, 1))."""
+        cum = np.cumsum(weights, axis=1)
+        total = cum[:, -1]
+        if not np.all(total > 0.0):
+            raise DegenerateDistributionError(
+                f"zero mass at the bond index below node {node}")
+        cut = self.u[:, self.model.n_sites + node - 1] * total
+        return np.count_nonzero(cum <= cut[:, None], axis=1)
+
+    def _leaf(self, leaf: int, t, v):
+        amp = (v @ t.reshape(t.shape[0], 4)).reshape(self.count, 2, 2)
+        w = amp * amp
+        k1, k2 = self.model.pixels_of_leaf(leaf)
+        first, second = k1, k2
+        if self.reverse:
+            first, second, w = k2, k1, w.transpose(0, 2, 1)
+        x = self._pixel(w.sum(axis=2), first)
+        self.samples[:, first] = x
+        self.samples[:, second] = self._pixel(w[self._rows, x], second)
+        return t[:, self.samples[:, k1], self.samples[:, k2]].T
+
+    def _children(self, node: int, m):
+        """Sample both subtrees below ``node`` from the (count, D_left,
+        D_right) amplitude matrix ``m``; return their completed vectors and
+        the sum of their log scales."""
+        first, second = 2 * node, 2 * node + 1
+        if self.reverse:
+            first, second, m = second, first, m.transpose(0, 2, 1)
+        s = self._bond_index(np.einsum('rfs,rfs->rs', m, m), node)
+        c1, log1 = self._subtree(first, m[self._rows, :, s])
+        c2, log2 = self._subtree(second, np.einsum('rf,rfs->rs', c1, m))
+        if self.reverse:
+            c1, c2 = c2, c1
+        return c1, c2, log1 + log2
+
+    def _subtree(self, node: int, v):
+        """Sample the subtree under ``node`` from the pure state ``v`` on its
+        parent bond; return its completed amplitude vector and the per-row
+        log of the scale taken out of it.  A leaf's vector (a column of an
+        isometry, so entries of at most one) keeps its scale; an inner
+        node's is rescaled to unit max."""
+        t = self.model.tensors[node].data
+        if self.model.is_leaf(node):
+            return self._leaf(node, t, v), 0.0
+        da = t.shape[0]
+        m = _rescale_batch(v) @ t.reshape(da, -1)
+        left, right, log = self._children(
+            node, m.reshape((self.count,) + t.shape[1:]))
+        pair = left[:, :, None] * right[:, None, :]
+        vec = pair.reshape(self.count, -1) @ t.reshape(da, -1).T
+        mx = np.max(np.abs(vec), axis=1, keepdims=True)
+        mx[mx == 0.0] = 1.0
+        vec /= mx
+        return vec, log + np.log(mx[:, 0])
 
     def run(self):
-        for step, pixel in enumerate(self.order):
-            leaf, axis = self.model.leaf_of_pixel(pixel)
-            self._ensure_path(leaf)
-            p1 = self._conditional(leaf, axis, pixel)
-            draw = (self.u[:, step] < p1).astype(np.int64)
-            self.samples[:, pixel] = draw
-            self.assigned[pixel] = True
-            chosen = np.where(draw == 1, p1, 1.0 - p1)
-            self.chain_log += np.log(chosen)
-            if self.conditionals is not None:
-                self.conditionals.append((pixel, p1.copy()))
-            k1, k2 = self.model.pixels_of_leaf(leaf)
-            if self.assigned[k1] and self.assigned[k2]:
-                self._complete_leaf(leaf)
+        """Fill ``samples`` and ``chain_log`` (log p of each row)."""
+        model = self.model
+        root = model.tensors[1].data
+        m = np.broadcast_to(root, (self.count,) + root.shape)
+        left, right, log = self._children(1, m)
+        amp = np.einsum('rb,rb->r', left @ root, right)
+        scale = sum(model.tensors[n].log_scale
+                    for n in range(1, model.n_tensors + 1))
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(amp)) + log + scale
+        self.chain_log = 2.0 * log_abs - partition_function(model)
         return self.samples
 
 
 def _chunk_rows(model: TtnModel, count: int) -> int:
+    """Rows per chunk, so that the live amplitude matrices (one per level of
+    the depth-first path, D^2 each) and the uniforms stay near 32 MB."""
     d = max(model.max_bond(), 2)
-    return int(max(64, min(count, 65536, 4_000_000 // (d * d))))
+    depth = model.n_sites.bit_length() - 1
+    per_row = d * d * depth + _uniform_columns(model)
+    return int(max(64, min(count, 4_000_000 // per_row)))
 
 
 def sample_batch(model: TtnModel, count: int, seed: int, *,
@@ -182,28 +150,32 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
                  return_chain_log: bool = False):
     """Draw ``count`` exact samples; returns a (count, pixels) 0/1 matrix.
 
-    With an ordering descriptor the padding slots are stripped and pixels
-    are returned in raw image order.  ``return_chain_log`` additionally
-    returns each sample's log-probability accumulated from the conditionals
-    actually used, for auditing against the model's log p(x).
+    Row ``i`` depends only on (seed, i), whatever ``count`` and the chunk
+    size.  (The rows a given seed yields changed once, when the sampler
+    moved from per-pixel conditionals to auxiliary bond indices; their
+    distribution did not.)  With an ordering descriptor the padding slots
+    are stripped and pixels are returned in raw image order.
+    ``return_chain_log`` additionally returns each row's log p(x), computed
+    from the amplitude the sampler assembled (not a sum of conditionals),
+    for auditing against ``log_probs``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if order == "leaf":
-        pixel_order = list(range(model.n_sites))
-    elif order == "leaf-reversed":
-        pixel_order = list(range(model.n_sites - 1, -1, -1))
-    else:
+    if order not in ("leaf", "leaf-reversed"):
         raise ValueError(f"unknown sampling order {order!r}")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
     work = _rooted_copy(model)
-    uniforms = np.random.default_rng(seed).random((count, model.n_sites))
+    rng = np.random.default_rng(seed)
+    width = _uniform_columns(work)
     chunk = _chunk_rows(work, count)
     outs, logs = [], []
     for start in range(0, count, chunk):
-        state = SampleState(work, uniforms[start:start + chunk], pixel_order)
-        outs.append(state.run().astype(np.uint8))
+        # successive draws continue one stream, so row i does not depend on
+        # the chunk size
+        rows = min(chunk, count - start)
+        state = SampleState(work, rng.random((rows, width)), order)
+        outs.append(state.run())
         logs.append(state.chain_log)
     samples = np.concatenate(outs, axis=0)
     chain_log = np.concatenate(logs)

@@ -107,6 +107,19 @@ def uniform_ttn(n_sites) -> TtnModel:
     return TtnModel(n_sites, tensors, canonical_center=None, d_max=1)
 
 
+def sharp_product_ttn(n_sites, p1):
+    """Bond-1 tree of independent pixels, each 1 with probability p1,
+    canonical at the root."""
+    amp = np.sqrt([1.0 - p1, p1])
+    tensors = [None, DenseTensor(np.ones((1, 1)))]
+    for node in range(2, n_sites):
+        if 2 * node > n_sites - 1:
+            tensors.append(DenseTensor(np.outer(amp, amp)[None]))
+        else:
+            tensors.append(DenseTensor(np.ones((1, 1, 1))))
+    return TtnModel(n_sites, tensors, canonical_center=1, d_max=1)
+
+
 def enum_log_z(model: TtnModel) -> float:
     amps = brute_force_amplitudes(model)
     return float(np.log(np.sum(amps * amps)))

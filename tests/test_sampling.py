@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from ttnborn import (build_random, canonicalize, gen_random_patterns,
-                     log_probs, marginal, sample_batch, sample_one,
-                     save_samples_pbm, train, TrainConfig)
+from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
+                     gen_random_patterns, log_probs, marginal, sample_batch,
+                     sample_one, save_samples_pbm, train, TrainConfig)
 from ttnborn import pbm
-from ttnborn.errors import StateError
+from ttnborn.errors import DegenerateDistributionError, StateError
+from ttnborn.sampling import SampleState, _uniform_columns
+from ttnborn.ttn import _rooted_copy
 
-from helpers import all_configs, chi_square_pvalue, config_indices, \
-    ttn_from_patterns, uneven_ttn, uniform_ttn
+from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
+    config_indices, sharp_product_ttn, ttn_from_patterns, uneven_ttn, \
+    uniform_ttn
 
 
 class TestSampleOne:
@@ -107,54 +110,28 @@ class TestChainRule:
         assert abs(total - chain[0]) < 1e-12
 
 
-def _direct_down_message(state, u, c):
-    """Doubled-network environment above c, contracted by one einsum."""
-    t = state.model.tensors[u].data
-    sib = c ^ 1
-    if u == 1:
-        tc = t if c == 2 else t.T                    # (d_c, d_sib)
-        if sib in state.complete:
-            w = state.complete[sib] @ tc.T
-            m = np.einsum('sa,sb->sab', w, w)
-        else:
-            m = np.broadcast_to(np.einsum('ax,bx->ab', tc, tc),
-                                (state.count,) + (tc.shape[0],) * 2)
-    else:
-        tc = t if c == 2 * u else t.transpose(0, 2, 1)   # (da, d_c, d_sib)
-        d = state.downs[u]
-        if sib in state.complete:
-            v = state.complete[sib]
-            m = np.einsum('sab,acx,bey,sx,sy->sce', d, tc, tc, v, v)
-        else:
-            m = np.einsum('sab,acx,bex->sce', d, tc, tc)
-    scale = np.max(np.abs(m.reshape(len(m), -1)), axis=1)
-    return m / scale[:, None, None]
-
-
 class TestDownMessages:
-    def test_every_down_message_matches_the_doubled_network(self):
-        from ttnborn.sampling import SampleState
-        from ttnborn.ttn import _rooted_copy
-        model = _rooted_copy(uneven_ttn())
-        # inner nodes (children not leaves) whose two child bonds differ
+    def test_uneven_tree_matches_enumeration(self):
+        # bonds of 2 to 5 that differ between siblings; each centre roots a
+        # different gauge, and each order draws the other open sibling index
+        model = uneven_ttn()
         assert any(model.tensors[u].shape[1] != model.tensors[u].shape[2]
                    for u in range(2, model.n_tensors // 2 + 1))
-        seen = set()
-
-        class Checked(SampleState):
-            def _down_message(self, u, c):
-                got = super()._down_message(u, c)
-                want = _direct_down_message(self, u, c)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) < 1e-12
-                seen.add((u == 1, c % 2, (c ^ 1) in self.complete))
-                return got
-
-        uniforms = np.random.default_rng(0).random((7, 16))
-        for order in (list(range(16)), list(range(15, -1, -1))):
-            Checked(model, uniforms, order).run()
-        # root and inner nodes, both child axes, sibling open and complete
-        assert len(seen) == 8
+        seed = 70
+        for center in (15, 6, 1):
+            canonicalize(model, center)
+            amps = brute_force_amplitudes(model)
+            first8 = (amps * amps).reshape(256, 256).sum(axis=1)
+            first8 /= first8.sum()
+            for order in ("leaf", "leaf-reversed"):
+                rows, chain = sample_batch(model, 50_000, seed=seed,
+                                           order=order,
+                                           return_chain_log=True)
+                seed += 1
+                assert np.max(np.abs(chain - log_probs(model, rows))) < 1e-12
+                counts = np.bincount(config_indices(rows[:, :8]),
+                                     minlength=256)
+                assert chi_square_pvalue(counts, first8) > 0.01
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
@@ -172,6 +149,85 @@ class TestDownMessages:
         # rounding depends on the number of rows
         assert np.max(np.abs(logs - log)) < 1e-12
         assert abs(first_log[0] - log[0]) < 1e-12
+
+
+def _dead_leading_bond_index(model):
+    """The same state with a zero-weight index prepended to every bond."""
+    def pad(data, axes):
+        widths = [(1, 0) if a in axes else (0, 0) for a in range(data.ndim)]
+        return DenseTensor(np.pad(data, widths), validate=False)
+    tensors = [None, pad(model.tensors[1].data, (0, 1))]
+    for n in range(2, model.n_tensors + 1):
+        axes = (0,) if model.is_leaf(n) else (0, 1, 2)
+        tensors.append(pad(model.tensors[n].data, axes))
+    return TtnModel(model.n_sites, tensors, 1, model.d_max)
+
+
+class TestExtremeUniforms:
+    @pytest.mark.parametrize("dead_index", [False, True])
+    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+    def test_zero_weight_values_are_never_drawn(self, u, order, dead_index):
+        # most bond indices and pixel values carry zero weight here (with
+        # dead_index, the first index of every bond); u at either end of
+        # [0, 1) must still land on one of positive weight
+        patterns = gen_random_patterns(16, 6, seed=53, distinct=True).samples
+        work = _rooted_copy(ttn_from_patterns(patterns))
+        if dead_index:
+            work = _dead_leading_bond_index(work)
+        state = SampleState(work, np.full((4, _uniform_columns(work)), u),
+                            order)
+        rows = state.run()
+        known = {r.tobytes() for r in patterns.astype(np.uint8)}
+        assert all(r.tobytes() in known for r in rows)
+        assert np.all(np.isfinite(state.chain_log))
+        assert np.allclose(state.chain_log, -np.log(6), rtol=0, atol=1e-12)
+
+    def test_zero_mass_raises(self):
+        model = build_random(8, 2, seed=54)
+        root = model.tensors[1]
+        model.tensors[1] = DenseTensor(np.zeros(root.shape))
+        with pytest.raises(DegenerateDistributionError):
+            sample_batch(model, 3, seed=0)
+
+
+class TestChainLogAtScale:
+    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
+    def test_random_tree_centred_off_root(self, order):
+        model = build_random(1024, 6, seed=21)
+        canonicalize(model, 700)
+        rows, chain = sample_batch(model, 16, seed=55, order=order,
+                                   return_chain_log=True)
+        lp = log_probs(model, rows)
+        assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
+
+    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
+    def test_rows_far_below_the_float_range(self, order):
+        # all ones but at most one pixel: p ~ 1e-2046, so the completed
+        # subtree vectors underflow unless their scales are carried in logs
+        model = sharp_product_ttn(1024, 0.01)
+        uniforms = np.full((4, _uniform_columns(model)), 0.005)
+        for row, pixel in enumerate((0, 513, 1023), start=1):
+            uniforms[row, pixel] = 0.5
+        state = SampleState(model, uniforms, order)
+        rows = state.run()
+        assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
+        lp = log_probs(model, rows)
+        assert np.all(lp < -4700.0)
+        assert np.all(np.abs(state.chain_log - lp) <= 1e-10 * np.abs(lp))
+
+
+class TestSamplerMemory:
+    def test_thousand_rows_at_1024_sites_stay_under_64_mib(self):
+        import tracemalloc
+        model = build_random(1024, 16, seed=56)
+        tracemalloc.start()
+        try:
+            sample_batch(model, 1000, seed=57)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestMemorizedSampling:

@@ -16,7 +16,8 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
 from ttnborn.ttn import _marginal_stack
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     ttn_from_patterns, uneven_ttn, uniform_ttn)
+                     sharp_product_ttn, ttn_from_patterns, uneven_ttn,
+                     uniform_ttn)
 
 
 class TestBuildRandom:
@@ -401,19 +402,6 @@ class TestMarginalsByEnumeration:
         assert _model_state(model) == before
 
 
-def _sharp_product_ttn(n_sites, p1):
-    """Bond-1 tree of independent pixels, each 1 with probability p1,
-    canonical at the root."""
-    amp = np.sqrt([1.0 - p1, p1])
-    tensors = [None, DenseTensor(np.ones((1, 1)))]
-    for node in range(2, n_sites):
-        if 2 * node > n_sites - 1:
-            tensors.append(DenseTensor(np.outer(amp, amp)[None]))
-        else:
-            tensors.append(DenseTensor(np.ones((1, 1, 1))))
-    return TtnModel(n_sites, tensors, canonical_center=1, d_max=1)
-
-
 class TestMarginalsAtScale:
     @pytest.mark.parametrize("kind", ["random", "sharp"])
     def test_heavy_clamping_stays_exact(self, kind):
@@ -425,7 +413,7 @@ class TestMarginalsAtScale:
             canonicalize(model, 700)
             row = gen_random_patterns(1024, 1, seed=22).samples[0]
         else:
-            model = _sharp_product_ttn(1024, 0.01)
+            model = sharp_product_ttn(1024, 0.01)
             row = np.ones(1024)
         row = row.astype(int)
         for open_pixel in (0, 513, 1023):
