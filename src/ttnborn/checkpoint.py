@@ -60,13 +60,11 @@ def _fold_arrays(tensors, center_idx):
 
 
 def _tensor_list(model):
-    if isinstance(model, TtnModel):
-        center = model.canonical_center if model.canonical_center else 1
-        arrays = _fold_arrays(model.tensors, center)
-        return arrays[1:], "ttn"
-    if isinstance(model, MpsModel):
-        center = model.canonical_center if model.canonical_center is not None else 0
-        return _fold_arrays(model.tensors, center), "mps"
+    if isinstance(model, (TtnModel, MpsModel)):
+        # without a canonical center the first tensor may drop its scale
+        first, center = model.first_tensor, model.canonical_center
+        arrays = _fold_arrays(model.tensors, first if center is None else center)
+        return arrays[first:], model.model_type
     if isinstance(model, TreeFactorGraph):
         return list(model.factors), "treefg"
     raise TypeError(f"cannot checkpoint {type(model).__name__}")
@@ -77,23 +75,18 @@ def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
     """Write a model; returns the header dict actually stored."""
     arrays, model_type = _tensor_list(model)
     header = {"format": "ttnborn-checkpoint-v1", "model_type": model_type}
-    if model_type == "ttn":
-        header["n_sites"] = model.n_sites
-        header["d_max"] = model.d_max
-        header["bond_dims"] = {str(k): int(v) for k, v in model.bond_dims().items()}
-        header["canonical_center"] = model.canonical_center
-    elif model_type == "mps":
-        header["n_sites"] = model.n_sites
-        header["d_max"] = model.d_max
-        header["bond_dims"] = {str(k): int(v) for k, v in model.bond_dims().items()}
-        header["canonical_center"] = model.canonical_center
-    else:
+    if model_type == "treefg":
         header["n_sites"] = len(model.visible)
         header["d_max"] = None
         header["bond_dims"] = {}
         header["n_vars"] = model.n_vars
         header["edges"] = [list(e) for e in model.edges]
         header["visible"] = list(model.visible)
+    else:
+        header["n_sites"] = model.n_sites
+        header["d_max"] = model.d_max
+        header["bond_dims"] = {str(k): int(v) for k, v in model.bond_dims().items()}
+        header["canonical_center"] = model.canonical_center
     header["tensor_shapes"] = [list(a.shape) for a in arrays]
     header["ordering"] = ordering.to_json_dict() if ordering is not None else None
     header["seed"] = seed
@@ -130,15 +123,13 @@ def load_checkpoint(path):
                 raise FormatError(f"{path}: truncated tensor data")
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
     model_type = header["model_type"]
-    if model_type == "ttn":
-        tensors = [None] + [DenseTensor(a, validate=False) for a in arrays]
-        model = TtnModel(header["n_sites"], tensors,
-                         canonical_center=header.get("canonical_center"),
-                         d_max=header.get("d_max"))
-    elif model_type == "mps":
-        model = MpsModel([DenseTensor(a, validate=False) for a in arrays],
-                         canonical_center=header.get("canonical_center"),
-                         d_max=header.get("d_max"))
+    if model_type in ("ttn", "mps"):
+        tensors = [DenseTensor(a, validate=False) for a in arrays]
+        center, d_max = header.get("canonical_center"), header.get("d_max")
+        if model_type == "ttn":
+            model = TtnModel(header["n_sites"], [None] + tensors, center, d_max)
+        else:
+            model = MpsModel(tensors, center, d_max)
     elif model_type == "treefg":
         model = TreeFactorGraph(header["n_vars"],
                                 [tuple(e) for e in header["edges"]],

@@ -1,9 +1,13 @@
 """Batch command-line front door.
 
 Commands: train, eval, sample, correlate, gen-random.  Every stochastic
-command requires an explicit --seed; given identical flags the outputs are
-byte-identical (BLAS threads are capped via --threads, default 1).  Results
-go to stdout, diagnostics to stderr, files only under --out.
+command requires an explicit --seed; given identical flags, the same BLAS
+thread count and the same numpy and BLAS build, the outputs are
+byte-identical.  --threads (default 1) caps BLAS threads only when
+threadpoolctl is installed; otherwise the cap is whatever
+OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS / MKL_NUM_THREADS) was set to
+before the process started.  Results go to stdout, diagnostics to stderr,
+files only under --out.
 """
 
 from __future__ import annotations
@@ -23,19 +27,19 @@ from .data import (BinaryDataset, apply_ordering, gen_random_patterns,
 from .errors import (DegenerateDistributionError, DegenerateSampleError,
                      DimensionError, FormatError, NumericalError, ParseError,
                      StateError, TopologyError)
-from .sampling import sample_batch, save_samples_pbm
-from .training import TrainConfig, train
-from .ttn import build_random, correlation_map, nll, partition_function
+from .sampling import save_samples_pbm
+from .training import TrainConfig, TrainStats, train
+from .ttn import build_random, correlation_map, nll
 
 
 def _limit_threads(n: int):
+    """Cap BLAS threads through threadpoolctl; without it this is a no-op,
+    because BLAS reads its environment variables only when numpy loads."""
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+        return
+    threadpoolctl.threadpool_limits(limits=n)
 
 
 def _read_config_file(path):
@@ -99,61 +103,46 @@ def cmd_train(args) -> int:
     model_path = os.path.join(args.out, "model.ttnborn")
     stats_path = os.path.join(args.out, "stats.csv")
 
-    def _progress(tag, epoch, value):
-        print(f"{tag} epoch {epoch} nll={value:.6f}", file=sys.stderr)
-
-    if args.model == "treefg":
-        fg = fgm.heap_shaped_fg(desc.padded_size, seed=args.seed)
-        fg, stats = fgm.fg_train(fg, matrix, config)
-        ckpt.save_checkpoint(model_path, fg, ordering=desc, seed=args.seed,
-                             epoch=config.epochs)
-        with open(stats_path, "w") as f:
-            f.write("# ttnborn-stats-v1\n")
-            f.write("epoch,nll,seconds,max_bond,mean_truncation_error\n")
-            for e, v in enumerate(stats["nll"]):
-                secs = stats["seconds"][e] if args.record_timing else 0.0
-                f.write("%d,%.17g,%.6f,%d,%.17g\n" % (e, v, secs, 2, 0.0))
-        train_nll = fgm.fg_nll(fg, matrix)
-        print(f"train_nll={train_nll:.6f}")
-        if args.test_data:
-            test_ds = _load_dataset(args.test_data)
-            test_ds, _ = _resolve_ordering(test_ds, args.order, args.shape)
-            print(f"test_nll={fgm.fg_nll(fg, apply_ordering(test_ds, desc)):.6f}")
-        return 0
-
     def on_epoch(model, epoch, stats):
-        _progress(args.model, epoch, stats.nll[-1])
+        print(f"{args.model} epoch {epoch} nll={stats.nll[-1]:.6f}",
+              file=sys.stderr)
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
             path = os.path.join(args.out, f"model_epoch{epoch + 1:05d}.ttnborn")
             ckpt.save_checkpoint(path, model, ordering=desc, seed=args.seed,
                                  epoch=epoch + 1)
 
-    if args.model == "ttn":
-        model = build_random(desc.padded_size, args.dmax, args.seed)
-        model, stats = train(model, matrix, config, on_epoch=on_epoch)
-        train_nll = nll(model, matrix)
+    if args.model == "treefg":
+        fg = fgm.heap_shaped_fg(desc.padded_size, seed=args.seed)
+        model, fg_stats = fgm.fg_train(fg, matrix, config)
+        epochs = len(fg_stats["nll"])
+        stats = TrainStats(nll=fg_stats["nll"], seconds=fg_stats["seconds"],
+                           max_bond=[2] * epochs,
+                           truncation_errors=[[]] * epochs)
+        evaluate = fgm.fg_nll
     else:
-        model, stats = mpsm.mps_train(matrix, config, on_epoch=on_epoch)
-        train_nll = mpsm.mps_nll(model, matrix)
+        build = build_random if args.model == "ttn" else mpsm.mps_build_random
+        model, stats = train(build(desc.padded_size, args.dmax, args.seed),
+                             matrix, config, on_epoch=on_epoch)
+        evaluate = nll
     ckpt.save_checkpoint(model_path, model, ordering=desc, seed=args.seed,
                          epoch=config.epochs)
     stats.write_csv(stats_path, record_timing=args.record_timing)
-    print(f"train_nll={train_nll:.6f}")
+    print(f"train_nll={evaluate(model, matrix):.6f}")
     if args.test_data:
         test_ds = _load_dataset(args.test_data)
         test_ds, _ = _resolve_ordering(test_ds, args.order, args.shape)
-        test_matrix = apply_ordering(test_ds, desc)
-        if args.model == "ttn":
-            print(f"test_nll={nll(model, test_matrix):.6f}")
-        else:
-            print(f"test_nll={mpsm.mps_nll(model, test_matrix):.6f}")
+        print(f"test_nll={evaluate(model, apply_ordering(test_ds, desc)):.6f}")
     return 0
 
 
-def _load_model(path):
+def _load_model(path, command=None):
+    """(model, header, ordering descriptor) of a checkpoint; a TTN or MPS
+    only when a ``command`` needs the Born-machine interface."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     model, header = ckpt.load_checkpoint(path)
+    if command and header["model_type"] == "treefg":
+        raise StateError(f"{command} supports ttn and mps models")
     return model, header, header.get("ordering_descriptor")
 
 
@@ -169,32 +158,18 @@ def cmd_eval(args) -> int:
             BinaryDataset(dataset.samples, desc.raw_shape, dataset.name), desc)
     else:
         matrix = dataset.samples
-    kind = header["model_type"]
-    if kind == "ttn":
-        value = nll(model, matrix)
-        print(f"# exact log_z={partition_function(model):.6f}", file=sys.stderr)
-    elif kind == "mps":
-        value = mpsm.mps_nll(model, matrix)
-        print(f"# exact log_z={mpsm.mps_partition_function(model):.6f}",
-              file=sys.stderr)
+    if header["model_type"] == "treefg":
+        value, log_z = fgm.fg_nll(model, matrix), fgm.sum_product_log_z(model)
     else:
-        value = fgm.fg_nll(model, matrix)
-        print(f"# exact log_z={fgm.sum_product_log_z(model):.6f}",
-              file=sys.stderr)
+        value, log_z = nll(model, matrix), model.log_z()
+    print(f"# exact log_z={log_z:.6f}", file=sys.stderr)
     print(f"nll={value:.6f}")
     return 0
 
 
 def cmd_sample(args) -> int:
-    model, header, desc = _load_model(args.model_path)
-    kind = header["model_type"]
-    if kind == "ttn":
-        samples = sample_batch(model, args.count, args.seed, ordering=desc)
-    elif kind == "mps":
-        samples = mpsm.mps_sample_batch(model, args.count, args.seed,
-                                        ordering=desc)
-    else:
-        raise StateError("sampling is only supported for ttn and mps models")
+    model, _, desc = _load_model(args.model_path, "sample")
+    samples = model.sample(args.count, args.seed, ordering=desc)
     os.makedirs(args.out, exist_ok=True)
     shape = desc.raw_shape if desc is not None else (samples.shape[1],)
     if args.format in ("pbm", "both"):
@@ -208,24 +183,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    model, header, desc = _load_model(args.model_path)
-    kind = header["model_type"]
+    model, _, desc = _load_model(args.model_path, "correlate")
     try:
         pixels = [int(p) for p in args.pixels.split(",") if p]
     except ValueError:
         raise ParseError(f"--pixels must be comma-separated ints: {args.pixels!r}")
+    n_raw = model.n_sites if desc is None else len(desc.permutation)
+    for p in pixels:
+        if not 0 <= p < n_raw:
+            raise ValueError(f"--pixels: pixel {p} out of range for {n_raw} "
+                             "image pixels")
     os.makedirs(args.out, exist_ok=True)
     for p in pixels:
-        if desc is not None:
-            leaf_ref = int(desc.permutation[p])
-        else:
-            leaf_ref = p
-        if kind == "ttn":
-            leaf_map = correlation_map(model, leaf_ref)
-        elif kind == "mps":
-            leaf_map = mpsm.mps_correlation_map(model, leaf_ref)
-        else:
-            raise StateError("correlate supports ttn and mps models")
+        leaf_ref = p if desc is None else int(desc.permutation[p])
+        leaf_map = correlation_map(model, leaf_ref)
         if desc is not None:
             raw = leaf_map[desc.permutation].reshape(desc.raw_shape)
         else:
@@ -252,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tree tensor network Born machine: train, evaluate and "
                     "sample exact-likelihood generative models of binary images.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="cap BLAS worker threads (default 1, reproducible)")
+                        help="cap BLAS worker threads (default 1); takes "
+                             "effect only with threadpoolctl installed, "
+                             "otherwise set OPENBLAS_NUM_THREADS before "
+                             "starting")
     parser.add_argument("--config", default=None,
                         help="optional key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,28 +4,31 @@ A chain of 3-way tensors (left bond, pixel, right bond) with dimension-1
 boundary bonds, trained, evaluated and sampled with the same machinery as
 the tree model: exact partition function from the canonical center, sweeps
 with QR pushes, two-site updates with truncated SVD, and ancestral sampling
-from exact conditionals.  Kept deliberately close to the tree code so the
-comparisons between the two models are like for like.
+from exact conditionals.  It implements the tree's Born-machine interface
+(``ttn.BornMachine``), so the NLL, marginals, correlations, the training
+loop, the sweep-epoch entry and exit, the pass driver and the one-site step
+are the tree's own code, and the comparisons between the two models are
+like for like.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
 from .errors import (DegenerateDistributionError, DimensionError, StateError,
                      TopologyError)
-from .tensor import NEG_INF, DenseTensor, frobenius_norm, qr_split
-from .training import (TrainConfig, TrainStats, _fold_scale_data,
-                       guarded_merge_factors, guarded_site_new_data)
-from .ttn import Amplitude
+from .tensor import DenseTensor, qr_split
+from .training import (TrainConfig, _enter_epoch, _execute_pass, _exit_epoch,
+                       _fold_scale_data, guarded_merge_factors, train)
+from .ttn import (_EYE2, BornMachine, _born_log_probs, _clamp_weights, _isometry_deviation,
+                  _normalized_marginals, _rescale_batch, _rescale_rows,
+                  _signed_logs, correlation, correlation_map, marginal, nll,
+                  partition_function)
 
-_EYE2 = np.eye(2)
 
-
-class MpsModel:
+class MpsModel(BornMachine):
     """Open-boundary MPS over binary pixels with a canonical center."""
 
     def __init__(self, tensors, canonical_center=None, d_max=None):
@@ -41,15 +44,45 @@ class MpsModel:
     def n_sites(self) -> int:
         return len(self.tensors)
 
+    def neighbors(self, i: int):
+        return [j for j in (i - 1, i + 1) if 0 <= j < self.n_sites]
+
     def bond_dims(self) -> dict:
         return {i: self.tensors[i].shape[0] for i in range(1, self.n_sites)}
-
-    def max_bond(self) -> int:
-        return max(self.bond_dims().values())
 
     def copy(self) -> "MpsModel":
         return MpsModel([t.copy() for t in self.tensors],
                         self.canonical_center, self.d_max)
+
+    # -- the Born-machine interface (see ``ttn.BornMachine``) ---------------
+
+    model_type = "mps"
+    first_tensor = 0
+
+    def canonicalize(self, center: int):
+        return mps_canonicalize(self, center)
+
+    def log_z(self) -> float:
+        return mps_partition_function(self)
+
+    def log_probs(self, samples) -> np.ndarray:
+        return mps_log_probs(self, samples)
+
+    def single_site_marginals(self, assignment=None) -> np.ndarray:
+        return mps_single_site_marginals(self, assignment)
+
+    def marginal_stack(self, assignments) -> np.ndarray:
+        return np.stack([mps_single_site_marginals(self, a)
+                         for a in assignments])
+
+    def sample(self, count: int, seed: int, ordering=None):
+        return mps_sample_batch(self, count, seed, ordering=ordering)
+
+    def sweep_cache(self, samples):
+        return _ChainCache(self, samples, self.n_sites - 1)
+
+    def sweep_epoch(self, dataset, config, **kwargs):
+        return mps_sweep_epoch(self, dataset, config, **kwargs)
 
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
@@ -75,25 +108,20 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
 
 def _push(model: MpsModel, i: int, j: int):
     """QR-push the non-canonical part from site i to adjacent site j."""
-    t = model.tensors[i]
+    t, tj = model.tensors[i], model.tensors[j]
     if j == i + 1:
         res = qr_split(t, [0, 1], [2])
-        model.tensors[i] = res.q
-        tj = model.tensors[j]
+        q = res.q.data
         merged = np.tensordot(res.r.data, tj.data, axes=([1], [0]))
-        model.tensors[j] = DenseTensor(
-            merged, tj.log_scale + res.r.log_scale, validate=False).rescaled()
     elif j == i - 1:
         res = qr_split(t, [1, 2], [0])
-        model.tensors[i] = DenseTensor(
-            np.ascontiguousarray(np.moveaxis(res.q.data, -1, 0)), 0.0,
-            validate=False)
-        tj = model.tensors[j]
+        q = np.ascontiguousarray(np.moveaxis(res.q.data, -1, 0))
         merged = np.tensordot(tj.data, res.r.data, axes=([2], [1]))
-        model.tensors[j] = DenseTensor(
-            merged, tj.log_scale + res.r.log_scale, validate=False).rescaled()
     else:
         raise TopologyError(f"sites {i} and {j} are not adjacent")
+    model.tensors[i] = DenseTensor(q, 0.0, validate=False)
+    model.tensors[j] = DenseTensor(
+        merged, tj.log_scale + res.r.log_scale, validate=False).rescaled()
 
 
 def mps_canonicalize(model: MpsModel, center: int) -> MpsModel:
@@ -118,18 +146,13 @@ def mps_max_canonical_deviation(model: MpsModel) -> float:
         raise StateError("model has no canonical center")
     worst = 0.0
     for i, t in enumerate(model.tensors):
-        if i == model.canonical_center:
-            continue
-        axes = ([0, 1], [0, 1]) if i < model.canonical_center else ([1, 2], [1, 2])
-        g = np.tensordot(t.data, t.data, axes=axes) * math.exp(2 * t.log_scale)
-        worst = max(worst, float(np.max(np.abs(g - np.eye(g.shape[0])))))
+        if i != model.canonical_center:
+            axis = 2 if i < model.canonical_center else 0
+            worst = max(worst, _isometry_deviation(t, axis))
     return worst
 
 
-def mps_partition_function(model: MpsModel) -> float:
-    if model.canonical_center is None:
-        raise StateError("partition function requires a canonical center")
-    return 2.0 * frobenius_norm(model.tensors[model.canonical_center])
+mps_partition_function = partition_function
 
 
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
@@ -147,54 +170,16 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
         slab = t.data[:, samples[:, i], :]            # (l, S, r)
         vec = np.einsum('sl,lsr->sr', vec, slab)
         logs += t.log_scale
-        mx = np.max(np.abs(vec), axis=1)
-        nz = mx > 0
-        if np.any(nz):
-            logs[nz] += np.log(mx[nz])
-            vec[nz] /= mx[nz, None]
-    val = vec[:, 0]
-    sign = np.sign(val).astype(np.int64)
-    log_abs = np.full(s_count, NEG_INF)
-    nz = val != 0
-    log_abs[nz] = np.log(np.abs(val[nz])) + logs[nz]
-    return log_abs, sign
-
-
-def mps_amplitude(model: MpsModel, sample) -> Amplitude:
-    log_abs, sign = mps_amplitudes(model, sample)
-    return Amplitude(float(log_abs[0]), int(sign[0]))
+        vec, logs = _rescale_rows(vec, logs)
+    return _signed_logs(vec[:, 0], logs)
 
 
 def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
     log_z = mps_partition_function(model)
-    log_abs, sign = mps_amplitudes(model, samples)
-    with np.errstate(invalid="ignore"):
-        return np.where(sign != 0, 2.0 * log_abs - log_z, NEG_INF)
-
-
-def mps_log_prob(model: MpsModel, sample) -> float:
-    return float(mps_log_probs(model, np.asarray(sample)[np.newaxis])[0])
-
-
-def mps_nll(model: MpsModel, dataset) -> float:
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("dataset must be a nonempty matrix of samples")
-    lp = mps_log_probs(model, samples)
-    if np.any(np.isneginf(lp)):
-        return float("inf")
-    return float(-np.mean(lp))
+    return _born_log_probs(log_z, *mps_amplitudes(model, samples))
 
 
 # -- marginals and correlations (doubled chain contractions) ------------------
-
-def _pixel_ops(n, assignment):
-    ops = np.broadcast_to(_EYE2, (n, 2, 2)).copy()
-    for k, v in (assignment or {}).items():
-        ops[k] = 0.0
-        ops[k, v, v] = 1.0
-    return ops
-
 
 def _doubled_edge(t, op, mat, from_left):
     """Transfer the doubled boundary matrix through one site."""
@@ -211,9 +196,15 @@ def _doubled_edge(t, op, mat, from_left):
 
 
 def mps_single_site_marginals(model: MpsModel, assignment=None) -> np.ndarray:
+    """(n_sites, 2) conditional marginals of every pixel given ``assignment``,
+    from the doubled boundary matrices left and right of each site.
+
+    Clamped pixels get a one-hot row.  Raises if the clamped assignment has
+    zero total probability mass.
+    """
     assignment = dict(assignment or {})
     n = model.n_sites
-    ops = _pixel_ops(n, assignment)
+    ops = _clamp_weights(n, [assignment])[0][:, :, None] * _EYE2
     lefts = [np.ones((1, 1))]
     for i in range(n - 1):
         lefts.append(_doubled_edge(model.tensors[i], ops[i], lefts[-1], True))
@@ -221,64 +212,20 @@ def mps_single_site_marginals(model: MpsModel, assignment=None) -> np.ndarray:
     for i in range(n - 1, 0, -1):
         rights.append(_doubled_edge(model.tensors[i], ops[i], rights[-1], False))
     rights = rights[::-1]
-    out = np.zeros((n, 2))
+    out = np.empty((1, n, 2))
     for i in range(n):
         t = model.tensors[i].data
         x = np.tensordot(lefts[i], t, axes=([0], [0]))         # (b, p, r)
         y = np.tensordot(x, rights[i], axes=([2], [0]))        # (b, p, r')
-        m = np.tensordot(y, t, axes=([0, 2], [0, 2]))          # (p, p')
-        out[i] = np.maximum(np.diag(m), 0.0)
-    totals = out.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise DegenerateDistributionError(
-            "clamped configuration has zero probability mass")
-    out /= totals[:, None]
-    for k, v in assignment.items():
-        out[k] = 0.0
-        out[k, v] = 1.0
-    return out
+        out[0, i] = np.diag(np.tensordot(y, t, axes=([0, 2], [0, 2])))
+    return _normalized_marginals(out, [assignment])[0]
 
 
-def mps_marginal(model: MpsModel, fixed, open_pixel: int):
-    fixed = dict(fixed or {})
-    if open_pixel in fixed:
-        raise ValueError(f"pixel {open_pixel} is already fixed")
-    row = mps_single_site_marginals(model, fixed)[open_pixel]
-    return float(row[0]), float(row[1])
-
-
-def mps_correlation(model: MpsModel, pixel_i: int, pixel_j: int) -> float:
-    if pixel_i == pixel_j:
-        raise ValueError("correlation requires two distinct pixels")
-    spin = np.array([-1.0, 1.0])
-    base = mps_single_site_marginals(model)
-    mean_i = float(base[pixel_i] @ spin)
-    mean_j = float(base[pixel_j] @ spin)
-    joint = 0.0
-    for v in (0, 1):
-        pv = float(base[pixel_i, v])
-        if pv == 0.0:
-            continue
-        cond = mps_single_site_marginals(model, {pixel_i: v})
-        joint += spin[v] * pv * float(cond[pixel_j] @ spin)
-    return joint - mean_i * mean_j
-
-
-def mps_correlation_map(model: MpsModel, ref_pixel: int) -> np.ndarray:
-    """Connected correlations of ``ref_pixel`` with every pixel."""
-    spin = np.array([-1.0, 1.0])
-    base = mps_single_site_marginals(model)
-    means = base @ spin
-    joint = np.zeros(model.n_sites)
-    for v in (0, 1):
-        pv = float(base[ref_pixel, v])
-        if pv == 0.0:
-            continue
-        cond = mps_single_site_marginals(model, {ref_pixel: v})
-        joint += spin[v] * pv * (cond @ spin)
-    out = joint - means[ref_pixel] * means
-    out[ref_pixel] = 1.0 - means[ref_pixel] ** 2
-    return out
+# The model-generic functions, under their MPS names.
+mps_nll = nll
+mps_marginal = marginal
+mps_correlation = correlation
+mps_correlation_map = correlation_map
 
 
 # -- training ------------------------------------------------------------------
@@ -296,39 +243,32 @@ class _ChainCache:
         for i in range(model.n_sites - 1, center, -1):
             self.refresh_right(i - 1)
 
-    def _rescale(self, m):
-        mx = np.max(np.abs(m), axis=1)
-        nz = mx > 0
-        if np.any(nz):
-            m[nz] /= mx[nz, None]
-        return m
-
     def refresh_left(self, i: int):
         """Environment of sites < i (depends on site i-1 and lefts[i-1])."""
         t = self.model.tensors[i - 1].data
         slab = t[:, self.samples[:, i - 1], :]
-        self.lefts[i] = self._rescale(np.einsum('sl,lsr->sr',
-                                                self.lefts[i - 1], slab))
+        self.lefts[i] = _rescale_batch(np.einsum('sl,lsr->sr',
+                                                 self.lefts[i - 1], slab))
 
     def refresh_right(self, i: int):
         t = self.model.tensors[i + 1].data
         slab = t[:, self.samples[:, i + 1], :]
-        self.rights[i] = self._rescale(np.einsum('lsr,sr->sl', slab,
-                                                 self.rights[i + 1]))
+        self.rights[i] = _rescale_batch(np.einsum('lsr,sr->sl', slab,
+                                                  self.rights[i + 1]))
 
     def onehot(self, i: int):
         return _EYE2[self.samples[:, i]]
 
-    def site_parts(self, i: int):
+    def refresh_move(self, u: int, v: int):
+        """Update the one environment changed by moving the center u -> v."""
+        if v == u + 1:
+            self.refresh_left(v)
+        else:
+            self.refresh_right(v)
+
+    def center_parts(self, i: int):
         return [(self.lefts[i], None), (self.onehot(i), None),
                 (self.rights[i], None)]
-
-
-def _mps_site_step(model, cache, i, cfg, stats):
-    _fold_scale_data(model.tensors, i)
-    parts = cache.site_parts(i)
-    new = guarded_site_new_data(model.tensors[i].data, parts, cfg, stats)
-    model.tensors[i] = DenseTensor(new, 0.0, validate=False)
 
 
 def _mps_merge_step(model, cache, i, j, cfg, stats, center_to):
@@ -354,104 +294,31 @@ def _mps_merge_step(model, cache, i, j, cfg, stats, center_to):
     model.tensors[right] = DenseTensor(r_new.reshape(rank, 2, dr), 0.0,
                                        validate=False)
     model.canonical_center = center_to
-    if center_to == right:
-        cache.refresh_left(right)
-    else:
-        cache.refresh_right(left)
+    cache.refresh_move(j if center_to == i else i, center_to)
 
 
 def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,
                     cache=None, stats=None, on_step=None):
     """Right-to-left then left-to-right pass, every site updated once each."""
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    samples = samples.astype(np.int64)
-    if samples.shape[1] != model.n_sites:
-        raise DimensionError(
-            f"dataset has {samples.shape[1]} pixels, model has {model.n_sites}")
+    samples, cache, stats = _enter_epoch(model, dataset, config, cache, stats)
     last = model.n_sites - 1
-    if model.canonical_center != last:
-        mps_canonicalize(model, last)
-    if config.renormalize_center:
-        # Normalize instead of folding: the center's log_scale can be far
-        # beyond float range right after canonicalization.
-        t = model.tensors[last]
-        nrm = np.linalg.norm(t.data.ravel())
-        if nrm > 0:
-            model.tensors[last] = DenseTensor(t.data / nrm, 0.0, validate=False)
-    else:
-        _fold_scale_data(model.tensors, last)
-    if stats is None:
-        stats = TrainStats()
-    if cache is None:
-        cache = _ChainCache(model, samples, last)
-    stats.truncation_errors.append([])
     started = time.perf_counter()
-    for direction in (-1, +1):
-        sites = range(last, 0, -1) if direction < 0 else range(0, last)
-        endpoint = 0 if direction < 0 else last
-        for i in sites:
-            if config.scheme == "one-site":
-                _mps_site_step(model, cache, i, config, stats)
-                _push(model, i, i + direction)
-                model.canonical_center = i + direction
-                if direction < 0:
-                    cache.refresh_right(i - 1)
-                else:
-                    cache.refresh_left(i + 1)
-            else:
-                _mps_merge_step(model, cache, i, i + direction, config, stats,
-                                center_to=i + direction)
-            if on_step is not None:
-                on_step(model, (i, i + direction, True))
-        # the endpoint tensor still owes its update for this pass
-        if config.scheme == "one-site":
-            _mps_site_step(model, cache, endpoint, config, stats)
-        else:
-            _mps_merge_step(model, cache, endpoint, endpoint - direction,
-                            config, stats, center_to=endpoint)
-        if on_step is not None:
-            on_step(model, (endpoint, None, True))
-    stats.nll.append(mps_nll(model, samples))
-    stats.seconds.append(time.perf_counter() - started)
-    stats.max_bond.append(model.max_bond())
-    stats.final_bond_dims = {str(k): int(v) for k, v in model.bond_dims().items()}
-    return model, stats
+    for sites in (list(range(last, -1, -1)), list(range(last + 1))):
+        steps = [(i, j, True) for i, j in zip(sites, sites[1:] + [None])]
+        _execute_pass(model, cache, config, steps, stats, on_step, _push,
+                      _mps_merge_step)
+    return _exit_epoch(model, stats, time.perf_counter() - started,
+                       mps_nll(model, samples))
 
 
 def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,
               on_epoch=None):
-    """Train an MPS Born machine; builds a fresh random model unless given one."""
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    samples = samples.astype(np.int64)
+    """Train an MPS Born machine with the shared loop, ``training.train``;
+    builds a fresh random model unless given one."""
     if model is None:
+        samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
         model = mps_build_random(samples.shape[1], config.d_max, config.seed)
-    stats = TrainStats()
-    mps_canonicalize(model, model.n_sites - 1)
-    rng = np.random.default_rng(config.seed)
-    batch_size = config.batch_size
-    if batch_size in (None, "full") or int(batch_size) >= samples.shape[0]:
-        batch_size = None
-    cache = None
-    for epoch in range(config.epochs):
-        if batch_size is None:
-            batch = samples
-        else:
-            idx = np.sort(rng.choice(samples.shape[0], size=int(batch_size),
-                                     replace=False))
-            batch = samples[idx]
-            cache = None
-        t0 = time.perf_counter()
-        if cache is None:
-            cache = _ChainCache(model, batch, model.n_sites - 1)
-        _, stats = mps_sweep_epoch(model, batch, config, cache=cache,
-                                   stats=stats)
-        stats.seconds[-1] = time.perf_counter() - t0
-        if batch_size is not None:
-            stats.nll[-1] = mps_nll(model, samples)
-            cache = None
-        if on_epoch is not None:
-            on_epoch(model, epoch, stats)
-    return model, stats
+    return train(model, dataset, config, on_epoch=on_epoch)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -484,10 +351,7 @@ def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
         draw = (uniforms[:, i] < prob1).astype(np.uint8)
         samples[:, i] = draw
         chain_log += np.log(np.where(draw == 1, prob1, 1.0 - prob1))
-        vec = np.where(draw[:, None] == 1, a1, a0)
-        mx = np.max(np.abs(vec), axis=1)
-        nz = mx > 0
-        vec[nz] /= mx[nz, None]
+        vec = _rescale_batch(np.where(draw[:, None] == 1, a1, a0))
     if ordering is not None:
         from .data import invert_ordering
         samples = invert_ordering(samples, ordering)

@@ -159,6 +159,27 @@ def kept_rank(s: np.ndarray, d_max: int, cutoff: float) -> int:
     return max(1, min(int(d_max), significant, len(s)))
 
 
+def _svd_sign_fix(u, vt):
+    """Deterministic sign convention: the largest-magnitude entry of each
+    left singular vector is positive (in place)."""
+    for col in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, col])))
+        if u[i, col] < 0:
+            u[:, col] = -u[:, col]
+            vt[col, :] = -vt[col, :]
+    return u, vt
+
+
+def _truncated_svd(m: np.ndarray, d_max: int, cutoff: float):
+    """Dense SVD of ``m`` truncated to ``kept_rank`` values, signs not yet
+    fixed: (u, s, vt views, discarded / total squared weight)."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = kept_rank(s, d_max, cutoff)
+    total = float(np.sum(s * s))
+    err = float(np.sum(s[keep:] * s[keep:])) / total if total > 0 else 0.0
+    return u[:, :keep], s[:keep], vt[:keep, :], err
+
+
 def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
               cutoff: float = 0.0) -> SvdResult:
     """Truncated SVD of the matricization rows=row_axes, cols=col_axes.
@@ -182,25 +203,16 @@ def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
             s=[0.0],
             v=DenseTensor(v.reshape(col_dims + [1]), 0.0, validate=False),
             truncation_error=0.0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    k = kept_rank(s, d_max, cutoff)
-    total = float(np.sum(s * s))
-    discarded = float(np.sum(s[k:] * s[k:]))
-    u, s, vt = u[:, :k], s[:k], vt[:k, :]
-    # Deterministic sign convention: largest-magnitude entry of each left
-    # singular vector is positive.
-    for j in range(k):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    u, s, vt, err = _truncated_svd(mat, d_max, cutoff)
+    u, vt = _svd_sign_fix(u, vt)
+    k = len(s)
     scale = math.exp(t.log_scale) if t.log_scale != 0.0 else 1.0
     return SvdResult(
         u=DenseTensor(u.reshape(row_dims + [k]), 0.0, validate=False),
         s=[float(x) * scale for x in s],
         v=DenseTensor(np.ascontiguousarray(vt.T).reshape(col_dims + [k]),
                       0.0, validate=False),
-        truncation_error=discarded / total)
+        truncation_error=err)
 
 
 def frobenius_norm(t: DenseTensor) -> float:

@@ -14,6 +14,10 @@ The gradient of the two-site step is a rank-(1 + batch) correction of the
 merged tensor.  With a small batch the step works on that factored form and
 never materializes the merge; otherwise it materializes the merge and never
 the batch x batch Gram, so its memory stays linear in the batch.
+
+``train``, the epoch entry and exit, the pass driver and the guarded one-
+and two-site steps are shared with the MPS (``mps``), which supplies its own
+walk, QR push, two-site matricization and environment cache.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError)
-from .tensor import DenseTensor, kept_rank
-from .ttn import TtnModel, canonicalize, nll, push_qr
+from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd
+from .ttn import (_EYE2, TtnModel, _rescale_rows, _up_rows, nll, push_qr,
+                  sample_matrix)
 
-_EYE2 = np.eye(2)
 _PSI_FLOOR = math.exp(-300)
 
 
@@ -89,15 +93,6 @@ class TrainStats:
 # -- per-sample message cache -------------------------------------------------
 
 
-def _rescale_rows(m, logs):
-    mx = np.max(np.abs(m), axis=1)
-    nz = mx > 0
-    if np.any(nz):
-        logs[nz] += np.log(mx[nz])
-        m[nz] /= mx[nz, None]
-    return m, logs
-
-
 class _EnvCache:
     """Cached upward/downward per-sample messages around the moving center.
 
@@ -111,9 +106,6 @@ class _EnvCache:
     def __init__(self, model: TtnModel, samples: np.ndarray, center: int):
         self.model = model
         self.samples = np.asarray(samples, dtype=np.int64)
-        if self.samples.ndim != 2 or self.samples.shape[1] != model.n_sites:
-            raise DimensionError(
-                f"batch must be (S, {model.n_sites}), got {self.samples.shape}")
         self.n_samples = self.samples.shape[0]
         self.ups = {}
         self.downs = {}
@@ -138,14 +130,9 @@ class _EnvCache:
         if model.is_leaf(n):
             k1, k2 = model.pixels_of_leaf(n)
             m = t.data[:, self.samples[:, k1], self.samples[:, k2]].T.copy()
-            logs = np.full(self.n_samples, t.log_scale)
+            self.ups[n] = _rescale_rows(m, np.full(self.n_samples, t.log_scale))
         else:
-            ml, logl = self.ups[2 * n]
-            mr, logr = self.ups[2 * n + 1]
-            x = np.tensordot(ml, t.data, axes=([1], [1]))
-            m = np.einsum('sac,sc->sa', x, mr)
-            logs = logl + logr + t.log_scale
-        self.ups[n] = _rescale_rows(m, logs)
+            self.ups[n] = _up_rows(t, self.ups[2 * n], self.ups[2 * n + 1])
 
     def refresh_down(self, c: int):
         """Recompute the downward message into node c from its parent side."""
@@ -188,11 +175,8 @@ class _EnvCache:
 
     def center_parts(self, k: int):
         """Messages entering each axis of tensor k, in axis order."""
-        if k == 1:
-            return [self.ups[2], self.ups[3]]
-        return [self.downs[k],
-                self._lower_message(k, 2 * k),
-                self._lower_message(k, 2 * k + 1)]
+        return [self._part_at_axis(k, a)
+                for a in range(self.model.tensors[k].ndim)]
 
     def merged_parts(self, k: int, j: int):
         """Messages entering the open axes of the (k, j) merge, k-side first."""
@@ -239,9 +223,8 @@ def _kron_rows(parts):
 def _weighted_env_sum(parts, weights, shape):
     """sum_s weights[s] * outer(parts...[s]), shaped like the center tensor."""
     half = max(1, len(parts) // 2)
-    left = _kron_rows(parts[:half]) * weights[:, None]
-    right = _kron_rows(parts[half:])
-    return (left.T @ right).reshape(shape)
+    return _env_outer(_kron_rows(parts[:half]), weights,
+                      _kron_rows(parts[half:])).reshape(shape)
 
 
 def _check_zero_amplitudes(psi, mode, stats):
@@ -267,66 +250,65 @@ def _fold_scale_data(tensors, k: int):
         tensors[k] = DenseTensor(data, 0.0, validate=False)
 
 
-def _fold_scale(model: TtnModel, k: int):
-    _fold_scale_data(model.tensors, k)
+def _site_gradient(tdata, parts, zero_amplitude, stats=None):
+    """NLL gradient with respect to a center tensor, with the batch
+    amplitudes and |T|^2 it was formed from.
+
+    With every other tensor canonical, the normalization term is
+    2 T / |T|^2 and each sample contributes its environment divided by its
+    amplitude (cached message scales cancel in the ratio).
+    """
+    psi = _check_zero_amplitudes(_psi_raw(tdata, parts), zero_amplitude, stats)
+    norm_sq = float(np.vdot(tdata, tdata))
+    grad = 2.0 * tdata / norm_sq \
+        - (2.0 / psi.shape[0]) * _weighted_env_sum(parts, 1.0 / psi, tdata.shape)
+    return grad, psi, norm_sq
+
+
+def _env_outer(uk, w, vj):
+    """uk^T diag(w) vj: the weighted environment sum of a merge, matricized
+    against the merged bond (rows x cols)."""
+    return (uk.T * w[None, :]) @ vj
 
 
 # -- public single-site operations --------------------------------------------
 
 
-def gradient_one_site(model: TtnModel, batch, k: int,
-                      zero_amplitude: str = "strict") -> DenseTensor:
-    """NLL gradient with respect to the center tensor T[k].
-
-    The model must be canonical at k, so the normalization term is
-    2 T / |T|^2 and each sample contributes its environment divided by its
-    amplitude (cached message scales cancel in the ratio).
-    """
+def _step_batch(model: TtnModel, batch, k: int, j: int | None = None):
+    """The sample matrix of ``batch`` for a single step at center k (across
+    the edge to j), after checking that k is the center and j adjacent."""
     if model.canonical_center != k:
         raise StateError(f"model must be canonical at {k}, center is "
                          f"{model.canonical_center}")
-    samples = batch.samples if hasattr(batch, "samples") else np.asarray(batch)
-    _fold_scale(model, k)
+    if j is not None and j not in model.neighbors(k):
+        raise DimensionError(f"{j} is not adjacent to {k}")
+    return sample_matrix(batch, model.n_sites)
+
+
+def gradient_one_site(model: TtnModel, batch, k: int,
+                      zero_amplitude: str = "strict") -> DenseTensor:
+    """NLL gradient with respect to the center tensor T[k], by the function
+    the one-site step runs.  The model must be canonical at k."""
+    samples = _step_batch(model, batch, k)
+    _fold_scale_data(model.tensors, k)
     cache = _EnvCache(model, samples, k)
-    return DenseTensor(_gradient_from_cache(model, cache, k, zero_amplitude),
-                       0.0, validate=False)
+    grad, _, _ = _site_gradient(model.tensors[k].data, cache.center_parts(k),
+                                zero_amplitude)
+    return DenseTensor(grad, 0.0, validate=False)
 
 
-def _gradient_from_cache(model, cache, k, zero_amplitude, stats=None):
-    t = model.tensors[k]
-    parts = cache.center_parts(k)
-    psi = _check_zero_amplitudes(_psi_raw(t.data, parts), zero_amplitude, stats)
-    norm_sq = float(np.vdot(t.data, t.data))
-    b = psi.shape[0]
-    data_term = _weighted_env_sum(parts, 1.0 / psi, t.data.shape)
-    return 2.0 * t.data / norm_sq - (2.0 / b) * data_term
-
-
-def update_one_site(model: TtnModel, k: int, gradient, config: TrainConfig):
-    """Plain gradient step T[k] <- T[k] - lr * gradient.
-
-    With ``renormalize_center`` the new center is scaled to unit Frobenius
-    norm, which leaves probabilities invariant and pins Z = 1.
-    """
-    g = gradient.data if isinstance(gradient, DenseTensor) else np.asarray(gradient)
-    t = model.tensors[k]
-    if g.shape != t.data.shape:
-        raise DimensionError(f"gradient shape {g.shape} != tensor shape {t.shape}")
-    if config.renormalize_center and t.log_scale != 0.0:
-        # The represented scale is about to be divided out anyway; normalize
-        # first so extreme log scales never have to be materialized.
-        n = np.linalg.norm(t.data.ravel())
-        model.tensors[k] = DenseTensor(t.data / n if n > 0 else t.data, 0.0,
-                                       validate=False)
-    else:
-        _fold_scale(model, k)
-    new = model.tensors[k].data - config.learning_rate * g
-    if config.renormalize_center:
-        n = np.linalg.norm(new.ravel())
-        if n > 0:
-            new = new / n
-    model.tensors[k] = DenseTensor(new, 0.0, validate=False)
-    return model
+def _backtracked(local_nll, cfg, stats):
+    """The first step size of lr, lr/2, ... (``max_backtracks`` halvings)
+    at which the local NLL does not rise; None, counted as a rejected step,
+    if there is none."""
+    base = local_nll(0.0)
+    alpha = cfg.learning_rate
+    for _ in range(cfg.max_backtracks + 1):
+        if alpha == 0.0 or local_nll(alpha) <= base:
+            return alpha
+        alpha *= 0.5
+    stats.rejected_steps += 1
+    return None
 
 
 def guarded_site_new_data(tdata, parts, cfg, stats):
@@ -342,12 +324,9 @@ def guarded_site_new_data(tdata, parts, cfg, stats):
     old_norm = float(np.linalg.norm(tdata.ravel()))
     if old_norm > 0:
         tdata = tdata / old_norm
-    psi = _check_zero_amplitudes(_psi_raw(tdata, parts), cfg.zero_amplitude,
-                                 stats)
+    grad, psi, norm_sq = _site_gradient(tdata, parts, cfg.zero_amplitude,
+                                        stats)
     b = psi.shape[0]
-    norm_sq = float(np.vdot(tdata, tdata))
-    grad = 2.0 * tdata / norm_sq \
-        - (2.0 / b) * _weighted_env_sum(parts, 1.0 / psi, tdata.shape)
     psi_g = _psi_raw(grad, parts)
     tg = float(np.vdot(tdata, grad))
     gg = float(np.vdot(grad, grad))
@@ -359,19 +338,8 @@ def guarded_site_new_data(tdata, parts, cfg, stats):
             return float("inf")
         return math.log(nsq) - (2.0 / b) * float(np.sum(np.log(np.abs(p))))
 
-    base = local_nll(0.0)
-    alpha = cfg.learning_rate
-    accepted = None
-    for _ in range(cfg.max_backtracks + 1):
-        if local_nll(alpha) <= base:
-            accepted = alpha
-            break
-        alpha *= 0.5
-    if accepted is None:
-        stats.rejected_steps += 1
-        new = tdata
-    else:
-        new = tdata - accepted * grad
+    accepted = _backtracked(local_nll, cfg, stats)
+    new = tdata if accepted is None else tdata - accepted * grad
     if cfg.renormalize_center:
         n = np.linalg.norm(new.ravel())
         if n > 0:
@@ -384,7 +352,8 @@ def guarded_site_new_data(tdata, parts, cfg, stats):
 
 
 def _site_step(model, cache, k, cfg, stats):
-    _fold_scale(model, k)
+    """The one-site step at center k, for the tree and the chain alike."""
+    _fold_scale_data(model.tensors, k)
     parts = cache.center_parts(k)
     new = guarded_site_new_data(model.tensors[k].data, parts, cfg, stats)
     model.tensors[k] = DenseTensor(new, 0.0, validate=False)
@@ -420,60 +389,32 @@ def gradient_two_site(model: TtnModel, edge, batch,
     """NLL gradient with respect to the merged tensor across ``edge``.
 
     ``edge`` is (k, j) with k the canonical center and j adjacent; the
-    result has k's open axes first, then j's.
+    result has k's open axes first, then j's.  Its data term is the
+    ``_env_outer`` matrix that the dense two-site step adds to the merge.
     """
     k, j = edge
-    if model.canonical_center != k:
-        raise StateError(f"model must be canonical at {k}, center is "
-                         f"{model.canonical_center}")
-    if j not in model.neighbors(k):
-        raise DimensionError(f"{j} is not adjacent to {k}")
-    samples = batch.samples if hasattr(batch, "samples") else np.asarray(batch)
-    _fold_scale(model, k)
-    _fold_scale(model, j)
+    samples = _step_batch(model, batch, k, j)
+    _fold_scale_data(model.tensors, k)
+    _fold_scale_data(model.tensors, j)
     cache = _EnvCache(model, samples, k)
     parts_k, parts_j = cache.merged_parts(k, j)
-    parts = parts_k + parts_j
-    m = merged_tensor(model, k, j).to_array()
-    psi = _check_zero_amplitudes(_psi_raw(m, parts), zero_amplitude, None)
-    b = psi.shape[0]
-    norm_sq = float(np.vdot(m, m))
-    grad = 2.0 * m / norm_sq \
-        - (2.0 / b) * _weighted_env_sum(parts, 1.0 / psi, m.shape)
-    return DenseTensor(grad, 0.0, validate=False)
-
-
-def _svd_sign_fix(u, vt):
-    for col in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, col])))
-        if u[i, col] < 0:
-            u[:, col] = -u[:, col]
-            vt[col, :] = -vt[col, :]
-    return u, vt
+    uk, vj = _kron_rows(parts_k), _kron_rows(parts_j)
+    kmat, jmat, k_dims, j_dims, _, _ = _matricize_pair(model, k, j)
+    m = kmat @ jmat
+    psi = _check_zero_amplitudes(np.einsum('sc,sc->s', uk @ m, vj),
+                                 zero_amplitude, None)
+    grad = 2.0 * m / float(np.vdot(m, m)) \
+        - _env_outer(uk, (2.0 / psi.shape[0]) / psi, vj)
+    return DenseTensor(grad.reshape(k_dims + j_dims), 0.0, validate=False)
 
 
 def _split_factored(a, bt, d_max, cutoff):
     """Exact truncated SVD of a @ bt given in factored form."""
     qa, ra = np.linalg.qr(a, mode="reduced")
     qb, rb = np.linalg.qr(bt.T, mode="reduced")
-    core = ra @ rb.T
-    u, s, vt = np.linalg.svd(core, full_matrices=False)
-    keep = kept_rank(s, d_max, cutoff)
-    total = float(np.sum(s * s))
-    err = float(np.sum(s[keep:] * s[keep:])) / total if total > 0 else 0.0
-    u_full = qa @ u[:, :keep]
-    vt_full = vt[:keep, :] @ qb.T
-    u_full, vt_full = _svd_sign_fix(u_full, vt_full)
-    return u_full, s[:keep], vt_full, err
-
-
-def _split_dense(m, d_max, cutoff):
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = kept_rank(s, d_max, cutoff)
-    total = float(np.sum(s * s))
-    err = float(np.sum(s[keep:] * s[keep:])) / total if total > 0 else 0.0
-    u, vt = _svd_sign_fix(u[:, :keep].copy(), vt[:keep, :].copy())
-    return u, s[:keep], vt, err
+    u, s, vt, err = _truncated_svd(ra @ rb.T, d_max, cutoff)
+    u_full, vt_full = _svd_sign_fix(qa @ u, vt @ qb.T)
+    return u_full, s, vt_full, err
 
 
 def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
@@ -521,7 +462,7 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
         gw = gram @ w_base
         wgw = float(w_base @ gw)
     else:
-        m_grad = (uk.T * w_base[None, :]) @ vj          # (rows, cols)
+        m_grad = _env_outer(uk, w_base, vj)             # (rows, cols)
         gw = np.einsum('sc,sc->s', uk @ m_grad, vj)
         wgw = float(np.vdot(m_grad, m_grad))
     psi_w = float(psi @ w_base)
@@ -535,16 +476,9 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
             return float("inf")
         return math.log(nsq) - (2.0 / b) * float(np.sum(np.log(np.abs(p))))
 
-    base = local_nll(0.0)
-    alpha = cfg.learning_rate
-    accepted = 0.0
-    for _ in range(cfg.max_backtracks + 1):
-        if alpha == 0.0 or local_nll(alpha) <= base:
-            accepted = alpha
-            break
-        alpha *= 0.5
-    else:
-        stats.rejected_steps += 1
+    accepted = _backtracked(local_nll, cfg, stats)
+    if accepted is None:
+        accepted = 0.0
     c0 = 1.0 - 2.0 * accepted / norm_sq
     if factored:
         a_fac = np.concatenate([c0 * kmat, uk.T * (accepted * w_base)[None, :]],
@@ -553,7 +487,8 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
         u, s, vt, err = _split_factored(a_fac, bt_fac, cfg.d_max, cfg.svd_cutoff)
     else:
         merged = c0 * (kmat @ jmat) + accepted * m_grad
-        u, s, vt, err = _split_dense(merged, cfg.d_max, cfg.svd_cutoff)
+        u, s, vt, err = _truncated_svd(merged, cfg.d_max, cfg.svd_cutoff)
+        u, vt = _svd_sign_fix(u.copy(), vt.copy())
     if center_on_j:
         k_new = u
         j_new = s[:, None] * vt
@@ -580,8 +515,8 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
 
 def _merge_step(model, cache, k, j, cfg, stats, center_to):
     """Gradient-update the (k, j) merge and re-split it with truncation."""
-    _fold_scale(model, k)
-    _fold_scale(model, j)
+    _fold_scale_data(model.tensors, k)
+    _fold_scale_data(model.tensors, j)
     kmat, jmat, k_dims, j_dims, ak, aj = _matricize_pair(model, k, j)
     parts_k, parts_j = cache.merged_parts(k, j)
     uk = _kron_rows(parts_k)
@@ -610,15 +545,8 @@ def merge_split_two_site(model: TtnModel, edge, batch, config: TrainConfig):
     the bond dimension may grow up to d_max or shrink past the cutoff.
     """
     k, j = edge
-    if model.canonical_center != k:
-        raise StateError(f"model must be canonical at {k}, center is "
-                         f"{model.canonical_center}")
-    if j not in model.neighbors(k):
-        raise DimensionError(f"{j} is not adjacent to {k}")
-    samples = batch.samples if hasattr(batch, "samples") else np.asarray(batch)
-    cache = _EnvCache(model, samples, k)
-    stats = TrainStats()
-    stats.truncation_errors.append([])
+    cache = _EnvCache(model, _step_batch(model, batch, k, j), k)
+    stats = TrainStats(truncation_errors=[[]])
     _merge_step(model, cache, k, j, config, stats, center_to=j)
     return model
 
@@ -673,34 +601,64 @@ def sweep_steps(model: TtnModel, start: int, rightward: bool):
     raise NumericalError("sweep walk failed to terminate")
 
 
-def _execute_pass(model, cache, cfg, start, rightward, stats, on_step):
-    for u, v, due in sweep_steps(model, start, rightward):
-        if cfg.scheme == "one-site":
-            if due:
-                _site_step(model, cache, u, cfg, stats)
-            if v is not None:
-                push_qr(model, u, v)
-                model.canonical_center = v
-                cache.refresh_move(u, v)
-        else:
-            if v is None:
-                _merge_step(model, cache, u, model.parent(u), cfg, stats,
-                            center_to=u)
-            elif due:
-                _merge_step(model, cache, u, v, cfg, stats, center_to=v)
-            else:
-                push_qr(model, u, v)
-                model.canonical_center = v
-                cache.refresh_move(u, v)
+def _execute_pass(model, cache, cfg, steps, stats, on_step, push, merge_step):
+    """Run one pass of (node, next node or None, update due) steps, for the
+    tree and the chain alike.  ``push(model, u, v)`` QR-moves the center and
+    ``merge_step`` is the model's two-site step; a pass ends on a tensor
+    with one neighbor, which the two-site scheme merges with it."""
+    for u, v, due in steps:
+        if cfg.scheme == "one-site" and due:
+            _site_step(model, cache, u, cfg, stats)
+        if cfg.scheme == "two-site" and v is None:
+            merge_step(model, cache, u, model.neighbors(u)[0], cfg, stats,
+                       center_to=u)
+        elif cfg.scheme == "two-site" and due:
+            merge_step(model, cache, u, v, cfg, stats, center_to=v)
+        elif v is not None:
+            push(model, u, v)
+            model.canonical_center = v
+            cache.refresh_move(u, v)
         if on_step is not None:
             on_step(model, (u, v, due))
 
 
-def _as_matrix(dataset):
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("dataset must be a nonempty sample matrix")
-    return samples.astype(np.int64)
+def _enter_epoch(model, dataset, config: TrainConfig, cache, stats):
+    """The shared entry of a sweep epoch, for the tree and the chain.
+
+    Checks the data, canonicalizes the model to its last tensor and
+    normalizes that center (or folds its scale), builds the environment
+    cache unless given one, and opens this epoch's list of truncation
+    errors.  Returns the int64 sample matrix, the cache and the stats.
+    """
+    samples = sample_matrix(dataset, model.n_sites).astype(np.int64)
+    last = model.n_sites - 1
+    if model.canonical_center != last:
+        model.canonicalize(last)
+    if config.renormalize_center:
+        # Normalize in place of folding: a freshly canonicalized center can
+        # carry a log_scale far beyond float range, but the represented
+        # distribution does not depend on it.
+        t = model.tensors[last]
+        n = np.linalg.norm(t.data.ravel())
+        if n > 0:
+            model.tensors[last] = DenseTensor(t.data / n, 0.0, validate=False)
+    else:
+        _fold_scale_data(model.tensors, last)
+    if stats is None:
+        stats = TrainStats()
+    if cache is None:
+        cache = model.sweep_cache(samples)
+    stats.truncation_errors.append([])
+    return samples, cache, stats
+
+
+def _exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
+    """The shared exit of a sweep epoch: records its NLL, time and bonds."""
+    stats.nll.append(epoch_nll)
+    stats.seconds.append(seconds)
+    stats.max_bond.append(model.max_bond())
+    stats.final_bond_dims = {str(k): int(v) for k, v in model.bond_dims().items()}
+    return model, stats
 
 
 def sweep_epoch(model: TtnModel, dataset, config: TrainConfig, *,
@@ -710,54 +668,26 @@ def sweep_epoch(model: TtnModel, dataset, config: TrainConfig, *,
     The model must be (and ends up) canonical at the rightmost tensor; every
     tensor is updated exactly once per pass.
     """
-    samples = _as_matrix(dataset)
-    if samples.shape[1] != model.n_sites:
-        raise DimensionError(
-            f"dataset has {samples.shape[1]} pixels, model has {model.n_sites}")
-    rightmost = model.n_tensors
-    if model.canonical_center != rightmost:
-        canonicalize(model, rightmost)
-    if config.renormalize_center:
-        # Normalize in place of folding: a freshly canonicalized center can
-        # carry a log_scale far beyond float range, but the represented
-        # distribution does not depend on it.
-        t = model.tensors[rightmost]
-        n = np.linalg.norm(t.data.ravel())
-        if n > 0:
-            model.tensors[rightmost] = DenseTensor(t.data / n, 0.0,
-                                                   validate=False)
-    else:
-        _fold_scale(model, rightmost)
-    if stats is None:
-        stats = TrainStats()
-    if cache is None:
-        cache = _EnvCache(model, samples, rightmost)
-    stats.truncation_errors.append([])
+    samples, cache, stats = _enter_epoch(model, dataset, config, cache, stats)
     started = time.perf_counter()
-    _execute_pass(model, cache, config, rightmost, False, stats, on_step)
-    _execute_pass(model, cache, config, model.first_leaf, True, stats, on_step)
-    elapsed = time.perf_counter() - started
-    epoch_nll = nll(model, samples)
-    stats.nll.append(epoch_nll)
-    stats.seconds.append(elapsed)
-    stats.max_bond.append(model.max_bond())
-    stats.final_bond_dims = {str(k): int(v) for k, v in model.bond_dims().items()}
-    return model, stats
+    for start, rightward in ((model.n_tensors, False), (model.first_leaf, True)):
+        _execute_pass(model, cache, config, sweep_steps(model, start, rightward),
+                      stats, on_step, push_qr, _merge_step)
+    return _exit_epoch(model, stats, time.perf_counter() - started,
+                       nll(model, samples))
 
 
-def train(model: TtnModel, dataset, config: TrainConfig, *, on_epoch=None):
-    """Run ``config.epochs`` sweeping epochs, recording per-epoch NLL.
+def train(model, dataset, config: TrainConfig, *, on_epoch=None):
+    """Run ``config.epochs`` sweeping epochs of a TTN or MPS, recording
+    per-epoch NLL.
 
     The epoch NLL is always measured on the full dataset with the exact
     partition function.  With ``batch_size`` set, each epoch samples that
     many training rows without replacement (seeded) and sweeps on them.
     """
-    full = _as_matrix(dataset)
-    if full.shape[1] != model.n_sites:
-        raise DimensionError(
-            f"dataset has {full.shape[1]} pixels, model has {model.n_sites}")
+    full = sample_matrix(dataset, model.n_sites).astype(np.int64)
     stats = TrainStats()
-    canonicalize(model, model.n_tensors)
+    model.canonicalize(model.n_sites - 1)
     rng = np.random.default_rng(config.seed)
     batch_size = config.batch_size
     if batch_size in (None, "full") or int(batch_size) >= full.shape[0]:
@@ -773,11 +703,11 @@ def train(model: TtnModel, dataset, config: TrainConfig, *, on_epoch=None):
             cache = None
         t0 = time.perf_counter()
         if cache is None:
-            # Valid to build here: the model is canonical at the rightmost
+            # Valid to build here: the model is canonical at its last
             # tensor (train entry or the previous epoch's postcondition), and
             # the center-only adjustments at epoch entry touch no message.
-            cache = _EnvCache(model, batch, model.n_tensors)
-        _, stats = sweep_epoch(model, batch, config, cache=cache, stats=stats)
+            cache = model.sweep_cache(batch)
+        _, stats = model.sweep_epoch(batch, config, cache=cache, stats=stats)
         stats.seconds[-1] = time.perf_counter() - t0
         if batch_size is not None:
             stats.nll[-1] = nll(model, full)

@@ -39,11 +39,25 @@ class Amplitude:
     log_abs: float
     sign: int  # -1, 0, +1; 0 iff the value is exactly zero (log_abs = -inf)
 
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_abs) if self.sign else 0.0
+
+class BornMachine:
+    """The interface shared by the tree (``TtnModel``) and the chain
+    (``mps.MpsModel``); the model-generic functions below and
+    ``training.train`` are written once on top of it.
+
+    A model has ``n_sites``, ``tensors`` with the last at n_sites - 1 (where
+    training keeps the center), ``canonical_center`` and ``bond_dims()``,
+    and the methods ``log_z``, ``log_probs``, ``single_site_marginals`` and
+    its stacked clamp form ``marginal_stack``, ``sample``, ``canonicalize``,
+    ``sweep_cache`` and ``sweep_epoch``.  Each method calls its model's
+    module function by name, so wrapping that function covers it too.
+    """
+
+    def max_bond(self) -> int:
+        return max(self.bond_dims().values())
 
 
-class TtnModel:
+class TtnModel(BornMachine):
     """Heap-indexed binary tree of tensors with canonical-center bookkeeping."""
 
     def __init__(self, n_sites: int, tensors, canonical_center=None,
@@ -134,22 +148,47 @@ class TtnModel:
         """Dimension of the parent edge above each node n >= 2."""
         return {n: self.tensors[n].shape[0] for n in range(2, self.n_tensors + 1)}
 
-    def max_bond(self) -> int:
-        return max(self.bond_dims().values())
-
     def copy(self) -> "TtnModel":
         ts = [None] + [self.tensors[n].copy() for n in range(1, self.n_tensors + 1)]
         return TtnModel(self.n_sites, ts, self.canonical_center, self.d_max)
+
+    # -- the Born-machine interface ------------------------------------------
+
+    model_type = "ttn"
+    first_tensor = 1
+
+    def canonicalize(self, center: int):
+        return canonicalize(self, center)
+
+    def log_z(self) -> float:
+        return partition_function(self)
+
+    def log_probs(self, samples) -> np.ndarray:
+        return log_probs(self, samples)
+
+    def single_site_marginals(self, assignment=None) -> np.ndarray:
+        return single_site_marginals(self, assignment)
+
+    def marginal_stack(self, assignments) -> np.ndarray:
+        return _marginal_stack(self, assignments)
+
+    def sample(self, count: int, seed: int, ordering=None):
+        from . import sampling
+        return sampling.sample_batch(self, count, seed, ordering=ordering)
+
+    def sweep_cache(self, samples):
+        from . import training
+        return training._EnvCache(self, samples, self.n_tensors)
+
+    def sweep_epoch(self, dataset, config, **kwargs):
+        from . import training
+        return training.sweep_epoch(self, dataset, config, **kwargs)
 
 
 def bond_capacity(n_sites: int, node: int, d_max: int) -> int:
     """Bond dimension of the edge above ``node``: d_max capped by what the
     subtree can carry (2 to the number of pixels below the edge)."""
-    lo = hi = node
-    half = n_sites // 2
-    while lo < half:
-        lo, hi = 2 * lo, 2 * hi + 1
-    sites_below = 2 * (hi - lo + 1)
+    sites_below = n_sites >> (node.bit_length() - 1)   # halved per level
     if sites_below >= 62:
         return d_max
     return min(d_max, 2 ** sites_below)
@@ -234,20 +273,24 @@ def max_canonical_deviation(model: TtnModel) -> float:
         raise StateError("model has no canonical center")
     worst = 0.0
     for n in range(1, model.n_tensors + 1):
-        if n == model.canonical_center:
-            continue
-        nxt = model.path(n, model.canonical_center)[1]
-        ax = model.axis_toward(n, nxt)
-        t = model.tensors[n]
-        others = [i for i in range(t.ndim) if i != ax]
-        g = np.tensordot(t.data, t.data, axes=(others, others))
-        g = g * math.exp(2.0 * t.log_scale)
-        worst = max(worst, float(np.max(np.abs(g - np.eye(g.shape[0])))))
+        if n != model.canonical_center:
+            nxt = model.path(n, model.canonical_center)[1]
+            worst = max(worst, _isometry_deviation(
+                model.tensors[n], model.axis_toward(n, nxt)))
     return worst
 
 
-def partition_function(model: TtnModel) -> float:
-    """log Z for a model in mixed canonical form."""
+def _isometry_deviation(t: DenseTensor, axis: int) -> float:
+    """max |G - 1| for the Gram matrix G of ``t`` contracted with itself
+    over every axis but ``axis``; 0 for an isometry onto that axis."""
+    others = [i for i in range(t.ndim) if i != axis]
+    g = np.tensordot(t.data, t.data, axes=(others, others))
+    g = g * math.exp(2.0 * t.log_scale)
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def partition_function(model) -> float:
+    """log Z for a model (tree or chain) in mixed canonical form."""
     if model.canonical_center is None:
         raise StateError("partition_function requires a canonical center; "
                          "canonicalize the model first")
@@ -258,12 +301,32 @@ def partition_function(model: TtnModel) -> float:
 # -- amplitudes --------------------------------------------------------------
 
 def _rescale_rows(m, logs):
+    """Scale each row of ``m`` to unit max magnitude in place, adding the
+    log of its factor to ``logs``; zero rows stay zero."""
     mx = np.max(np.abs(m), axis=1)
     nz = mx > 0
     if np.any(nz):
         logs[nz] += np.log(mx[nz])
         m[nz] /= mx[nz, None]
     return m, logs
+
+
+def _up_rows(t: DenseTensor, left, right):
+    """The per-sample (rows, logs) message up through the internal tensor
+    ``t`` from its children's (rows, logs) messages."""
+    (ml, logl), (mr, logr) = left, right
+    x = np.tensordot(ml, t.data, axes=([1], [1]))
+    return _rescale_rows(np.einsum('sac,sc->sa', x, mr),
+                         logl + logr + t.log_scale)
+
+
+def _signed_logs(val: np.ndarray, logs: np.ndarray):
+    """(log |amplitude|, sign) of amplitudes ``val * exp(logs)``."""
+    sign = np.sign(val).astype(np.int64)
+    log_abs = np.full(val.shape[0], NEG_INF)
+    nz = val != 0.0
+    log_abs[nz] = np.log(np.abs(val[nz])) + logs[nz]
+    return log_abs, sign
 
 
 def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
@@ -289,24 +352,14 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
             k1, k2 = model.pixels_of_leaf(n)
             x = np.tensordot(vectors[:, k1, :], t.data, axes=([1], [1]))
             m = np.einsum('saq,sq->sa', x, vectors[:, k2, :])
-            logs = np.full(s_count, t.log_scale)
+            msgs[n] = _rescale_rows(m, np.full(s_count, t.log_scale))
         else:
-            ml, logl = msgs.pop(2 * n)
-            mr, logr = msgs.pop(2 * n + 1)
-            x = np.tensordot(ml, t.data, axes=([1], [1]))
-            m = np.einsum('sac,sc->sa', x, mr)
-            logs = logl + logr + t.log_scale
-        msgs[n] = _rescale_rows(m, logs)
+            msgs[n] = _up_rows(t, msgs.pop(2 * n), msgs.pop(2 * n + 1))
     t1 = model.tensors[1]
     m2, log2 = msgs[2]
     m3, log3 = msgs[3]
     val = np.einsum('sc,sc->s', m2 @ t1.data, m3)
-    logs_total = log2 + log3 + t1.log_scale
-    sign = np.sign(val).astype(np.int64)
-    log_abs = np.full(s_count, NEG_INF)
-    nz = val != 0.0
-    log_abs[nz] = np.log(np.abs(val[nz])) + logs_total[nz]
-    return log_abs, sign
+    return _signed_logs(val, log2 + log3 + t1.log_scale)
 
 
 def _one_hot(samples: np.ndarray) -> np.ndarray:
@@ -316,14 +369,17 @@ def _one_hot(samples: np.ndarray) -> np.ndarray:
     return _EYE2[samples.astype(np.int64)]
 
 
-def amplitude(model: TtnModel, sample) -> Amplitude:
-    """Psi(x) for one pixel configuration."""
+def _one_sample(model: TtnModel, sample) -> np.ndarray:
     sample = np.asarray(sample)
     if sample.shape != (model.n_sites,):
         raise DimensionError(
             f"sample has length {sample.shape}, model has {model.n_sites} sites")
-    log_abs, sign = amplitudes_from_vectors(model, _one_hot(sample))
-    return Amplitude(float(log_abs[0]), int(sign[0]))
+    return sample
+
+
+def amplitude(model: TtnModel, sample) -> Amplitude:
+    """Psi(x) for one pixel configuration."""
+    return contract_pixel_vectors(model, _one_hot(_one_sample(model, sample)))
 
 
 def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
@@ -332,34 +388,21 @@ def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
     return Amplitude(float(log_abs[0]), int(sign[0]))
 
 
-def log_probs(model: TtnModel, samples) -> np.ndarray:
-    """log p(x) for a batch of samples; -inf where the amplitude is zero."""
-    log_z = partition_function(model)
-    log_abs, sign = amplitudes_from_vectors(model, _one_hot(samples))
+def _born_log_probs(log_z: float, log_abs, sign) -> np.ndarray:
+    """log p(x) = 2 log |Psi(x)| - log Z; -inf where Psi(x) is zero."""
     with np.errstate(invalid="ignore"):
         return np.where(sign != 0, 2.0 * log_abs - log_z, NEG_INF)
 
 
+def log_probs(model: TtnModel, samples) -> np.ndarray:
+    """log p(x) for a batch of samples; -inf where the amplitude is zero."""
+    log_z = partition_function(model)
+    return _born_log_probs(log_z,
+                           *amplitudes_from_vectors(model, _one_hot(samples)))
+
+
 def log_prob(model: TtnModel, sample) -> float:
-    sample = np.asarray(sample)
-    if sample.shape != (model.n_sites,):
-        raise DimensionError(
-            f"sample has length {sample.shape}, model has {model.n_sites} sites")
-    return float(log_probs(model, sample[np.newaxis])[0])
-
-
-def nll(model: TtnModel, dataset) -> float:
-    """Mean negative log-likelihood; +inf if any sample has zero probability."""
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("dataset must be a nonempty matrix of samples")
-    if samples.shape[1] != model.n_sites:
-        raise DimensionError(
-            f"dataset has {samples.shape[1]} pixels, model has {model.n_sites}")
-    lp = log_probs(model, samples)
-    if np.any(np.isneginf(lp)):
-        return float("inf")
-    return float(-np.mean(lp))
+    return float(log_probs(model, _one_sample(model, sample)[np.newaxis])[0])
 
 
 # -- doubled-network contractions (marginals, correlations) ------------------
@@ -381,9 +424,9 @@ def _rooted_copy(model: TtnModel) -> TtnModel:
 
 
 def _rescale_batch(arr):
-    """Scale each branch (leading index) to unit max magnitude; zero branches
-    stay zero.  Scales cancel in every normalized output, so no log
-    bookkeeping is needed."""
+    """Scale each row or branch (leading index) to unit max magnitude; zero
+    ones stay zero.  For messages whose scales cancel in every normalized
+    output, so no log bookkeeping is needed."""
     arr = np.ascontiguousarray(arr)
     flat = arr.reshape(arr.shape[0], -1)
     mx = np.max(np.abs(flat), axis=1)
@@ -415,22 +458,15 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     branch); the one downward pass carries the B branches stacked.  Clamped
     pixels get a one-hot row.  Raises if a branch has zero mass.
     """
+    n_sites, count = model.n_sites, len(assignments)
+    ops = _clamp_weights(n_sites, assignments)
     work = _rooted_copy(model)
-    n_sites, count = work.n_sites, len(assignments)
-    # diagonal pixel operators per branch: (1, 1) free, one-hot clamped
-    ops = np.ones((count, n_sites, 2))
     hot = set()
-    for s, assignment in enumerate(assignments):
-        for k, v in assignment.items():
-            if not 0 <= k < n_sites:
-                raise ValueError(f"pixel {k} out of range")
-            if v not in (0, 1):
-                raise ValueError(f"pixel value must be 0 or 1, got {v}")
-            ops[s, k, 1 - v] = 0.0
-            node = work.leaf_of_pixel(k)[0]
-            while node > 1 and node not in hot:
-                hot.add(node)
-                node //= 2
+    for k in {k for assignment in assignments for k in assignment}:
+        node = work.leaf_of_pixel(k)[0]
+        while node > 1 and node not in hot:
+            hot.add(node)
+            node //= 2
 
     up = {}
     for node in sorted(hot, reverse=True):
@@ -492,7 +528,53 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     out = np.empty((count, n_leaves, 2, 2))
     out[:, :, 0] = np.einsum("slpq,slq->slp", joint, pairs[:, :, 1])
     out[:, :, 1] = np.einsum("slpq,slp->slq", joint, pairs[:, :, 0])
-    out = out.reshape(count, n_sites, 2)
+    return _normalized_marginals(out.reshape(count, n_sites, 2), assignments)
+
+
+def single_site_marginals(model: TtnModel, assignment=None) -> np.ndarray:
+    """(n_sites, 2) conditional marginals of every pixel given ``assignment``.
+
+    Clamped pixels get a one-hot row.  Raises if the clamped assignment has
+    zero total probability mass.  Relies on the canonical form: a model with
+    a canonical center must be canonical about it.
+    """
+    return _marginal_stack(model, [dict(assignment or {})])[0]
+
+
+# -- model-generic functions (any BornMachine) ---------------------------------
+
+def sample_matrix(dataset, n_sites: int) -> np.ndarray:
+    """The (S, n_sites) sample matrix of a dataset or array, checked."""
+    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
+    if samples.ndim != 2 or samples.shape[0] == 0:
+        raise ValueError("dataset must be a nonempty matrix of samples")
+    if samples.shape[1] != n_sites:
+        raise DimensionError(
+            f"dataset has {samples.shape[1]} pixels, model has {n_sites}")
+    return samples
+
+
+def _check_pixel(k: int, n_sites: int):
+    if not 0 <= k < n_sites:
+        raise ValueError(f"pixel {k} out of range")
+
+
+def _clamp_weights(n_sites: int, assignments) -> np.ndarray:
+    """(B, n_sites, 2) diagonal pixel operators of B clamp assignments:
+    (1, 1) for a free pixel, one-hot for a clamped one."""
+    ops = np.ones((len(assignments), n_sites, 2))
+    for s, assignment in enumerate(assignments):
+        for k, v in assignment.items():
+            _check_pixel(k, n_sites)
+            if v not in (0, 1):
+                raise ValueError(f"pixel value must be 0 or 1, got {v}")
+            ops[s, k, 1 - v] = 0.0
+    return ops
+
+
+def _normalized_marginals(out: np.ndarray, assignments) -> np.ndarray:
+    """Normalize (B, n_sites, 2) unnormalized marginals in place and give
+    clamped pixels a one-hot row; raises if a branch has zero mass."""
     np.maximum(out, 0.0, out=out)
     totals = out.sum(axis=2)
     if np.any(totals <= 0.0):
@@ -506,46 +588,42 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     return out
 
 
-def single_site_marginals(model: TtnModel, assignment=None) -> np.ndarray:
-    """(n_sites, 2) conditional marginals of every pixel given ``assignment``.
-
-    Clamped pixels get a one-hot row.  Raises if the clamped assignment has
-    zero total probability mass.  Relies on the canonical form: a model with
-    a canonical center must be canonical about it.
-    """
-    return _marginal_stack(model, [dict(assignment or {})])[0]
+def nll(model, dataset) -> float:
+    """Mean negative log-likelihood; +inf if any sample has zero probability."""
+    lp = model.log_probs(sample_matrix(dataset, model.n_sites))
+    if np.any(np.isneginf(lp)):
+        return float("inf")
+    return float(-np.mean(lp))
 
 
-def marginal(model: TtnModel, fixed, open_pixel: int):
+def marginal(model, fixed, open_pixel: int):
     """(p0, p1) for ``open_pixel`` given the clamped pixels in ``fixed``."""
     fixed = dict(fixed or {})
     if open_pixel in fixed:
         raise ValueError(f"pixel {open_pixel} is already fixed")
-    if not 0 <= open_pixel < model.n_sites:
-        raise ValueError(f"pixel {open_pixel} out of range")
-    row = single_site_marginals(model, fixed)[open_pixel]
+    _check_pixel(open_pixel, model.n_sites)
+    row = model.single_site_marginals(fixed)[open_pixel]
     return float(row[0]), float(row[1])
 
 
-def correlation(model: TtnModel, pixel_i: int, pixel_j: int) -> float:
+def correlation(model, pixel_i: int, pixel_j: int) -> float:
     """Connected correlation <s_i s_j> - <s_i><s_j> with pixels mapped to +-1."""
     if pixel_i == pixel_j:
         raise ValueError("correlation requires two distinct pixels")
-    if not 0 <= pixel_j < model.n_sites:
-        raise ValueError(f"pixel {pixel_j} out of range")
+    _check_pixel(pixel_j, model.n_sites)
     return float(correlation_map(model, pixel_i)[pixel_j])
 
 
-def correlation_map(model: TtnModel, ref_pixel: int) -> np.ndarray:
+def correlation_map(model, ref_pixel: int) -> np.ndarray:
     """Connected correlations of ``ref_pixel`` with every pixel (its
-    variance at itself)."""
-    if not 0 <= ref_pixel < model.n_sites:
-        raise ValueError(f"pixel {ref_pixel} out of range")
-    base = single_site_marginals(model)
+    variance at itself): one unclamped marginals pass plus one stacked pass
+    with ``ref_pixel`` clamped to each value of non-zero probability."""
+    _check_pixel(ref_pixel, model.n_sites)
+    base = model.single_site_marginals()
     spin = np.array([-1.0, 1.0])
     means = base @ spin
     values = [v for v in (0, 1) if base[ref_pixel, v] != 0.0]
-    conds = _marginal_stack(model, [{ref_pixel: v} for v in values])
+    conds = model.marginal_stack([{ref_pixel: v} for v in values])
     joint = np.zeros(model.n_sites)
     for v, cond in zip(values, conds):
         joint += spin[v] * float(base[ref_pixel, v]) * (cond @ spin)

@@ -209,6 +209,22 @@ class TestEvalSampleCorrelate:
         grid[3] = 0.0   # self entry reports the variance
         assert np.max(np.abs(grid)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["ttn", "mps"])
+    @pytest.mark.parametrize("pixel", ["-1", "16"])
+    def test_correlate_rejects_out_of_range_pixel(self, patterns_file,
+                                                  tmp_path, capsys, kind,
+                                                  pixel):
+        run(["train", "--model", kind, "--data", patterns_file, "--dmax", 4,
+             "--epochs", 1, "--seed", 1, "--out", tmp_path / "run"])
+        out = tmp_path / "corr"
+        capsys.readouterr()
+        rc = run(["correlate", "--model-path",
+                  tmp_path / "run" / "model.ttnborn",
+                  f"--pixels=0,{pixel}", "--out", out])
+        assert rc == 1
+        assert "error [argument]" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
 
 class TestPbmInput:
     def test_train_from_pbm_directory(self, tmp_path, rng):

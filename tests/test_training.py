@@ -7,8 +7,7 @@ from ttnborn import (DenseTensor, TrainConfig, TtnModel, build_random,
                      canonicalize, gen_random_patterns, gradient_one_site,
                      gradient_two_site, log_probs, max_canonical_deviation,
                      merge_split_two_site, merged_tensor, nll,
-                     partition_function, sweep_epoch, sweep_steps, train,
-                     update_one_site)
+                     partition_function, sweep_epoch, sweep_steps, train)
 from ttnborn.errors import DegenerateSampleError, StateError
 
 from helpers import all_configs, brute_force_amplitudes, ttn_from_patterns
@@ -84,28 +83,13 @@ class TestGradientOneSite:
 
 
 class TestUpdateOneSite:
-    def test_zero_learning_rate_keeps_model(self):
-        model = build_random(8, 3, seed=22)
-        before = model.tensors[1].data.copy()
-        g = gradient_one_site(model, np.zeros((1, 8), dtype=int), 1)
-        update_one_site(model, 1, g, TrainConfig(learning_rate=0.0,
-                                                 renormalize_center=False))
-        assert np.array_equal(model.tensors[1].data, before)
-
-    def test_degenerate_full_step_zeroes_tensor(self):
-        model = build_random(8, 3, seed=23)
-        t = model.tensors[1]
-        cfg = TrainConfig(learning_rate=1.0, renormalize_center=False)
-        update_one_site(model, 1, DenseTensor(t.data.copy()), cfg)
-        assert np.all(model.tensors[1].data == 0.0)
-        data = gen_random_patterns(8, 3, seed=0).samples
-        assert nll(model, data) == float("inf")
-
     def test_renormalize_pins_unit_norm(self):
+        # the one-site step leaves a unit-norm center, so log Z = 0
         model = build_random(8, 3, seed=24)
-        g = gradient_one_site(model, gen_random_patterns(8, 4, 1).samples, 1)
-        update_one_site(model, 1, g, TrainConfig(learning_rate=0.05))
-        assert abs(np.linalg.norm(model.tensors[1].data.ravel()) - 1.0) < 1e-12
+        sweep_epoch(model, gen_random_patterns(8, 4, 1).samples,
+                    TrainConfig(learning_rate=0.05, scheme="one-site"))
+        center = model.tensors[model.canonical_center]
+        assert abs(np.linalg.norm(center.data.ravel()) - 1.0) < 1e-12
         assert abs(partition_function(model)) < 1e-12
 
     def test_monotone_descent_over_ten_one_site_sweeps(self):
@@ -316,21 +300,21 @@ class TestGuardedMergeFactors:
     def test_matches_direct_evaluation(self, monkeypatch, n_samples, dense,
                                        lr, rejected):
         import ttnborn.training as training
-        dense_calls = []
-        split_dense = training._split_dense
+        factored_calls = []
+        split_factored = training._split_factored
 
-        def spy(m, d_max, cutoff):
-            dense_calls.append(m.shape)
-            return split_dense(m, d_max, cutoff)
+        def spy(a, bt, d_max, cutoff):
+            factored_calls.append(a.shape)
+            return split_factored(a, bt, d_max, cutoff)
 
-        monkeypatch.setattr(training, "_split_dense", spy)
+        monkeypatch.setattr(training, "_split_factored", spy)
         kmat, jmat, uk, vj = _near_optimal_merge(n_samples, seed=n_samples)
         cfg = TrainConfig(learning_rate=lr, d_max=16, svd_cutoff=0.0,
                           max_backtracks=0)
         stats = training.TrainStats()
         k_new, j_new, err = training.guarded_merge_factors(
             kmat, jmat, uk, vj, cfg, stats, center_on_j=True)
-        assert bool(dense_calls) == dense
+        assert bool(factored_calls) != dense
         assert stats.rejected_steps == rejected
         assert err < 1e-20
 

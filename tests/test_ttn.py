@@ -13,6 +13,9 @@ from ttnborn import (DenseTensor, TtnModel, amplitude, build_random,
                      single_site_marginals, train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
+from ttnborn.mps import (mps_build_random, mps_correlation,
+                         mps_correlation_map, mps_marginal,
+                         mps_single_site_marginals)
 from ttnborn.ttn import _marginal_stack
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
@@ -383,14 +386,29 @@ class TestMarginalsByEnumeration:
 
     @pytest.mark.parametrize("fixed", [{16: 0}, {-1: 1}, {3: 2}])
     def test_bad_clamp_rejected(self, uneven, fixed):
-        with pytest.raises(ValueError):
-            single_site_marginals(uneven, fixed)
+        chain = mps_build_random(16, 3, seed=0)
+        for model, marginals, marginal_of in (
+                (uneven, single_site_marginals, marginal),
+                (chain, mps_single_site_marginals, mps_marginal)):
+            with pytest.raises(ValueError):
+                marginals(model, fixed)
+            with pytest.raises(ValueError):
+                marginal_of(model, fixed, 5)
 
     def test_bad_reference_pixel_rejected(self, uneven):
-        with pytest.raises(ValueError):
-            correlation_map(uneven, 16)
-        with pytest.raises(ValueError):
-            correlation(uneven, 3, 16)
+        chain = mps_build_random(16, 3, seed=0)
+        for model, cmap, corr, marginal_of in (
+                (uneven, correlation_map, correlation, marginal),
+                (chain, mps_correlation_map, mps_correlation, mps_marginal)):
+            for pixel in (16, -1):
+                with pytest.raises(ValueError):
+                    cmap(model, pixel)
+                with pytest.raises(ValueError):
+                    corr(model, 3, pixel)
+                with pytest.raises(ValueError):
+                    corr(model, pixel, 3)
+                with pytest.raises(ValueError):
+                    marginal_of(model, {}, pixel)
 
     def test_evaluation_leaves_the_model_untouched(self, uneven):
         model = uneven.copy()
