@@ -7,25 +7,25 @@ sweeping training, direct sampling, matrix product state and tree factor
 graph baselines, and a reproducible CLI.
 """
 
-from .tensor import (DenseTensor, QrResult, SvdResult, contract,
-                     frobenius_norm, qr_split, svd_split)
-from .ttn import (Amplitude, TtnModel, amplitude, amplitudes_from_vectors,
-                  build_random, canonicalize, contract_pixel_vectors,
-                  correlation, correlation_map, log_prob, log_probs,
-                  marginal, max_canonical_deviation, nll, partition_function,
-                  push_qr, single_site_marginals)
+from .tensor import (DenseTensor, QrResult, SvdResult, frobenius_norm,
+                     qr_split, svd_split)
+from .ttn import (Amplitude, TtnModel, amplitudes_from_vectors, build_random,
+                  canonicalize, contract_pixel_vectors, correlation,
+                  correlation_map, log_probs, marginal,
+                  max_canonical_deviation, nll, partition_function, push_qr,
+                  single_site_marginals)
 from .training import (TrainConfig, TrainStats, gradient_one_site,
-                       gradient_two_site, merge_split_two_site, merged_tensor,
-                       sweep_epoch, sweep_steps, train)
-from .sampling import sample_batch, sample_one, save_samples_pbm
+                       gradient_two_site, merged_tensor, sweep_epoch,
+                       sweep_steps, train)
+from .sampling import sample_batch, save_samples_pbm
 from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
                    gen_random_patterns, invert_ordering, load_binarized_text,
                    make_ordering, morton_index, save_binarized_text)
 from .mps import (MpsModel, mps_build_random, mps_canonicalize,
                   mps_correlation, mps_correlation_map, mps_log_probs,
                   mps_marginal, mps_max_canonical_deviation, mps_nll,
-                  mps_partition_function, mps_sample_batch, mps_sample_one,
-                  mps_sweep_epoch, mps_train)
+                  mps_partition_function, mps_sample_batch, mps_sweep_epoch,
+                  mps_train)
 from .factor_graph import (TreeFactorGraph, fg_edge_marginals, fg_gradient,
                            fg_log_ptilde, fg_nll, fg_to_ttn, fg_train,
                            heap_shaped_fg, sum_product_log_z)

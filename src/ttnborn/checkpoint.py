@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -103,25 +104,66 @@ def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
     return header
 
 
+def _ints(v) -> bool:
+    return type(v) is list and all(type(x) is int for x in v)
+
+
+# Checks of the header fields the loader reads, per model type.
+_FIELDS = {"ttn": {"n_sites": lambda v: type(v) is int,
+                   "canonical_center": lambda v: type(v) in (int, type(None)),
+                   "d_max": lambda v: type(v) in (int, type(None))},
+           "treefg": {"n_vars": lambda v: type(v) is int, "visible": _ints,
+                      "edges": lambda v: type(v) is list and all(
+                          _ints(e) and len(e) == 2 for e in v)}}
+_FIELDS["mps"] = _FIELDS["ttn"]
+
+
+def _checked_header(blob: bytes, path) -> dict:
+    """The decoded header; FormatError unless it is a JSON object with the
+    fields the loader reads, of the types it reads them as."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: header is not JSON: {exc}") from None
+    model_type = header.get("model_type") if type(header) is dict else None
+    if type(model_type) is not str or model_type not in _FIELDS:
+        raise FormatError(f"{path}: header has no known model_type")
+    checks = {"tensor_shapes": lambda v: type(v) is list and all(
+        _ints(s) and min(s, default=0) >= 0 for s in v), **_FIELDS[model_type]}
+    for name, ok in checks.items():
+        if not ok(header.get(name)):
+            raise FormatError(f"{path}: bad {name} in header")
+    return header
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, header).
 
     The ordering descriptor, when present, is reconstructed and attached to
-    the header under the key "ordering_descriptor".
+    the header under the key "ordering_descriptor".  A malformed container
+    raises ``FormatError``.
     """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(8)
         if magic != MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
+        if size < 16:
+            raise FormatError(f"{path}: truncated header length")
         (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        if hlen > size - 16:
+            raise FormatError(f"{path}: truncated header")
+        header = _checked_header(f.read(hlen), path)
+        nbytes = [8 * math.prod(shape) for shape in header["tensor_shapes"]]
+        if size - 16 - hlen != sum(8 + n for n in nbytes):
+            raise FormatError(f"{path}: file size does not match tensor_shapes")
         arrays = []
-        for shape in header["tensor_shapes"]:
+        for shape, n in zip(header["tensor_shapes"], nbytes):
             (blen,) = struct.unpack("<Q", f.read(8))
-            raw = f.read(blen)
-            if len(raw) != blen:
-                raise FormatError(f"{path}: truncated tensor data")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+            if blen != n:
+                raise FormatError(f"{path}: {blen} bytes for shape {shape}")
+            arrays.append(np.frombuffer(f.read(n), dtype="<f8")
+                          .reshape(shape).copy())
     model_type = header["model_type"]
     if model_type in ("ttn", "mps"):
         tensors = [DenseTensor(a, validate=False) for a in arrays]
@@ -130,13 +172,14 @@ def load_checkpoint(path):
             model = TtnModel(header["n_sites"], [None] + tensors, center, d_max)
         else:
             model = MpsModel(tensors, center, d_max)
-    elif model_type == "treefg":
+    else:
         model = TreeFactorGraph(header["n_vars"],
                                 [tuple(e) for e in header["edges"]],
                                 arrays, header["visible"])
-    else:
-        raise FormatError(f"{path}: unknown model_type {model_type!r}")
     if header.get("ordering"):
-        header["ordering_descriptor"] = OrderingDescriptor.from_json_dict(
-            header["ordering"])
+        try:
+            header["ordering_descriptor"] = OrderingDescriptor.from_json_dict(
+                header["ordering"])
+        except (KeyError, TypeError, ValueError):
+            raise FormatError(f"{path}: bad ordering in header") from None
     return model, header

@@ -104,8 +104,8 @@ def cmd_train(args) -> int:
     stats_path = os.path.join(args.out, "stats.csv")
 
     def on_epoch(model, epoch, stats):
-        print(f"{args.model} epoch {epoch} nll={stats.nll[-1]:.6f}",
-              file=sys.stderr)
+        nlls = stats["nll"] if args.model == "treefg" else stats.nll
+        print(f"{args.model} epoch {epoch} nll={nlls[-1]:.6f}", file=sys.stderr)
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
             path = os.path.join(args.out, f"model_epoch{epoch + 1:05d}.ttnborn")
             ckpt.save_checkpoint(path, model, ordering=desc, seed=args.seed,
@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
 
     if args.model == "treefg":
         fg = fgm.heap_shaped_fg(desc.padded_size, seed=args.seed)
-        model, fg_stats = fgm.fg_train(fg, matrix, config)
+        model, fg_stats = fgm.fg_train(fg, matrix, config, on_epoch=on_epoch)
         epochs = len(fg_stats["nll"])
         stats = TrainStats(nll=fg_stats["nll"], seconds=fg_stats["seconds"],
                            max_bond=[2] * epochs,

@@ -63,24 +63,12 @@ class OrderingDescriptor:
     permutation: np.ndarray = field(repr=False)   # raw index -> leaf slot
     padding_slots: np.ndarray = field(repr=False)  # sorted always-zero slots
 
-    @property
-    def padded_shape(self):
-        if self.kind == "hierarchical-2d":
-            side = _int_sqrt(self.padded_size)
-            return (side, side)
-        return (self.padded_size,)
-
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "raw_shape": list(self.raw_shape)}
 
     @classmethod
     def from_json_dict(cls, d) -> "OrderingDescriptor":
         return make_ordering(d["kind"], tuple(d["raw_shape"]))
-
-
-def _int_sqrt(n):
-    r = int(round(n ** 0.5))
-    return r
 
 
 def _next_pow2(n: int) -> int:

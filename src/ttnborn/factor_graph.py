@@ -203,17 +203,18 @@ def fg_gradient(fg: TreeFactorGraph, samples) -> list:
     return [free[i][0] - clamped[i].mean(axis=0) for i in range(len(fg.edges))]
 
 
-def fg_train(fg: TreeFactorGraph, dataset, config) -> tuple:
+def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
     """Gradient descent on the NLL in log-space, with step halving.
 
     Log-parameterization keeps every factor table strictly positive without
     projection; a step that fails to improve the NLL is halved and finally
-    rejected.
+    rejected.  ``on_epoch(fg, epoch, stats)`` runs after every epoch, as in
+    ``training.train``.
     """
     samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
     samples = samples.astype(np.int64)
     stats = {"nll": [], "seconds": [], "rejected_steps": 0}
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         t0 = time.perf_counter()
         base = fg_nll(fg, samples)
         grads = fg_gradient(fg, samples)
@@ -232,6 +233,8 @@ def fg_train(fg: TreeFactorGraph, dataset, config) -> tuple:
             stats["rejected_steps"] += 1
         stats["nll"].append(fg_nll(fg, samples))
         stats["seconds"].append(time.perf_counter() - t0)
+        if on_epoch is not None:
+            on_epoch(fg, epoch, stats)
     return fg, stats
 
 

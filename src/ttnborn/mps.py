@@ -22,10 +22,10 @@ from .errors import (DegenerateDistributionError, DimensionError, StateError,
 from .tensor import DenseTensor, qr_split
 from .training import (TrainConfig, _enter_epoch, _execute_pass, _exit_epoch,
                        _fold_scale_data, guarded_merge_factors, train)
-from .ttn import (_EYE2, BornMachine, _born_log_probs, _clamp_weights, _isometry_deviation,
-                  _normalized_marginals, _rescale_batch, _rescale_rows,
-                  _signed_logs, correlation, correlation_map, marginal, nll,
-                  partition_function)
+from .ttn import (_EYE2, BornMachine, _born_log_probs, _check_pixel_values,
+                  _clamp_weights, _isometry_deviation, _normalized_marginals,
+                  _rescale_batch, _rescale_rows, _signed_logs, correlation,
+                  correlation_map, marginal, nll, partition_function)
 
 
 class MpsModel(BornMachine):
@@ -176,7 +176,8 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
 
 def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
     log_z = mps_partition_function(model)
-    return _born_log_probs(log_z, *mps_amplitudes(model, samples))
+    amps = mps_amplitudes(model, _check_pixel_values(samples))
+    return _born_log_probs(log_z, *amps)
 
 
 # -- marginals and correlations (doubled chain contractions) ------------------
@@ -358,7 +359,3 @@ def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
     if return_chain_log:
         return samples, chain_log
     return samples
-
-
-def mps_sample_one(model: MpsModel, seed: int, *, ordering=None):
-    return mps_sample_batch(model, 1, seed, ordering=ordering)[0]

@@ -14,8 +14,7 @@ the pure state ``M[:, s]``, then the second subtree from the pure state
 ``M^T C_first(x_first)``.  At a leaf the two pixels are drawn in turn from
 ``|v . T[:, x1, x2]|^2``.  The auxiliary index is forgotten once the first
 subtree is drawn, so the rows follow p(x) exactly while every message is a
-per-row vector: one depth-first pass costs O(D^3) per node and row.  Order
-``leaf-reversed`` mirrors the pass, drawing right subtrees first.
+per-row vector: one depth-first pass costs O(D^3) per node and row.
 
 The chain log returned with the samples is log p(x) itself, from the
 amplitude assembled in the same pass: the completed subtree vectors carry
@@ -24,9 +23,9 @@ their log scales up to the root, where ``psi = C_2^T T_1 C_3``.
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
 seeded generator's uniform stream, with one column per pixel and one per
 internal node, so it is reproducible from (seed, i) alone and batches of any
-size agree with ``sample_one`` on shared indices.  (The streams changed once
-when the auxiliary-index pass replaced per-pixel conditionals; the
-distribution did not.)
+size agree on shared indices.  (The streams changed once when the
+auxiliary-index pass replaced per-pixel conditionals; the distribution did
+not.)
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ def _uniform_columns(model: TtnModel) -> int:
 class SampleState:
     """Lockstep sampling of one chunk of rows from a root-canonical model."""
 
-    def __init__(self, model: TtnModel, uniforms: np.ndarray, order: str):
+    def __init__(self, model: TtnModel, uniforms: np.ndarray):
         self.model = model
         self.u = uniforms
         self.count = uniforms.shape[0]
-        self.reverse = order == "leaf-reversed"
         self.samples = np.zeros((self.count, model.n_sites), dtype=np.uint8)
         self.chain_log = np.zeros(self.count)
         self._rows = np.arange(self.count)
@@ -79,26 +77,18 @@ class SampleState:
         amp = (v @ t.reshape(t.shape[0], 4)).reshape(self.count, 2, 2)
         w = amp * amp
         k1, k2 = self.model.pixels_of_leaf(leaf)
-        first, second = k1, k2
-        if self.reverse:
-            first, second, w = k2, k1, w.transpose(0, 2, 1)
-        x = self._pixel(w.sum(axis=2), first)
-        self.samples[:, first] = x
-        self.samples[:, second] = self._pixel(w[self._rows, x], second)
+        x = self._pixel(w.sum(axis=2), k1)
+        self.samples[:, k1] = x
+        self.samples[:, k2] = self._pixel(w[self._rows, x], k2)
         return t[:, self.samples[:, k1], self.samples[:, k2]].T
 
     def _children(self, node: int, m):
         """Sample both subtrees below ``node`` from the (count, D_left,
         D_right) amplitude matrix ``m``; return their completed vectors and
         the sum of their log scales."""
-        first, second = 2 * node, 2 * node + 1
-        if self.reverse:
-            first, second, m = second, first, m.transpose(0, 2, 1)
         s = self._bond_index(np.einsum('rfs,rfs->rs', m, m), node)
-        c1, log1 = self._subtree(first, m[self._rows, :, s])
-        c2, log2 = self._subtree(second, np.einsum('rf,rfs->rs', c1, m))
-        if self.reverse:
-            c1, c2 = c2, c1
+        c1, log1 = self._subtree(2 * node, m[self._rows, :, s])
+        c2, log2 = self._subtree(2 * node + 1, np.einsum('rf,rfs->rs', c1, m))
         return c1, c2, log1 + log2
 
     def _subtree(self, node: int, v):
@@ -146,7 +136,7 @@ def _chunk_rows(model: TtnModel, count: int) -> int:
 
 
 def sample_batch(model: TtnModel, count: int, seed: int, *,
-                 order: str = "leaf", ordering: OrderingDescriptor = None,
+                 ordering: OrderingDescriptor = None,
                  return_chain_log: bool = False):
     """Draw ``count`` exact samples; returns a (count, pixels) 0/1 matrix.
 
@@ -161,8 +151,6 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if order not in ("leaf", "leaf-reversed"):
-        raise ValueError(f"unknown sampling order {order!r}")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
     work = _rooted_copy(model)
@@ -174,7 +162,7 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
         # successive draws continue one stream, so row i does not depend on
         # the chunk size
         rows = min(chunk, count - start)
-        state = SampleState(work, rng.random((rows, width)), order)
+        state = SampleState(work, rng.random((rows, width)))
         outs.append(state.run())
         logs.append(state.chain_log)
     samples = np.concatenate(outs, axis=0)
@@ -184,12 +172,6 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
     if return_chain_log:
         return samples, chain_log
     return samples
-
-
-def sample_one(model: TtnModel, seed: int, *, order: str = "leaf",
-               ordering: OrderingDescriptor = None):
-    """One exact sample: the first row of the (seed-derived) batch stream."""
-    return sample_batch(model, 1, seed, order=order, ordering=ordering)[0]
 
 
 def save_samples_pbm(samples: np.ndarray, shape, out_dir, *,

@@ -6,8 +6,8 @@ tensor ``exp(log_scale) * data``.  Carrying the magnitude in log space keeps
 contractions of networks with ~1000 tensors finite, and lets ratios of
 amplitudes cancel scales exactly.
 
-Four operations cover everything built on top: pairwise contraction,
-matricized QR, truncated SVD, and the Frobenius norm.
+Three operations cover everything built on top: matricized QR, truncated
+SVD, and the Frobenius norm; ``DenseTensor.rescaled`` keeps data in range.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-# After any contraction, if max |data| leaves this window, data is rescaled
+# ``DenseTensor.rescaled``: if max |data| leaves this window, data is rescaled
 # to unit max magnitude and the factor folded into log_scale.
 RESCALE_HI = 1e150
 RESCALE_LO = 1e-150
@@ -52,10 +52,6 @@ class DenseTensor:
 
     def copy(self) -> "DenseTensor":
         return DenseTensor(self.data.copy(), self.log_scale, validate=False)
-
-    def to_array(self) -> np.ndarray:
-        """Materialize exp(log_scale) * data.  Only safe for modest scales."""
-        return self.data * math.exp(self.log_scale)
 
     def rescaled(self) -> "DenseTensor":
         """Apply the rescaling policy: fold extreme magnitudes into log_scale."""
@@ -100,29 +96,6 @@ def _matricize(t: DenseTensor, row_axes, col_axes):
         int(np.prod(row_dims, dtype=np.int64)) if row_dims else 1,
         int(np.prod(col_dims, dtype=np.int64)) if col_dims else 1)
     return np.ascontiguousarray(mat), row_dims, col_dims
-
-
-def contract(a: DenseTensor, b: DenseTensor, axis_pairs) -> DenseTensor:
-    """Contract a with b over the given (axis-in-a, axis-in-b) pairs.
-
-    Result axes are the unpaired axes of ``a`` followed by those of ``b``.
-    Contracting all axes of both yields a 0-way (scalar) tensor.
-    """
-    pairs = list(axis_pairs)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise DimensionError("an axis may be paired at most once")
-    for ia, ib in pairs:
-        if not (0 <= ia < a.ndim and 0 <= ib < b.ndim):
-            raise DimensionError(f"axis pair ({ia}, {ib}) out of range")
-        if a.shape[ia] != b.shape[ib]:
-            raise DimensionError(
-                f"cannot contract axis {ia} (dim {a.shape[ia]}) of {a.shape} "
-                f"with axis {ib} (dim {b.shape[ib]}) of {b.shape}")
-    out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    return DenseTensor(np.asarray(out), a.log_scale + b.log_scale,
-                       validate=False).rescaled()
 
 
 def qr_split(t: DenseTensor, row_axes, col_axes) -> QrResult:

@@ -46,7 +46,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int | None = None     # None = full batch
     seed: int = 0
-    renormalize_center: bool = True
     max_backtracks: int = 8           # halvings of the learning rate per step
     zero_amplitude: str = "strict"    # "strict" | "lenient"
 
@@ -59,9 +58,8 @@ class TrainConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.zero_amplitude not in ("strict", "lenient"):
             raise ValueError(f"unknown zero_amplitude mode {self.zero_amplitude!r}")
-        if self.batch_size is not None and self.batch_size != "full":
-            if int(self.batch_size) < 1:
-                raise ValueError("batch_size must be >= 1")
+        if self.batch_size is not None and int(self.batch_size) < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -318,8 +316,7 @@ def guarded_site_new_data(tdata, parts, cfg, stats):
     which is the global NLL as a function of the center alone; the candidate
     objective is closed-form in the step size, so backtracking is cheap.
     The step is taken on the unit-norm gauge representative (the NLL does
-    not depend on the center's scale), so training trajectories agree
-    exactly whether or not the center is renormalized afterwards.
+    not depend on the center's scale), and the new center is normalized.
     """
     old_norm = float(np.linalg.norm(tdata.ravel()))
     if old_norm > 0:
@@ -340,12 +337,9 @@ def guarded_site_new_data(tdata, parts, cfg, stats):
 
     accepted = _backtracked(local_nll, cfg, stats)
     new = tdata if accepted is None else tdata - accepted * grad
-    if cfg.renormalize_center:
-        n = np.linalg.norm(new.ravel())
-        if n > 0:
-            new = new / n
-    elif old_norm > 0:
-        new = new * old_norm
+    n = np.linalg.norm(new.ravel())
+    if n > 0:
+        new = new / n
     if not np.all(np.isfinite(new)):
         raise NumericalError("non-finite tensor after a one-site step")
     return new
@@ -425,7 +419,7 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     vj: S x cols).  Gradient-updates the merge with a backtracked step and
     returns the truncated factors (k_new rows x r, j_new r x cols) plus the
     truncation error.  Singular values land on the j factor when
-    ``center_on_j``.
+    ``center_on_j``, normalized to unit norm.
 
     The step is c0 * K J + alpha * M with M = uk^T diag(w) vj, a rank-S
     correction.  One of two forms is chosen once, from the shapes:
@@ -443,8 +437,7 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     merge_norm = math.sqrt(max(float(np.sum(c_kk * c_jj)), 0.0))
     if merge_norm == 0.0:
         raise NumericalError("two-site step on an all-zero merged tensor")
-    # Step on the unit-norm merge (its scale is pure gauge) so the
-    # renormalized and plain trajectories coincide exactly.
+    # Step on the unit-norm merge: its scale is pure gauge.
     kmat = kmat / merge_norm
     a_env = uk @ kmat                 # (S, bond)
     b_env = vj @ jmat.T               # (S, bond)
@@ -495,19 +488,12 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     else:
         k_new = u * s[None, :]
         j_new = vt
-    if cfg.renormalize_center:
-        n = np.linalg.norm(s)
-        if n > 0:
-            if center_on_j:
-                j_new = j_new / n
-            else:
-                k_new = k_new / n
-    else:
-        # restore the gauge scale divided out at entry
+    n = np.linalg.norm(s)
+    if n > 0:
         if center_on_j:
-            j_new = j_new * merge_norm
+            j_new = j_new / n
         else:
-            k_new = k_new * merge_norm
+            k_new = k_new / n
     if not (np.all(np.isfinite(k_new)) and np.all(np.isfinite(j_new))):
         raise NumericalError("non-finite tensors after a two-site step")
     return k_new, j_new, err
@@ -536,19 +522,6 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to):
         cache.refresh_move(k, j)
     else:
         cache.refresh_move(j, k)
-
-
-def merge_split_two_site(model: TtnModel, edge, batch, config: TrainConfig):
-    """One guarded two-site update across ``edge`` = (center, neighbor).
-
-    The center moves to the neighbor, which receives the singular values;
-    the bond dimension may grow up to d_max or shrink past the cutoff.
-    """
-    k, j = edge
-    cache = _EnvCache(model, _step_batch(model, batch, k, j), k)
-    stats = TrainStats(truncation_errors=[[]])
-    _merge_step(model, cache, k, j, config, stats, center_to=j)
-    return model
 
 
 # -- sweep driver ---------------------------------------------------------------
@@ -626,24 +599,21 @@ def _enter_epoch(model, dataset, config: TrainConfig, cache, stats):
     """The shared entry of a sweep epoch, for the tree and the chain.
 
     Checks the data, canonicalizes the model to its last tensor and
-    normalizes that center (or folds its scale), builds the environment
-    cache unless given one, and opens this epoch's list of truncation
-    errors.  Returns the int64 sample matrix, the cache and the stats.
+    normalizes that center, builds the environment cache unless given one,
+    and opens this epoch's list of truncation errors.  Returns the int64
+    sample matrix, the cache and the stats.
     """
     samples = sample_matrix(dataset, model.n_sites).astype(np.int64)
     last = model.n_sites - 1
     if model.canonical_center != last:
         model.canonicalize(last)
-    if config.renormalize_center:
-        # Normalize in place of folding: a freshly canonicalized center can
-        # carry a log_scale far beyond float range, but the represented
-        # distribution does not depend on it.
-        t = model.tensors[last]
-        n = np.linalg.norm(t.data.ravel())
-        if n > 0:
-            model.tensors[last] = DenseTensor(t.data / n, 0.0, validate=False)
-    else:
-        _fold_scale_data(model.tensors, last)
+    # Normalize in place of folding: a freshly canonicalized center can
+    # carry a log_scale far beyond float range, but the represented
+    # distribution does not depend on it.
+    t = model.tensors[last]
+    n = np.linalg.norm(t.data.ravel())
+    if n > 0:
+        model.tensors[last] = DenseTensor(t.data / n, 0.0, validate=False)
     if stats is None:
         stats = TrainStats()
     if cache is None:
@@ -690,7 +660,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
     model.canonicalize(model.n_sites - 1)
     rng = np.random.default_rng(config.seed)
     batch_size = config.batch_size
-    if batch_size in (None, "full") or int(batch_size) >= full.shape[0]:
+    if batch_size is None or int(batch_size) >= full.shape[0]:
         batch_size = None
     cache = None
     for epoch in range(config.epochs):

@@ -363,23 +363,9 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
 
 
 def _one_hot(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples)
     if samples.ndim == 1:
         samples = samples[np.newaxis]
     return _EYE2[samples.astype(np.int64)]
-
-
-def _one_sample(model: TtnModel, sample) -> np.ndarray:
-    sample = np.asarray(sample)
-    if sample.shape != (model.n_sites,):
-        raise DimensionError(
-            f"sample has length {sample.shape}, model has {model.n_sites} sites")
-    return sample
-
-
-def amplitude(model: TtnModel, sample) -> Amplitude:
-    """Psi(x) for one pixel configuration."""
-    return contract_pixel_vectors(model, _one_hot(_one_sample(model, sample)))
 
 
 def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
@@ -397,12 +383,8 @@ def _born_log_probs(log_z: float, log_abs, sign) -> np.ndarray:
 def log_probs(model: TtnModel, samples) -> np.ndarray:
     """log p(x) for a batch of samples; -inf where the amplitude is zero."""
     log_z = partition_function(model)
-    return _born_log_probs(log_z,
-                           *amplitudes_from_vectors(model, _one_hot(samples)))
-
-
-def log_prob(model: TtnModel, sample) -> float:
-    return float(log_probs(model, _one_sample(model, sample)[np.newaxis])[0])
+    onehot = _one_hot(_check_pixel_values(samples))
+    return _born_log_probs(log_z, *amplitudes_from_vectors(model, onehot))
 
 
 # -- doubled-network contractions (marginals, correlations) ------------------
@@ -551,6 +533,16 @@ def sample_matrix(dataset, n_sites: int) -> np.ndarray:
     if samples.shape[1] != n_sites:
         raise DimensionError(
             f"dataset has {samples.shape[1]} pixels, model has {n_sites}")
+    return _check_pixel_values(samples)
+
+
+def _check_pixel_values(samples) -> np.ndarray:
+    """``samples`` as an array, once every value is checked to be 0 or 1
+    (as an index, -1 would silently read as pixel value 1)."""
+    samples = np.asarray(samples)
+    bad = (samples != 0) & (samples != 1)
+    if np.any(bad):
+        raise ValueError(f"pixel values must be 0 or 1, got {samples[bad][0]}")
     return samples
 
 

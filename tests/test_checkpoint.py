@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 
@@ -126,3 +127,72 @@ class TestFormat:
             save_checkpoint(path, model, ordering=desc, seed=75, epoch=9)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+
+def _container(header, payloads):
+    """A TTNBORN1 file from a header (dict or raw bytes) and tensor bytes."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    out = MAGIC + struct.pack("<Q", len(blob)) + blob
+    for p in payloads:
+        out += struct.pack("<Q", len(p)) + p
+    return out
+
+
+def _without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+# each case maps (saved bytes, its header, its tensor payloads) to a
+# malformed file
+_MALFORMED = {
+    "cut-in-header-length": lambda raw, h, p: raw[:12],
+    "header-length-past-end": lambda raw, h, p:
+        raw[:8] + struct.pack("<Q", 2 ** 62) + raw[16:],
+    "undecodable-json": lambda raw, h, p: _container(b'{"model_type": ', p),
+    "non-utf8-header": lambda raw, h, p: _container(b"\xff\xfe", p),
+    "json-not-an-object": lambda raw, h, p: _container(b"[1, 2]", p),
+    "no-model-type": lambda raw, h, p:
+        _container(_without(h, "model_type"), p),
+    "unhashable-model-type": lambda raw, h, p:
+        _container({**h, "model_type": ["ttn"]}, p),
+    "unknown-model-type": lambda raw, h, p:
+        _container({**h, "model_type": "peps"}, p),
+    "no-tensor-shapes": lambda raw, h, p:
+        _container(_without(h, "tensor_shapes"), p),
+    "string-shape": lambda raw, h, p:
+        _container({**h, "tensor_shapes": ["4x4"] + h["tensor_shapes"][1:]},
+                   p),
+    "negative-dims": lambda raw, h, p:
+        _container({**h, "tensor_shapes": [[-4, -4]]
+                    + h["tensor_shapes"][1:]}, p),
+    "shape-size-mismatch": lambda raw, h, p:
+        _container({**h, "tensor_shapes": [[3, 4]] + h["tensor_shapes"][1:]},
+                   p),
+    "string-n-sites": lambda raw, h, p: _container({**h, "n_sites": "8"}, p),
+    "float-center": lambda raw, h, p:
+        _container({**h, "canonical_center": 1.0}, p),
+    "treefg-without-edges": lambda raw, h, p:
+        _container({**h, "model_type": "treefg", "n_vars": 15,
+                    "visible": list(range(7, 15))}, p),
+    "bad-ordering": lambda raw, h, p:
+        _container({**h, "ordering": {"kind": "spiral", "raw_shape": [8]}},
+                   p),
+    "cut-in-tensor-length": lambda raw, h, p: raw[:-len(p[-1]) - 4],
+}
+
+
+class TestMalformedContainer:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_raises_format_error(self, tmp_path, case):
+        path = tmp_path / "m.ttnborn"
+        header = save_checkpoint(path, build_random(8, 4, seed=76),
+                                 ordering=make_ordering("raster-1d", (8,)))
+        raw = path.read_bytes()
+        pos, payloads = 16 + struct.unpack("<Q", raw[8:16])[0], []
+        while pos < len(raw):
+            (blen,) = struct.unpack("<Q", raw[pos:pos + 8])
+            payloads.append(raw[pos + 8:pos + 8 + blen])
+            pos += 8 + blen
+        path.write_bytes(_MALFORMED[case](raw, header, payloads))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

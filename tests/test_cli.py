@@ -127,6 +127,23 @@ class TestTrain:
         assert (out / "model_epoch00002.ttnborn").exists()
         assert (out / "model_epoch00004.ttnborn").exists()
 
+    def test_treefg_checkpoint_every_and_progress(self, patterns_file,
+                                                  tmp_path, capsys):
+        out = tmp_path / "fg_ck"
+        rc = run(["train", "--model", "treefg", "--data", patterns_file,
+                  "--dmax", 2, "--epochs", 2, "--lr", "0.5", "--seed", 2,
+                  "--out", out, "--checkpoint-every", 1])
+        assert rc == 0
+        for epoch in (1, 2):
+            _, header = load_checkpoint(out / f"model_epoch{epoch:05d}.ttnborn")
+            assert header["model_type"] == "treefg"
+            assert header["epoch"] == epoch
+        assert digest(out / "model_epoch00002.ttnborn") == \
+            digest(out / "model.ttnborn")
+        progress = capsys.readouterr().err.splitlines()
+        assert [line.split(" nll=")[0] for line in progress] == \
+            ["treefg epoch 0", "treefg epoch 1"]
+
 
 class TestEvalSampleCorrelate:
     @pytest.fixture
@@ -145,6 +162,16 @@ class TestEvalSampleCorrelate:
         ds = load_binarized_text(data_path)
         matrix = apply_ordering(ds, header["ordering_descriptor"])
         assert printed.strip() == f"nll={nll(model, matrix):.6f}"
+
+    def test_eval_rejects_malformed_checkpoint(self, trained, tmp_path,
+                                               capsys):
+        model_path, data_path = trained
+        raw = model_path.read_bytes()
+        bad = tmp_path / "bad.ttnborn"
+        bad.write_bytes(raw[:16] + b"x" + raw[17:])   # header JSON broken
+        rc = run(["eval", "--model-path", bad, "--data", data_path])
+        assert rc == 1
+        assert "error [parse]" in capsys.readouterr().err
 
     def test_sample_writes_pbm_and_txt(self, trained, tmp_path):
         model_path, data_path = trained

@@ -6,7 +6,7 @@ import pytest
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, gen_random_patterns,
                      mps_build_random, mps_canonicalize, mps_correlation,
                      mps_correlation_map, mps_log_probs, mps_marginal, mps_max_canonical_deviation, mps_nll,
-                     mps_partition_function, mps_sample_batch, mps_sample_one,
+                     mps_partition_function, mps_sample_batch,
                      mps_sweep_epoch, mps_train)
 from ttnborn.errors import StateError, TopologyError
 
@@ -172,5 +172,5 @@ class TestSampling:
         m = mps_build_random(8, 3, seed=20)
         assert np.array_equal(mps_sample_batch(m, 5, seed=21),
                               mps_sample_batch(m, 5, seed=21))
-        assert np.array_equal(mps_sample_one(m, seed=21),
+        assert np.array_equal(mps_sample_batch(m, 1, seed=21)[0],
                               mps_sample_batch(m, 5, seed=21)[0])

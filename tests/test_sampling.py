@@ -3,7 +3,7 @@ import pytest
 
 from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
                      gen_random_patterns, log_probs, marginal, sample_batch,
-                     sample_one, save_samples_pbm, train, TrainConfig)
+                     save_samples_pbm, train, TrainConfig)
 from ttnborn import pbm
 from ttnborn.errors import DegenerateDistributionError, StateError
 from ttnborn.sampling import SampleState, _uniform_columns
@@ -20,7 +20,7 @@ class TestSampleOne:
         model = ttn_from_patterns(pattern[np.newaxis])
         canonicalize(model, 1)
         for seed in range(10):
-            assert np.array_equal(sample_one(model, seed), pattern)
+            assert np.array_equal(sample_batch(model, 1, seed)[0], pattern)
 
     def test_uniform_model_chi_square(self):
         model = uniform_ttn(4)
@@ -32,14 +32,14 @@ class TestSampleOne:
     def test_requires_canonical_model(self):
         model = uniform_ttn(4)
         with pytest.raises(StateError):
-            sample_one(model, 0)
+            sample_batch(model, 1, 0)
 
 
 class TestSampleBatch:
     def test_count_one_equals_sample_one(self):
         model = build_random(8, 4, seed=30)
         assert np.array_equal(sample_batch(model, 1, seed=5)[0],
-                              sample_one(model, seed=5))
+                              sample_batch(model, 40, seed=5)[0])
 
     def test_same_seed_identical_batches(self):
         model = build_random(8, 4, seed=31)
@@ -75,18 +75,6 @@ class TestSampleBatch:
         counts = np.bincount(config_indices(samples), minlength=256)
         assert chi_square_pvalue(counts, probs) > 0.01
 
-    def test_reversed_order_same_distribution(self):
-        model = build_random(8, 4, seed=34)
-        probs = np.exp(log_probs(model, all_configs(8)))
-        samples = sample_batch(model, 200_000, seed=14, order="leaf-reversed")
-        counts = np.bincount(config_indices(samples), minlength=256)
-        assert chi_square_pvalue(counts, probs) > 0.01
-
-    def test_unknown_order_rejected(self):
-        model = build_random(8, 2, seed=0)
-        with pytest.raises(ValueError):
-            sample_batch(model, 1, seed=0, order="spiral")
-
 
 class TestChainRule:
     def test_chain_log_equals_model_log_prob(self):
@@ -113,25 +101,20 @@ class TestChainRule:
 class TestDownMessages:
     def test_uneven_tree_matches_enumeration(self):
         # bonds of 2 to 5 that differ between siblings; each centre roots a
-        # different gauge, and each order draws the other open sibling index
+        # different gauge
         model = uneven_ttn()
         assert any(model.tensors[u].shape[1] != model.tensors[u].shape[2]
                    for u in range(2, model.n_tensors // 2 + 1))
-        seed = 70
-        for center in (15, 6, 1):
+        for center, seed in ((15, 70), (6, 72), (1, 74)):
             canonicalize(model, center)
             amps = brute_force_amplitudes(model)
             first8 = (amps * amps).reshape(256, 256).sum(axis=1)
             first8 /= first8.sum()
-            for order in ("leaf", "leaf-reversed"):
-                rows, chain = sample_batch(model, 50_000, seed=seed,
-                                           order=order,
-                                           return_chain_log=True)
-                seed += 1
-                assert np.max(np.abs(chain - log_probs(model, rows))) < 1e-12
-                counts = np.bincount(config_indices(rows[:, :8]),
-                                     minlength=256)
-                assert chi_square_pvalue(counts, first8) > 0.01
+            rows, chain = sample_batch(model, 50_000, seed=seed,
+                                       return_chain_log=True)
+            assert np.max(np.abs(chain - log_probs(model, rows))) < 1e-12
+            counts = np.bincount(config_indices(rows[:, :8]), minlength=256)
+            assert chi_square_pvalue(counts, first8) > 0.01
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
@@ -144,7 +127,6 @@ class TestDownMessages:
                                         return_chain_log=True)
         assert np.array_equal(rows, whole)
         assert np.array_equal(first[0], whole[0])
-        assert np.array_equal(sample_one(model, 5), whole[0])
         # completed-subtree messages are one GEMM over the chunk, whose
         # rounding depends on the number of rows
         assert np.max(np.abs(logs - log)) < 1e-12
@@ -165,9 +147,8 @@ def _dead_leading_bond_index(model):
 
 class TestExtremeUniforms:
     @pytest.mark.parametrize("dead_index", [False, True])
-    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
-    def test_zero_weight_values_are_never_drawn(self, u, order, dead_index):
+    def test_zero_weight_values_are_never_drawn(self, u, dead_index):
         # most bond indices and pixel values carry zero weight here (with
         # dead_index, the first index of every bond); u at either end of
         # [0, 1) must still land on one of positive weight
@@ -175,8 +156,7 @@ class TestExtremeUniforms:
         work = _rooted_copy(ttn_from_patterns(patterns))
         if dead_index:
             work = _dead_leading_bond_index(work)
-        state = SampleState(work, np.full((4, _uniform_columns(work)), u),
-                            order)
+        state = SampleState(work, np.full((4, _uniform_columns(work)), u))
         rows = state.run()
         known = {r.tobytes() for r in patterns.astype(np.uint8)}
         assert all(r.tobytes() in known for r in rows)
@@ -192,24 +172,21 @@ class TestExtremeUniforms:
 
 
 class TestChainLogAtScale:
-    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
-    def test_random_tree_centred_off_root(self, order):
+    def test_random_tree_centred_off_root(self):
         model = build_random(1024, 6, seed=21)
         canonicalize(model, 700)
-        rows, chain = sample_batch(model, 16, seed=55, order=order,
-                                   return_chain_log=True)
+        rows, chain = sample_batch(model, 16, seed=55, return_chain_log=True)
         lp = log_probs(model, rows)
         assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
 
-    @pytest.mark.parametrize("order", ["leaf", "leaf-reversed"])
-    def test_rows_far_below_the_float_range(self, order):
+    def test_rows_far_below_the_float_range(self):
         # all ones but at most one pixel: p ~ 1e-2046, so the completed
         # subtree vectors underflow unless their scales are carried in logs
         model = sharp_product_ttn(1024, 0.01)
         uniforms = np.full((4, _uniform_columns(model)), 0.005)
         for row, pixel in enumerate((0, 513, 1023), start=1):
             uniforms[row, pixel] = 0.5
-        state = SampleState(model, uniforms, order)
+        state = SampleState(model, uniforms)
         rows = state.run()
         assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
         lp = log_probs(model, rows)

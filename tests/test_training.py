@@ -6,8 +6,8 @@ import pytest
 from ttnborn import (DenseTensor, TrainConfig, TtnModel, build_random,
                      canonicalize, gen_random_patterns, gradient_one_site,
                      gradient_two_site, log_probs, max_canonical_deviation,
-                     merge_split_two_site, merged_tensor, nll,
-                     partition_function, sweep_epoch, sweep_steps, train)
+                     merged_tensor, nll, partition_function, sweep_epoch,
+                     sweep_steps, train)
 from ttnborn.errors import DegenerateSampleError, StateError
 
 from helpers import all_configs, brute_force_amplitudes, ttn_from_patterns
@@ -213,9 +213,8 @@ class TestMergeSplitTwoSite:
         configs = all_configs(8)
         before = log_probs(model, configs)
         cfg = TrainConfig(learning_rate=0.0, d_max=64, svd_cutoff=0.0)
-        canonicalize(model, 1)
-        merge_split_two_site(model, (1, 2), data, cfg)
-        assert model.canonical_center == 2
+        sweep_epoch(model, data, cfg)
+        assert model.canonical_center == model.n_tensors
         after = log_probs(model, configs)
         assert np.max(np.abs(after - before)) < 1e-9
 
@@ -224,10 +223,9 @@ class TestMergeSplitTwoSite:
         model = build_random(8, 4, seed=27)
         data = gen_random_patterns(8, 4, seed=8).samples
         cfg = TrainConfig(learning_rate=0.0, d_max=1, svd_cutoff=0.0)
-        canonicalize(model, 1)
-        merge_split_two_site(model, (1, 2), data, cfg)
-        # bond above node 2 is now 1: pixels under node 2 (0..3) decouple
-        # from the rest
+        sweep_epoch(model, data, cfg)
+        # the bond above node 2 is now 1: pixels under node 2 (0..3)
+        # decouple from the rest
         assert model.tensors[2].shape[0] == 1
         for i, j in ((0, 4), (2, 6), (3, 7)):
             assert abs(correlation(model, i, j)) < 1e-10
@@ -265,8 +263,7 @@ class TestMergeSplitTwoSite:
         model = build_random(8, 2, seed=0)
         canonicalize(model, 1)
         with pytest.raises(StateError):
-            merge_split_two_site(model, (2, 4), np.zeros((1, 8), dtype=int),
-                                 TrainConfig())
+            gradient_two_site(model, (2, 4), np.zeros((1, 8), dtype=int))
 
 
 def _near_optimal_merge(n_samples, seed, size=16):
@@ -384,20 +381,6 @@ class TestTrain:
                           epochs=40, seed=0)
         model, stats = train(model, data, cfg)
         assert all(v >= math.log(10) - 1e-9 for v in stats.nll)
-
-    def test_renormalized_center_invariance(self):
-        data = gen_random_patterns(8, 5, seed=18).samples
-        configs = all_configs(8)
-        paths = {}
-        for renorm in (True, False):
-            model = build_random(8, 4, seed=19)
-            cfg = TrainConfig(learning_rate=0.05, d_max=4, scheme="one-site",
-                              epochs=3, seed=0, renormalize_center=renorm)
-            model, stats = train(model, data, cfg)
-            paths[renorm] = log_probs(model, configs)
-            if renorm:
-                assert abs(partition_function(model)) < 1e-12
-        assert np.max(np.abs(paths[True] - paths[False])) < 1e-10
 
     def test_lenient_zero_amplitude_floors_and_counts(self):
         from helpers import ttn_from_patterns

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttnborn import (DenseTensor, TtnModel, amplitude, build_random,
-                     canonicalize, contract_pixel_vectors, correlation,
-                     correlation_map, frobenius_norm, gen_random_patterns,
-                     log_prob, log_probs, marginal, max_canonical_deviation,
-                     nll, partition_function, sample_batch,
-                     single_site_marginals, train, TrainConfig)
+from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
+                     contract_pixel_vectors, correlation, correlation_map,
+                     frobenius_norm, gen_random_patterns, log_probs, marginal,
+                     max_canonical_deviation, nll, partition_function,
+                     sample_batch, single_site_marginals, train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
 from ttnborn.mps import (mps_build_random, mps_correlation,
@@ -126,14 +125,14 @@ class TestAmplitude:
         tensors += [DenseTensor(np.ones((2, 2, 2))) for _ in range(2)]
         m = TtnModel(4, tensors)
         configs = all_configs(4)
-        vals = [amplitude(m, c) for c in configs]
+        vals = [contract_pixel_vectors(m, np.eye(2)[c]) for c in configs]
         assert len({(round(a.log_abs, 12), a.sign) for a in vals}) == 1
 
     def test_single_pattern_model_signs(self):
         pattern = np.array([[0, 0, 0, 0]])
         m = ttn_from_patterns(pattern)
         for c in all_configs(4):
-            a = amplitude(m, c)
+            a = contract_pixel_vectors(m, np.eye(2)[c])
             if np.array_equal(c, pattern[0]):
                 assert a.sign == 1 and abs(a.log_abs) < 1e-12
             else:
@@ -143,7 +142,7 @@ class TestAmplitude:
         m = build_random(8, 4, seed=6)
         amps = brute_force_amplitudes(m)
         for i, c in enumerate(all_configs(8)):
-            a = amplitude(m, c)
+            a = contract_pixel_vectors(m, np.eye(2)[c])
             expect = amps[i]
             got = a.sign * math.exp(a.log_abs)
             assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
@@ -151,7 +150,7 @@ class TestAmplitude:
     def test_wrong_length_rejected(self):
         m = build_random(8, 2, seed=0)
         with pytest.raises(DimensionError):
-            amplitude(m, np.zeros(7, dtype=int))
+            contract_pixel_vectors(m, np.eye(2)[np.zeros(7, dtype=int)])
 
     def test_linear_contraction_with_ones_sums_amplitudes(self):
         m = build_random(8, 3, seed=7)
@@ -165,13 +164,13 @@ class TestLogProb:
         m = uniform_ttn(4)
         canonicalize(m, 1)
         for c in all_configs(4):
-            assert abs(log_prob(m, c) + 4 * math.log(2)) < 1e-12
+            assert abs(log_probs(m, c)[0] + 4 * math.log(2)) < 1e-12
 
     def test_single_pattern_prob_one(self):
         m = ttn_from_patterns(np.array([[0, 1, 1, 0]]))
         canonicalize(m, 1)
-        assert abs(log_prob(m, [0, 1, 1, 0])) < 1e-12
-        assert log_prob(m, [1, 1, 1, 1]) == float("-inf")
+        assert abs(log_probs(m, [0, 1, 1, 0])[0]) < 1e-12
+        assert log_probs(m, [1, 1, 1, 1])[0] == float("-inf")
 
     def test_probabilities_sum_to_one(self):
         m = build_random(8, 4, seed=8)
@@ -215,6 +214,32 @@ class TestNll:
         m = build_random(4, 2, seed=0)
         with pytest.raises(ValueError):
             nll(m, np.zeros((0, 4), dtype=int))
+
+
+class TestPixelValues:
+    # as an index, -1 would read as pixel value 1 and 2 would overrun
+    @pytest.mark.parametrize("value", [-1, 2])
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_values_outside_zero_one_rejected(self, build, value):
+        model = build(8, 2, seed=0)
+        rows = gen_random_patterns(8, 3, seed=1).samples.astype(np.int64)
+        rows[1, 0] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            model.log_probs(rows)
+        with pytest.raises(ValueError, match="0 or 1"):
+            model.log_probs(rows[1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            nll(model, rows)
+        with pytest.raises(ValueError, match="0 or 1"):
+            train(model, rows, TrainConfig(d_max=2, epochs=1))
+
+    def test_single_row_and_bool_rows_still_accepted(self):
+        model = build_random(8, 2, seed=0)
+        rows = gen_random_patterns(8, 3, seed=1).samples
+        assert abs(log_probs(model, rows[0])[0]
+                   - log_probs(model, rows)[0]) < 1e-12
+        assert np.array_equal(log_probs(model, rows.astype(bool)),
+                              log_probs(model, rows))
 
 
 class TestMarginal:
@@ -268,7 +293,7 @@ class TestMarginal:
             pv = marginal(m, fixed, k)[sample[k]]
             total += math.log(pv)
             fixed[k] = sample[k]
-        assert abs(total - log_prob(m, sample)) < 1e-10
+        assert abs(total - log_probs(m, sample)[0]) < 1e-10
 
 
 class TestCorrelation:
