@@ -140,8 +140,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (model, header).
 
     The ordering descriptor, when present, is reconstructed and attached to
-    the header under the key "ordering_descriptor".  A malformed container
-    raises ``FormatError``.
+    the header under the key "ordering_descriptor".  A malformed container,
+    or a header the model constructor rejects, raises ``FormatError``.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -165,17 +165,22 @@ def load_checkpoint(path):
             arrays.append(np.frombuffer(f.read(n), dtype="<f8")
                           .reshape(shape).copy())
     model_type = header["model_type"]
-    if model_type in ("ttn", "mps"):
-        tensors = [DenseTensor(a, validate=False) for a in arrays]
-        center, d_max = header.get("canonical_center"), header.get("d_max")
-        if model_type == "ttn":
-            model = TtnModel(header["n_sites"], [None] + tensors, center, d_max)
+    try:   # TopologyError and DimensionError are ValueErrors too
+        if model_type in ("ttn", "mps"):
+            tensors = [DenseTensor(a, validate=False) for a in arrays]
+            center = header.get("canonical_center")
+            d_max = header.get("d_max")
+            if model_type == "ttn":
+                model = TtnModel(header["n_sites"], [None] + tensors, center,
+                                 d_max)
+            else:
+                model = MpsModel(tensors, center, d_max)
         else:
-            model = MpsModel(tensors, center, d_max)
-    else:
-        model = TreeFactorGraph(header["n_vars"],
-                                [tuple(e) for e in header["edges"]],
-                                arrays, header["visible"])
+            model = TreeFactorGraph(header["n_vars"],
+                                    [tuple(e) for e in header["edges"]],
+                                    arrays, header["visible"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if header.get("ordering"):
         try:
             header["ordering_descriptor"] = OrderingDescriptor.from_json_dict(

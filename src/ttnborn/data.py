@@ -190,6 +190,9 @@ def gen_random_patterns(n_pixels: int, count: int, seed: int,
     """
     if n_pixels < 1 or count < 1:
         raise ValueError("n_pixels and count must be positive")
+    if distinct and count > 2 ** n_pixels:
+        raise ValueError(f"only {2 ** n_pixels} distinct patterns of "
+                         f"{n_pixels} pixels exist, {count} asked for")
     rng = np.random.default_rng(seed)
     samples = rng.integers(0, 2, size=(count, n_pixels), dtype=np.uint8)
     if distinct:

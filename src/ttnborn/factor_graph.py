@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DimensionError, TopologyError
 from .tensor import DenseTensor, qr_split
-from .ttn import TtnModel
+from .training import MAX_BACKTRACKS
+from .ttn import TtnModel, _check_pixel_values
 
 
 class TreeFactorGraph:
@@ -34,6 +35,10 @@ class TreeFactorGraph:
         self.edges = [(int(a), int(b)) for a, b in edges]
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         self.visible = [int(v) for v in visible]
+        for v in [v for e in self.edges for v in e] + self.visible:
+            if not 0 <= v < self.n_vars:
+                raise TopologyError(
+                    f"variable {v} is not in range({self.n_vars})")
         if len(self.edges) != len(self.factors):
             raise DimensionError("one factor table per edge required")
         for f in self.factors:
@@ -135,7 +140,7 @@ def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
 
 def fg_log_ptilde(fg: TreeFactorGraph, samples) -> np.ndarray:
     """log of the unnormalized probability of fully clamped configurations."""
-    samples = np.asarray(samples, dtype=np.int64)
+    samples = np.asarray(_check_pixel_values(samples), dtype=np.int64)
     if samples.ndim == 1:
         samples = samples[np.newaxis]
     if samples.shape[1] != len(fg.visible):
@@ -197,7 +202,7 @@ def fg_gradient(fg: TreeFactorGraph, samples) -> list:
     d NLL / d log f_e[a, b] = P_free(edge e = (a, b)) - mean_clamped P(...),
     both terms exact by sum-product.
     """
-    samples = np.asarray(samples, dtype=np.int64)
+    samples = np.asarray(_check_pixel_values(samples), dtype=np.int64)
     clamped = fg_edge_marginals(fg, _unary(fg, None, samples))
     free = fg_edge_marginals(fg, _unary(fg, None, None))
     return [free[i][0] - clamped[i].mean(axis=0) for i in range(len(fg.edges))]
@@ -220,7 +225,7 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
         grads = fg_gradient(fg, samples)
         alpha = config.learning_rate
         accepted = False
-        for _try in range(config.max_backtracks + 1):
+        for _try in range(MAX_BACKTRACKS + 1):
             cand = fg.copy()
             for e in range(len(fg.edges)):
                 cand.factors[e] = fg.factors[e] * np.exp(-alpha * grads[e])

@@ -33,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import TtnModel, _rescale_batch, _rooted_copy, partition_function
+from .ttn import (TtnModel, _rescale_batch, _rescale_rows, _rooted_copy,
+                  partition_function)
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
@@ -99,17 +100,14 @@ class SampleState:
         node's is rescaled to unit max."""
         t = self.model.tensors[node].data
         if self.model.is_leaf(node):
-            return self._leaf(node, t, v), 0.0
+            return self._leaf(node, t, v), np.zeros(self.count)
         da = t.shape[0]
         m = _rescale_batch(v) @ t.reshape(da, -1)
         left, right, log = self._children(
             node, m.reshape((self.count,) + t.shape[1:]))
         pair = left[:, :, None] * right[:, None, :]
-        vec = pair.reshape(self.count, -1) @ t.reshape(da, -1).T
-        mx = np.max(np.abs(vec), axis=1, keepdims=True)
-        mx[mx == 0.0] = 1.0
-        vec /= mx
-        return vec, log + np.log(mx[:, 0])
+        return _rescale_rows(pair.reshape(self.count, -1)
+                             @ t.reshape(da, -1).T, log)
 
     def run(self):
         """Fill ``samples`` and ``chain_log`` (log p of each row)."""

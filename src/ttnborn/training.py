@@ -2,13 +2,17 @@
 
 An epoch is a right-to-left pass followed by a left-to-right pass.  Each pass
 walks the canonical center along tree edges, updating every tensor exactly
-once: at each position the center tensor (one-site scheme) or the 4-way
+once: it follows the path from one outermost leaf node to the other and, at
+each node on it, first makes a round trip into every child subtree off the
+path.  At each update the center tensor (one-site scheme) or the 4-way
 merge of the center with the next tensor (two-site scheme) takes a gradient
 step on the negative log-likelihood, after which a QR (or truncated SVD)
 pushes the non-canonical part one edge further.  Because everything but the
 center is canonical, the partition function is the squared norm of the
-center and per-sample environments come from cached subtree messages, so a
-full epoch costs one message update per edge crossing.
+center and per-sample environments come from cached subtree messages, each
+one contraction of a node with the messages on its other axes
+(``ttn._contract_node``), so a full epoch costs one message update per edge
+crossing.
 
 The gradient of the two-site step is a rank-(1 + batch) correction of the
 merged tensor.  With a small batch the step works on that factored form and
@@ -31,10 +35,11 @@ import numpy as np
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError)
 from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd
-from .ttn import (_EYE2, TtnModel, _rescale_rows, _up_rows, nll, push_qr,
+from .ttn import (_EYE2, TtnModel, _contract_node, nll, push_qr,
                   sample_matrix)
 
 _PSI_FLOOR = math.exp(-300)
+MAX_BACKTRACKS = 8    # halvings of the learning rate per step
 
 
 @dataclass
@@ -46,7 +51,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int | None = None     # None = full batch
     seed: int = 0
-    max_backtracks: int = 8           # halvings of the learning rate per step
     zero_amplitude: str = "strict"    # "strict" | "lenient"
 
     def __post_init__(self):
@@ -108,12 +112,11 @@ class _EnvCache:
         self.ups = {}
         self.downs = {}
         self._onehots = {}
-        path = set(model.path(1, center))
-        for n in range(model.n_tensors, 1, -1):
-            if n not in path:
-                self.refresh_up(n)
         chain = model.path(1, center)
-        for u, c in zip(chain[:-1], chain[1:]):
+        for n in range(model.n_tensors, 1, -1):
+            if n not in chain:
+                self.refresh_up(n)
+        for c in chain[1:]:
             self.refresh_down(c)
 
     def onehot(self, pixel: int):
@@ -123,40 +126,15 @@ class _EnvCache:
         return self._onehots[pixel]
 
     def refresh_up(self, n: int):
-        model = self.model
-        t = model.tensors[n]
-        if model.is_leaf(n):
-            k1, k2 = model.pixels_of_leaf(n)
-            m = t.data[:, self.samples[:, k1], self.samples[:, k2]].T.copy()
-            self.ups[n] = _rescale_rows(m, np.full(self.n_samples, t.log_scale))
-        else:
-            self.ups[n] = _up_rows(t, self.ups[2 * n], self.ups[2 * n + 1])
+        self.ups[n] = _contract_node(self.model.tensors[n],
+                                     self.center_parts(n, 0), 0)
 
     def refresh_down(self, c: int):
         """Recompute the downward message into node c from its parent side."""
-        model = self.model
-        u = model.parent(c)
-        if u == 1:
-            t1 = model.tensors[1]
-            sib = 3 if c == 2 else 2
-            ms, logs_s = self.ups[sib]
-            if c == 2:
-                m = ms @ t1.data.T
-            else:
-                m = ms @ t1.data
-            logs = logs_s + t1.log_scale
-        else:
-            t = model.tensors[u]
-            md, logd = self.downs[u]
-            sib = 2 * u + 1 if c == 2 * u else 2 * u
-            ms, logs_s = self._lower_message(u, sib)
-            x = np.tensordot(md, t.data, axes=([1], [0]))   # (S, b, c)
-            if c == 2 * u:
-                m = np.einsum('sbc,sc->sb', x, ms)
-            else:
-                m = np.einsum('sbc,sb->sc', x, ms)
-            logs = logd + logs_s + t.log_scale
-        self.downs[c] = _rescale_rows(m, logs)
+        u = self.model.parent(c)
+        out = self.model.axis_toward(u, c)
+        self.downs[c] = _contract_node(self.model.tensors[u],
+                                       self.center_parts(u, out), out)
 
     def _lower_message(self, parent: int, child_slot: int):
         """Message entering ``parent`` from heap slot ``child_slot`` below it."""
@@ -171,21 +149,17 @@ class _EnvCache:
         else:
             self.refresh_down(v)
 
-    def center_parts(self, k: int):
-        """Messages entering each axis of tensor k, in axis order."""
+    def center_parts(self, k: int, out=None):
+        """Messages entering every axis of tensor k but ``out``, in axis
+        order."""
         return [self._part_at_axis(k, a)
-                for a in range(self.model.tensors[k].ndim)]
+                for a in range(self.model.tensors[k].ndim) if a != out]
 
     def merged_parts(self, k: int, j: int):
         """Messages entering the open axes of the (k, j) merge, k-side first."""
         model = self.model
-        ak = model.axis_toward(k, j)
-        aj = model.axis_toward(j, k)
-        parts_k = [self._part_at_axis(k, a)
-                   for a in range(model.tensors[k].ndim) if a != ak]
-        parts_j = [self._part_at_axis(j, a)
-                   for a in range(model.tensors[j].ndim) if a != aj]
-        return parts_k, parts_j
+        return (self.center_parts(k, model.axis_toward(k, j)),
+                self.center_parts(j, model.axis_toward(j, k)))
 
     def _part_at_axis(self, k: int, axis: int):
         if k == 1:
@@ -296,12 +270,12 @@ def gradient_one_site(model: TtnModel, batch, k: int,
 
 
 def _backtracked(local_nll, cfg, stats):
-    """The first step size of lr, lr/2, ... (``max_backtracks`` halvings)
+    """The first step size of lr, lr/2, ... (``MAX_BACKTRACKS`` halvings)
     at which the local NLL does not rise; None, counted as a rejected step,
     if there is none."""
     base = local_nll(0.0)
     alpha = cfg.learning_rate
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         if alpha == 0.0 or local_nll(alpha) <= base:
             return alpha
         alpha *= 0.5
@@ -527,51 +501,33 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to):
 # -- sweep driver ---------------------------------------------------------------
 
 
-def _direction_key(model: TtnModel, u: int, v: int, rightward: bool):
-    """Ranking of neighbor v as the next center position from u.
-
-    Children are ranked by the extreme pixel of their subtree (rightmost
-    first on the right-to-left pass and vice versa); the parent direction
-    always ranks last, so a pass finishes every subtree before climbing.
-    Ranking the parent by reachable extreme instead livelocks on trees with
-    three or more levels, because a node and its unfinished parent would
-    each point back at the other.
-    """
-    if u > 1 and v == model.parent(u):
-        return model.n_sites if rightward else -1
-    lo, hi = model.pixel_span(v)
-    return lo if rightward else hi
-
-
 def sweep_steps(model: TtnModel, start: int, rightward: bool):
     """The walk of one pass: (node, next node or None, update due) triples.
 
-    Follows the sweep rule: update the current tensor once all but at most
-    one adjacent direction is exhausted, then move toward the extreme
-    unupdated region (rightmost for the right-to-left pass, leftmost for the
-    return pass), QR-pushing the center along each crossed edge.
+    The pass runs from the leaf node ``start`` to the leaf node at the other
+    end of the tree (the last tensor on the left-to-right pass, the first
+    leaf on the right-to-left one).  Each node on that path first makes a
+    round trip into every child subtree off the path, updating each of its
+    nodes on the way back up, then is updated itself and hands the center
+    on.  Children are visited left first on the left-to-right pass and right
+    first on the other, so every tensor is updated exactly once.
     """
-    unupdated = set(range(1, model.n_tensors + 1))
-    pick = min if rightward else max
-    tc = start
+    order = list if rightward else reversed
     steps = []
-    for _ in range(6 * model.n_tensors + 6):
-        cand = [v for v in model.neighbors(tc) if v in unupdated]
-        due = tc in unupdated and len(cand) <= 1
-        if due:
-            unupdated.discard(tc)
-        if not unupdated:
-            steps.append((tc, None, due))
-            return steps
-        if cand:
-            nxt = pick(cand, key=lambda v: _direction_key(model, tc, v, rightward))
-        else:
-            target = pick(unupdated,
-                          key=lambda n: model.pixel_span(n)[0 if rightward else 1])
-            nxt = model.path(tc, target)[1]
-        steps.append((tc, nxt, due))
-        tc = nxt
-    raise NumericalError("sweep walk failed to terminate")
+
+    def round_trip(parent, node):
+        steps.append((parent, node, False))
+        for child in order([v for v in model.neighbors(node) if v != parent]):
+            round_trip(node, child)
+        steps.append((node, parent, True))
+
+    end = model.n_tensors if rightward else model.first_leaf
+    path = model.path(start, end)
+    for u, v in zip(path, path[1:] + [None]):
+        for child in order([w for w in model.neighbors(u) if w not in path]):
+            round_trip(u, child)
+        steps.append((u, v, True))
+    return steps
 
 
 def _execute_pass(model, cache, cfg, steps, stats, on_step, push, merge_step):

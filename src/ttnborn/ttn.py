@@ -124,13 +124,6 @@ class TtnModel(BornMachine):
         """(left pixel, right pixel) of leaf node n."""
         return 2 * n - self.n_sites, 2 * n - self.n_sites + 1
 
-    def pixel_span(self, n: int):
-        """Inclusive range of pixel positions under node n."""
-        lo = hi = n
-        while lo < self.first_leaf:
-            lo, hi = 2 * lo, 2 * hi + 1
-        return 2 * lo - self.n_sites, 2 * hi - self.n_sites + 1
-
     def path(self, u: int, v: int):
         """Nodes along the tree path from u to v, inclusive."""
         up_u, up_v = [u], [v]
@@ -304,20 +297,35 @@ def _rescale_rows(m, logs):
     """Scale each row of ``m`` to unit max magnitude in place, adding the
     log of its factor to ``logs``; zero rows stay zero."""
     mx = np.max(np.abs(m), axis=1)
-    nz = mx > 0
-    if np.any(nz):
-        logs[nz] += np.log(mx[nz])
-        m[nz] /= mx[nz, None]
+    mx[mx == 0.0] = 1.0
+    m /= mx[:, None]
+    logs += np.log(mx)
     return m, logs
 
 
-def _up_rows(t: DenseTensor, left, right):
-    """The per-sample (rows, logs) message up through the internal tensor
-    ``t`` from its children's (rows, logs) messages."""
-    (ml, logl), (mr, logr) = left, right
-    x = np.tensordot(ml, t.data, axes=([1], [1]))
-    return _rescale_rows(np.einsum('sac,sc->sa', x, mr),
-                         logl + logr + t.log_scale)
+def _contract_node(t: DenseTensor, parts, out=None):
+    """Contract node tensor ``t`` with per-sample (rows, logs) messages on
+    every axis but ``out``, or on all its axes when ``out`` is None.
+
+    ``parts`` lists the messages in axis order.  The message on the lowest
+    axis enters by one GEMM, the other (if any) by a per-sample product.
+    Returns the (rows, logs) message along ``out``, rescaled, or for a full
+    contraction the unscaled per-sample values with their logs.
+    """
+    axes = [a for a in range(t.ndim) if a != out]
+    m, logs = parts[0]
+    x = np.tensordot(m, t.data, axes=([1], [axes[0]]))
+    if len(parts) > 1:
+        m, log_m = parts[1]
+        logs = logs + log_m
+        # x has the sample axis, then t's axes but the lowest, so t's axis
+        # axes[1] is x's axis axes[1]
+        keep = [i for i in range(x.ndim) if i != axes[1]]
+        x = np.einsum(x, range(x.ndim), m, [0, axes[1]], keep)
+    logs = logs + t.log_scale
+    if out is None:
+        return x, logs
+    return _rescale_rows(x, logs)
 
 
 def _signed_logs(val: np.ndarray, logs: np.ndarray):
@@ -345,21 +353,14 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
         raise DimensionError(
             f"expected vectors of shape (S, {model.n_sites}, 2), got "
             f"{vectors.shape}")
-    msgs = {}
+    # heap slot n_sites + k holds pixel k's vector
+    zeros = np.zeros(s_count)
+    msgs = {model.n_sites + k: (vectors[:, k], zeros)
+            for k in range(model.n_sites)}
     for n in range(model.n_tensors, 1, -1):
-        t = model.tensors[n]
-        if model.is_leaf(n):
-            k1, k2 = model.pixels_of_leaf(n)
-            x = np.tensordot(vectors[:, k1, :], t.data, axes=([1], [1]))
-            m = np.einsum('saq,sq->sa', x, vectors[:, k2, :])
-            msgs[n] = _rescale_rows(m, np.full(s_count, t.log_scale))
-        else:
-            msgs[n] = _up_rows(t, msgs.pop(2 * n), msgs.pop(2 * n + 1))
-    t1 = model.tensors[1]
-    m2, log2 = msgs[2]
-    m3, log3 = msgs[3]
-    val = np.einsum('sc,sc->s', m2 @ t1.data, m3)
-    return _signed_logs(val, log2 + log3 + t1.log_scale)
+        msgs[n] = _contract_node(model.tensors[n],
+                                 [msgs.pop(2 * n), msgs.pop(2 * n + 1)], 0)
+    return _signed_logs(*_contract_node(model.tensors[1], [msgs[2], msgs[3]]))
 
 
 def _one_hot(samples: np.ndarray) -> np.ndarray:

@@ -142,6 +142,16 @@ def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
 
+def _treefg_with_edge(edge):
+    """A tree-factor-graph container (15 variables) whose first edge is
+    ``edge``."""
+    fg = heap_shaped_fg(8, seed=1)
+    edges = [list(edge)] + [list(e) for e in fg.edges[1:]]
+    header = {"model_type": "treefg", "n_vars": fg.n_vars, "edges": edges,
+              "visible": fg.visible, "tensor_shapes": [[2, 2]] * len(edges)}
+    return _container(header, [f.astype("<f8").tobytes() for f in fg.factors])
+
+
 # each case maps (saved bytes, its header, its tensor payloads) to a
 # malformed file
 _MALFORMED = {
@@ -169,6 +179,9 @@ _MALFORMED = {
         _container({**h, "tensor_shapes": [[3, 4]] + h["tensor_shapes"][1:]},
                    p),
     "string-n-sites": lambda raw, h, p: _container({**h, "n_sites": "8"}, p),
+    "n-sites-not-a-power-of-2": lambda raw, h, p:
+        _container({**h, "n_sites": 6}, p),
+    "treefg-edge-out-of-range": lambda raw, h, p: _treefg_with_edge((0, 99)),
     "float-center": lambda raw, h, p:
         _container({**h, "canonical_center": 1.0}, p),
     "treefg-without-edges": lambda raw, h, p:

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ttnborn import load_checkpoint, load_binarized_text, nll, apply_ordering
+from ttnborn import (apply_ordering, heap_shaped_fg, load_binarized_text,
+                     load_checkpoint, nll, save_checkpoint)
 from ttnborn.cli import main
 from ttnborn import pbm
 
@@ -170,6 +171,16 @@ class TestEvalSampleCorrelate:
         bad = tmp_path / "bad.ttnborn"
         bad.write_bytes(raw[:16] + b"x" + raw[17:])   # header JSON broken
         rc = run(["eval", "--model-path", bad, "--data", data_path])
+        assert rc == 1
+        assert "error [parse]" in capsys.readouterr().err
+
+    def test_eval_rejects_treefg_edge_out_of_range(self, patterns_file,
+                                                   tmp_path, capsys):
+        fg = heap_shaped_fg(16, seed=1)
+        fg.edges[0] = (0, 99)
+        bad = tmp_path / "bad.ttnborn"
+        save_checkpoint(bad, fg)
+        rc = run(["eval", "--model-path", bad, "--data", patterns_file])
         assert rc == 1
         assert "error [parse]" in capsys.readouterr().err
 

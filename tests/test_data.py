@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ttnborn
 from ttnborn import (BinaryDataset, apply_ordering, gen_random_patterns,
                      invert_ordering, load_binarized_text, make_ordering,
                      morton_index, save_binarized_text)
@@ -75,6 +80,19 @@ class TestRandomPatterns:
     def test_distinct_flag(self):
         ds = gen_random_patterns(2, 4, seed=0, distinct=True)
         assert len({r.tobytes() for r in ds.samples}) == 4
+
+    def test_distinct_beyond_all_patterns_rejected(self, tmp_path):
+        # in a subprocess, so that resampling forever fails on the timeout
+        # instead of hanging the suite
+        src = os.path.dirname(os.path.dirname(ttnborn.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttnborn.cli", "gen-random",
+             "--n-pixels", "2", "--count", "5", "--seed", "0", "--distinct",
+             "--out", str(tmp_path / "d.txt")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "error [argument]" in proc.stderr
 
 
 class TestOrdering:

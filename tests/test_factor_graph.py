@@ -71,6 +71,15 @@ class TestSumProduct:
             TreeFactorGraph(4, [(0, 1), (0, 1), (2, 3)],
                             [np.ones((2, 2))] * 3, visible=[0])
 
+    @pytest.mark.parametrize("edges, visible", [
+        ([(0, 1), (0, 99)], [1, 2]),
+        ([(0, 1), (-1, 2)], [1, 2]),
+        ([(0, 1), (0, 2)], [1, 3]),
+    ])
+    def test_variable_out_of_range_rejected(self, edges, visible):
+        with pytest.raises(TopologyError):
+            TreeFactorGraph(3, edges, [np.ones((2, 2))] * 2, visible)
+
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ValueError):
             TreeFactorGraph(2, [(1, 0)], [np.array([[1.0, 0.0], [1.0, 1.0]])],
@@ -106,6 +115,16 @@ class TestTraining:
                         fg.factors[e][a, b] = f0
                         fd = (up - down) / (2 * h)
                         assert abs(fd - grads[e][a, b]) < 1e-5
+
+    @pytest.mark.parametrize("value", [-1, 2])
+    @pytest.mark.parametrize("call", [
+        fg_log_ptilde, fg_gradient, fg_nll,
+        lambda fg, rows: fg_train(fg, rows, TrainConfig(epochs=1))])
+    def test_pixel_values_outside_0_1_rejected(self, call, value):
+        rows = np.array([[1, 0, 1, 1, 0, 0, 1, 0]] * 2)
+        rows[1, 0] = value
+        with pytest.raises(ValueError, match="pixel values"):
+            call(heap_shaped_fg(8, seed=1), rows)
 
     def test_nll_decreases_under_guarded_steps(self, rng):
         fg = heap_shaped_fg(8, seed=4)

@@ -149,12 +149,30 @@ class TestGradientTwoSite:
 
 
 class TestSweepEpoch:
-    def test_n4_visits_each_tensor_once_per_pass(self):
-        model = build_random(4, 2, seed=0)
-        r2l = sweep_steps(model, 3, rightward=False)
-        l2r = sweep_steps(model, 2, rightward=True)
-        assert [u for u, v, due in r2l if due] == [3, 1, 2]
-        assert [u for u, v, due in l2r if due] == [2, 1, 3]
+    def test_visits_each_tensor_once_per_pass(self):
+        T, F = True, False
+        pinned = {
+            4: ([(3, 1, T), (1, 2, T), (2, None, T)],
+                [(2, 1, T), (1, 3, T), (3, None, T)]),
+            8: ([(7, 3, T), (3, 6, F), (6, 3, T), (3, 1, T), (1, 2, T),
+                 (2, 5, F), (5, 2, T), (2, 4, T), (4, None, T)],
+                [(4, 2, T), (2, 5, F), (5, 2, T), (2, 1, T), (1, 3, T),
+                 (3, 6, F), (6, 3, T), (3, 7, T), (7, None, T)]),
+        }
+        for n in (4, 8, 1024):
+            model = build_random(n, 2, seed=0)
+            first, last = model.first_leaf, model.n_tensors
+            r2l = sweep_steps(model, last, rightward=False)
+            l2r = sweep_steps(model, first, rightward=True)
+            if n in pinned:
+                assert (r2l, l2r) == pinned[n]
+            for steps, start, end in ((r2l, last, first), (l2r, first, last)):
+                assert [u for u, _, _ in steps] \
+                    == [start] + [v for _, v, _ in steps[:-1]]
+                assert all(v in model.neighbors(u) for u, v, _ in steps[:-1])
+                assert steps[-1] == (end, None, True)
+                assert sorted(u for u, _, due in steps if due) \
+                    == list(range(1, n))
 
     def test_epoch_coverage_both_schemes(self):
         data = gen_random_patterns(16, 5, seed=1).samples
@@ -305,9 +323,9 @@ class TestGuardedMergeFactors:
             return split_factored(a, bt, d_max, cutoff)
 
         monkeypatch.setattr(training, "_split_factored", spy)
+        monkeypatch.setattr(training, "MAX_BACKTRACKS", 0)
         kmat, jmat, uk, vj = _near_optimal_merge(n_samples, seed=n_samples)
-        cfg = TrainConfig(learning_rate=lr, d_max=16, svd_cutoff=0.0,
-                          max_backtracks=0)
+        cfg = TrainConfig(learning_rate=lr, d_max=16, svd_cutoff=0.0)
         stats = training.TrainStats()
         k_new, j_new, err = training.guarded_merge_factors(
             kmat, jmat, uk, vj, cfg, stats, center_on_j=True)
