@@ -35,6 +35,14 @@ class MpsModel(BornMachine):
         self.tensors = list(tensors)
         if len(self.tensors) < 2:
             raise TopologyError("an MPS needs at least 2 sites")
+        for i, t in enumerate(self.tensors):
+            if t.ndim != 3 or t.shape[1] != 2:
+                raise TopologyError(f"site {i} has shape {t.shape}, not "
+                                    "(left bond, 2, right bond)")
+            if i and self.tensors[i - 1].shape[2] != t.shape[0]:
+                raise TopologyError(f"bond {i} has dimensions "
+                                    f"{self.tensors[i - 1].shape[2]} and "
+                                    f"{t.shape[0]} on its two sides")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
             raise TopologyError("boundary bonds must have dimension 1")
         self.canonical_center = canonical_center
@@ -326,33 +334,48 @@ def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,
 
 def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
                      ordering=None, return_chain_log: bool = False):
-    """Ancestral sampling left to right from exact conditionals."""
+    """Ancestral sampling from exact conditionals, away from the center.
+
+    With the center at an end of the chain, the other tensors are
+    isometries toward it and the conditionals need no environment: at site
+    0 the chain is sampled left to right, at the last site (where training
+    leaves it) right to left, on the model itself.  A center elsewhere is
+    first moved to the nearer end on a copy.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
-    work = model.copy()
-    if work.canonical_center != 0:
-        mps_canonicalize(work, 0)
-    n = work.n_sites
+    n = model.n_sites
+    center = model.canonical_center
+    if center not in (0, n - 1):
+        model = mps_canonicalize(model.copy(), 0 if center < n - 1 - center
+                                 else n - 1)
+    tensors = [t.data for t in model.tensors]
+    reverse = model.canonical_center == n - 1
+    if reverse:
+        tensors = [t.transpose(2, 1, 0) for t in reversed(tensors)]
     uniforms = np.random.default_rng(seed).random((count, n))
     samples = np.zeros((count, n), dtype=np.uint8)
     chain_log = np.zeros(count)
     vec = np.ones((count, 1))
-    for i in range(n):
-        t = work.tensors[i].data
+    for i, t in enumerate(tensors):
         a0 = vec @ t[:, 0, :]
         a1 = vec @ t[:, 1, :]
         p0 = np.sum(a0 * a0, axis=1)
         p1 = np.sum(a1 * a1, axis=1)
         total = p0 + p1
         if np.any(total <= 0.0):
-            raise DegenerateDistributionError(f"zero conditional mass at site {i}")
+            site = n - 1 - i if reverse else i
+            raise DegenerateDistributionError(
+                f"zero conditional mass at site {site}")
         prob1 = p1 / total
         draw = (uniforms[:, i] < prob1).astype(np.uint8)
         samples[:, i] = draw
         chain_log += np.log(np.where(draw == 1, prob1, 1.0 - prob1))
         vec = _rescale_batch(np.where(draw[:, None] == 1, a1, a0))
+    if reverse:
+        samples = np.ascontiguousarray(samples[:, ::-1])
     if ordering is not None:
         from .data import invert_ordering
         samples = invert_ordering(samples, ordering)

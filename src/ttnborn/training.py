@@ -17,7 +17,10 @@ crossing.
 The gradient of the two-site step is a rank-(1 + batch) correction of the
 merged tensor.  With a small batch the step works on that factored form and
 never materializes the merge; otherwise it materializes the merge and never
-the batch x batch Gram, so its memory stays linear in the batch.
+the batch x batch Gram, so its memory stays linear in the batch.  In the
+factored form the tensor that is not the center is an isometry toward it,
+so its columns are already an orthonormal basis: the split QR-factors only
+the part of that side's environment block outside the basis.
 
 ``train``, the epoch entry and exit, the pass driver and the guarded one-
 and two-site steps are shared with the MPS (``mps``), which supplies its own
@@ -40,6 +43,11 @@ from .ttn import (_EYE2, TtnModel, _contract_node, nll, push_qr,
 
 _PSI_FLOOR = math.exp(-300)
 MAX_BACKTRACKS = 8    # halvings of the learning rate per step
+# A two-site factor whose Gram matrix is the identity to this tolerance is
+# taken as an isometry, whose columns the factored split reuses as a basis.
+_ISOMETRY_TOL = 1e-10
+# Overlap with that basis above which the residual's Q is re-projected.
+_BASIS_TOL = 1e-13
 
 
 @dataclass
@@ -376,13 +384,67 @@ def gradient_two_site(model: TtnModel, edge, batch,
     return DenseTensor(grad.reshape(k_dims + j_dims), 0.0, validate=False)
 
 
+def _qr_on_basis(basis, gamma, rest):
+    """QR of the tall block [gamma * basis | rest] whose left part
+    ``basis`` already has orthonormal columns (possibly none).
+
+    [gamma * basis | rest] = [basis | q] [[gamma I, p], [0, r]]: p is the
+    projection of ``rest`` onto the basis, taken with one
+    re-orthogonalisation pass, and q r is the QR of the residual, so only
+    the columns outside the basis are factored.  Where the residual is
+    rank-deficient, Householder completes q with arbitrary directions; if
+    these reach into the basis they are projected out and q refactored.
+    With no basis this is the plain QR of ``rest``.
+    """
+    k = basis.shape[1]
+    if not k:
+        return np.linalg.qr(rest, mode="reduced")
+    p = basis.T @ rest
+    rest = rest - basis @ p
+    p2 = basis.T @ rest
+    rest -= basis @ p2
+    p += p2
+    q, r = np.linalg.qr(rest, mode="reduced")
+    c = basis.T @ q
+    if np.max(np.abs(c)) > _BASIS_TOL:
+        q, r2 = np.linalg.qr(q - basis @ c, mode="reduced")
+        p += c @ r
+        r = r2 @ r
+    r_full = np.zeros((k + r.shape[0], k + r.shape[1]))
+    np.fill_diagonal(r_full[:k, :k], gamma)
+    r_full[:k, k:] = p
+    r_full[k:, k:] = r
+    return np.concatenate([basis, q], axis=1), r_full
+
+
 def _split_factored(a, bt, d_max, cutoff):
-    """Exact truncated SVD of a @ bt given in factored form."""
-    qa, ra = np.linalg.qr(a, mode="reduced")
-    qb, rb = np.linalg.qr(bt.T, mode="reduced")
+    """Exact truncated SVD of a @ bt given in factored form.
+
+    ``a`` and ``bt.T`` are each passed as (basis, gamma, rest), the factor
+    [gamma * basis | rest] with ``basis`` orthonormal columns, so that
+    ``_qr_on_basis`` factors only what lies outside the basis.
+    """
+    qa, ra = _qr_on_basis(*a)
+    qb, rb = _qr_on_basis(*bt)
     u, s, vt, err = _truncated_svd(ra @ rb.T, d_max, cutoff)
     u_full, vt_full = _svd_sign_fix(qa @ u, vt @ qb.T)
     return u_full, s, vt_full, err
+
+
+def _is_isometry(gram) -> bool:
+    """Whether a factor whose Gram matrix is ``gram`` has orthonormal
+    columns, to ``_ISOMETRY_TOL``."""
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0])))) < _ISOMETRY_TOL
+
+
+def _factor_side(gram, mat, gamma, rest):
+    """One side of a factored merge, [gamma * mat | rest], as the
+    (basis, gamma, rest) of ``_qr_on_basis``: ``mat`` is the basis if its
+    Gram matrix ``gram`` is the identity, else the whole block is plain."""
+    if _is_isometry(gram):
+        return mat, gamma, rest
+    block = np.concatenate([gamma * mat.T, rest.T], axis=0).T
+    return np.empty((mat.shape[0], 0)), 1.0, block
 
 
 def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
@@ -400,8 +462,13 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
 
     - factored, when bond + S < 0.8 * min(rows, cols): the line search runs
       on the S x S Gram of the environments and the exact SVD is taken in
-      factored form, O(S^2 (rows + cols)).  Here S^2 < rows * cols, so the
-      Gram is never larger than the merged tensor.
+      factored form, O((bond + S)^2 (rows + cols)).  Here S^2 < rows * cols,
+      so the Gram is never larger than the merged tensor.  A side whose
+      Gram (c_kk or c_jj) is the identity is an isometry, as every tensor
+      but the center is in a canonical sweep: the tree's j, and the chain's
+      non-center site.  Its columns serve as the basis of its QR, and only
+      the S environment columns outside their span are factored; the other
+      side gets a plain QR.
     - dense, otherwise: M is formed (rows x cols), the line search reads
       u_s^T M v_s and ||M||_F^2 from it, and the merge c0 * K J + alpha * M
       is split by a dense SVD, O(S * rows * cols).  No S x S array exists.
@@ -412,6 +479,7 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     if merge_norm == 0.0:
         raise NumericalError("two-site step on an all-zero merged tensor")
     # Step on the unit-norm merge: its scale is pure gauge.
+    k_basis = kmat
     kmat = kmat / merge_norm
     a_env = uk @ kmat                 # (S, bond)
     b_env = vj @ jmat.T               # (S, bond)
@@ -448,9 +516,9 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
         accepted = 0.0
     c0 = 1.0 - 2.0 * accepted / norm_sq
     if factored:
-        a_fac = np.concatenate([c0 * kmat, uk.T * (accepted * w_base)[None, :]],
-                               axis=1)
-        bt_fac = np.concatenate([jmat, vj], axis=0)
+        a_fac = _factor_side(c_kk, k_basis, c0 / merge_norm,
+                             uk.T * (accepted * w_base)[None, :])
+        bt_fac = _factor_side(c_jj, jmat.T, 1.0, vj.T)
         u, s, vt, err = _split_factored(a_fac, bt_fac, cfg.d_max, cfg.svd_cutoff)
     else:
         merged = c0 * (kmat @ jmat) + accepted * m_grad

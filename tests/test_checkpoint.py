@@ -152,6 +152,16 @@ def _treefg_with_edge(edge):
     return _container(header, [f.astype("<f8").tobytes() for f in fg.factors])
 
 
+def _mps_with_shapes(shapes):
+    """A 4-site MPS container whose tensor bytes are stored under
+    ``shapes``."""
+    mps = mps_build_random(4, 2, seed=1)
+    header = {"model_type": "mps", "n_sites": 4, "canonical_center": 3,
+              "d_max": 2, "tensor_shapes": shapes}
+    return _container(header, [t.data.astype("<f8").tobytes()
+                               for t in mps.tensors])
+
+
 # each case maps (saved bytes, its header, its tensor payloads) to a
 # malformed file
 _MALFORMED = {
@@ -191,6 +201,12 @@ _MALFORMED = {
         _container({**h, "ordering": {"kind": "spiral", "raw_shape": [8]}},
                    p),
     "cut-in-tensor-length": lambda raw, h, p: raw[:-len(p[-1]) - 4],
+    "mps-2d-shapes": lambda raw, h, p:
+        _mps_with_shapes([[1, 4], [2, 4], [2, 4], [2, 2]]),
+    "mps-pixel-axis-not-2": lambda raw, h, p:
+        _mps_with_shapes([[1, 2, 2], [2, 4, 1], [2, 2, 2], [2, 2, 1]]),
+    "mps-bonds-disagree": lambda raw, h, p:
+        _mps_with_shapes([[1, 2, 2], [2, 2, 2], [4, 2, 1], [2, 2, 1]]),
 }
 
 

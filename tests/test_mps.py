@@ -168,6 +168,26 @@ class TestSampling:
         patterns = {r.tobytes() for r in data.astype(np.uint8)}
         assert all(r.tobytes() in patterns for r in samples)
 
+    @pytest.mark.parametrize("center", [0, 3, 7])
+    def test_chain_log_from_any_center(self, center):
+        m = mps_build_random(8, 4, seed=14)
+        mps_canonicalize(m, center)
+        before = [t.data.copy() for t in m.tensors]
+        samples, chain = mps_sample_batch(m, 500, seed=15,
+                                          return_chain_log=True)
+        assert m.canonical_center == center
+        assert all(np.array_equal(t.data, b) for t, b in zip(m.tensors, before))
+        assert np.max(np.abs(chain - mps_log_probs(m, samples))) < 1e-10
+
+    @pytest.mark.parametrize("center", [0, 7])
+    def test_empirical_matches_exact_from_either_end(self, center):
+        m = mps_build_random(8, 4, seed=22)
+        mps_canonicalize(m, center)
+        probs = np.exp(mps_log_probs(m, all_configs(8)))
+        samples = mps_sample_batch(m, 100_000, seed=23)
+        counts = np.bincount(config_indices(samples), minlength=256)
+        assert chi_square_pvalue(counts, probs) > 0.01
+
     def test_deterministic_and_single(self):
         m = mps_build_random(8, 3, seed=20)
         assert np.array_equal(mps_sample_batch(m, 5, seed=21),
