@@ -164,6 +164,8 @@ def load_checkpoint(path):
                 raise FormatError(f"{path}: {blen} bytes for shape {shape}")
             arrays.append(np.frombuffer(f.read(n), dtype="<f8")
                           .reshape(shape).copy())
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FormatError(f"{path}: tensor data is not finite")
     model_type = header["model_type"]
     try:   # TopologyError and DimensionError are ValueErrors too
         if model_type in ("ttn", "mps"):

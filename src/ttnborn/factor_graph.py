@@ -44,7 +44,7 @@ class TreeFactorGraph:
         for f in self.factors:
             if f.shape != (2, 2):
                 raise DimensionError("factor tables must be 2x2")
-            if np.any(f <= 0):
+            if not np.all(f > 0):   # rejects NaN too
                 raise ValueError("factor tables must be strictly positive")
         self.adjacency = {v: [] for v in range(self.n_vars)}
         for idx, (a, b) in enumerate(self.edges):

@@ -1,31 +1,29 @@
 """Matrix product state Born machine baseline.
 
 A chain of 3-way tensors (left bond, pixel, right bond) with dimension-1
-boundary bonds, trained, evaluated and sampled with the same machinery as
-the tree model: exact partition function from the canonical center, sweeps
-with QR pushes, two-site updates with truncated SVD, and ancestral sampling
-from exact conditionals.  It implements the tree's Born-machine interface
-(``ttn.BornMachine``), so the NLL, marginals, correlations, the training
-loop, the sweep-epoch entry and exit, the pass driver and the one-site step
-are the tree's own code, and the comparisons between the two models are
-like for like.
+boundary bonds.  ``MpsModel`` answers the topology question of the tree's
+Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
+form, the QR push, the training cache, the sweep walk, the one- and two-site
+steps, the NLL, marginals and correlations are the tree's own code, and the
+comparisons between the two models are like for like.  This module supplies
+the chain's topology, amplitudes, marginals and sampler.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from .errors import (DegenerateDistributionError, DimensionError, StateError,
                      TopologyError)
-from .tensor import DenseTensor, qr_split
-from .training import (TrainConfig, _enter_epoch, _execute_pass, _exit_epoch,
-                       _fold_scale_data, guarded_merge_factors, train)
-from .ttn import (_EYE2, BornMachine, _born_log_probs, _check_pixel_values,
-                  _clamp_weights, _isometry_deviation, _normalized_marginals,
-                  _rescale_batch, _rescale_rows, _signed_logs, correlation,
-                  correlation_map, marginal, nll, partition_function)
+# Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
+from .tensor import DenseTensor, qr_split  # noqa: F401
+from .training import (TrainConfig, _exit_epoch, _sweep,
+                       guarded_merge_factors, train)
+from .ttn import (_EYE2, BornMachine, Pixel, _born_log_probs,
+                  _check_pixel_values, _clamp_weights, _normalized_marginals,
+                  _rescale_batch, _rescale_rows, _signed_logs, canonicalize,
+                  correlation, correlation_map, marginal,
+                  max_canonical_deviation, nll, partition_function, push_qr)
 
 
 class MpsModel(BornMachine):
@@ -35,43 +33,30 @@ class MpsModel(BornMachine):
         self.tensors = list(tensors)
         if len(self.tensors) < 2:
             raise TopologyError("an MPS needs at least 2 sites")
-        for i, t in enumerate(self.tensors):
-            if t.ndim != 3 or t.shape[1] != 2:
-                raise TopologyError(f"site {i} has shape {t.shape}, not "
-                                    "(left bond, 2, right bond)")
-            if i and self.tensors[i - 1].shape[2] != t.shape[0]:
-                raise TopologyError(f"bond {i} has dimensions "
-                                    f"{self.tensors[i - 1].shape[2]} and "
-                                    f"{t.shape[0]} on its two sides")
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
-            raise TopologyError("boundary bonds must have dimension 1")
         self.canonical_center = canonical_center
         self.d_max = d_max
+        self._check_shapes()
 
     @property
     def n_sites(self) -> int:
         return len(self.tensors)
 
-    def neighbors(self, i: int):
-        return [j for j in (i - 1, i + 1) if 0 <= j < self.n_sites]
+    def axis_sites(self, i: int):
+        return [i - 1 if i > 0 else None, Pixel(i),
+                i + 1 if i < self.n_sites - 1 else None]
+
+    def path(self, i: int, j: int):
+        step = 1 if j >= i else -1
+        return list(range(i, j + step, step))
 
     def bond_dims(self) -> dict:
         return {i: self.tensors[i].shape[0] for i in range(1, self.n_sites)}
-
-    def copy(self) -> "MpsModel":
-        return MpsModel([t.copy() for t in self.tensors],
-                        self.canonical_center, self.d_max)
 
     # -- the Born-machine interface (see ``ttn.BornMachine``) ---------------
 
     model_type = "mps"
     first_tensor = 0
-
-    def canonicalize(self, center: int):
-        return mps_canonicalize(self, center)
-
-    def log_z(self) -> float:
-        return mps_partition_function(self)
+    first_leaf = 0
 
     def log_probs(self, samples) -> np.ndarray:
         return mps_log_probs(self, samples)
@@ -85,9 +70,6 @@ class MpsModel(BornMachine):
 
     def sample(self, count: int, seed: int, ordering=None):
         return mps_sample_batch(self, count, seed, ordering=ordering)
-
-    def sweep_cache(self, samples):
-        return _ChainCache(self, samples, self.n_sites - 1)
 
     def sweep_epoch(self, dataset, config, **kwargs):
         return mps_sweep_epoch(self, dataset, config, **kwargs)
@@ -114,52 +96,9 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
     return model
 
 
-def _push(model: MpsModel, i: int, j: int):
-    """QR-push the non-canonical part from site i to adjacent site j."""
-    t, tj = model.tensors[i], model.tensors[j]
-    if j == i + 1:
-        res = qr_split(t, [0, 1], [2])
-        q = res.q.data
-        merged = np.tensordot(res.r.data, tj.data, axes=([1], [0]))
-    elif j == i - 1:
-        res = qr_split(t, [1, 2], [0])
-        q = np.ascontiguousarray(np.moveaxis(res.q.data, -1, 0))
-        merged = np.tensordot(tj.data, res.r.data, axes=([2], [1]))
-    else:
-        raise TopologyError(f"sites {i} and {j} are not adjacent")
-    model.tensors[i] = DenseTensor(q, 0.0, validate=False)
-    model.tensors[j] = DenseTensor(
-        merged, tj.log_scale + res.r.log_scale, validate=False).rescaled()
-
-
-def mps_canonicalize(model: MpsModel, center: int) -> MpsModel:
-    if not 0 <= center < model.n_sites:
-        raise TopologyError(f"center {center} out of range")
-    if model.canonical_center is None:
-        for i in range(center):
-            _push(model, i, i + 1)
-        for i in range(model.n_sites - 1, center, -1):
-            _push(model, i, i - 1)
-    else:
-        c = model.canonical_center
-        step = 1 if center > c else -1
-        for i in range(c, center, step):
-            _push(model, i, i + step)
-    model.canonical_center = center
-    return model
-
-
-def mps_max_canonical_deviation(model: MpsModel) -> float:
-    if model.canonical_center is None:
-        raise StateError("model has no canonical center")
-    worst = 0.0
-    for i, t in enumerate(model.tensors):
-        if i != model.canonical_center:
-            axis = 2 if i < model.canonical_center else 0
-            worst = max(worst, _isometry_deviation(t, axis))
-    return worst
-
-
+# The tree's canonical-form functions, under their MPS names.
+mps_canonicalize = canonicalize
+mps_max_canonical_deviation = max_canonical_deviation
 mps_partition_function = partition_function
 
 
@@ -239,85 +178,13 @@ mps_correlation_map = correlation_map
 
 # -- training ------------------------------------------------------------------
 
-class _ChainCache:
-    """Clamped environments left and right of the moving center."""
-
-    def __init__(self, model: MpsModel, samples: np.ndarray, center: int):
-        self.model = model
-        self.samples = np.asarray(samples, dtype=np.int64)
-        self.lefts = {0: np.ones((self.samples.shape[0], 1))}
-        self.rights = {model.n_sites - 1: np.ones((self.samples.shape[0], 1))}
-        for i in range(center):
-            self.refresh_left(i + 1)
-        for i in range(model.n_sites - 1, center, -1):
-            self.refresh_right(i - 1)
-
-    def refresh_left(self, i: int):
-        """Environment of sites < i (depends on site i-1 and lefts[i-1])."""
-        t = self.model.tensors[i - 1].data
-        slab = t[:, self.samples[:, i - 1], :]
-        self.lefts[i] = _rescale_batch(np.einsum('sl,lsr->sr',
-                                                 self.lefts[i - 1], slab))
-
-    def refresh_right(self, i: int):
-        t = self.model.tensors[i + 1].data
-        slab = t[:, self.samples[:, i + 1], :]
-        self.rights[i] = _rescale_batch(np.einsum('lsr,sr->sl', slab,
-                                                  self.rights[i + 1]))
-
-    def onehot(self, i: int):
-        return _EYE2[self.samples[:, i]]
-
-    def refresh_move(self, u: int, v: int):
-        """Update the one environment changed by moving the center u -> v."""
-        if v == u + 1:
-            self.refresh_left(v)
-        else:
-            self.refresh_right(v)
-
-    def center_parts(self, i: int):
-        return [(self.lefts[i], None), (self.onehot(i), None),
-                (self.rights[i], None)]
-
-
-def _mps_merge_step(model, cache, i, j, cfg, stats, center_to):
-    """Two-site update across the (i, j) bond; center lands on center_to."""
-    _fold_scale_data(model.tensors, i)
-    _fold_scale_data(model.tensors, j)
-    left, right = (i, j) if j == i + 1 else (j, i)
-    tl, tr = model.tensors[left], model.tensors[right]
-    dl = tl.shape[0]
-    dr = tr.shape[2]
-    lmat = tl.data.reshape(dl * 2, -1)            # (left env x pixel, bond)
-    rmat = tr.data.reshape(-1, 2 * dr)            # (bond, pixel x right env)
-    ul = (cache.lefts[left][:, :, None] * cache.onehot(left)[:, None, :])
-    ul = ul.reshape(ul.shape[0], -1)
-    vr = (cache.onehot(right)[:, :, None] * cache.rights[right][:, None, :])
-    vr = vr.reshape(vr.shape[0], -1)
-    l_new, r_new, err = guarded_merge_factors(
-        lmat, rmat, ul, vr, cfg, stats, center_on_j=(center_to == right))
-    stats.truncation_errors[-1].append(err)
-    rank = l_new.shape[1]
-    model.tensors[left] = DenseTensor(l_new.reshape(dl, 2, rank), 0.0,
-                                      validate=False)
-    model.tensors[right] = DenseTensor(r_new.reshape(rank, 2, dr), 0.0,
-                                       validate=False)
-    model.canonical_center = center_to
-    cache.refresh_move(j if center_to == i else i, center_to)
-
-
 def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,
                     cache=None, stats=None, on_step=None):
-    """Right-to-left then left-to-right pass, every site updated once each."""
-    samples, cache, stats = _enter_epoch(model, dataset, config, cache, stats)
-    last = model.n_sites - 1
-    started = time.perf_counter()
-    for sites in (list(range(last, -1, -1)), list(range(last + 1))):
-        steps = [(i, j, True) for i, j in zip(sites, sites[1:] + [None])]
-        _execute_pass(model, cache, config, steps, stats, on_step, _push,
-                      _mps_merge_step)
-    return _exit_epoch(model, stats, time.perf_counter() - started,
-                       mps_nll(model, samples))
+    """Right-to-left then left-to-right pass, every site updated once each,
+    by the tree's sweep (``training._sweep``)."""
+    samples, stats, seconds = _sweep(model, dataset, config, cache, stats,
+                                     on_step, push_qr, guarded_merge_factors)
+    return _exit_epoch(model, stats, seconds, mps_nll(model, samples))
 
 
 def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,

@@ -22,9 +22,11 @@ factored form the tensor that is not the center is an isometry toward it,
 so its columns are already an orthonormal basis: the split QR-factors only
 the part of that side's environment block outside the basis.
 
-``train``, the epoch entry and exit, the pass driver and the guarded one-
-and two-site steps are shared with the MPS (``mps``), which supplies its own
-walk, QR push, two-site matricization and environment cache.
+Everything here serves the MPS (``mps``) too: the chain is the degenerate
+tree, one path with a pixel on every tensor, and the cache, the walk, the
+QR push and the one- and two-site steps read only the per-axis topology
+answer of ``ttn.BornMachine``.  The MPS supplies only its own epoch entry
+point, so that its epoch and its two-site core are timed under its name.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import numpy as np
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError)
 from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd
-from .ttn import (_EYE2, TtnModel, _contract_node, nll, push_qr,
-                  sample_matrix)
+from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward, nll,
+                  push_qr, sample_matrix)
 
 _PSI_FLOOR = math.exp(-300)
 MAX_BACKTRACKS = 8    # halvings of the learning rate per step
@@ -104,64 +106,41 @@ class TrainStats:
 
 
 class _EnvCache:
-    """Cached upward/downward per-sample messages around the moving center.
+    """Cached per-sample messages around the moving center, for the tree
+    and the chain alike.
 
-    ``ups[n]`` holds the contraction of node n's subtree with the batch
-    clamped (one (S, D) matrix plus per-sample log factors), ``downs[n]`` the
-    contraction of everything outside n's subtree.  Moving the center across
-    an edge invalidates exactly one directed message, which is recomputed on
-    the spot; every message a gradient needs is then always fresh.
+    ``msgs[(u, v)]`` holds the contraction of everything on u's side of the
+    edge (u, v) with the batch clamped: one (S, D) matrix plus per-sample
+    log factors.  Moving the center across an edge invalidates exactly one
+    directed message, which is recomputed on the spot; every message a
+    gradient needs is then always fresh.
     """
 
-    def __init__(self, model: TtnModel, samples: np.ndarray, center: int):
+    def __init__(self, model, samples: np.ndarray, center: int):
         self.model = model
         self.samples = np.asarray(samples, dtype=np.int64)
         self.n_samples = self.samples.shape[0]
-        self.ups = {}
-        self.downs = {}
+        self.msgs = {}
         self._onehots = {}
-        chain = model.path(1, center)
-        for n in range(model.n_tensors, 1, -1):
-            if n not in chain:
-                self.refresh_up(n)
-        for c in chain[1:]:
-            self.refresh_down(c)
-
-    def onehot(self, pixel: int):
-        if pixel not in self._onehots:
-            self._onehots[pixel] = (_EYE2[self.samples[:, pixel]],
-                                    np.zeros(self.n_samples))
-        return self._onehots[pixel]
-
-    def refresh_up(self, n: int):
-        self.ups[n] = _contract_node(self.model.tensors[n],
-                                     self.center_parts(n, 0), 0)
-
-    def refresh_down(self, c: int):
-        """Recompute the downward message into node c from its parent side."""
-        u = self.model.parent(c)
-        out = self.model.axis_toward(u, c)
-        self.downs[c] = _contract_node(self.model.tensors[u],
-                                       self.center_parts(u, out), out)
-
-    def _lower_message(self, parent: int, child_slot: int):
-        """Message entering ``parent`` from heap slot ``child_slot`` below it."""
-        if child_slot > self.model.n_tensors:
-            return self.onehot(child_slot - self.model.n_sites)
-        return self.ups[child_slot]
+        # the logs of every unscaled message: one shared, never written
+        self._zeros = np.zeros(self.n_samples)
+        self._boundary = (np.ones((self.n_samples, 1)), self._zeros)
+        order, toward = _toward(model, center)
+        for u in reversed(order[1:]):
+            self.refresh_move(u, toward[u])
 
     def refresh_move(self, u: int, v: int):
-        """Update the one directed message changed by moving the center u->v."""
-        if v == self.model.parent(u):
-            self.refresh_up(u)
-        else:
-            self.refresh_down(v)
+        """Recompute the message from u into v, the one directed message
+        changed by moving the center u -> v."""
+        out = self.model.axis_toward(u, v)
+        self.msgs[(u, v)] = _contract_node(self.model.tensors[u],
+                                           self.center_parts(u, out), out)
 
     def center_parts(self, k: int, out=None):
         """Messages entering every axis of tensor k but ``out``, in axis
         order."""
-        return [self._part_at_axis(k, a)
-                for a in range(self.model.tensors[k].ndim) if a != out]
+        return [self._part(k, s)
+                for a, s in enumerate(self.model.axis_sites(k)) if a != out]
 
     def merged_parts(self, k: int, j: int):
         """Messages entering the open axes of the (k, j) merge, k-side first."""
@@ -169,12 +148,17 @@ class _EnvCache:
         return (self.center_parts(k, model.axis_toward(k, j)),
                 self.center_parts(j, model.axis_toward(j, k)))
 
-    def _part_at_axis(self, k: int, axis: int):
-        if k == 1:
-            return self.ups[2] if axis == 0 else self.ups[3]
-        if axis == 0:
-            return self.downs[k]
-        return self._lower_message(k, 2 * k + (axis - 1))
+    def _part(self, k: int, site):
+        """The message entering tensor k from ``site``, one of its axis
+        sites."""
+        if site is None:
+            return self._boundary
+        if not isinstance(site, Pixel):
+            return self.msgs[(site, k)]
+        if site.index not in self._onehots:
+            self._onehots[site.index] = (_EYE2[self.samples[:, site.index]],
+                                         self._zeros)
+        return self._onehots[site.index]
 
 
 # -- gradient building blocks -------------------------------------------------
@@ -254,7 +238,7 @@ def _env_outer(uk, w, vj):
 # -- public single-site operations --------------------------------------------
 
 
-def _step_batch(model: TtnModel, batch, k: int, j: int | None = None):
+def _step_batch(model: BornMachine, batch, k: int, j: int | None = None):
     """The sample matrix of ``batch`` for a single step at center k (across
     the edge to j), after checking that k is the center and j adjacent."""
     if model.canonical_center != k:
@@ -265,7 +249,7 @@ def _step_batch(model: TtnModel, batch, k: int, j: int | None = None):
     return sample_matrix(batch, model.n_sites)
 
 
-def gradient_one_site(model: TtnModel, batch, k: int,
+def gradient_one_site(model: BornMachine, batch, k: int,
                       zero_amplitude: str = "strict") -> DenseTensor:
     """NLL gradient with respect to the center tensor T[k], by the function
     the one-site step runs.  The model must be canonical at k."""
@@ -352,7 +336,7 @@ def _matricize_pair(model, k, j):
     return kmat, jmat, k_dims, j_dims, ak, aj
 
 
-def merged_tensor(model: TtnModel, k: int, j: int) -> DenseTensor:
+def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
     """The merge of T[k] and T[j] over their shared bond (k's axes first)."""
     kmat, jmat, k_dims, j_dims, _, _ = _matricize_pair(model, k, j)
     scale = model.tensors[k].log_scale + model.tensors[j].log_scale
@@ -360,7 +344,7 @@ def merged_tensor(model: TtnModel, k: int, j: int) -> DenseTensor:
                        validate=False).rescaled()
 
 
-def gradient_two_site(model: TtnModel, edge, batch,
+def gradient_two_site(model: BornMachine, edge, batch,
                       zero_amplitude: str = "strict") -> DenseTensor:
     """NLL gradient with respect to the merged tensor across ``edge``.
 
@@ -465,10 +449,10 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
       factored form, O((bond + S)^2 (rows + cols)).  Here S^2 < rows * cols,
       so the Gram is never larger than the merged tensor.  A side whose
       Gram (c_kk or c_jj) is the identity is an isometry, as every tensor
-      but the center is in a canonical sweep: the tree's j, and the chain's
-      non-center site.  Its columns serve as the basis of its QR, and only
-      the S environment columns outside their span are factored; the other
-      side gets a plain QR.
+      but the center is in a canonical sweep: j in every sweep step, where
+      k holds the center.  Its columns serve as the basis of its QR, and
+      only the S environment columns outside their span are factored; the
+      other side gets a plain QR.
     - dense, otherwise: M is formed (rows x cols), the line search reads
       u_s^T M v_s and ||M||_F^2 from it, and the merge c0 * K J + alpha * M
       is split by a dense SVD, O(S * rows * cols).  No S x S array exists.
@@ -541,16 +525,17 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     return k_new, j_new, err
 
 
-def _merge_step(model, cache, k, j, cfg, stats, center_to):
-    """Gradient-update the (k, j) merge and re-split it with truncation."""
+def _merge_step(model, cache, k, j, cfg, stats, center_to, merge_factors):
+    """Gradient-update the (k, j) merge by ``merge_factors`` (the guarded
+    two-site core) and re-split it with truncation."""
     _fold_scale_data(model.tensors, k)
     _fold_scale_data(model.tensors, j)
     kmat, jmat, k_dims, j_dims, ak, aj = _matricize_pair(model, k, j)
     parts_k, parts_j = cache.merged_parts(k, j)
     uk = _kron_rows(parts_k)
     vj = _kron_rows(parts_j)
-    k_new, j_new, err = guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats,
-                                              center_on_j=(center_to == j))
+    k_new, j_new, err = merge_factors(kmat, jmat, uk, vj, cfg, stats,
+                                      center_on_j=(center_to == j))
     stats.truncation_errors[-1].append(err)
     rank = k_new.shape[1]
     k_tensor = np.moveaxis(k_new.reshape(k_dims + [rank]), -1, ak)
@@ -560,25 +545,23 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to):
     model.tensors[j] = DenseTensor(np.ascontiguousarray(j_tensor), 0.0,
                                    validate=False)
     model.canonical_center = center_to
-    if center_to == j:
-        cache.refresh_move(k, j)
-    else:
-        cache.refresh_move(j, k)
+    cache.refresh_move(k if center_to == j else j, center_to)
 
 
 # -- sweep driver ---------------------------------------------------------------
 
 
-def sweep_steps(model: TtnModel, start: int, rightward: bool):
+def sweep_steps(model: BornMachine, start: int, rightward: bool):
     """The walk of one pass: (node, next node or None, update due) triples.
 
-    The pass runs from the leaf node ``start`` to the leaf node at the other
-    end of the tree (the last tensor on the left-to-right pass, the first
-    leaf on the right-to-left one).  Each node on that path first makes a
-    round trip into every child subtree off the path, updating each of its
-    nodes on the way back up, then is updated itself and hands the center
-    on.  Children are visited left first on the left-to-right pass and right
-    first on the other, so every tensor is updated exactly once.
+    The pass runs from the leaf ``start`` to the leaf at the other end of
+    the network (the last tensor on the left-to-right pass, ``first_leaf``
+    on the right-to-left one).  Each node on that path first makes a round
+    trip into every subtree off the path, updating each of its nodes on the
+    way back, then is updated itself and hands the center on.  Subtrees are
+    visited left first on the left-to-right pass and right first on the
+    other, so every tensor is updated exactly once.  On the chain no subtree
+    is off the path.
     """
     order = list if rightward else reversed
     steps = []
@@ -589,28 +572,30 @@ def sweep_steps(model: TtnModel, start: int, rightward: bool):
             round_trip(node, child)
         steps.append((node, parent, True))
 
-    end = model.n_tensors if rightward else model.first_leaf
+    end = model.n_sites - 1 if rightward else model.first_leaf
     path = model.path(start, end)
+    on_path = set(path)
     for u, v in zip(path, path[1:] + [None]):
-        for child in order([w for w in model.neighbors(u) if w not in path]):
+        for child in order([w for w in model.neighbors(u) if w not in on_path]):
             round_trip(u, child)
         steps.append((u, v, True))
     return steps
 
 
-def _execute_pass(model, cache, cfg, steps, stats, on_step, push, merge_step):
-    """Run one pass of (node, next node or None, update due) steps, for the
-    tree and the chain alike.  ``push(model, u, v)`` QR-moves the center and
-    ``merge_step`` is the model's two-site step; a pass ends on a tensor
-    with one neighbor, which the two-site scheme merges with it."""
+def _execute_pass(model, cache, cfg, steps, stats, on_step, push,
+                  merge_factors):
+    """Run one pass of (node, next node or None, update due) steps.
+    ``push(model, u, v)`` QR-moves the center and ``merge_factors`` is the
+    guarded two-site core; a pass ends on a tensor with one neighbor, which
+    the two-site scheme merges with it."""
     for u, v, due in steps:
         if cfg.scheme == "one-site" and due:
             _site_step(model, cache, u, cfg, stats)
         if cfg.scheme == "two-site" and v is None:
-            merge_step(model, cache, u, model.neighbors(u)[0], cfg, stats,
-                       center_to=u)
+            _merge_step(model, cache, u, model.neighbors(u)[0], cfg, stats,
+                        u, merge_factors)
         elif cfg.scheme == "two-site" and due:
-            merge_step(model, cache, u, v, cfg, stats, center_to=v)
+            _merge_step(model, cache, u, v, cfg, stats, v, merge_factors)
         elif v is not None:
             push(model, u, v)
             model.canonical_center = v
@@ -619,13 +604,15 @@ def _execute_pass(model, cache, cfg, steps, stats, on_step, push, merge_step):
             on_step(model, (u, v, due))
 
 
-def _enter_epoch(model, dataset, config: TrainConfig, cache, stats):
-    """The shared entry of a sweep epoch, for the tree and the chain.
+def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
+           merge_factors):
+    """The body of a sweep epoch, for the tree and the chain alike: a
+    right-to-left pass then a left-to-right pass, each of ``sweep_steps``.
 
     Checks the data, canonicalizes the model to its last tensor and
-    normalizes that center, builds the environment cache unless given one,
-    and opens this epoch's list of truncation errors.  Returns the int64
-    sample matrix, the cache and the stats.
+    normalizes that center, and builds the environment cache unless given
+    one.  Returns the int64 sample matrix, the stats (with this epoch's
+    truncation errors) and the seconds the passes took.
     """
     samples = sample_matrix(dataset, model.n_sites).astype(np.int64)
     last = model.n_sites - 1
@@ -643,7 +630,11 @@ def _enter_epoch(model, dataset, config: TrainConfig, cache, stats):
     if cache is None:
         cache = model.sweep_cache(samples)
     stats.truncation_errors.append([])
-    return samples, cache, stats
+    started = time.perf_counter()
+    for start, rightward in ((last, False), (model.first_leaf, True)):
+        _execute_pass(model, cache, config, sweep_steps(model, start, rightward),
+                      stats, on_step, push, merge_factors)
+    return samples, stats, time.perf_counter() - started
 
 
 def _exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
@@ -655,20 +646,16 @@ def _exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
     return model, stats
 
 
-def sweep_epoch(model: TtnModel, dataset, config: TrainConfig, *,
+def sweep_epoch(model: BornMachine, dataset, config: TrainConfig, *,
                 cache=None, stats: TrainStats | None = None, on_step=None):
     """One full epoch: a right-to-left pass then a left-to-right pass.
 
     The model must be (and ends up) canonical at the rightmost tensor; every
     tensor is updated exactly once per pass.
     """
-    samples, cache, stats = _enter_epoch(model, dataset, config, cache, stats)
-    started = time.perf_counter()
-    for start, rightward in ((model.n_tensors, False), (model.first_leaf, True)):
-        _execute_pass(model, cache, config, sweep_steps(model, start, rightward),
-                      stats, on_step, push_qr, _merge_step)
-    return _exit_epoch(model, stats, time.perf_counter() - started,
-                       nll(model, samples))
+    samples, stats, seconds = _sweep(model, dataset, config, cache, stats,
+                                     on_step, push_qr, guarded_merge_factors)
+    return _exit_epoch(model, stats, seconds, nll(model, samples))
 
 
 def train(model, dataset, config: TrainConfig, *, on_epoch=None):

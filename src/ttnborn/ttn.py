@@ -11,6 +11,14 @@ Nodes whose children indices exceed the tensor count are leaves; their two
 lower axes are physical with dimension 2, and heap slot ``n_sites + k``
 corresponds to pixel ``k``, so pixels run left to right across the leaves.
 
+``TtnModel.axis_sites`` turns that arithmetic into the one topology answer
+the model gives (what sits on each axis of a tensor: a neighbouring node or
+a pixel).  ``BornMachine`` derives neighbors, axis lookup and the shape
+check from it, and the chain (``mps``) answers the same question, so the
+canonical form, QR pushes, the training cache, the sweep walk and the
+two-site step are written once for both.  Evaluation, marginals and the
+sampler still walk the heap directly.
+
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
 except one (the center) contracts with itself over its two non-center-facing
@@ -21,6 +29,7 @@ Frobenius norm of the center tensor.
 from __future__ import annotations
 
 import math
+from copy import copy as shallow_copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +49,84 @@ class Amplitude:
     sign: int  # -1, 0, +1; 0 iff the value is exactly zero (log_abs = -inf)
 
 
+@dataclass
+class Pixel:
+    """The axis of a tensor that carries pixel ``index``."""
+
+    index: int
+
+
 class BornMachine:
     """The interface shared by the tree (``TtnModel``) and the chain
     (``mps.MpsModel``); the model-generic functions below and
     ``training.train`` are written once on top of it.
 
-    A model has ``n_sites``, ``tensors`` with the last at n_sites - 1 (where
-    training keeps the center), ``canonical_center`` and ``bond_dims()``,
-    and the methods ``log_z``, ``log_probs``, ``single_site_marginals`` and
-    its stacked clamp form ``marginal_stack``, ``sample``, ``canonicalize``,
-    ``sweep_cache`` and ``sweep_epoch``.  Each method calls its model's
-    module function by name, so wrapping that function covers it too.
+    A model has ``n_sites``, ``tensors`` indexed from ``first_tensor`` to
+    n_sites - 1 (where training keeps the center), ``first_leaf`` (where
+    the right-to-left sweep ends), ``canonical_center`` and ``bond_dims()``,
+    and the methods ``log_probs``, ``single_site_marginals`` and its
+    stacked clamp form ``marginal_stack``, ``sample`` and ``sweep_epoch``.
+    Each calls its model's module function by name, so wrapping that
+    function covers it too.
+
+    Each model answers one topology question, ``axis_sites(k)``: what sits
+    on each axis of tensor k, in axis order, a neighbouring tensor (its
+    index), a ``Pixel`` or None for a dimension-1 boundary bond (the
+    chain's two ends); ``path(u, v)`` lists the tensors from u to v.
+    Neighbors, axis lookup, the shape check, ``copy``, ``canonicalize``,
+    ``log_z`` and ``sweep_cache`` are written here once for both models.
     """
+
+    def neighbors(self, k: int):
+        return [s for s in self.axis_sites(k)
+                if s is not None and not isinstance(s, Pixel)]
+
+    def axis_toward(self, u: int, v: int) -> int:
+        """The axis of tensor u on the edge to neighbor v."""
+        sites = self.axis_sites(u)
+        if v not in sites:
+            raise TopologyError(f"{v} is not adjacent to {u}")
+        return sites.index(v)
+
+    def _check_shapes(self):
+        """TopologyError unless each tensor has one axis per site: of
+        dimension 2 on a pixel, 1 on a boundary bond and, on each bond, that
+        of the neighbor's side (checked from the higher index)."""
+        for k in range(self.first_tensor, self.n_sites):
+            shape, sites = self.tensors[k].shape, self.axis_sites(k)
+            if len(shape) != len(sites):
+                raise TopologyError(f"tensor {k} has shape {shape}, not "
+                                    f"{len(sites)} axes")
+            for a, s in enumerate(sites):
+                if s is None or isinstance(s, Pixel):
+                    want = 1 if s is None else 2
+                elif s < k:
+                    want = self.tensors[s].shape[self.axis_toward(s, k)]
+                else:
+                    continue
+                if shape[a] != want:
+                    raise TopologyError(
+                        f"axis {a} of tensor {k} has dimension {shape[a]}, "
+                        f"not {want}")
+
+    def copy(self):
+        """A copy with its own tensors, made without re-checking shapes."""
+        work = shallow_copy(self)
+        work.tensors = [t if t is None else t.copy() for t in self.tensors]
+        return work
 
     def max_bond(self) -> int:
         return max(self.bond_dims().values())
+
+    def canonicalize(self, center: int):
+        return canonicalize(self, center)
+
+    def log_z(self) -> float:
+        return partition_function(self)
+
+    def sweep_cache(self, samples):
+        from . import training
+        return training._EnvCache(self, samples, self.n_sites - 1)
 
 
 class TtnModel(BornMachine):
@@ -72,6 +144,7 @@ class TtnModel(BornMachine):
                 f"{len(self.tensors) - 1}")
         self.canonical_center = canonical_center
         self.d_max = d_max
+        self._check_shapes()
 
     # -- topology ----------------------------------------------------------
 
@@ -86,32 +159,12 @@ class TtnModel(BornMachine):
     def is_leaf(self, n: int) -> bool:
         return 2 * n > self.n_tensors
 
-    def parent(self, n: int) -> int:
-        return n // 2
-
-    def neighbors(self, n: int):
-        out = []
-        if n > 1:
-            out.append(n // 2)
-        if not self.is_leaf(n):
-            out.extend((2 * n, 2 * n + 1))
-        return out
-
-    def axis_toward(self, u: int, v: int) -> int:
-        """The axis of tensor u on the edge to neighbor v."""
-        if u == 1:
-            if v == 2:
-                return 0
-            if v == 3:
-                return 1
-        else:
-            if v == u // 2:
-                return 0
-            if v == 2 * u:
-                return 1
-            if v == 2 * u + 1:
-                return 2
-        raise TopologyError(f"{v} is not adjacent to {u}")
+    def axis_sites(self, n: int):
+        up = [n // 2] if n > 1 else []
+        if self.is_leaf(n):
+            k = 2 * n - self.n_sites
+            return up + [Pixel(k), Pixel(k + 1)]
+        return up + [2 * n, 2 * n + 1]
 
     def leaf_of_pixel(self, k: int):
         """(leaf node, tensor axis) holding pixel k."""
@@ -141,20 +194,10 @@ class TtnModel(BornMachine):
         """Dimension of the parent edge above each node n >= 2."""
         return {n: self.tensors[n].shape[0] for n in range(2, self.n_tensors + 1)}
 
-    def copy(self) -> "TtnModel":
-        ts = [None] + [self.tensors[n].copy() for n in range(1, self.n_tensors + 1)]
-        return TtnModel(self.n_sites, ts, self.canonical_center, self.d_max)
-
     # -- the Born-machine interface ------------------------------------------
 
     model_type = "ttn"
     first_tensor = 1
-
-    def canonicalize(self, center: int):
-        return canonicalize(self, center)
-
-    def log_z(self) -> float:
-        return partition_function(self)
 
     def log_probs(self, samples) -> np.ndarray:
         return log_probs(self, samples)
@@ -168,10 +211,6 @@ class TtnModel(BornMachine):
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling
         return sampling.sample_batch(self, count, seed, ordering=ordering)
-
-    def sweep_cache(self, samples):
-        from . import training
-        return training._EnvCache(self, samples, self.n_tensors)
 
     def sweep_epoch(self, dataset, config, **kwargs):
         from . import training
@@ -219,7 +258,7 @@ def build_random(n_pixels_padded: int, d_max: int, seed: int) -> TtnModel:
 
 # -- canonical form ---------------------------------------------------------
 
-def push_qr(model: TtnModel, u: int, v: int):
+def push_qr(model: BornMachine, u: int, v: int):
     """Make tensor u canonical toward neighbor v, absorbing R into v."""
     au = model.axis_toward(u, v)
     t = model.tensors[u]
@@ -236,38 +275,43 @@ def push_qr(model: TtnModel, u: int, v: int):
         validate=False).rescaled()
 
 
-def canonicalize(model: TtnModel, center: int) -> TtnModel:
+def _toward(model: BornMachine, center: int):
+    """The tensors in breadth-first order from ``center``, and each one's
+    next hop toward it (None at the center)."""
+    order, toward = [center], {center: None}
+    for node in order:
+        for nb in model.neighbors(node):
+            if nb not in toward:
+                toward[nb] = node
+                order.append(nb)
+    return order, toward
+
+
+def canonicalize(model: BornMachine, center: int) -> BornMachine:
     """Push all non-canonical weight onto ``center``; Psi is unchanged."""
-    if not 1 <= center <= model.n_tensors:
+    if not model.first_tensor <= center < model.n_sites:
         raise TopologyError(f"center {center} out of range")
     if model.canonical_center is not None:
         path = model.path(model.canonical_center, center)
         for a, b in zip(path[:-1], path[1:]):
             push_qr(model, a, b)
     else:
-        # BFS from the center; push farthest nodes first so every push lands
-        # on a neighbor that has not been finalized yet.
-        order = [center]
-        toward = {center: None}
-        for node in order:
-            for nb in model.neighbors(node):
-                if nb not in toward:
-                    toward[nb] = node
-                    order.append(nb)
+        # push farthest nodes first so every push lands on a neighbor that
+        # has not been finalized yet
+        order, toward = _toward(model, center)
         for node in reversed(order[1:]):
             push_qr(model, node, toward[node])
     model.canonical_center = center
     return model
 
 
-def max_canonical_deviation(model: TtnModel) -> float:
+def max_canonical_deviation(model: BornMachine) -> float:
     """Largest deviation of any non-center tensor from its canonical identity."""
     if model.canonical_center is None:
         raise StateError("model has no canonical center")
     worst = 0.0
-    for n in range(1, model.n_tensors + 1):
-        if n != model.canonical_center:
-            nxt = model.path(n, model.canonical_center)[1]
+    for n, nxt in _toward(model, model.canonical_center)[1].items():
+        if nxt is not None:
             worst = max(worst, _isometry_deviation(
                 model.tensors[n], model.axis_toward(n, nxt)))
     return worst
@@ -399,8 +443,8 @@ def _rooted_copy(model: TtnModel) -> TtnModel:
     when ``model`` has no center) instead of writing into them, so
     ``model`` is unchanged.
     """
-    work = TtnModel(model.n_sites, model.tensors, model.canonical_center,
-                    model.d_max)
+    work = shallow_copy(model)
+    work.tensors = list(model.tensors)
     if work.canonical_center != 1:
         canonicalize(work, 1)
     return work

@@ -142,14 +142,34 @@ def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
 
-def _treefg_with_edge(edge):
-    """A tree-factor-graph container (15 variables) whose first edge is
-    ``edge``."""
+def _treefg(first_edge=None, first_factor=None):
+    """A tree-factor-graph container (15 variables), with its first edge or
+    its first factor table replaced when given."""
     fg = heap_shaped_fg(8, seed=1)
-    edges = [list(edge)] + [list(e) for e in fg.edges[1:]]
+    edges = [list(e) for e in fg.edges]
+    factors = list(fg.factors)
+    if first_edge is not None:
+        edges[0] = list(first_edge)
+    if first_factor is not None:
+        factors[0] = first_factor
     header = {"model_type": "treefg", "n_vars": fg.n_vars, "edges": edges,
               "visible": fg.visible, "tensor_shapes": [[2, 2]] * len(edges)}
-    return _container(header, [f.astype("<f8").tobytes() for f in fg.factors])
+    return _container(header, [f.astype("<f8").tobytes() for f in factors])
+
+
+def _with_nan(payload):
+    """Tensor bytes with their first entry replaced by NaN."""
+    data = np.frombuffer(payload, dtype="<f8").copy()
+    data[0] = np.nan
+    return data.tobytes()
+
+
+def _ttn_shape(header, node, shape):
+    """``header`` of the saved 8-site TTN with ``node`` stored under
+    ``shape`` (same size, so the container itself stays consistent)."""
+    shapes = list(header["tensor_shapes"])
+    shapes[node - 1] = shape
+    return {**header, "tensor_shapes": shapes}
 
 
 def _mps_with_shapes(shapes):
@@ -191,7 +211,17 @@ _MALFORMED = {
     "string-n-sites": lambda raw, h, p: _container({**h, "n_sites": "8"}, p),
     "n-sites-not-a-power-of-2": lambda raw, h, p:
         _container({**h, "n_sites": 6}, p),
-    "treefg-edge-out-of-range": lambda raw, h, p: _treefg_with_edge((0, 99)),
+    "treefg-edge-out-of-range": lambda raw, h, p: _treefg(first_edge=(0, 99)),
+    "treefg-nan-factor": lambda raw, h, p:
+        _treefg(first_factor=np.array([[1.0, np.nan], [1.0, 1.0]])),
+    "ttn-nan-data": lambda raw, h, p: _container(h, [_with_nan(p[0])] + p[1:]),
+    # the saved tree has a (4, 4) root, (4, 4, 4) nodes 2, 3, (4, 2, 2) leaves
+    "ttn-reversed-leaf-shape": lambda raw, h, p:
+        _container(_ttn_shape(h, 4, [2, 2, 4]), p),
+    "ttn-bonds-disagree": lambda raw, h, p:
+        _container(_ttn_shape(h, 2, [4, 2, 8]), p),
+    "ttn-root-with-3-axes": lambda raw, h, p:
+        _container(_ttn_shape(h, 1, [4, 2, 2]), p),
     "float-center": lambda raw, h, p:
         _container({**h, "canonical_center": 1.0}, p),
     "treefg-without-edges": lambda raw, h, p:

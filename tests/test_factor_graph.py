@@ -81,9 +81,11 @@ class TestSumProduct:
             TreeFactorGraph(3, edges, [np.ones((2, 2))] * 2, visible)
 
     def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            TreeFactorGraph(2, [(1, 0)], [np.array([[1.0, 0.0], [1.0, 1.0]])],
-                            visible=[1])
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                TreeFactorGraph(2, [(1, 0)],
+                                [np.array([[1.0, bad], [1.0, 1.0]])],
+                                visible=[1])
 
 
 class TestTraining:

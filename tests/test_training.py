@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ttnborn import (DenseTensor, TrainConfig, TtnModel, build_random,
-                     canonicalize, gen_random_patterns, gradient_one_site,
-                     gradient_two_site, log_probs, max_canonical_deviation,
-                     merged_tensor, nll, partition_function, sweep_epoch,
-                     sweep_steps, train)
+from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
+                     build_random, canonicalize, gen_random_patterns,
+                     gradient_one_site, gradient_two_site, log_probs,
+                     max_canonical_deviation, merged_tensor, mps_build_random,
+                     nll, partition_function, sweep_epoch, sweep_steps, train)
 from ttnborn.errors import DegenerateSampleError, StateError
 
-from helpers import all_configs, brute_force_amplitudes, ttn_from_patterns
+from helpers import (all_configs, brute_force_amplitudes, mps_state_vector,
+                     ttn_from_patterns)
 
 
 def nll_by_enumeration(model, batch):
     """NLL with Z summed over all configurations; no canonical shortcut."""
-    amps = brute_force_amplitudes(model)
+    if isinstance(model, MpsModel):
+        amps = mps_state_vector(model)
+    else:
+        amps = brute_force_amplitudes(model)
     z = np.sum(amps * amps)
     idx = np.asarray(batch) @ (1 << np.arange(model.n_sites - 1, -1, -1))
     vals = amps[idx] ** 2
@@ -57,9 +61,15 @@ class TestGradientOneSite:
         for entry in np.ndindex(model.tensors[1].data.shape):
             assert abs(finite_difference(model, 1, pattern, entry)) < 1e-8
 
-    @pytest.mark.parametrize("center", [1, 2, 3, 4, 7])
-    def test_matches_finite_differences(self, center, rng):
-        model = build_random(8, 3, seed=21)
+    # every center of an 8-site MPS, which runs the same cache and gradient
+    @pytest.mark.parametrize("model_type, center", [
+        *(pytest.param("ttn", c, id=str(c)) for c in (1, 2, 3, 4, 7)),
+        *(pytest.param("mps", c, id=f"mps-{c}") for c in range(8))])
+    def test_matches_finite_differences(self, model_type, center, rng):
+        if model_type == "ttn":
+            model = build_random(8, 3, seed=21)
+        else:
+            model = mps_build_random(8, 3, seed=21)
         canonicalize(model, center)
         batch = rng.integers(0, 2, size=(4, 8))
         g = gradient_one_site(model, batch, center).data
@@ -103,10 +113,18 @@ class TestUpdateOneSite:
 
 
 class TestGradientTwoSite:
-    @pytest.mark.parametrize("edge", [(1, 2), (2, 4), (2, 5), (3, 7), (1, 3)])
-    def test_matches_finite_differences(self, edge, rng):
+    # and every edge of an 8-site MPS, from either side
+    @pytest.mark.parametrize("model_type, edge", [
+        *(pytest.param("ttn", e, id=f"edge{i}") for i, e in enumerate(
+            [(1, 2), (2, 4), (2, 5), (3, 7), (1, 3)])),
+        *(pytest.param("mps", (k, j), id=f"mps-{k}-{j}")
+          for k in range(8) for j in (k - 1, k + 1) if 0 <= j < 8)])
+    def test_matches_finite_differences(self, model_type, edge, rng):
         k, j = edge
-        model = build_random(8, 3, seed=25)
+        if model_type == "ttn":
+            model = build_random(8, 3, seed=25)
+        else:
+            model = mps_build_random(8, 3, seed=25)
         canonicalize(model, k)
         batch = rng.integers(0, 2, size=(4, 8))
         g = gradient_two_site(model, (k, j), batch).data
@@ -158,10 +176,18 @@ class TestSweepEpoch:
                  (2, 5, F), (5, 2, T), (2, 4, T), (4, None, T)],
                 [(4, 2, T), (2, 5, F), (5, 2, T), (2, 1, T), (1, 3, T),
                  (3, 6, F), (6, 3, T), (3, 7, T), (7, None, T)]),
+            # the 8-site chain: one path, no subtree off it
+            "mps": ([(7, 6, T), (6, 5, T), (5, 4, T), (4, 3, T), (3, 2, T),
+                     (2, 1, T), (1, 0, T), (0, None, T)],
+                    [(0, 1, T), (1, 2, T), (2, 3, T), (3, 4, T), (4, 5, T),
+                     (5, 6, T), (6, 7, T), (7, None, T)]),
         }
-        for n in (4, 8, 1024):
-            model = build_random(n, 2, seed=0)
-            first, last = model.first_leaf, model.n_tensors
+        for n in (4, 8, 1024, "mps"):
+            if n == "mps":
+                model = mps_build_random(8, 2, seed=0)
+            else:
+                model = build_random(n, 2, seed=0)
+            first, last = model.first_leaf, model.n_sites - 1
             r2l = sweep_steps(model, last, rightward=False)
             l2r = sweep_steps(model, first, rightward=True)
             if n in pinned:
@@ -172,7 +198,7 @@ class TestSweepEpoch:
                 assert all(v in model.neighbors(u) for u, v, _ in steps[:-1])
                 assert steps[-1] == (end, None, True)
                 assert sorted(u for u, _, due in steps if due) \
-                    == list(range(1, n))
+                    == list(range(model.first_tensor, model.n_sites))
 
     def test_epoch_coverage_both_schemes(self):
         data = gen_random_patterns(16, 5, seed=1).samples
