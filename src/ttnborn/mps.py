@@ -6,7 +6,8 @@ Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
 form, the QR push, the training cache, the sweep walk, the one- and two-site
 steps, the NLL, marginals and correlations are the tree's own code, and the
 comparisons between the two models are like for like.  This module supplies
-the chain's topology, amplitudes, marginals and sampler.
+the chain's topology, amplitudes (on the tree's node contraction), marginals
+(on the identities of the canonical form, as the tree's) and sampler.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .errors import (DegenerateDistributionError, DimensionError, StateError,
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
-from .ttn import (_EYE2, BornMachine, Pixel, _born_log_probs,
-                  _check_pixel_values, _clamp_weights, _normalized_marginals,
-                  _rescale_batch, _rescale_rows, _signed_logs, canonicalize,
+from .ttn import (BornMachine, Pixel, _born_log_probs, _check_pixel_values,
+                  _clamp_weights, _contract_node, _normalized_marginals,
+                  _one_hot, _rescale_batch, _signed_logs, canonicalize,
                   correlation, correlation_map, marginal,
-                  max_canonical_deviation, nll, partition_function, push_qr)
+                  max_canonical_deviation, nll, partition_function, push_qr,
+                  single_site_marginals)
 
 
 class MpsModel(BornMachine):
@@ -65,8 +67,7 @@ class MpsModel(BornMachine):
         return mps_single_site_marginals(self, assignment)
 
     def marginal_stack(self, assignments) -> np.ndarray:
-        return np.stack([mps_single_site_marginals(self, a)
-                         for a in assignments])
+        return _marginal_stack(self, assignments)
 
     def sample(self, count: int, seed: int, ordering=None):
         return mps_sample_batch(self, count, seed, ordering=ordering)
@@ -104,21 +105,16 @@ mps_partition_function = partition_function
 
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
     """(log|Psi|, sign) arrays for a batch of pixel configurations."""
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.ndim == 1:
-        samples = samples[np.newaxis]
-    if samples.shape[1] != model.n_sites:
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.int64))
+    s_count, n = samples.shape
+    if n != model.n_sites:
         raise DimensionError(
-            f"samples have {samples.shape[1]} pixels, model has {model.n_sites}")
-    s_count = samples.shape[0]
-    vec = np.ones((s_count, 1))
-    logs = np.zeros(s_count)
+            f"samples have {n} pixels, model has {model.n_sites}")
+    onehot, zeros = _one_hot(samples.T), np.zeros(s_count)     # (n, S, 2)
+    msg = (np.ones((s_count, 1)), zeros)
     for i, t in enumerate(model.tensors):
-        slab = t.data[:, samples[:, i], :]            # (l, S, r)
-        vec = np.einsum('sl,lsr->sr', vec, slab)
-        logs += t.log_scale
-        vec, logs = _rescale_rows(vec, logs)
-    return _signed_logs(vec[:, 0], logs)
+        msg = _contract_node(t, [msg, (onehot[i], zeros)], 2)
+    return _signed_logs(msg[0][:, 0], msg[1])
 
 
 def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
@@ -127,50 +123,55 @@ def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
     return _born_log_probs(log_z, *amps)
 
 
-# -- marginals and correlations (doubled chain contractions) ------------------
+# -- marginals and correlations (doubled chain, canonical identities) --------
 
-def _doubled_edge(t, op, mat, from_left):
-    """Transfer the doubled boundary matrix through one site."""
-    if from_left:
-        x = np.tensordot(mat, t.data, axes=([0], [0]))         # (b, p, r)
-        x = np.einsum('bpr,pq->bqr', x, op)
-        out = np.tensordot(x, t.data, axes=([0, 1], [0, 1]))   # (r, r')
-    else:
-        x = np.tensordot(t.data, mat, axes=([2], [0]))         # (l, p, r')
-        x = np.einsum('lpr,pq->lqr', x, op)
-        out = np.tensordot(x, t.data, axes=([1, 2], [1, 2]))   # (l, l')
-    m = float(np.max(np.abs(out)))
-    return out / m if m > 0 else out
+def _marginal_stack(model: MpsModel, assignments) -> np.ndarray:
+    """(B, n_sites, 2) conditional marginals of every pixel, one block per
+    clamp assignment, as ``ttn._marginal_stack`` gives them for the tree.
 
-
-def mps_single_site_marginals(model: MpsModel, assignment=None) -> np.ndarray:
-    """(n_sites, 2) conditional marginals of every pixel given ``assignment``,
-    from the doubled boundary matrices left and right of each site.
-
-    Clamped pixels get a one-hot row.  Raises if the clamped assignment has
-    zero total probability mass.
+    Left of the canonical center c the tensors are left isometries and right
+    of it right isometries, so the doubled message is the identity from the
+    left end up to ``lo``, the first of c and the clamped pixels, and from
+    the right end down to ``hi``, the last of them (without c, the ends).
     """
-    assignment = dict(assignment or {})
-    n = model.n_sites
-    ops = _clamp_weights(n, [assignment])[0][:, :, None] * _EYE2
-    lefts = [np.ones((1, 1))]
-    for i in range(n - 1):
-        lefts.append(_doubled_edge(model.tensors[i], ops[i], lefts[-1], True))
-    rights = [np.ones((1, 1))]
-    for i in range(n - 1, 0, -1):
-        rights.append(_doubled_edge(model.tensors[i], ops[i], rights[-1], False))
-    rights = rights[::-1]
-    out = np.empty((1, n, 2))
-    for i in range(n):
-        t = model.tensors[i].data
-        x = np.tensordot(lefts[i], t, axes=([0], [0]))         # (b, p, r)
-        y = np.tensordot(x, rights[i], axes=([2], [0]))        # (b, p, r')
-        out[0, i] = np.diag(np.tensordot(y, t, axes=([0, 2], [0, 2])))
-    return _normalized_marginals(out, [assignment])[0]
+    n, count = model.n_sites, len(assignments)
+    ops = _clamp_weights(n, assignments)[:, :, None, :, None]
+    clamped = {k for assignment in assignments for k in assignment}
+    c = model.canonical_center
+    lo, hi = (0, n - 1) if c is None else (min(clamped | {c}),
+                                           max(clamped | {c}))
+    # through an unclamped isometry, from its isometric side, a message
+    # keeps its trace and needs no rescaling
+    free = set() if c is None else set(range(n)) - clamped
+
+    def through(i, t, m, keeps_trace):
+        # (m·t, the doubled message past t), t's incoming bond first
+        da, _, db = t.shape
+        y = (t[None] if m is None else np.matmul(
+            m, t.reshape(da, 2 * db))).reshape(-1, da, 2, db)
+        x = (y * ops[:, i] if i in clamped else y).reshape(-1, 2 * da, db)
+        m = np.matmul(x.transpose(0, 2, 1), t.reshape(2 * da, db))
+        return y, m if keeps_trace else _rescale_batch(m)
+
+    lefts, m = {}, None                  # None stands for the identity
+    for i in range(lo, n - 1):            # store the messages past lo
+        m = lefts[i + 1] = through(i, model.tensors[i].data, m,
+                                   i in free and i > c)[1]
+    out, m = np.empty((count, n, 2)), None
+    for i in range(n - 1, -1, -1):        # read every marginal
+        t = np.ascontiguousarray(model.tensors[i].data.transpose(2, 1, 0))
+        y, m = (t[None], None) if i > hi else through(i, t, m,
+                                                      i in free and i < c)
+        if i > lo:
+            y = np.matmul(y.reshape(len(y), -1, t.shape[2]),
+                          lefts.pop(i)).reshape(-1, *t.shape)
+        out[:, i] = np.sum(y * t, axis=(1, 3))
+    return _normalized_marginals(out, assignments)
 
 
 # The model-generic functions, under their MPS names.
 mps_nll = nll
+mps_single_site_marginals = single_site_marginals
 mps_marginal = marginal
 mps_correlation = correlation
 mps_correlation_map = correlation_map

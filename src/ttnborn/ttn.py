@@ -89,9 +89,12 @@ class BornMachine:
         return sites.index(v)
 
     def _check_shapes(self):
-        """TopologyError unless each tensor has one axis per site: of
-        dimension 2 on a pixel, 1 on a boundary bond and, on each bond, that
-        of the neighbor's side (checked from the higher index)."""
+        """TopologyError unless the center is a tensor and each tensor has one
+        axis per site: of dimension 2 on a pixel, 1 on a boundary bond and, on
+        each bond, that of the neighbor's side (seen from the higher index)."""
+        c = self.canonical_center
+        if c is not None and not self.first_tensor <= c < self.n_sites:
+            raise TopologyError(f"canonical center {c} out of range")
         for k in range(self.first_tensor, self.n_sites):
             shape, sites = self.tensors[k].shape, self.axis_sites(k)
             if len(shape) != len(sites):
@@ -558,17 +561,17 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     return _normalized_marginals(out.reshape(count, n_sites, 2), assignments)
 
 
-def single_site_marginals(model: TtnModel, assignment=None) -> np.ndarray:
+# -- model-generic functions (any BornMachine) ---------------------------------
+
+def single_site_marginals(model, assignment=None) -> np.ndarray:
     """(n_sites, 2) conditional marginals of every pixel given ``assignment``.
 
     Clamped pixels get a one-hot row.  Raises if the clamped assignment has
     zero total probability mass.  Relies on the canonical form: a model with
     a canonical center must be canonical about it.
     """
-    return _marginal_stack(model, [dict(assignment or {})])[0]
+    return model.marginal_stack([dict(assignment or {})])[0]
 
-
-# -- model-generic functions (any BornMachine) ---------------------------------
 
 def sample_matrix(dataset, n_sites: int) -> np.ndarray:
     """The (S, n_sites) sample matrix of a dataset or array, checked."""

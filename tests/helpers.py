@@ -120,6 +120,28 @@ def sharp_product_ttn(n_sites, p1):
     return TtnModel(n_sites, tensors, canonical_center=1, d_max=1)
 
 
+def sharp_product_mps(n_sites, p1) -> MpsModel:
+    """Bond-1 chain of independent pixels, each 1 with probability p1.
+    Every site is an isometry, so it is canonical at any site; the last is
+    named, as training leaves it."""
+    amp = np.sqrt([1.0 - p1, p1]).reshape(1, 2, 1)
+    return MpsModel([DenseTensor(amp) for _ in range(n_sites)],
+                    canonical_center=n_sites - 1, d_max=1)
+
+
+def uneven_mps(center) -> MpsModel:
+    """16-site chain of random tensors whose bonds run from 2 to 5 and
+    change at almost every site, canonical at ``center``, or left as drawn
+    (not canonical) when ``center`` is None."""
+    dims = [1, 2, 4, 3, 5, 3, 2, 4, 5, 3, 4, 2, 3, 4, 2, 2, 1]
+    rng = np.random.default_rng(42)
+    model = MpsModel([DenseTensor(rng.uniform(-1.0, 1.0, (dl, 2, dr)))
+                      for dl, dr in zip(dims[:-1], dims[1:])], d_max=5)
+    if center is not None:
+        model.canonicalize(center)
+    return model
+
+
 def enum_log_z(model: TtnModel) -> float:
     amps = brute_force_amplitudes(model)
     return float(np.log(np.sum(amps * amps)))

@@ -172,11 +172,13 @@ def _ttn_shape(header, node, shape):
     return {**header, "tensor_shapes": shapes}
 
 
-def _mps_with_shapes(shapes):
+def _mps_with_shapes(shapes=None, center=3):
     """A 4-site MPS container whose tensor bytes are stored under
-    ``shapes``."""
+    ``shapes`` (by default their own) with ``center`` in the header."""
     mps = mps_build_random(4, 2, seed=1)
-    header = {"model_type": "mps", "n_sites": 4, "canonical_center": 3,
+    if shapes is None:
+        shapes = [list(t.shape) for t in mps.tensors]
+    header = {"model_type": "mps", "n_sites": 4, "canonical_center": center,
               "d_max": 2, "tensor_shapes": shapes}
     return _container(header, [t.data.astype("<f8").tobytes()
                                for t in mps.tensors])
@@ -224,6 +226,14 @@ _MALFORMED = {
         _container(_ttn_shape(h, 1, [4, 2, 2]), p),
     "float-center": lambda raw, h, p:
         _container({**h, "canonical_center": 1.0}, p),
+    # the tree's tensors are 1..7, slot 0 is unused
+    "ttn-center-99": lambda raw, h, p:
+        _container({**h, "canonical_center": 99}, p),
+    "ttn-center-0": lambda raw, h, p:
+        _container({**h, "canonical_center": 0}, p),
+    "ttn-center-negative": lambda raw, h, p:
+        _container({**h, "canonical_center": -1}, p),
+    "mps-center-99": lambda raw, h, p: _mps_with_shapes(center=99),
     "treefg-without-edges": lambda raw, h, p:
         _container({**h, "model_type": "treefg", "n_vars": 15,
                     "visible": list(range(7, 15))}, p),

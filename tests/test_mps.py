@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, gen_random_patterns,
                      mps_build_random, mps_canonicalize, mps_correlation,
                      mps_correlation_map, mps_log_probs, mps_marginal, mps_max_canonical_deviation, mps_nll,
                      mps_partition_function, mps_sample_batch,
                      mps_sweep_epoch, mps_train)
-from ttnborn.errors import StateError, TopologyError
+from ttnborn.errors import (DegenerateDistributionError, StateError,
+                            TopologyError)
 
 from helpers import (all_configs, chi_square_pvalue, config_indices,
-                     mps_from_patterns, mps_state_vector)
+                     mps_from_patterns, mps_state_vector, uneven_mps)
 
 
 def uniform_mps(n):
@@ -100,6 +103,55 @@ class TestProbabilities:
             assert abs(mps_correlation(m, i, j) - expect) < 1e-10
         cmap = mps_correlation_map(m, 2)
         assert abs(cmap[6] - mps_correlation(m, 2, 6)) < 1e-12
+
+
+_CONFIGS16 = all_configs(16)
+
+
+@pytest.fixture(scope="module", params=[0, 7, 15, None])
+def uneven(request):
+    """The uneven 16-site chain at each center, or not canonical, with its
+    enumerated probabilities."""
+    model = uneven_mps(request.param)
+    p = mps_state_vector(model) ** 2
+    return model, p / p.sum()
+
+
+def _enumerated(p, fixed):
+    """(mass of the clamped set, (16, 2) conditional marginals given it)."""
+    mask = np.ones(len(p), dtype=bool)
+    for k, v in fixed.items():
+        mask &= _CONFIGS16[:, k] == v
+    mass = float(p[mask].sum())
+    p1 = p[mask] @ _CONFIGS16[mask] / mass
+    return mass, np.stack([1.0 - p1, p1], axis=1)
+
+
+class TestMarginalStack:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 15), st.integers(0, 1),
+                                    max_size=8),
+                    min_size=1, max_size=3))
+    def test_stacked_random_clamps(self, uneven, branches):
+        model, p = uneven
+        wants = []
+        for fixed in branches:
+            mass, want = _enumerated(p, fixed)
+            assume(mass > 1e-6)
+            wants.append(want)
+        got = model.marginal_stack(branches)
+        assert got.shape == (len(branches), 16, 2)
+        assert np.max(np.abs(got - np.array(wants))) < 1e-9
+
+    @pytest.mark.parametrize("center", [None, 0, 5, 11])
+    def test_zero_mass_branch_raises(self, center):
+        patterns = gen_random_patterns(12, 5, seed=30).samples.copy()
+        patterns[:, 3] = 0
+        model = mps_from_patterns(patterns)
+        if center is not None:
+            mps_canonicalize(model, center)
+        with pytest.raises(DegenerateDistributionError):
+            model.marginal_stack([{}, {3: 1}])
 
 
 class TestTraining:

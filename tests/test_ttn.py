@@ -18,8 +18,8 @@ from ttnborn.mps import (mps_build_random, mps_correlation,
 from ttnborn.ttn import _marginal_stack
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     sharp_product_ttn, ttn_from_patterns, uneven_ttn,
-                     uniform_ttn)
+                     sharp_product_mps, sharp_product_ttn, ttn_from_patterns,
+                     uneven_ttn, uniform_ttn)
 
 
 class TestBuildRandom:
@@ -446,38 +446,45 @@ class TestMarginalsByEnumeration:
 
 
 class TestMarginalsAtScale:
-    @pytest.mark.parametrize("kind", ["random", "sharp"])
+    @pytest.mark.parametrize("kind", ["random", "sharp", "mps-random",
+                                      "mps-sharp"])
     def test_heavy_clamping_stays_exact(self, kind):
         # every pixel but one clamped to a held-out row: the marginal is the
         # ratio of the two completions' probabilities.  In the sharp model
         # the clamped row has probability ~1e-2000, far below the float range.
-        if kind == "random":
-            model = build_random(1024, 6, seed=21)
+        chain = kind.startswith("mps-")
+        if kind.endswith("random"):
+            build = mps_build_random if chain else build_random
+            model = build(1024, 6, seed=21)
             canonicalize(model, 700)
             row = gen_random_patterns(1024, 1, seed=22).samples[0]
         else:
-            model = sharp_product_ttn(1024, 0.01)
+            model = (sharp_product_mps if chain else sharp_product_ttn)(1024,
+                                                                        0.01)
             row = np.ones(1024)
         row = row.astype(int)
         for open_pixel in (0, 513, 1023):
             fixed = {k: int(v) for k, v in enumerate(row) if k != open_pixel}
             completions = np.repeat(row[None], 2, axis=0)
             completions[:, open_pixel] = (0, 1)
-            lp0, lp1 = log_probs(model, completions)
+            lp0, lp1 = model.log_probs(completions)
             assert lp0 < -500.0
             _, p1 = marginal(model, fixed, open_pixel)
             assert abs(p1 - 1.0 / (1.0 + math.exp(lp0 - lp1))) < 1e-10
 
     def test_correlation_map_mirrors_the_benchmark_check(self):
-        model = build_random(64, 6, seed=23)
         data = gen_random_patterns(64, 30, seed=24).samples
-        model, _ = train(model, data, TrainConfig(d_max=6, epochs=2))
-        means = single_site_marginals(model) @ np.array([-1.0, 1.0])
-        for ref in (0, 21, 42, 63):
-            cmap = correlation_map(model, ref)
-            assert cmap[ref] == 1.0 - means[ref] ** 2
-            assert np.all(np.isfinite(cmap))
-            assert np.all(np.abs(cmap) <= 1.0 + 1e-9)
+        for build, marginals in ((build_random, single_site_marginals),
+                                 (mps_build_random,
+                                  mps_single_site_marginals)):
+            model, _ = train(build(64, 6, seed=23), data,
+                             TrainConfig(d_max=6, epochs=2))
+            means = marginals(model) @ np.array([-1.0, 1.0])
+            for ref in (0, 21, 42, 63):
+                cmap = correlation_map(model, ref)
+                assert cmap[ref] == 1.0 - means[ref] ** 2
+                assert np.all(np.isfinite(cmap))
+                assert np.all(np.abs(cmap) <= 1.0 + 1e-9)
 
 
 class TestGaugeAndCapacity:
