@@ -20,10 +20,10 @@ from .errors import (DegenerateDistributionError, DimensionError, StateError,
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
-from .ttn import (BornMachine, Pixel, _born_log_probs, _check_pixel_values,
-                  _clamp_weights, _contract_node, _normalized_marginals,
-                  _one_hot, _rescale_batch, _signed_logs, canonicalize,
-                  correlation, correlation_map, marginal,
+from .ttn import (_EYE2, BornMachine, Pixel, _born_log_probs,
+                  _check_pixel_values, _clamp_weights, _contract_node,
+                  _normalized_marginals, _rescale_batch, _signed_logs,
+                  canonicalize, correlation, correlation_map, marginal,
                   max_canonical_deviation, nll, partition_function, push_qr,
                   single_site_marginals)
 
@@ -110,7 +110,7 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
     if n != model.n_sites:
         raise DimensionError(
             f"samples have {n} pixels, model has {model.n_sites}")
-    onehot, zeros = _one_hot(samples.T), np.zeros(s_count)     # (n, S, 2)
+    onehot, zeros = _EYE2[samples.T], np.zeros(s_count)     # (n, S, 2)
     msg = (np.ones((s_count, 1)), zeros)
     for i, t in enumerate(model.tensors):
         msg = _contract_node(t, [msg, (onehot[i], zeros)], 2)

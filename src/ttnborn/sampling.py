@@ -11,10 +11,14 @@ distributed as ``p(x_first) = sum_s |M[:, s] . C_first(x_first)|^2`` over
 the open sibling's bond index ``s``.  The sampler draws ``s`` with weight
 ``|M[:, s]|^2`` as an auxiliary variable, samples the first subtree from
 the pure state ``M[:, s]``, then the second subtree from the pure state
-``M^T C_first(x_first)``.  At a leaf the two pixels are drawn in turn from
-``|v . T[:, x1, x2]|^2``.  The auxiliary index is forgotten once the first
+``M^T C_first(x_first)``.  The auxiliary index is forgotten once the first
 subtree is drawn, so the rows follow p(x) exactly while every message is a
 per-row vector: one depth-first pass costs O(D^3) per node and row.
+
+The pass stops at the group roots, the parents of two leaves (the root
+itself at 4 pixels).  A group root entered with ``v`` draws the four pixels
+below it in turn, each from its conditional of the 16 exact weights
+``|v . B[x]|^2`` of the group's (16, D) block B (``ttn._group_blocks``).
 
 The chain log returned with the samples is log p(x) itself, from the
 amplitude assembled in the same pass: the completed subtree vectors carry
@@ -23,9 +27,11 @@ their log scales up to the root, where ``psi = C_2^T T_1 C_3``.
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
 seeded generator's uniform stream, with one column per pixel and one per
 internal node, so it is reproducible from (seed, i) alone and batches of any
-size agree on shared indices.  (The streams changed once when the
-auxiliary-index pass replaced per-pixel conditionals; the distribution did
-not.)
+size agree on shared indices.  A pixel is 1 iff its uniform is below its
+conditional p1.  The column of a group root now goes unused, since no bond
+index is drawn there.  (The rows a seed yields changed twice, when the
+auxiliary-index pass replaced per-pixel conditionals and when group draws
+replaced the bottom auxiliary index; the distribution did not.)
 """
 
 from __future__ import annotations
@@ -33,14 +39,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import (TtnModel, _rescale_batch, _rescale_rows, _rooted_copy,
-                  partition_function)
+from .ttn import (TtnModel, _group_blocks, _node_data, _rescale_batch,
+                  _rescale_rows, _rooted_copy, partition_function)
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
 def _uniform_columns(model: TtnModel) -> int:
     """One uniform per pixel (column k) and per internal node u (column
-    n_sites + u - 1)."""
+    n_sites + u - 1; unused at a group root)."""
     return model.n_sites + model.first_leaf - 1
 
 
@@ -54,6 +60,7 @@ class SampleState:
         self.samples = np.zeros((self.count, model.n_sites), dtype=np.uint8)
         self.chain_log = np.zeros(self.count)
         self._rows = np.arange(self.count)
+        self.blocks = _group_blocks(model)[0]
 
     def _pixel(self, weights, pixel: int):
         """Draw pixel values from (count, 2) weights: 1 iff u < p1."""
@@ -74,52 +81,48 @@ class SampleState:
         cut = self.u[:, self.model.n_sites + node - 1] * total
         return np.count_nonzero(cum <= cut[:, None], axis=1)
 
-    def _leaf(self, leaf: int, t, v):
-        amp = (v @ t.reshape(t.shape[0], 4)).reshape(self.count, 2, 2)
-        w = amp * amp
-        k1, k2 = self.model.pixels_of_leaf(leaf)
-        x = self._pixel(w.sum(axis=2), k1)
-        self.samples[:, k1] = x
-        self.samples[:, k2] = self._pixel(w[self._rows, x], k2)
-        return t[:, self.samples[:, k1], self.samples[:, k2]].T
-
-    def _children(self, node: int, m):
-        """Sample both subtrees below ``node`` from the (count, D_left,
-        D_right) amplitude matrix ``m``; return their completed vectors and
-        the sum of their log scales."""
-        s = self._bond_index(np.einsum('rfs,rfs->rs', m, m), node)
-        c1, log1 = self._subtree(2 * node, m[self._rows, :, s])
-        c2, log2 = self._subtree(2 * node + 1, np.einsum('rf,rfs->rs', c1, m))
-        return c1, c2, log1 + log2
+    def _group(self, node: int, v):
+        """Draw the four pixels under group root ``node`` from the pure
+        state ``v`` on its parent bond, one at a time from the 16 weights
+        |v . B|^2 of its block B; return the drawn rows of B, rescaled."""
+        block = self.blocks[node - self.model.n_sites // 4]
+        w, index = (v @ block.T) ** 2, np.zeros(self.count, dtype=np.int64)
+        first = 4 * node - self.model.n_sites
+        for k in range(first, first + 4):
+            w = w.reshape(self.count, 2, -1)
+            x = self._pixel(w.sum(axis=2), k)
+            self.samples[:, k] = x
+            index = 2 * index + x
+            w = w[self._rows, x]
+        return _rescale_rows(block[index], np.zeros(self.count))
 
     def _subtree(self, node: int, v):
         """Sample the subtree under ``node`` from the pure state ``v`` on its
-        parent bond; return its completed amplitude vector and the per-row
-        log of the scale taken out of it.  A leaf's vector (a column of an
-        isometry, so entries of at most one) keeps its scale; an inner
-        node's is rescaled to unit max."""
-        t = self.model.tensors[node].data
-        if self.model.is_leaf(node):
-            return self._leaf(node, t, v), np.zeros(self.count)
+        parent bond, through an auxiliary bond index ``s``; return its
+        completed amplitude vector, rescaled to unit max, and the per-row
+        log of the scale taken out of it."""
+        if node >= self.model.n_sites // 4:
+            return self._group(node, v)
+        t = _node_data(self.model, node)
         da = t.shape[0]
-        m = _rescale_batch(v) @ t.reshape(da, -1)
-        left, right, log = self._children(
-            node, m.reshape((self.count,) + t.shape[1:]))
+        m = (_rescale_batch(v) @ t.reshape(da, -1)).reshape(
+            (self.count,) + t.shape[1:])
+        s = self._bond_index(np.einsum('rfs,rfs->rs', m, m), node)
+        left, log1 = self._subtree(2 * node, m[self._rows, :, s])
+        right, log2 = self._subtree(2 * node + 1,
+                                    np.einsum('rf,rfs->rs', left, m))
         pair = left[:, :, None] * right[:, None, :]
         return _rescale_rows(pair.reshape(self.count, -1)
-                             @ t.reshape(da, -1).T, log)
+                             @ t.reshape(da, -1).T, log1 + log2)
 
     def run(self):
         """Fill ``samples`` and ``chain_log`` (log p of each row)."""
         model = self.model
-        root = model.tensors[1].data
-        m = np.broadcast_to(root, (self.count,) + root.shape)
-        left, right, log = self._children(1, m)
-        amp = np.einsum('rb,rb->r', left @ root, right)
+        amp, log = self._subtree(1, np.ones((self.count, 1)))
         scale = sum(model.tensors[n].log_scale
                     for n in range(1, model.n_tensors + 1))
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(amp)) + log + scale
+            log_abs = np.log(np.abs(amp[:, 0])) + log + scale
         self.chain_log = 2.0 * log_abs - partition_function(model)
         return self.samples
 
@@ -139,10 +142,9 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
     """Draw ``count`` exact samples; returns a (count, pixels) 0/1 matrix.
 
     Row ``i`` depends only on (seed, i), whatever ``count`` and the chunk
-    size.  (The rows a given seed yields changed once, when the sampler
-    moved from per-pixel conditionals to auxiliary bond indices; their
-    distribution did not.)  With an ordering descriptor the padding slots
-    are stripped and pixels are returned in raw image order.
+    size (the rows changed twice, as the module notes; their distribution
+    did not).  With an ordering descriptor the padding slots are stripped
+    and pixels are returned in raw image order.
     ``return_chain_log`` additionally returns each row's log p(x), computed
     from the amplitude the sampler assembled (not a sum of conditionals),
     for auditing against ``log_probs``.

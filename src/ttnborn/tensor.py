@@ -79,6 +79,13 @@ class SvdResult:
     truncation_error: float  # discarded weight / total weight, in [0, 1]
 
 
+def move_axis(data: np.ndarray, source: int, dest: int) -> np.ndarray:
+    """``np.moveaxis`` as a bare transpose, or ``data`` if already in place."""
+    perm = [a for a in range(data.ndim) if a != source % data.ndim]
+    perm.insert(dest % data.ndim, source % data.ndim)
+    return data if perm == sorted(perm) else data.transpose(perm)
+
+
 def _check_axis_partition(t: DenseTensor, row_axes, col_axes):
     axes = list(row_axes) + list(col_axes)
     if sorted(axes) != list(range(t.ndim)):

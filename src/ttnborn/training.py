@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
-                     StateError)
-from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd
+                     StateError, TopologyError)
+from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd, move_axis
 from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward, nll,
                   push_qr, sample_matrix)
 
@@ -129,24 +129,25 @@ class _EnvCache:
         for u in reversed(order[1:]):
             self.refresh_move(u, toward[u])
 
-    def refresh_move(self, u: int, v: int):
+    def refresh_move(self, u: int, v: int, sites=None):
         """Recompute the message from u into v, the one directed message
-        changed by moving the center u -> v."""
-        out = self.model.axis_toward(u, v)
-        self.msgs[(u, v)] = _contract_node(self.model.tensors[u],
-                                           self.center_parts(u, out), out)
+        changed by moving the center u -> v (``sites``: u's axis sites)."""
+        sites = sites or self.model.axis_sites(u)
+        out = sites.index(v)
+        self.msgs[(u, v)] = _contract_node(
+            self.model.tensors[u], self.center_parts(u, out, sites), out)
 
-    def center_parts(self, k: int, out=None):
+    def center_parts(self, k: int, out=None, sites=None):
         """Messages entering every axis of tensor k but ``out``, in axis
         order."""
-        return [self._part(k, s)
-                for a, s in enumerate(self.model.axis_sites(k)) if a != out]
+        sites = sites or self.model.axis_sites(k)
+        return [self._part(k, s) for a, s in enumerate(sites) if a != out]
 
-    def merged_parts(self, k: int, j: int):
-        """Messages entering the open axes of the (k, j) merge, k-side first."""
-        model = self.model
-        return (self.center_parts(k, model.axis_toward(k, j)),
-                self.center_parts(j, model.axis_toward(j, k)))
+    def merged_parts(self, k: int, j: int, pair):
+        """Messages entering the open axes of the (k, j) merge, k-side
+        first, given its topology from ``_matricize_pair``."""
+        return (self.center_parts(k, pair[2], pair[0]),
+                self.center_parts(j, pair[3], pair[1]))
 
     def _part(self, k: int, site):
         """The message entering tensor k from ``site``, one of its axis
@@ -323,22 +324,24 @@ def _site_step(model, cache, k, cfg, stats):
 
 
 def _matricize_pair(model, k, j):
-    """Matricize T[k] and T[j] against their shared bond."""
-    ak = model.axis_toward(k, j)
-    aj = model.axis_toward(j, k)
+    """Matricize T[k] and T[j] against their shared bond.  Returns the
+    matrices, the dimensions of their other axes and the step's topology,
+    computed once: each tensor's axis sites and its axis on the bond."""
+    sites_k, sites_j = model.axis_sites(k), model.axis_sites(j)
+    if j not in sites_k:
+        raise TopologyError(f"{j} is not adjacent to {k}")
+    ak, aj = sites_k.index(j), sites_j.index(k)
     tk, tj = model.tensors[k], model.tensors[j]
-    k_axes = [a for a in range(tk.ndim) if a != ak]
-    j_axes = [a for a in range(tj.ndim) if a != aj]
-    k_dims = [tk.shape[a] for a in k_axes]
-    j_dims = [tj.shape[a] for a in j_axes]
-    kmat = np.transpose(tk.data, k_axes + [ak]).reshape(-1, tk.shape[ak])
-    jmat = np.transpose(tj.data, [aj] + j_axes).reshape(tj.shape[aj], -1)
-    return kmat, jmat, k_dims, j_dims, ak, aj
+    k_dims = [d for a, d in enumerate(tk.shape) if a != ak]
+    j_dims = [d for a, d in enumerate(tj.shape) if a != aj]
+    kmat = move_axis(tk.data, ak, -1).reshape(-1, tk.shape[ak])
+    jmat = move_axis(tj.data, aj, 0).reshape(tj.shape[aj], -1)
+    return kmat, jmat, k_dims, j_dims, (sites_k, sites_j, ak, aj)
 
 
 def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
     """The merge of T[k] and T[j] over their shared bond (k's axes first)."""
-    kmat, jmat, k_dims, j_dims, _, _ = _matricize_pair(model, k, j)
+    kmat, jmat, k_dims, j_dims, _ = _matricize_pair(model, k, j)
     scale = model.tensors[k].log_scale + model.tensors[j].log_scale
     return DenseTensor((kmat @ jmat).reshape(k_dims + j_dims), scale,
                        validate=False).rescaled()
@@ -357,9 +360,9 @@ def gradient_two_site(model: BornMachine, edge, batch,
     _fold_scale_data(model.tensors, k)
     _fold_scale_data(model.tensors, j)
     cache = _EnvCache(model, samples, k)
-    parts_k, parts_j = cache.merged_parts(k, j)
+    kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
+    parts_k, parts_j = cache.merged_parts(k, j, pair)
     uk, vj = _kron_rows(parts_k), _kron_rows(parts_j)
-    kmat, jmat, k_dims, j_dims, _, _ = _matricize_pair(model, k, j)
     m = kmat @ jmat
     psi = _check_zero_amplitudes(np.einsum('sc,sc->s', uk @ m, vj),
                                  zero_amplitude, None)
@@ -530,22 +533,23 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to, merge_factors):
     two-site core) and re-split it with truncation."""
     _fold_scale_data(model.tensors, k)
     _fold_scale_data(model.tensors, j)
-    kmat, jmat, k_dims, j_dims, ak, aj = _matricize_pair(model, k, j)
-    parts_k, parts_j = cache.merged_parts(k, j)
-    uk = _kron_rows(parts_k)
-    vj = _kron_rows(parts_j)
+    kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
+    parts_k, parts_j = cache.merged_parts(k, j, pair)
+    uk, vj = _kron_rows(parts_k), _kron_rows(parts_j)
     k_new, j_new, err = merge_factors(kmat, jmat, uk, vj, cfg, stats,
                                       center_on_j=(center_to == j))
     stats.truncation_errors[-1].append(err)
     rank = k_new.shape[1]
-    k_tensor = np.moveaxis(k_new.reshape(k_dims + [rank]), -1, ak)
-    j_tensor = np.moveaxis(j_new.reshape([rank] + j_dims), 0, aj)
+    sites_k, sites_j, ak, aj = pair
+    k_tensor = move_axis(k_new.reshape(k_dims + [rank]), -1, ak)
+    j_tensor = move_axis(j_new.reshape([rank] + j_dims), 0, aj)
     model.tensors[k] = DenseTensor(np.ascontiguousarray(k_tensor), 0.0,
                                    validate=False)
     model.tensors[j] = DenseTensor(np.ascontiguousarray(j_tensor), 0.0,
                                    validate=False)
     model.canonical_center = center_to
-    cache.refresh_move(k if center_to == j else j, center_to)
+    cache.refresh_move(*((k, j, sites_k) if center_to == j
+                         else (j, k, sites_j)))
 
 
 # -- sweep driver ---------------------------------------------------------------
@@ -579,6 +583,7 @@ def sweep_steps(model: BornMachine, start: int, rightward: bool):
         for child in order([w for w in model.neighbors(u) if w not in on_path]):
             round_trip(u, child)
         steps.append((u, v, True))
+    del round_trip  # a self-referencing closure would hold ``model`` until gc
     return steps
 
 

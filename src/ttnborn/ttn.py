@@ -17,7 +17,8 @@ a pixel).  ``BornMachine`` derives neighbors, axis lookup and the shape
 check from it, and the chain (``mps``) answers the same question, so the
 canonical form, QR pushes, the training cache, the sweep walk and the
 two-site step are written once for both.  Evaluation, marginals and the
-sampler still walk the heap directly.
+sampler read each 4-pixel subtree as one (16, D) block, a per-call view
+that replaces the bottom two levels of the heap (``_group_blocks``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import (DegenerateDistributionError, DimensionError, StateError,
                      TopologyError)
-from .tensor import NEG_INF, DenseTensor, frobenius_norm, qr_split
+from .tensor import NEG_INF, DenseTensor, frobenius_norm, move_axis, qr_split
 
 _EYE2 = np.eye(2)
 
@@ -169,17 +170,6 @@ class TtnModel(BornMachine):
             return up + [Pixel(k), Pixel(k + 1)]
         return up + [2 * n, 2 * n + 1]
 
-    def leaf_of_pixel(self, k: int):
-        """(leaf node, tensor axis) holding pixel k."""
-        if not 0 <= k < self.n_sites:
-            raise DimensionError(f"pixel {k} out of range for {self.n_sites} sites")
-        slot = self.n_sites + k
-        return slot // 2, 1 + (slot % 2)
-
-    def pixels_of_leaf(self, n: int):
-        """(left pixel, right pixel) of leaf node n."""
-        return 2 * n - self.n_sites, 2 * n - self.n_sites + 1
-
     def path(self, u: int, v: int):
         """Nodes along the tree path from u to v, inclusive."""
         up_u, up_v = [u], [v]
@@ -267,12 +257,12 @@ def push_qr(model: BornMachine, u: int, v: int):
     t = model.tensors[u]
     rows = [i for i in range(t.ndim) if i != au]
     res = qr_split(t, rows, [au])
-    q = np.moveaxis(res.q.data, -1, au)
+    q = move_axis(res.q.data, -1, au)
     model.tensors[u] = DenseTensor(np.ascontiguousarray(q), 0.0, validate=False)
     av = model.axis_toward(v, u)
     tv = model.tensors[v]
     merged = np.tensordot(res.r.data, tv.data, axes=([1], [av]))
-    merged = np.moveaxis(merged, 0, av)
+    merged = move_axis(merged, 0, av)
     model.tensors[v] = DenseTensor(
         np.ascontiguousarray(merged), tv.log_scale + res.r.log_scale,
         validate=False).rescaled()
@@ -384,6 +374,58 @@ def _signed_logs(val: np.ndarray, logs: np.ndarray):
     return log_abs, sign
 
 
+def _node_data(model: TtnModel, n: int) -> np.ndarray:
+    """Tensor n's data, the root's with a dimension-1 parent bond."""
+    t = model.tensors[n]
+    return t.data.reshape((-1,) + t.shape[-2:])
+
+
+def _group_blocks(model: TtnModel):
+    """The (16, D) amplitude table of each 4-pixel subtree and its log
+    scale, by group j (pixels 4j..4j+3, the first most significant in the
+    row index).  A group root is a parent of two leaves (the root at 4
+    pixels), D its parent bond; one stacked product per shape class."""
+    first = model.n_sites // 4
+    classes, blocks = {}, [None] * first
+    for g in range(first, 2 * first):
+        classes.setdefault(_node_data(model, g).shape, []).append(g)
+    for (da, db, dc), pick in classes.items():
+        t = np.stack([_node_data(model, g) for g in pick])
+        left = np.stack([model.tensors[2 * g].data for g in pick])
+        right = np.stack([model.tensors[2 * g + 1].data for g in pick])
+        x = np.matmul(left.reshape(-1, 1, db, 4).transpose(0, 1, 3, 2),
+                      t @ right.reshape(-1, 1, dc, 4))
+        x = x.reshape(len(pick), da, 16).transpose(0, 2, 1)
+        for g, b in zip(pick, np.ascontiguousarray(x)):
+            blocks[g - first] = b
+    logs = [sum(model.tensors[n].log_scale for n in (g, 2 * g, 2 * g + 1))
+            for g in range(first, 2 * first)]
+    return blocks, logs
+
+
+def _kron_groups(v: np.ndarray) -> np.ndarray:
+    """(..., 16) products of (..., 4, 2) per-pixel vectors, in row order."""
+    return np.einsum("...a,...b,...c,...d->...abcd",
+                     *np.moveaxis(v, -2, 0)).reshape(v.shape[:-2] + (16,))
+
+
+def _amplitudes(model: TtnModel, group_message):
+    """(log_abs, sign) of every row: the tree above the group roots
+    contracted with group j's (rows, logs) message ``group_message(j)``."""
+    first = model.n_sites // 4
+    msgs = {}
+
+    def part(n):
+        return msgs.pop(n) if n < first else group_message(n - first)
+
+    for n in range(first - 1, 0, -1):   # the root in full, to (S,) values
+        msgs[n] = _contract_node(model.tensors[n], [part(2 * n),
+                                                    part(2 * n + 1)],
+                                 0 if n > 1 else None)
+    rows, logs = part(1)
+    return _signed_logs(rows.reshape(-1), logs)
+
+
 def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
     """Batched linear contraction of the network with per-pixel 2-vectors.
 
@@ -395,25 +437,14 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 2:
         vectors = vectors[np.newaxis]
-    s_count = vectors.shape[0]
     if vectors.shape[1] != model.n_sites or vectors.shape[2] != 2:
         raise DimensionError(
             f"expected vectors of shape (S, {model.n_sites}, 2), got "
             f"{vectors.shape}")
-    # heap slot n_sites + k holds pixel k's vector
-    zeros = np.zeros(s_count)
-    msgs = {model.n_sites + k: (vectors[:, k], zeros)
-            for k in range(model.n_sites)}
-    for n in range(model.n_tensors, 1, -1):
-        msgs[n] = _contract_node(model.tensors[n],
-                                 [msgs.pop(2 * n), msgs.pop(2 * n + 1)], 0)
-    return _signed_logs(*_contract_node(model.tensors[1], [msgs[2], msgs[3]]))
-
-
-def _one_hot(samples: np.ndarray) -> np.ndarray:
-    if samples.ndim == 1:
-        samples = samples[np.newaxis]
-    return _EYE2[samples.astype(np.int64)]
+    blocks, logs = _group_blocks(model)
+    return _amplitudes(model, lambda j: _rescale_rows(
+        _kron_groups(vectors[:, 4 * j:4 * j + 4]) @ blocks[j],
+        np.full(vectors.shape[0], logs[j])))
 
 
 def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
@@ -429,10 +460,19 @@ def _born_log_probs(log_z: float, log_abs, sign) -> np.ndarray:
 
 
 def log_probs(model: TtnModel, samples) -> np.ndarray:
-    """log p(x) for a batch of samples; -inf where the amplitude is zero."""
+    """log p(x) for a batch of samples; -inf where the amplitude is zero.
+    Each group's block is gathered at the rows' group index."""
     log_z = partition_function(model)
-    onehot = _one_hot(_check_pixel_values(samples))
-    return _born_log_probs(log_z, *amplitudes_from_vectors(model, onehot))
+    samples = np.atleast_2d(_check_pixel_values(samples))
+    if samples.shape[1] != model.n_sites:
+        raise DimensionError(f"samples have {samples.shape[1]} pixels, "
+                             f"model has {model.n_sites}")
+    # each block row scaled to unit max once, so a gathered row needs none
+    tables = [_rescale_rows(b.copy(), np.full(16, lg))
+              for b, lg in zip(*_group_blocks(model))]
+    index = samples.reshape(samples.shape[0], -1, 4) @ np.array([8, 4, 2, 1])
+    return _born_log_probs(log_z, *_amplitudes(model, lambda j: (
+        tables[j][0][index[:, j]], tables[j][1][index[:, j]])))
 
 
 # -- doubled-network contractions (marginals, correlations) ------------------
@@ -485,41 +525,39 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     isometry onto its parent bond, so a subtree without a clamped pixel
     contracts to the identity in the doubled network.  Doubled up-messages
     are formed only for subtrees that hold a clamped pixel (of any
-    branch); the one downward pass carries the B branches stacked.  Clamped
-    pixels get a one-hot row.  Raises if a branch has zero mass.
+    branch); the one downward pass carries the B branches stacked and stops
+    at the group roots, where each group's 16 doubled weights are read off
+    its block (see ``_group_blocks``).  Clamped pixels get a one-hot row.
+    Raises if a branch has zero mass.
     """
     n_sites, count = model.n_sites, len(assignments)
     ops = _clamp_weights(n_sites, assignments)
-    work = _rooted_copy(model)
+    work, first = _rooted_copy(model), n_sites // 4
+    blocks = _group_blocks(work)[0]
+    group_ops = _kron_groups(ops.reshape(count, first, 4, 2))
     hot = set()
     for k in {k for assignment in assignments for k in assignment}:
-        node = work.leaf_of_pixel(k)[0]
+        node = (n_sites + k) // 4
         while node > 1 and node not in hot:
             hot.add(node)
             node //= 2
 
     up = {}
     for node in sorted(hot, reverse=True):
-        t = work.tensors[node].data
-        if work.is_leaf(node):
-            k1, k2 = work.pixels_of_leaf(node)
-            w = ops[:, k1, :, None] * ops[:, k2, None, :]
-            t2 = t.reshape(t.shape[0], 4)
-            m = np.matmul(t2 * w.reshape(count, 1, 4), t2.T)
+        if node >= first:
+            b = blocks[node - first]
+            m = np.matmul(b.T * group_ops[:, node - first, None], b)
         else:
-            m = _up_message(t, up.get(2 * node), up.get(2 * node + 1))
+            m = _up_message(work.tensors[node].data, up.get(2 * node),
+                            up.get(2 * node + 1))
         up[node] = _rescale_batch(m)
 
     # Environments above each node, (B, D, D).  Through an isometry with an
     # identity sibling the trace is preserved, so only the root's messages
     # and those with a clamped sibling need rescaling.
-    t1 = work.tensors[1].data
-    down = {}
-    for c, tc in ((2, t1), (3, t1.T)):
-        sib = up.get(c ^ 1, np.eye(tc.shape[1]))
-        down[c] = _rescale_batch((tc @ sib @ tc.T) * np.ones((count, 1, 1)))
-    for node in range(2, work.first_leaf):
-        t = work.tensors[node].data
+    down = {1: np.ones((count, 1, 1))}
+    for node in range(1, first):
+        t = _node_data(work, node)
         e = down.pop(node)
         da, dl, dr = t.shape
         y = e.reshape(count * da, da) @ t.reshape(da, dl * dr)
@@ -540,24 +578,22 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
         else:
             down[2 * node + 1] = _rescale_batch(np.einsum(
                 "sade,sbd,abc->sec", y, ul, t, optimize=True))
+        if node == 1:
+            down[2], down[3] = _rescale_batch(down[2]), _rescale_batch(down[3])
 
-    # joint doubled weight of each leaf's two pixels, one stacked product
-    # per leaf bond dimension
-    first, n_leaves = work.first_leaf, n_sites // 2
-    dims = np.array([work.tensors[first + i].shape[0]
-                     for i in range(n_leaves)])
-    joint = np.empty((count, n_leaves, 4))
+    # each group's 16 doubled weights B E B^T, one stacked product per
+    # group root bond dimension
+    dims = np.array([b.shape[1] for b in blocks])
+    joint = np.empty((count, first, 16))
     for d in np.unique(dims):
         pick = np.flatnonzero(dims == d)
         e = np.stack([down[first + i] for i in pick], axis=1)
-        t2 = np.stack([work.tensors[first + i].data.reshape(d, 4)
-                       for i in pick])
-        joint[:, pick] = np.sum(np.matmul(e, t2) * t2, axis=2)
-    joint = joint.reshape(count, n_leaves, 2, 2)
-    pairs = ops.reshape(count, n_leaves, 2, 2)
-    out = np.empty((count, n_leaves, 2, 2))
-    out[:, :, 0] = np.einsum("slpq,slq->slp", joint, pairs[:, :, 1])
-    out[:, :, 1] = np.einsum("slpq,slp->slq", joint, pairs[:, :, 0])
+        b = np.stack([blocks[i] for i in pick])
+        joint[:, pick] = np.sum(np.matmul(b, e) * b, axis=3)
+    # a pixel's own clamp weighs only its row, which is set one-hot below
+    joint = (joint * group_ops).reshape(count, first, 2, 2, 2, 2)
+    out = np.stack([joint.sum(axis=tuple(a for a in range(2, 6) if a != j))
+                    for j in range(2, 6)], axis=2)
     return _normalized_marginals(out.reshape(count, n_sites, 2), assignments)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      build_random, gen_random_patterns, train)
+from ttnborn.ttn import bond_capacity
 
 
 def all_configs(n):
@@ -94,6 +95,21 @@ def uneven_ttn() -> TtnModel:
     data[:, 8:12] = 1
     model, _ = train(model, data, TrainConfig(d_max=5, epochs=3))
     return model
+
+
+def random_uneven_ttn(n_sites, seed, d_max=5) -> TtnModel:
+    """Random tree, not canonicalized, with each bond drawn from 1 to
+    d_max (capped at the capacity of the subtree below it), so siblings
+    differ and the group roots (parents of two leaves) fall into several
+    shape classes."""
+    rng = np.random.default_rng(seed)
+    dims = {n: int(rng.integers(1, bond_capacity(n_sites, n, d_max) + 1))
+            for n in range(2, n_sites)}
+    tensors = [None, DenseTensor(rng.uniform(-1, 1, (dims[2], dims[3])))]
+    for n in range(2, n_sites):
+        below = (2, 2) if 2 * n >= n_sites else (dims[2 * n], dims[2 * n + 1])
+        tensors.append(DenseTensor(rng.uniform(-1, 1, (dims[n],) + below)))
+    return TtnModel(n_sites, tensors, canonical_center=None, d_max=d_max)
 
 
 def uniform_ttn(n_sites) -> TtnModel:

@@ -10,8 +10,8 @@ from ttnborn.sampling import SampleState, _uniform_columns
 from ttnborn.ttn import _rooted_copy
 
 from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
-    config_indices, sharp_product_ttn, ttn_from_patterns, uneven_ttn, \
-    uniform_ttn
+    config_indices, random_uneven_ttn, sharp_product_ttn, ttn_from_patterns, \
+    uneven_ttn, uniform_ttn
 
 
 class TestSampleOne:
@@ -115,6 +115,36 @@ class TestDownMessages:
             assert np.max(np.abs(chain - log_probs(model, rows))) < 1e-12
             counts = np.bincount(config_indices(rows[:, :8]), minlength=256)
             assert chi_square_pvalue(counts, first8) > 0.01
+
+    @pytest.mark.parametrize("build,window", [
+        (uneven_ttn, np.r_[2:8, 12:16]),
+        (lambda: random_uneven_ttn(16, seed=16), np.r_[2:10])])
+    def test_group_draws_match_enumeration(self, build, window):
+        # each window straddles groups on both sides of the root cut, whose
+        # blocks fall into several shape classes; bins expecting fewer than
+        # five rows are pooled
+        model = build()
+        canonicalize(model, 15)
+        amps = brute_force_amplitudes(model).reshape((2,) * 16)
+        rest = tuple(k for k in range(16) if k not in window)
+        p = np.sum(amps ** 2, axis=rest).ravel()
+        p /= p.sum()
+        rows, chain = sample_batch(model, 50_000, seed=76,
+                                   return_chain_log=True)
+        assert np.max(np.abs(chain - log_probs(model, rows))) < 1e-12
+        counts = np.bincount(config_indices(rows[:, window]), minlength=p.size)
+        small = p * len(rows) < 5
+        assert chi_square_pvalue(
+            np.append(counts[~small], counts[small].sum()),
+            np.append(p[~small], p[small].sum())) > 0.01
+
+    def test_four_pixels_are_one_group(self):
+        model = random_uneven_ttn(4, seed=4)
+        canonicalize(model, 3)
+        p = brute_force_amplitudes(model) ** 2
+        rows = sample_batch(model, 20_000, seed=77)
+        counts = np.bincount(config_indices(rows), minlength=16)
+        assert chi_square_pvalue(counts, p / p.sum()) > 0.01
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):

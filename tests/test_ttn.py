@@ -15,11 +15,11 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
 from ttnborn.mps import (mps_build_random, mps_correlation,
                          mps_correlation_map, mps_marginal,
                          mps_single_site_marginals)
-from ttnborn.ttn import _marginal_stack
+from ttnborn.ttn import _marginal_stack, _node_data, amplitudes_from_vectors
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     sharp_product_mps, sharp_product_ttn, ttn_from_patterns,
-                     uneven_ttn, uniform_ttn)
+                     random_uneven_ttn, sharp_product_mps, sharp_product_ttn,
+                     ttn_from_patterns, uneven_ttn, uniform_ttn)
 
 
 class TestBuildRandom:
@@ -443,6 +443,94 @@ class TestMarginalsByEnumeration:
         single_site_marginals(model, {3: 1})
         correlation_map(model, 7)
         assert _model_state(model) == before
+
+
+_GROUP_MODELS = {"random-4": lambda: random_uneven_ttn(4, seed=4),
+                 "random-8": lambda: random_uneven_ttn(8, seed=8),
+                 "random-16": lambda: random_uneven_ttn(16, seed=16),
+                 "trained-16": uneven_ttn}
+
+
+@pytest.fixture(scope="module", params=sorted(_GROUP_MODELS))
+def group_model(request):
+    """A tree of 4, 8 or 16 pixels, canonical away from the root; beyond 4
+    pixels its group roots fall into more than one shape class."""
+    model = _GROUP_MODELS[request.param]()
+    canonicalize(model, model.n_tensors)
+    return model
+
+
+class TestGroupView:
+    """Evaluation, marginals and correlations read each 4-pixel subtree as
+    one (16, D) block; every read must equal the enumerated distribution."""
+
+    def test_group_roots_span_several_shape_classes(self, group_model):
+        roots = range(group_model.n_sites // 4, group_model.n_sites // 2)
+        shapes = {_node_data(group_model, g).shape for g in roots}
+        assert group_model.n_sites == 4 or len(shapes) > 1
+
+    def test_log_probs_and_amplitudes(self, group_model):
+        model = group_model
+        n = model.n_sites
+        configs = all_configs(n)
+        amps = brute_force_amplitudes(model)
+        p = amps ** 2 / np.sum(amps ** 2)
+        got = log_probs(model, configs)
+        assert np.max(np.abs(np.exp(got) - p)) < 1e-15
+        # the oracle's own rounding grows as p shrinks
+        big = p > 1e-9
+        assert np.max(np.abs(got[big] / np.log(p[big]) - 1.0)) < 1e-12
+        vectors = np.random.default_rng(n).uniform(-1, 1, (3, n, 2))
+        vectors = np.concatenate([vectors, np.ones((1, n, 2))])
+        # sum over x of Psi(x) prod_k v_k(x_k)
+        weights = np.prod(vectors[:, np.arange(n), configs], axis=2)
+        want = weights @ amps
+        log_abs, sign = amplitudes_from_vectors(model, vectors)
+        got = sign * np.exp(log_abs)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+
+    def test_marginals_and_correlations(self, group_model):
+        model = group_model
+        n = model.n_sites
+        configs = all_configs(n)
+        p = brute_force_amplitudes(model) ** 2
+        p = p / p.sum()
+        clamps = [{}, {1: 1}, {0: 0, n - 1: 1}, {k: k % 2 for k in range(3)}]
+        wants = []
+        for fixed in clamps:
+            mask = np.ones(len(p), dtype=bool)
+            for k, v in fixed.items():
+                mask &= configs[:, k] == v
+            p1 = p[mask] @ configs[mask] / p[mask].sum()
+            wants.append(np.stack([1.0 - p1, p1], axis=1))
+            got = single_site_marginals(model, fixed)
+            assert np.max(np.abs(got - wants[-1])) < 1e-12
+        assert np.max(np.abs(_marginal_stack(model, clamps)
+                             - np.array(wants))) < 1e-12
+        s = 2.0 * configs - 1.0
+        for ref in (0, n // 2 + 1, n - 1):
+            want = p @ (s * s[:, ref:ref + 1]) - (p @ s[:, ref]) * (p @ s)
+            assert np.max(np.abs(correlation_map(model, ref) - want)) < 1e-12
+
+
+class TestEvaluationMemory:
+    """log_probs holds one (S, D) message per live node and an (S, G)
+    group index, never an (S, n, 2) one-hot or (S, G, 16) weights."""
+
+    @pytest.mark.parametrize("n,rows,limit_mib", [(1024, 250, 13),
+                                                  (128, 2000, 17)])
+    def test_peak_stays_bounded(self, n, rows, limit_mib):
+        import tracemalloc
+        model = build_random(n, 16, seed=57)
+        canonicalize(model, model.n_tensors)
+        samples = gen_random_patterns(n, rows, seed=58).samples
+        tracemalloc.start()
+        try:
+            log_probs(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
 
 
 class TestMarginalsAtScale:
