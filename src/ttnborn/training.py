@@ -592,16 +592,24 @@ def _execute_pass(model, cache, cfg, steps, stats, on_step, push,
     """Run one pass of (node, next node or None, update due) steps.
     ``push(model, u, v)`` QR-moves the center and ``merge_factors`` is the
     guarded two-site core; a pass ends on a tensor with one neighbor, which
-    the two-site scheme merges with it."""
+    the two-site scheme merges with it.
+
+    The two-site scheme skips the push into a leaf on a round trip: the
+    next step merges the leaf back with u, and every tensor outside that
+    pair is already isometric toward u, so neither the push's QR nor the
+    u -> leaf message it refreshes is ever read (the center stays at u).
+    """
+    two_site = cfg.scheme == "two-site"
     for u, v, due in steps:
         if cfg.scheme == "one-site" and due:
             _site_step(model, cache, u, cfg, stats)
-        if cfg.scheme == "two-site" and v is None:
+        if two_site and v is None:
             _merge_step(model, cache, u, model.neighbors(u)[0], cfg, stats,
                         u, merge_factors)
-        elif cfg.scheme == "two-site" and due:
+        elif two_site and due:
             _merge_step(model, cache, u, v, cfg, stats, v, merge_factors)
-        elif v is not None:
+        elif v is not None and not (two_site
+                                    and len(model.neighbors(v)) == 1):
             push(model, u, v)
             model.canonical_center = v
             cache.refresh_move(u, v)

@@ -128,6 +128,11 @@ class BornMachine:
     def log_z(self) -> float:
         return partition_function(self)
 
+    def _marginal_view(self):
+        """The model to make several marginal passes on: itself, or for
+        the tree a rooted copy that all of them share (``_RootedTree``)."""
+        return self
+
     def sweep_cache(self, samples):
         from . import training
         return training._EnvCache(self, samples, self.n_sites - 1)
@@ -200,6 +205,9 @@ class TtnModel(BornMachine):
 
     def marginal_stack(self, assignments) -> np.ndarray:
         return _marginal_stack(self, assignments)
+
+    def _marginal_view(self):
+        return _RootedTree(self)
 
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling
@@ -385,21 +393,23 @@ def _group_blocks(model: TtnModel):
     scale, by group j (pixels 4j..4j+3, the first most significant in the
     row index).  A group root is a parent of two leaves (the root at 4
     pixels), D its parent bond; one stacked product per shape class."""
-    first = model.n_sites // 4
+    first, tensors = model.n_sites // 4, model.tensors
     classes, blocks = {}, [None] * first
     for g in range(first, 2 * first):
-        classes.setdefault(_node_data(model, g).shape, []).append(g)
-    for (da, db, dc), pick in classes.items():
-        t = np.stack([_node_data(model, g) for g in pick])
-        left = np.stack([model.tensors[2 * g].data for g in pick])
-        right = np.stack([model.tensors[2 * g + 1].data for g in pick])
+        classes.setdefault(tensors[g].data.shape, []).append(g)
+    for shape, pick in classes.items():
+        t = np.stack([tensors[g].data for g in pick])
+        t = t.reshape((len(pick), -1) + shape[-2:])
+        da, db, dc = t.shape[1:]
+        left = np.stack([tensors[2 * g].data for g in pick])
+        right = np.stack([tensors[2 * g + 1].data for g in pick])
         x = np.matmul(left.reshape(-1, 1, db, 4).transpose(0, 1, 3, 2),
                       t @ right.reshape(-1, 1, dc, 4))
         x = x.reshape(len(pick), da, 16).transpose(0, 2, 1)
         for g, b in zip(pick, np.ascontiguousarray(x)):
             blocks[g - first] = b
-    logs = [sum(model.tensors[n].log_scale for n in (g, 2 * g, 2 * g + 1))
-            for g in range(first, 2 * first)]
+    logs = [tensors[g].log_scale + tensors[2 * g].log_scale
+            + tensors[2 * g + 1].log_scale for g in range(first, 2 * first)]
     return blocks, logs
 
 
@@ -517,23 +527,41 @@ def _up_message(t, left, right):
                      t.reshape(da, -1).T)
 
 
+class _RootedTree(TtnModel):
+    """A root-canonical copy of a tree (``_rooted_copy``) with its group
+    blocks, built once for every marginal pass made on it:
+    ``correlation_map`` makes two.  It does not see later changes to the
+    model it copies, and lives as long as its caller holds it."""
+
+    def __init__(self, model: TtnModel):
+        vars(self).update(vars(_rooted_copy(model)))
+        self.blocks = _group_blocks(self)[0]
+
+    def marginal_stack(self, assignments) -> np.ndarray:
+        return _doubled_marginals(self, self.blocks, assignments)
+
+
 def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     """(B, n_sites, 2) conditional marginals of every pixel, one block per
-    clamp assignment in ``assignments``.
+    clamp assignment in ``assignments``."""
+    return _RootedTree(model).marginal_stack(assignments)
 
-    Works on a root-canonical copy, where every tensor below the root is an
-    isometry onto its parent bond, so a subtree without a clamped pixel
-    contracts to the identity in the doubled network.  Doubled up-messages
-    are formed only for subtrees that hold a clamped pixel (of any
-    branch); the one downward pass carries the B branches stacked and stops
-    at the group roots, where each group's 16 doubled weights are read off
-    its block (see ``_group_blocks``).  Clamped pixels get a one-hot row.
-    Raises if a branch has zero mass.
+
+def _doubled_marginals(work: TtnModel, blocks, assignments) -> np.ndarray:
+    """``_marginal_stack`` on ``work``, a root-canonical tree, and its
+    group blocks.
+
+    Below the root every tensor is an isometry onto its parent bond, so a
+    subtree without a clamped pixel contracts to the identity in the
+    doubled network.  Doubled up-messages are formed only for subtrees
+    that hold a clamped pixel (of any branch); the one downward pass
+    carries the B branches stacked and stops at the group roots, where
+    each group's 16 doubled weights are read off its block.  Clamped
+    pixels get a one-hot row.  Raises if a branch has zero mass.
     """
-    n_sites, count = model.n_sites, len(assignments)
+    n_sites, count = work.n_sites, len(assignments)
     ops = _clamp_weights(n_sites, assignments)
-    work, first = _rooted_copy(model), n_sites // 4
-    blocks = _group_blocks(work)[0]
+    first = n_sites // 4
     group_ops = _kron_groups(ops.reshape(count, first, 4, 2))
     hot = set()
     for k in {k for assignment in assignments for k in assignment}:
@@ -558,26 +586,21 @@ def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
     down = {1: np.ones((count, 1, 1))}
     for node in range(1, first):
         t = _node_data(work, node)
-        e = down.pop(node)
         da, dl, dr = t.shape
-        y = e.reshape(count * da, da) @ t.reshape(da, dl * dr)
+        y = down.pop(node).reshape(count * da, da) @ t.reshape(da, dl * dr)
         y = y.reshape(count, da, dl, dr)
-        # each child's environment: [s, from y, from t]
+        # each child's environment is y against t with the sibling's
+        # up-message, if any, applied to the sibling's axis of t
         ul, ur = up.get(2 * node), up.get(2 * node + 1)
-        if ur is None:
-            yt = y.transpose(0, 2, 1, 3).reshape(count * dl, da * dr)
-            left = yt @ t.transpose(0, 2, 1).reshape(da * dr, dl)
-            down[2 * node] = left.reshape(count, dl, dl)
-        else:
-            down[2 * node] = _rescale_batch(np.einsum(
-                "saed,scd,abc->seb", y, ur, t, optimize=True))
-        if ul is None:
-            down[2 * node + 1] = np.matmul(
-                y.reshape(count, da * dl, dr).transpose(0, 2, 1),
-                t.reshape(da * dl, dr))
-        else:
-            down[2 * node + 1] = _rescale_batch(np.einsum(
-                "sade,sbd,abc->sec", y, ul, t, optimize=True))
+        tr = t if ur is None else np.matmul(t.reshape(da * dl, dr), ur)
+        tl = t if ul is None else np.matmul(ul.transpose(0, 2, 1)[:, None], t)
+        left = np.matmul(y.transpose(0, 2, 1, 3).reshape(count, dl, da * dr),
+                         tr.reshape(-1, da, dl, dr).transpose(0, 1, 3, 2)
+                         .reshape(-1, da * dr, dl))
+        right = np.matmul(y.reshape(count, da * dl, dr).transpose(0, 2, 1),
+                          tl.reshape(-1, da * dl, dr))
+        down[2 * node] = left if ur is None else _rescale_batch(left)
+        down[2 * node + 1] = right if ul is None else _rescale_batch(right)
         if node == 1:
             down[2], down[3] = _rescale_batch(down[2]), _rescale_batch(down[3])
 
@@ -692,17 +715,22 @@ def correlation(model, pixel_i: int, pixel_j: int) -> float:
 
 def correlation_map(model, ref_pixel: int) -> np.ndarray:
     """Connected correlations of ``ref_pixel`` with every pixel (its
-    variance at itself): one unclamped marginals pass plus one stacked pass
-    with ``ref_pixel`` clamped to each value of non-zero probability."""
+    variance at itself): one unclamped marginals pass plus one pass with
+    ``ref_pixel`` clamped to its likelier value v.
+
+    With s = +-1 the spin of a pixel and p_v >= 1/2 the probability of v,
+    cov(s_r, s_j) = s(v) 2 p_v (E[s_j | x_r = v] - E[s_j]), so the branch
+    at the other value is not needed, and this one never has zero mass.
+    Both passes run on one ``_marginal_view``; the means are those of
+    ``single_site_marginals``, bit for bit.
+    """
     _check_pixel(ref_pixel, model.n_sites)
-    base = model.single_site_marginals()
+    view = model._marginal_view()
+    base = view.single_site_marginals()
     spin = np.array([-1.0, 1.0])
     means = base @ spin
-    values = [v for v in (0, 1) if base[ref_pixel, v] != 0.0]
-    conds = model.marginal_stack([{ref_pixel: v} for v in values])
-    joint = np.zeros(model.n_sites)
-    for v, cond in zip(values, conds):
-        joint += spin[v] * float(base[ref_pixel, v]) * (cond @ spin)
-    out = joint - means[ref_pixel] * means
+    v = int(base[ref_pixel, 1] > base[ref_pixel, 0])
+    cond = view.marginal_stack([{ref_pixel: v}])[0]
+    out = (2.0 * spin[v] * base[ref_pixel, v]) * (cond @ spin - means)
     out[ref_pixel] = 1.0 - means[ref_pixel] ** 2
     return out

@@ -216,6 +216,30 @@ class TestSweepEpoch:
             sweep_epoch(model, data, cfg, on_step=on_step)
             assert all(c == 2 for c in counts.values()), (scheme, counts)
 
+    def test_two_site_epoch_pushes_into_no_leaf(self, monkeypatch):
+        # a round trip into a leaf is merged straight back, so the two-site
+        # scheme pushes only on the round trips into internal nodes
+        from ttnborn import training
+        data = gen_random_patterns(16, 6, seed=9).samples
+        model = build_random(16, 4, seed=10)
+        canonicalize(model, 15)
+        steps = (sweep_steps(model, 15, rightward=False)
+                 + sweep_steps(model, 8, rightward=True))
+        descents = [v for _, v, due in steps if not due]
+        targets = []
+        push = training.push_qr
+
+        def counted(m, u, v):
+            targets.append(v)
+            return push(m, u, v)
+        monkeypatch.setattr(training, "push_qr", counted)
+        sweep_epoch(model, data, TrainConfig(d_max=4, epochs=1, seed=0))
+        assert len(descents) == 16
+        assert sorted(targets) == sorted(v for v in descents
+                                         if not model.is_leaf(v))
+        assert len(targets) == 4
+        assert max_canonical_deviation(model) < 1e-12
+
     def test_zero_learning_rate_epoch_only_regauges(self):
         data = gen_random_patterns(8, 4, seed=3).samples
         model = build_random(8, 4, seed=4)

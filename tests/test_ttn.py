@@ -18,8 +18,9 @@ from ttnborn.mps import (mps_build_random, mps_correlation,
 from ttnborn.ttn import _marginal_stack, _node_data, amplitudes_from_vectors
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     random_uneven_ttn, sharp_product_mps, sharp_product_ttn,
-                     ttn_from_patterns, uneven_ttn, uniform_ttn)
+                     mps_from_patterns, mps_state_vector, random_uneven_ttn,
+                     sharp_product_mps, sharp_product_ttn, ttn_from_patterns,
+                     uneven_ttn, uniform_ttn)
 
 
 class TestBuildRandom:
@@ -443,6 +444,63 @@ class TestMarginalsByEnumeration:
         single_site_marginals(model, {3: 1})
         correlation_map(model, 7)
         assert _model_state(model) == before
+
+
+def _enumerated_map(amps, ref):
+    """Connected correlations of pixel ``ref`` from a full amplitude table."""
+    configs = all_configs(int(np.log2(len(amps))))
+    p = amps ** 2 / np.sum(amps ** 2)
+    s = 2.0 * configs - 1.0
+    return p @ (s * s[:, ref:ref + 1]) - (p @ s[:, ref]) * (p @ s)
+
+
+class TestCorrelationMapOneBranch:
+    """A map clamps the reference pixel only to its likelier value; the
+    corner cases of that choice, on both models, against enumeration."""
+
+    # pixels 1 and 4 always 1, pixel 3 always 0; pixel 0 is 1 in half the
+    # patterns, pixel 5 copies it
+    PATTERNS = np.array([[0, 1, 1, 0, 1, 0, 0, 1],
+                         [1, 1, 0, 0, 1, 1, 0, 1],
+                         [0, 1, 0, 0, 1, 0, 1, 1],
+                         [1, 1, 1, 0, 1, 1, 1, 0]])
+
+    @pytest.mark.parametrize("kind", ["ttn", "mps"])
+    @pytest.mark.parametrize("center", [None, 2, 7])
+    def test_deterministic_and_even_reference_pixels(self, kind, center):
+        if kind == "ttn":
+            model, amps_of = ttn_from_patterns(self.PATTERNS), \
+                brute_force_amplitudes
+            marginals, cmap = single_site_marginals, correlation_map
+        else:
+            model, amps_of = mps_from_patterns(self.PATTERNS), \
+                mps_state_vector
+            marginals, cmap = mps_single_site_marginals, mps_correlation_map
+        if center is not None:
+            canonicalize(model, center)
+        base = marginals(model)
+        assert base[0, 1] == 0.5                       # a tie: p = 1/2
+        assert base[1, 0] == 0.0 and base[3, 1] == 0.0  # deterministic
+        amps = amps_of(model)
+        for ref in (0, 1, 3, 5):
+            got = cmap(model, ref)
+            assert np.max(np.abs(got - _enumerated_map(amps, ref))) < 1e-12
+        assert np.all(cmap(model, 1) == 0.0)
+        assert abs(cmap(model, 0)[5] - 1.0) < 1e-12
+
+    def test_one_rooting_one_block_build_two_passes(self, monkeypatch):
+        import ttnborn.ttn as ttn_module
+        model = random_uneven_ttn(16, seed=31)
+        canonicalize(model, model.n_tensors)            # a leaf
+        calls = {}
+        for name in ("canonicalize", "_group_blocks", "_doubled_marginals"):
+            def counted(*args, _fn=getattr(ttn_module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(ttn_module, name, counted)
+        correlation_map(model, 6)
+        assert calls == {"canonicalize": 1, "_group_blocks": 1,
+                         "_doubled_marginals": 2}
 
 
 _GROUP_MODELS = {"random-4": lambda: random_uneven_ttn(4, seed=4),
