@@ -6,26 +6,26 @@ Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
 form, the QR push, the training cache, the sweep walk, the one- and two-site
 steps, the NLL, marginals and correlations are the tree's own code, and the
 comparisons between the two models are like for like.  This module supplies
-the chain's topology, amplitudes (on the tree's node contraction), marginals
-(on the identities of the canonical form, as the tree's) and sampler.
+the chain's topology, amplitudes and sampler (both walking n/2 two-site
+blocks) and marginals (on the identities of the canonical form, as the
+tree's).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateDistributionError, DimensionError, StateError,
-                     TopologyError)
+from .errors import DimensionError, StateError, TopologyError
+from .sampling import _draw_pixels
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
-from .ttn import (_EYE2, BornMachine, Pixel, _born_log_probs,
-                  _check_pixel_values, _clamp_weights, _contract_node,
-                  _normalized_marginals, _rescale_batch, _signed_logs,
-                  canonicalize, correlation, correlation_map, marginal,
-                  max_canonical_deviation, nll, partition_function, push_qr,
-                  single_site_marginals)
+from .ttn import (BornMachine, Pixel, _born_log_probs, _check_pixel_values,
+                  _clamp_weights, _normalized_marginals, _rescale_batch,
+                  _rescale_rows, _signed_logs, canonicalize, correlation,
+                  correlation_map, marginal, max_canonical_deviation, nll,
+                  partition_function, push_qr, single_site_marginals)
 
 
 class MpsModel(BornMachine):
@@ -103,18 +103,36 @@ mps_max_canonical_deviation = max_canonical_deviation
 mps_partition_function = partition_function
 
 
+def _pair_blocks(tensors):
+    """Yield the chain in walk order as (Da, 4, Dc) blocks of sites 2k and
+    2k+1, indexed by 2 x_first + x_second, then the plain (Da, 2, Db) last
+    site when n is odd; one block is built at a time."""
+    for a, b in zip(tensors[0::2], tensors[1::2]):
+        yield (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)
+               ).reshape(a.shape[0], 4, -1)
+    if len(tensors) % 2:
+        yield tensors[-1]
+
+
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
-    """(log|Psi|, sign) arrays for a batch of pixel configurations."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.int64))
+    """(log|Psi|, sign) arrays for a batch of pixel configurations.  Each
+    row's message takes one GEMM per two-site block, then a gather at the
+    row's pair index."""
+    samples = np.atleast_2d(np.asarray(samples))
     s_count, n = samples.shape
     if n != model.n_sites:
         raise DimensionError(
             f"samples have {n} pixels, model has {model.n_sites}")
-    onehot, zeros = _EYE2[samples.T], np.zeros(s_count)     # (n, S, 2)
-    msg = (np.ones((s_count, 1)), zeros)
-    for i, t in enumerate(model.tensors):
-        msg = _contract_node(t, [msg, (onehot[i], zeros)], 2)
-    return _signed_logs(msg[0][:, 0], msg[1])
+    rows, msg = np.arange(s_count), np.ones((s_count, 1))
+    logs = np.full(s_count, sum(t.log_scale for t in model.tensors))
+    for k, b in enumerate(_pair_blocks([t.data for t in model.tensors])):
+        da, m, db = b.shape
+        index = samples[:, 2 * k].astype(np.intp)
+        if m == 4:
+            index = 2 * index + samples[:, 2 * k + 1]
+        x = (msg @ b.reshape(da, -1)).reshape(s_count, m, db)
+        msg, logs = _rescale_rows(x[rows, index], logs)
+    return _signed_logs(msg[:, 0], logs)
 
 
 def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
@@ -208,7 +226,9 @@ def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
     isometries toward it and the conditionals need no environment: at site
     0 the chain is sampled left to right, at the last site (where training
     leaves it) right to left, on the model itself.  A center elsewhere is
-    first moved to the nearer end on a copy.
+    first moved to the nearer end on a copy.  Row i uses the i-th row of
+    the seeded uniform stream, one column per pixel in sampling order, so
+    it depends only on (seed, i).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -219,34 +239,44 @@ def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
     if center not in (0, n - 1):
         model = mps_canonicalize(model.copy(), 0 if center < n - 1 - center
                                  else n - 1)
-    tensors = [t.data for t in model.tensors]
-    reverse = model.canonical_center == n - 1
-    if reverse:
-        tensors = [t.transpose(2, 1, 0) for t in reversed(tensors)]
-    uniforms = np.random.default_rng(seed).random((count, n))
-    samples = np.zeros((count, n), dtype=np.uint8)
-    chain_log = np.zeros(count)
-    vec = np.ones((count, 1))
-    for i, t in enumerate(tensors):
-        a0 = vec @ t[:, 0, :]
-        a1 = vec @ t[:, 1, :]
-        p0 = np.sum(a0 * a0, axis=1)
-        p1 = np.sum(a1 * a1, axis=1)
-        total = p0 + p1
-        if np.any(total <= 0.0):
-            site = n - 1 - i if reverse else i
-            raise DegenerateDistributionError(
-                f"zero conditional mass at site {site}")
-        prob1 = p1 / total
-        draw = (uniforms[:, i] < prob1).astype(np.uint8)
-        samples[:, i] = draw
-        chain_log += np.log(np.where(draw == 1, prob1, 1.0 - prob1))
-        vec = _rescale_batch(np.where(draw[:, None] == 1, a1, a0))
-    if reverse:
-        samples = np.ascontiguousarray(samples[:, ::-1])
+    samples, chain_log = _draw(
+        model, np.random.default_rng(seed).random((count, n)))
     if ordering is not None:
         from .data import invert_ordering
         samples = invert_ordering(samples, ordering)
     if return_chain_log:
         return samples, chain_log
     return samples
+
+
+def _draw(model: MpsModel, uniforms):
+    """(samples, chain log) of the rows that ``uniforms`` draw from a chain
+    canonical at an end, column i drawing the i-th pixel in sampling order.
+
+    The chain is walked in two-site blocks B (``_pair_blocks``): from the
+    pure state v on its incoming bond, a block's pixels are drawn in turn
+    from its exact weights |v . B[x]|^2, and v moves on to the drawn row,
+    normalized.  The chain log sums the log of each drawn weight over the
+    block's total, so no conditional near 1 is subtracted from 1.
+    """
+    count, n = uniforms.shape
+    tensors = [t.data for t in model.tensors]
+    reverse = model.canonical_center == n - 1
+    if reverse:
+        tensors = [t.transpose(2, 1, 0) for t in reversed(tensors)]
+    rows = np.arange(count)
+    samples = np.empty((count, n), dtype=np.uint8)
+    chain_log, vec = np.zeros(count), np.ones((count, 1))
+    for k, b in enumerate(_pair_blocks(tensors)):
+        da, m, db = b.shape
+        a = (vec @ b.reshape(da, -1)).reshape(count, m, db)
+        w = np.einsum("rxb,rxb->rx", a, a)
+        cols = slice(2 * k, 2 * k + m // 2)
+        samples[:, cols], index = _draw_pixels(
+            w, uniforms[:, cols], n - 1 - 2 * k if reverse else 2 * k)
+        drawn = w[rows, index]
+        chain_log += np.log(drawn / w.sum(axis=1))
+        vec = a[rows, index] / np.sqrt(drawn)[:, None]
+    if reverse:
+        samples = np.ascontiguousarray(samples[:, ::-1])
+    return samples, chain_log

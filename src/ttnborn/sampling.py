@@ -50,6 +50,29 @@ def _uniform_columns(model: TtnModel) -> int:
     return model.n_sites + model.first_leaf - 1
 
 
+def _draw_pixels(weights, uniforms, pixel: int):
+    """Draw the q pixels that index (count, 2^q) exact weights, the first
+    most significant, each from its conditional given those before it:
+    pixel j is 1 iff ``uniforms[:, j]`` is below its p1.  Returns the
+    (count, q) pixels and their (count,) index; ``pixel`` names the first
+    in the error for zero mass."""
+    count, q = uniforms.shape
+    rows, index = np.arange(count), np.zeros(count, dtype=np.intp)
+    x = np.empty((count, q), dtype=np.uint8)
+    for j in range(q):
+        w = weights.reshape(count, -1, 2, 2 ** (q - 1 - j))[rows, index]
+        w = w.sum(axis=2)
+        total = w[:, 0] + w[:, 1]
+        # a drawn value has positive weight, so only the first level can
+        # lack mass
+        if j == 0 and not (total > 0.0).all():
+            raise DegenerateDistributionError(
+                f"zero conditional mass at pixel {pixel}")
+        x[:, j] = uniforms[:, j] < w[:, 1] / total
+        index = 2 * index + x[:, j]
+    return x, index
+
+
 class SampleState:
     """Lockstep sampling of one chunk of rows from a root-canonical model."""
 
@@ -61,14 +84,6 @@ class SampleState:
         self.chain_log = np.zeros(self.count)
         self._rows = np.arange(self.count)
         self.blocks = _group_blocks(model)[0]
-
-    def _pixel(self, weights, pixel: int):
-        """Draw pixel values from (count, 2) weights: 1 iff u < p1."""
-        total = weights[:, 0] + weights[:, 1]
-        if not np.all(total > 0.0):
-            raise DegenerateDistributionError(
-                f"zero conditional mass at pixel {pixel}")
-        return (self.u[:, pixel] < weights[:, 1] / total).astype(np.uint8)
 
     def _bond_index(self, weights, node: int):
         """Draw the smallest s with cum_weight[s] > u * total, so an index
@@ -86,14 +101,9 @@ class SampleState:
         state ``v`` on its parent bond, one at a time from the 16 weights
         |v . B|^2 of its block B; return the drawn rows of B, rescaled."""
         block = self.blocks[node - self.model.n_sites // 4]
-        w, index = (v @ block.T) ** 2, np.zeros(self.count, dtype=np.int64)
         first = 4 * node - self.model.n_sites
-        for k in range(first, first + 4):
-            w = w.reshape(self.count, 2, -1)
-            x = self._pixel(w.sum(axis=2), k)
-            self.samples[:, k] = x
-            index = 2 * index + x
-            w = w[self._rows, x]
+        self.samples[:, first:first + 4], index = _draw_pixels(
+            (v @ block.T) ** 2, self.u[:, first:first + 4], first)
         return _rescale_rows(block[index], np.zeros(self.count))
 
     def _subtree(self, node: int, v):

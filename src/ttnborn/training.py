@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -678,6 +678,9 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
     The epoch NLL is always measured on the full dataset with the exact
     partition function.  With ``batch_size`` set, each epoch samples that
     many training rows without replacement (seeded) and sweeps on them.
+    Such an epoch is kept only if the full-data NLL did not rise; otherwise
+    the model before it is restored, its NLL and bonds are recorded for
+    the epoch, and the learning rate is halved for the epochs after it.
     """
     full = sample_matrix(dataset, model.n_sites).astype(np.int64)
     stats = TrainStats()
@@ -686,6 +689,8 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
     batch_size = config.batch_size
     if batch_size is None or int(batch_size) >= full.shape[0]:
         batch_size = None
+    else:
+        kept = nll(model, full)
     cache = None
     for epoch in range(config.epochs):
         if batch_size is None:
@@ -694,7 +699,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
             idx = np.sort(rng.choice(full.shape[0], size=int(batch_size),
                                      replace=False))
             batch = full[idx]
-            cache = None
+            cache, before = None, model.copy()
         t0 = time.perf_counter()
         if cache is None:
             # Valid to build here: the model is canonical at its last
@@ -702,9 +707,19 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
             # the center-only adjustments at epoch entry touch no message.
             cache = model.sweep_cache(batch)
         _, stats = model.sweep_epoch(batch, config, cache=cache, stats=stats)
-        stats.seconds[-1] = time.perf_counter() - t0
+        seconds = stats.seconds[-1] = time.perf_counter() - t0
         if batch_size is not None:
             stats.nll[-1] = nll(model, full)
+            if stats.nll[-1] <= kept:
+                kept = stats.nll[-1]
+            else:
+                # both are canonical at the last tensor
+                model.tensors = before.tensors
+                for record in (stats.nll, stats.seconds, stats.max_bond):
+                    record.pop()
+                _exit_epoch(model, stats, seconds, kept)
+                config = replace(config,
+                                 learning_rate=config.learning_rate / 2)
             cache = None
         if on_epoch is not None:
             on_epoch(model, epoch, stats)

@@ -8,24 +8,6 @@ except ImportError:
     pass
 
 
-def pytest_addoption(parser):
-    parser.addoption("--run-slow", action="store_true", default=False,
-                     help="also run the long desk-scale training tests")
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long desk-scale training runs")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-slow"):
-        return
-    skip = pytest.mark.skip(reason="slow: pass --run-slow to include")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

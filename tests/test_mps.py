@@ -12,9 +12,14 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, gen_random_patterns,
                      mps_sweep_epoch, mps_train)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
+from ttnborn.mps import _draw, mps_amplitudes
 
 from helpers import (all_configs, chi_square_pvalue, config_indices,
-                     mps_from_patterns, mps_state_vector, uneven_mps)
+                     mps_from_patterns, mps_state_vector, sharp_product_mps,
+                     uneven_mps)
+
+# the largest float64 below 1, the top of the uniform stream
+_U_MAX = 1.0 - 2.0 ** -53
 
 
 def uniform_mps(n):
@@ -246,3 +251,94 @@ class TestSampling:
                               mps_sample_batch(m, 5, seed=21))
         assert np.array_equal(mps_sample_batch(m, 1, seed=21)[0],
                               mps_sample_batch(m, 5, seed=21)[0])
+
+
+def _chains():
+    """Tiny and odd chains, and the 16-site chain whose every pair of sites
+    is its own shape class, not canonical."""
+    return [(f"n{n}", mps_build_random(n, 4, seed=60 + n)) for n in (2, 3, 7)
+            ] + [("uneven", uneven_mps(None))]
+
+
+class TestOddAndUnevenChains:
+    @pytest.mark.parametrize("name, model", _chains())
+    def test_amplitudes_match_state_vector(self, name, model):
+        want = mps_state_vector(model)
+        log_abs, sign = mps_amplitudes(model, all_configs(model.n_sites))
+        got = sign * np.exp(log_abs)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    @pytest.mark.parametrize("name, model", _chains())
+    def test_chain_log_and_distribution(self, name, model, end):
+        n = model.n_sites
+        mps_canonicalize(model, 0 if end == "first" else n - 1)
+        samples, chain = mps_sample_batch(model, 100_000, seed=61,
+                                          return_chain_log=True)
+        assert np.max(np.abs(chain - mps_log_probs(model, samples))) < 1e-10
+        p = mps_state_vector(model) ** 2
+        p /= p.sum()
+        # the joint law of up to 8 pixels, windows straddling the blocks
+        for lo in sorted({0, max(n - 8, 0), min(5, max(n - 8, 0))}):
+            hi = min(lo + 8, n)
+            marg = p.reshape(2 ** lo, 2 ** (hi - lo), -1).sum(axis=(0, 2))
+            counts = np.bincount(config_indices(samples[:, lo:hi]),
+                                 minlength=2 ** (hi - lo))
+            assert chi_square_pvalue(counts, marg) > 0.01
+
+
+class TestSamplerCore:
+    @pytest.mark.parametrize("center", [0, 11])
+    @pytest.mark.parametrize("u", [0.0, _U_MAX])
+    def test_extreme_uniforms_draw_patterns(self, center, u):
+        data = gen_random_patterns(12, 5, seed=62, distinct=True).samples
+        model = mps_canonicalize(mps_from_patterns(data), center)
+        rows, chain = _draw(model, np.full((3, 12), u))
+        patterns = {r.tobytes() for r in data.astype(np.uint8)}
+        assert all(r.tobytes() in patterns for r in rows)
+        assert np.max(np.abs(chain + math.log(5))) < 1e-12
+
+    @pytest.mark.parametrize("q", [1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_conditional_near_one_keeps_the_chain_log(self, q, n, end):
+        # independent pixels, each 0 with probability q, and u = 1 - 2^-53
+        # draws the 0s: log(1 - p1) would be off by 2.8e-8 nats per pixel
+        # at q = 1e-9.  (The amplitudes are built from q itself; from
+        # 1 - p1 they would carry the same rounding as 1 - p1.)
+        amp = np.sqrt([q, 1.0 - q]).reshape(1, 2, 1)
+        model = MpsModel([DenseTensor(amp) for _ in range(n)],
+                         canonical_center=0 if end == "first" else n - 1)
+        rows, chain = _draw(model, np.full((2, n), _U_MAX))
+        assert not rows.any()
+        lp = mps_log_probs(model, rows)
+        assert np.allclose(lp, n * math.log(q), rtol=1e-6)
+        assert np.max(np.abs(chain - lp)) < 1e-12
+
+    def test_rows_far_below_the_float_range(self):
+        # all ones but at most one pixel: p ~ 1e-2046, carried in logs
+        model = sharp_product_mps(1024, 0.01)
+        uniforms = np.full((4, 1024), 0.005)
+        for row, column in enumerate((0, 513, 1023), start=1):
+            uniforms[row, column] = 0.5
+        rows, chain = _draw(model, uniforms)
+        assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
+        lp = mps_log_probs(model, rows)
+        assert np.all(lp < -4700.0)
+        assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
+
+
+class TestEvalMemory:
+    def test_ten_thousand_rows_at_1024_sites_stay_under_64_mib(self):
+        # a (rows, sites, 2) one-hot of these rows alone would be 156 MiB
+        import tracemalloc
+        model = mps_build_random(1024, 4, seed=63)
+        rows = gen_random_patterns(1024, 10_000, seed=64).samples
+        assert rows.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            mps_log_probs(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
