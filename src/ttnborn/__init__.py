@@ -21,11 +21,9 @@ from .sampling import sample_batch, save_samples_pbm
 from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
                    gen_random_patterns, invert_ordering, load_binarized_text,
                    make_ordering, morton_index, save_binarized_text)
-from .mps import (MpsModel, mps_build_random, mps_canonicalize,
-                  mps_correlation, mps_correlation_map, mps_log_probs,
-                  mps_marginal, mps_max_canonical_deviation, mps_nll,
-                  mps_partition_function, mps_sample_batch, mps_sweep_epoch,
-                  mps_train)
+from .mps import (MpsModel, mps_build_random, mps_correlation_map,
+                  mps_log_probs, mps_max_canonical_deviation, mps_nll,
+                  mps_sample_batch, mps_sweep_epoch, mps_train)
 from .factor_graph import (TreeFactorGraph, fg_edge_marginals, fg_gradient,
                            fg_log_ptilde, fg_nll, fg_to_ttn, fg_train,
                            heap_shaped_fg, sum_product_log_z)

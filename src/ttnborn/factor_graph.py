@@ -94,17 +94,15 @@ class TreeFactorGraph:
 
 
 def _unary(fg: TreeFactorGraph, clamped, batch):
-    """(n_vars, S, 2) indicator/ones table for a batch of clampings."""
-    s = 1 if batch is None else batch.shape[0]
-    u = np.ones((fg.n_vars, s, 2))
-    if clamped:
-        for pix, val in clamped.items():
-            var = fg.visible[pix]
-            u[var] = 0.0
-            u[var, :, int(val)] = 1.0
+    """(n_vars, 1 + S, 2) indicator/ones table: row 0 free but for the
+    pixels in ``clamped``, then one row clamped to each row of ``batch``."""
+    s = 0 if batch is None else batch.shape[0]
+    u = np.ones((fg.n_vars, 1 + s, 2))
+    for pix, val in (clamped or {}).items():
+        u[fg.visible[pix], 0] = np.eye(2)[int(val)]
     if batch is not None:
         for i, var in enumerate(fg.visible):
-            u[var] = np.eye(2)[batch[:, i]]
+            u[var, 1:] = np.eye(2)[batch[:, i]]
     return u
 
 
@@ -138,21 +136,25 @@ def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
     return float(_sum_product_logz(fg, _unary(fg, clamped, None))[0])
 
 
-def fg_log_ptilde(fg: TreeFactorGraph, samples) -> np.ndarray:
-    """log of the unnormalized probability of fully clamped configurations."""
-    samples = np.asarray(_check_pixel_values(samples), dtype=np.int64)
-    if samples.ndim == 1:
-        samples = samples[np.newaxis]
+def _rows(fg: TreeFactorGraph, dataset) -> np.ndarray:
+    """The checked (S, pixels) uint8 rows of a dataset or array."""
+    samples = dataset.samples if hasattr(dataset, "samples") else dataset
+    samples = np.atleast_2d(_check_pixel_values(samples))
     if samples.shape[1] != len(fg.visible):
         raise DimensionError(
             f"expected {len(fg.visible)} pixels, got {samples.shape[1]}")
-    return _sum_product_logz(fg, _unary(fg, None, samples))
+    return samples.astype(np.uint8, copy=False)
+
+
+def fg_log_ptilde(fg: TreeFactorGraph, samples) -> np.ndarray:
+    """log of the unnormalized probability of fully clamped configurations."""
+    return _sum_product_logz(fg, _unary(fg, None, _rows(fg, samples)))[1:]
 
 
 def fg_nll(fg: TreeFactorGraph, dataset) -> float:
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    log_z = sum_product_log_z(fg)
-    return float(log_z - np.mean(fg_log_ptilde(fg, samples)))
+    """log Z minus the mean log p~ of the rows, in one sum-product pass."""
+    logs = _sum_product_logz(fg, _unary(fg, None, _rows(fg, dataset)))
+    return float(logs[0] - np.mean(logs[1:]))
 
 
 def _directed_messages(fg: TreeFactorGraph, unary):
@@ -202,10 +204,8 @@ def fg_gradient(fg: TreeFactorGraph, samples) -> list:
     d NLL / d log f_e[a, b] = P_free(edge e = (a, b)) - mean_clamped P(...),
     both terms exact by sum-product.
     """
-    samples = np.asarray(_check_pixel_values(samples), dtype=np.int64)
-    clamped = fg_edge_marginals(fg, _unary(fg, None, samples))
-    free = fg_edge_marginals(fg, _unary(fg, None, None))
-    return [free[i][0] - clamped[i].mean(axis=0) for i in range(len(fg.edges))]
+    marginals = fg_edge_marginals(fg, _unary(fg, None, _rows(fg, samples)))
+    return [m[0] - m[1:].mean(axis=0) for m in marginals]
 
 
 def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
@@ -216,12 +216,12 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
     rejected.  ``on_epoch(fg, epoch, stats)`` runs after every epoch, as in
     ``training.train``.
     """
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    samples = samples.astype(np.int64)
+    samples = _rows(fg, dataset)
     stats = {"nll": [], "seconds": [], "rejected_steps": 0}
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        base = fg_nll(fg, samples)
+        if epoch == 0:
+            base = fg_nll(fg, samples)   # later, the previous epoch's NLL
         grads = fg_gradient(fg, samples)
         alpha = config.learning_rate
         accepted = False
@@ -229,14 +229,15 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
             cand = fg.copy()
             for e in range(len(fg.edges)):
                 cand.factors[e] = fg.factors[e] * np.exp(-alpha * grads[e])
-            if fg_nll(cand, samples) <= base:
-                fg.factors = cand.factors
+            cand_nll = fg_nll(cand, samples)
+            if cand_nll <= base:
+                fg.factors, base = cand.factors, cand_nll
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             stats["rejected_steps"] += 1
-        stats["nll"].append(fg_nll(fg, samples))
+        stats["nll"].append(base)
         stats["seconds"].append(time.perf_counter() - t0)
         if on_epoch is not None:
             on_epoch(fg, epoch, stats)

@@ -4,28 +4,28 @@ A chain of 3-way tensors (left bond, pixel, right bond) with dimension-1
 boundary bonds.  ``MpsModel`` answers the topology question of the tree's
 Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
 form, the QR push, the training cache, the sweep walk, the one- and two-site
-steps, the NLL, marginals and correlations are the tree's own code, and the
-comparisons between the two models are like for like.  This module supplies
-the chain's topology, amplitudes and sampler (both walking n/2 two-site
-blocks) and marginals (on the identities of the canonical form, as the
-tree's).
+steps, the evaluation and sampling drivers, the NLL, marginals and
+correlations are the tree's own code, and the comparisons between the two
+models are like for like.  This module supplies the chain's topology, its
+amplitude and sampling kernels (both walking n/2 two-site blocks) and
+marginals (on the identities of the canonical form, as the tree's).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, StateError, TopologyError
-from .sampling import _draw_pixels
+from .errors import DimensionError, TopologyError
+from .sampling import _draw_pixels, sample_batch
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
-from .ttn import (BornMachine, Pixel, _born_log_probs, _check_pixel_values,
-                  _clamp_weights, _normalized_marginals, _rescale_batch,
-                  _rescale_rows, _signed_logs, canonicalize, correlation,
-                  correlation_map, marginal, max_canonical_deviation, nll,
-                  partition_function, push_qr, single_site_marginals)
+from .ttn import (BornMachine, Pixel, _clamp_weights, _normalized_marginals,
+                  _rescale_batch, _rescale_rows, _rooted_copy, _signed_logs,
+                  canonicalize, correlation_map, log_probs,
+                  max_canonical_deviation, nll, push_qr,
+                  single_site_marginals)
 
 
 class MpsModel(BornMachine):
@@ -75,6 +75,18 @@ class MpsModel(BornMachine):
     def sweep_epoch(self, dataset, config, **kwargs):
         return mps_sweep_epoch(self, dataset, config, **kwargs)
 
+    def _amplitude_kernel(self):
+        return lambda rows: mps_amplitudes(self, rows)
+
+    def _row_floats(self) -> int:   # one two-site block product
+        return 4 * self.max_bond()
+
+    def _sampler(self):
+        # one uniform per pixel, from a copy centred at the nearer end
+        n, c = self.n_sites, self.canonical_center
+        work = _rooted_copy(self, 0 if c < n - 1 - c else n - 1)
+        return n, lambda uniforms: _draw(work, uniforms)
+
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
     """Random MPS with capacity-capped bonds, canonicalized to the last site."""
@@ -93,14 +105,14 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
                            validate=False)
                for i in range(n_sites)]
     model = MpsModel(tensors, canonical_center=None, d_max=d_max)
-    mps_canonicalize(model, n_sites - 1)
+    canonicalize(model, n_sites - 1)
     return model
 
 
-# The tree's canonical-form functions, under their MPS names.
-mps_canonicalize = canonicalize
+# The tree's functions, under their MPS names.
 mps_max_canonical_deviation = max_canonical_deviation
-mps_partition_function = partition_function
+mps_log_probs = log_probs
+mps_sample_batch = sample_batch
 
 
 def _pair_blocks(tensors):
@@ -115,14 +127,10 @@ def _pair_blocks(tensors):
 
 
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
-    """(log|Psi|, sign) arrays for a batch of pixel configurations.  Each
-    row's message takes one GEMM per two-site block, then a gather at the
-    row's pair index."""
-    samples = np.atleast_2d(np.asarray(samples))
-    s_count, n = samples.shape
-    if n != model.n_sites:
-        raise DimensionError(
-            f"samples have {n} pixels, model has {model.n_sites}")
+    """(log|Psi|, sign) arrays for a (S, n_sites) batch of checked pixel
+    configurations.  Each row's message takes one GEMM per two-site block,
+    then a gather at the row's pair index."""
+    s_count = samples.shape[0]
     rows, msg = np.arange(s_count), np.ones((s_count, 1))
     logs = np.full(s_count, sum(t.log_scale for t in model.tensors))
     for k, b in enumerate(_pair_blocks([t.data for t in model.tensors])):
@@ -135,17 +143,11 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
     return _signed_logs(msg[:, 0], logs)
 
 
-def mps_log_probs(model: MpsModel, samples) -> np.ndarray:
-    log_z = mps_partition_function(model)
-    amps = mps_amplitudes(model, _check_pixel_values(samples))
-    return _born_log_probs(log_z, *amps)
-
-
 # -- marginals and correlations (doubled chain, canonical identities) --------
 
 def _marginal_stack(model: MpsModel, assignments) -> np.ndarray:
     """(B, n_sites, 2) conditional marginals of every pixel, one block per
-    clamp assignment, as ``ttn._marginal_stack`` gives them for the tree.
+    clamp assignment, as ``ttn._doubled_marginals`` gives them for the tree.
 
     Left of the canonical center c the tensors are left isometries and right
     of it right isometries, so the doubled message is the identity from the
@@ -190,8 +192,6 @@ def _marginal_stack(model: MpsModel, assignments) -> np.ndarray:
 # The model-generic functions, under their MPS names.
 mps_nll = nll
 mps_single_site_marginals = single_site_marginals
-mps_marginal = marginal
-mps_correlation = correlation
 mps_correlation_map = correlation_map
 
 
@@ -218,46 +218,18 @@ def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,
 
 # -- sampling -------------------------------------------------------------------
 
-def mps_sample_batch(model: MpsModel, count: int, seed: int, *,
-                     ordering=None, return_chain_log: bool = False):
-    """Ancestral sampling from exact conditionals, away from the center.
-
-    With the center at an end of the chain, the other tensors are
-    isometries toward it and the conditionals need no environment: at site
-    0 the chain is sampled left to right, at the last site (where training
-    leaves it) right to left, on the model itself.  A center elsewhere is
-    first moved to the nearer end on a copy.  Row i uses the i-th row of
-    the seeded uniform stream, one column per pixel in sampling order, so
-    it depends only on (seed, i).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if model.canonical_center is None:
-        raise StateError("sampling requires a canonicalized model")
-    n = model.n_sites
-    center = model.canonical_center
-    if center not in (0, n - 1):
-        model = mps_canonicalize(model.copy(), 0 if center < n - 1 - center
-                                 else n - 1)
-    samples, chain_log = _draw(
-        model, np.random.default_rng(seed).random((count, n)))
-    if ordering is not None:
-        from .data import invert_ordering
-        samples = invert_ordering(samples, ordering)
-    if return_chain_log:
-        return samples, chain_log
-    return samples
-
-
 def _draw(model: MpsModel, uniforms):
     """(samples, chain log) of the rows that ``uniforms`` draw from a chain
     canonical at an end, column i drawing the i-th pixel in sampling order.
 
-    The chain is walked in two-site blocks B (``_pair_blocks``): from the
-    pure state v on its incoming bond, a block's pixels are drawn in turn
-    from its exact weights |v . B[x]|^2, and v moves on to the drawn row,
-    normalized.  The chain log sums the log of each drawn weight over the
-    block's total, so no conditional near 1 is subtracted from 1.
+    With the center at an end, the other tensors are isometries toward it
+    and the conditionals need no environment: at site 0 the chain is
+    sampled left to right, at the last site (where training leaves it)
+    right to left.  It is walked in two-site blocks B (``_pair_blocks``):
+    from the pure state v on its incoming bond, a block's pixels are drawn
+    in turn from its exact weights |v . B[x]|^2, and v moves on to the
+    drawn row, normalized.  The chain log sums the log of each drawn weight
+    over the block's total, so no conditional near 1 is subtracted from 1.
     """
     count, n = uniforms.shape
     tensors = [t.data for t in model.tensors]
@@ -277,6 +249,4 @@ def _draw(model: MpsModel, uniforms):
         drawn = w[rows, index]
         chain_log += np.log(drawn / w.sum(axis=1))
         vec = a[rows, index] / np.sqrt(drawn)[:, None]
-    if reverse:
-        samples = np.ascontiguousarray(samples[:, ::-1])
-    return samples, chain_log
+    return (samples[:, ::-1] if reverse else samples), chain_log

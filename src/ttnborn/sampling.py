@@ -2,13 +2,17 @@
 
 Configurations are drawn from the exact Born distribution p(x), so a
 returned row has exactly its model probability; no Markov chain is
-involved.  The model is rooted first: below the root every tensor is then
-an isometry, so the amplitude vectors of each subtree are orthonormal.
+involved.  ``sample_batch`` draws for both models, chunk by chunk, with
+the model's kernel (``_sampler``) on a copy centred at the root for the
+tree (``SampleState`` below) and at the nearer end for the chain
+(``mps._draw``).
 
-A node entered with a pure state ``v`` has the amplitude matrix
-``M = v . T`` over its two child bonds, and the first child's pixels are
-distributed as ``p(x_first) = sum_s |M[:, s] . C_first(x_first)|^2`` over
-the open sibling's bond index ``s``.  The sampler draws ``s`` with weight
+Rooted, every tree tensor below the root is an isometry, so the amplitude
+vectors of each subtree are orthonormal.  A node entered with a pure state
+``v`` has the amplitude matrix ``M = v . T`` over its two child bonds, and
+the first child's pixels are distributed as
+``p(x_first) = sum_s |M[:, s] . C_first(x_first)|^2`` over the open
+sibling's bond index ``s``.  The sampler draws ``s`` with weight
 ``|M[:, s]|^2`` as an auxiliary variable, samples the first subtree from
 the pure state ``M[:, s]``, then the second subtree from the pure state
 ``M^T C_first(x_first)``.  The auxiliary index is forgotten once the first
@@ -25,13 +29,14 @@ amplitude assembled in the same pass: the completed subtree vectors carry
 their log scales up to the root, where ``psi = C_2^T T_1 C_3``.
 
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
-seeded generator's uniform stream, with one column per pixel and one per
-internal node, so it is reproducible from (seed, i) alone and batches of any
-size agree on shared indices.  A pixel is 1 iff its uniform is below its
-conditional p1.  The column of a group root now goes unused, since no bond
-index is drawn there.  (The rows a seed yields changed twice, when the
-auxiliary-index pass replaced per-pixel conditionals and when group draws
-replaced the bottom auxiliary index; the distribution did not.)
+seeded generator's uniform stream, with one column per pixel and, for the
+tree, one per internal node, so it is reproducible from (seed, i) alone
+and batches of any size agree on shared indices.  A pixel is 1 iff its
+uniform is below its conditional p1.  The column of a group root now goes
+unused, since no bond index is drawn there.  (The tree's rows a seed
+yields changed twice, when the auxiliary-index pass replaced per-pixel
+conditionals and when group draws replaced the bottom auxiliary index; the
+distribution did not.)
 """
 
 from __future__ import annotations
@@ -39,15 +44,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import (TtnModel, _group_blocks, _node_data, _rescale_batch,
-                  _rescale_rows, _rooted_copy, partition_function)
+from .ttn import (BornMachine, _node_data, _rescale_batch, _rescale_rows,
+                  _row_chunks, partition_function)
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
-
-def _uniform_columns(model: TtnModel) -> int:
-    """One uniform per pixel (column k) and per internal node u (column
-    n_sites + u - 1; unused at a group root)."""
-    return model.n_sites + model.first_leaf - 1
 
 
 def _draw_pixels(weights, uniforms, pixel: int):
@@ -74,16 +74,17 @@ def _draw_pixels(weights, uniforms, pixel: int):
 
 
 class SampleState:
-    """Lockstep sampling of one chunk of rows from a root-canonical model."""
+    """Lockstep sampling of one chunk of rows from a root-canonical tree
+    with its group blocks (``ttn._RootedTree``)."""
 
-    def __init__(self, model: TtnModel, uniforms: np.ndarray):
+    def __init__(self, model, uniforms: np.ndarray):
         self.model = model
         self.u = uniforms
         self.count = uniforms.shape[0]
         self.samples = np.zeros((self.count, model.n_sites), dtype=np.uint8)
         self.chain_log = np.zeros(self.count)
         self._rows = np.arange(self.count)
-        self.blocks = _group_blocks(model)[0]
+        self.blocks = model.blocks
 
     def _bond_index(self, weights, node: int):
         """Draw the smallest s with cum_weight[s] > u * total, so an index
@@ -126,7 +127,8 @@ class SampleState:
                              @ t.reshape(da, -1).T, log1 + log2)
 
     def run(self):
-        """Fill ``samples`` and ``chain_log`` (log p of each row)."""
+        """Fill and return ``samples`` and ``chain_log`` (log p of each
+        row)."""
         model = self.model
         amp, log = self._subtree(1, np.ones((self.count, 1)))
         scale = sum(model.tensors[n].log_scale
@@ -134,22 +136,13 @@ class SampleState:
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(amp[:, 0])) + log + scale
         self.chain_log = 2.0 * log_abs - partition_function(model)
-        return self.samples
+        return self.samples, self.chain_log
 
 
-def _chunk_rows(model: TtnModel, count: int) -> int:
-    """Rows per chunk, so that the live amplitude matrices (one per level of
-    the depth-first path, D^2 each) and the uniforms stay near 32 MB."""
-    d = max(model.max_bond(), 2)
-    depth = model.n_sites.bit_length() - 1
-    per_row = d * d * depth + _uniform_columns(model)
-    return int(max(64, min(count, 4_000_000 // per_row)))
-
-
-def sample_batch(model: TtnModel, count: int, seed: int, *,
+def sample_batch(model: BornMachine, count: int, seed: int, *,
                  ordering: OrderingDescriptor = None,
                  return_chain_log: bool = False):
-    """Draw ``count`` exact samples; returns a (count, pixels) 0/1 matrix.
+    """Draw ``count`` exact samples of either model, a (count, pixels) matrix.
 
     Row ``i`` depends only on (seed, i), whatever ``count`` and the chunk
     size (the rows changed twice, as the module notes; their distribution
@@ -163,20 +156,15 @@ def sample_batch(model: TtnModel, count: int, seed: int, *,
         raise ValueError("count must be >= 1")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
-    work = _rooted_copy(model)
+    columns, draw = model._sampler()
     rng = np.random.default_rng(seed)
-    width = _uniform_columns(work)
-    chunk = _chunk_rows(work, count)
-    outs, logs = [], []
-    for start in range(0, count, chunk):
+    samples = np.empty((count, model.n_sites), dtype=np.uint8)
+    chain_log = np.empty(count)
+    for rows in _row_chunks(model, count):
         # successive draws continue one stream, so row i does not depend on
         # the chunk size
-        rows = min(chunk, count - start)
-        state = SampleState(work, rng.random((rows, width)))
-        outs.append(state.run())
-        logs.append(state.chain_log)
-    samples = np.concatenate(outs, axis=0)
-    chain_log = np.concatenate(logs)
+        samples[rows], chain_log[rows] = draw(
+            rng.random((rows.stop - rows.start, columns)))
     if ordering is not None:
         samples = invert_ordering(samples, ordering)
     if return_chain_log:

@@ -118,7 +118,7 @@ class _EnvCache:
 
     def __init__(self, model, samples: np.ndarray, center: int):
         self.model = model
-        self.samples = np.asarray(samples, dtype=np.int64)
+        self.samples = np.asarray(samples, dtype=np.uint8)
         self.n_samples = self.samples.shape[0]
         self.msgs = {}
         self._onehots = {}
@@ -624,10 +624,10 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
 
     Checks the data, canonicalizes the model to its last tensor and
     normalizes that center, and builds the environment cache unless given
-    one.  Returns the int64 sample matrix, the stats (with this epoch's
+    one.  Returns the uint8 sample matrix, the stats (with this epoch's
     truncation errors) and the seconds the passes took.
     """
-    samples = sample_matrix(dataset, model.n_sites).astype(np.int64)
+    samples = sample_matrix(dataset, model.n_sites)
     last = model.n_sites - 1
     if model.canonical_center != last:
         model.canonicalize(last)
@@ -682,7 +682,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
     the model before it is restored, its NLL and bonds are recorded for
     the epoch, and the learning rate is halved for the epochs after it.
     """
-    full = sample_matrix(dataset, model.n_sites).astype(np.int64)
+    full = sample_matrix(dataset, model.n_sites)
     stats = TrainStats()
     model.canonicalize(model.n_sites - 1)
     rng = np.random.default_rng(config.seed)

@@ -16,8 +16,9 @@ the model gives (what sits on each axis of a tensor: a neighbouring node or
 a pixel).  ``BornMachine`` derives neighbors, axis lookup and the shape
 check from it, and the chain (``mps``) answers the same question, so the
 canonical form, QR pushes, the training cache, the sweep walk and the
-two-site step are written once for both.  Evaluation, marginals and the
-sampler read each 4-pixel subtree as one (16, D) block, a per-call view
+two-site step are written once for both, and so are the drivers of
+evaluation and sampling, over per-model kernels.  The tree's kernels and
+marginals read each 4-pixel subtree as one (16, D) block, a per-call view
 that replaces the bottom two levels of the heap (``_group_blocks``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
@@ -68,7 +69,11 @@ class BornMachine:
     and the methods ``log_probs``, ``single_site_marginals`` and its
     stacked clamp form ``marginal_stack``, ``sample`` and ``sweep_epoch``.
     Each calls its model's module function by name, so wrapping that
-    function covers it too.
+    function covers it too.  ``log_probs`` and ``sampling.sample_batch``
+    walk the rows in chunks sized by ``_row_floats()`` through two kernels
+    built once per call: ``_amplitude_kernel()`` maps rows to (log |Psi|,
+    sign), and ``_sampler()`` gives the uniforms per row and a map from
+    uniforms to (rows, log p) on a re-centred copy (``_rooted_copy``).
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
@@ -204,10 +209,31 @@ class TtnModel(BornMachine):
         return single_site_marginals(self, assignment)
 
     def marginal_stack(self, assignments) -> np.ndarray:
-        return _marginal_stack(self, assignments)
+        return _RootedTree(self).marginal_stack(assignments)
 
     def _marginal_view(self):
         return _RootedTree(self)
+
+    def _amplitude_kernel(self):
+        # each block row scaled to unit max once, so a gathered row needs none
+        tables = [_rescale_rows(b.copy(), np.full(16, lg))
+                  for b, lg in zip(*_group_blocks(self))]
+
+        def kernel(rows):   # each group's table gathered at its row index
+            index = rows.reshape(rows.shape[0], -1, 4) @ np.array([8, 4, 2, 1])
+            return _amplitudes(self, lambda j: (tables[j][0][index[:, j]],
+                                                tables[j][1][index[:, j]]))
+        return kernel
+
+    def _row_floats(self) -> int:   # a (D, D) matrix per level of the sampler
+        return max(self.max_bond(), 2) ** 2 * (self.n_sites.bit_length() - 1)
+
+    def _sampler(self):
+        # one uniform per pixel and per internal node (unused at a group root)
+        from .sampling import SampleState
+        work = _RootedTree(self)
+        return (self.n_sites + self.first_leaf - 1,
+                lambda uniforms: SampleState(work, uniforms).run())
 
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling
@@ -469,37 +495,53 @@ def _born_log_probs(log_z: float, log_abs, sign) -> np.ndarray:
         return np.where(sign != 0, 2.0 * log_abs - log_z, NEG_INF)
 
 
-def log_probs(model: TtnModel, samples) -> np.ndarray:
-    """log p(x) for a batch of samples; -inf where the amplitude is zero.
-    Each group's block is gathered at the rows' group index."""
+_ROW_BUDGET = 2 ** 22   # floats per chunk of rows, 32 MiB
+
+
+def _chunk_rows(model, count: int) -> int:
+    """Rows per chunk of ``log_probs`` and ``sampling.sample_batch``: the
+    floats a row holds in the model's kernels (``_row_floats``) and 1.5 per
+    pixel (uniforms and rows) within ``_ROW_BUDGET``."""
+    per_row = model._row_floats() + 3 * model.n_sites // 2
+    return int(max(64, min(count, _ROW_BUDGET // per_row)))
+
+
+def _row_chunks(model, count: int):
+    """Consecutive slices of ``count`` rows, ``_chunk_rows`` at a time."""
+    step = _chunk_rows(model, count)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def log_probs(model: BornMachine, samples) -> np.ndarray:
+    """log p(x) for a batch of samples, of either model; -inf where the
+    amplitude is zero.  The rows are checked once, then passed chunk by
+    chunk to the model's ``_amplitude_kernel``."""
     log_z = partition_function(model)
     samples = np.atleast_2d(_check_pixel_values(samples))
     if samples.shape[1] != model.n_sites:
         raise DimensionError(f"samples have {samples.shape[1]} pixels, "
                              f"model has {model.n_sites}")
-    # each block row scaled to unit max once, so a gathered row needs none
-    tables = [_rescale_rows(b.copy(), np.full(16, lg))
-              for b, lg in zip(*_group_blocks(model))]
-    index = samples.reshape(samples.shape[0], -1, 4) @ np.array([8, 4, 2, 1])
-    return _born_log_probs(log_z, *_amplitudes(model, lambda j: (
-        tables[j][0][index[:, j]], tables[j][1][index[:, j]])))
+    kernel, out = model._amplitude_kernel(), np.empty(samples.shape[0])
+    for rows in _row_chunks(model, samples.shape[0]):
+        out[rows] = _born_log_probs(log_z, *kernel(samples[rows]))
+    return out
 
 
 # -- doubled-network contractions (marginals, correlations) ------------------
 
-def _rooted_copy(model: TtnModel) -> TtnModel:
-    """A root-canonical copy of ``model`` that shares every tensor rooting
-    leaves alone.
+def _rooted_copy(model: BornMachine, center: int) -> BornMachine:
+    """A copy of ``model`` canonical at ``center`` that shares every
+    tensor the move leaves alone.
 
     The copy has its own tensor list, and ``canonicalize`` replaces the
-    tensors it touches (those on the center-to-root path, or all of them
-    when ``model`` has no center) instead of writing into them, so
+    tensors it touches (those on the path from the old center, or all of
+    them when ``model`` has none) instead of writing into them, so
     ``model`` is unchanged.
     """
     work = shallow_copy(model)
     work.tensors = list(model.tensors)
-    if work.canonical_center != 1:
-        canonicalize(work, 1)
+    if work.canonical_center != center:
+        canonicalize(work, center)
     return work
 
 
@@ -529,27 +571,23 @@ def _up_message(t, left, right):
 
 class _RootedTree(TtnModel):
     """A root-canonical copy of a tree (``_rooted_copy``) with its group
-    blocks, built once for every marginal pass made on it:
-    ``correlation_map`` makes two.  It does not see later changes to the
-    model it copies, and lives as long as its caller holds it."""
+    blocks, built once for every pass made on it: the two marginal passes
+    of ``correlation_map``, or every chunk of a sample.  It does not see
+    later changes to the model it copies, and lives as long as its caller
+    holds it."""
 
     def __init__(self, model: TtnModel):
-        vars(self).update(vars(_rooted_copy(model)))
+        vars(self).update(vars(_rooted_copy(model, 1)))
         self.blocks = _group_blocks(self)[0]
 
     def marginal_stack(self, assignments) -> np.ndarray:
         return _doubled_marginals(self, self.blocks, assignments)
 
 
-def _marginal_stack(model: TtnModel, assignments) -> np.ndarray:
-    """(B, n_sites, 2) conditional marginals of every pixel, one block per
-    clamp assignment in ``assignments``."""
-    return _RootedTree(model).marginal_stack(assignments)
-
-
 def _doubled_marginals(work: TtnModel, blocks, assignments) -> np.ndarray:
-    """``_marginal_stack`` on ``work``, a root-canonical tree, and its
-    group blocks.
+    """(B, n_sites, 2) conditional marginals of every pixel, one block per
+    clamp assignment in ``assignments``, on ``work``, a root-canonical
+    tree, and its group blocks.
 
     Below the root every tensor is an isometry onto its parent bond, so a
     subtree without a clamped pixel contracts to the identity in the
@@ -633,20 +671,25 @@ def single_site_marginals(model, assignment=None) -> np.ndarray:
 
 
 def sample_matrix(dataset, n_sites: int) -> np.ndarray:
-    """The (S, n_sites) sample matrix of a dataset or array, checked."""
+    """The (S, n_sites) sample matrix of a dataset or array, checked, as
+    uint8 (a bool matrix would index as a mask); not copied if it is."""
     samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("dataset must be a nonempty matrix of samples")
     if samples.shape[1] != n_sites:
         raise DimensionError(
             f"dataset has {samples.shape[1]} pixels, model has {n_sites}")
-    return _check_pixel_values(samples)
+    return _check_pixel_values(samples).astype(np.uint8, copy=False)
 
 
 def _check_pixel_values(samples) -> np.ndarray:
     """``samples`` as an array, once every value is checked to be 0 or 1
-    (as an index, -1 would silently read as pixel value 1)."""
+    (as an index, -1 would silently read as pixel value 1): integers and
+    bools by their min and max, other dtypes value by value."""
     samples = np.asarray(samples)
+    if samples.dtype.kind in "biu" and (
+            samples.size == 0 or samples.min() >= 0 and samples.max() <= 1):
+        return samples
     bad = (samples != 0) & (samples != 1)
     if np.any(bad):
         raise ValueError(f"pixel values must be 0 or 1, got {samples[bad][0]}")

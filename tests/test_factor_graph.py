@@ -128,6 +128,27 @@ class TestTraining:
         with pytest.raises(ValueError, match="pixel values"):
             call(heap_shaped_fg(8, seed=1), rows)
 
+    def test_row_dtype_does_not_change_training(self, rng):
+        data = rng.integers(0, 2, size=(12, 8))
+        runs = []
+        for dtype in (np.uint8, np.int64, np.bool_, np.float64):
+            fg, stats = fg_train(heap_shaped_fg(8, seed=4), data.astype(dtype),
+                                 TrainConfig(learning_rate=0.5, epochs=3))
+            runs.append((stats["nll"], fg.factors))
+        for nlls, factors in runs[1:]:
+            assert nlls == runs[0][0]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(factors, runs[0][1]))
+
+    def test_recorded_nll_is_the_model_nll(self, rng):
+        data = rng.integers(0, 2, size=(12, 8))
+        fg = heap_shaped_fg(8, seed=5)
+        recorded = []
+        fg_train(fg, data, TrainConfig(learning_rate=2.0, epochs=6),
+                 on_epoch=lambda g, e, st: recorded.append(
+                     st["nll"][-1] == fg_nll(g, data)))
+        assert recorded == [True] * 6
+
     def test_nll_decreases_under_guarded_steps(self, rng):
         fg = heap_shaped_fg(8, seed=4)
         data = rng.integers(0, 2, size=(12, 8))

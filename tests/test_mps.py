@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttnborn import (DenseTensor, MpsModel, TrainConfig, gen_random_patterns,
-                     mps_build_random, mps_canonicalize, mps_correlation,
-                     mps_correlation_map, mps_log_probs, mps_marginal, mps_max_canonical_deviation, mps_nll,
-                     mps_partition_function, mps_sample_batch,
-                     mps_sweep_epoch, mps_train)
+from ttnborn import (DenseTensor, MpsModel, TrainConfig, canonicalize,
+                     correlation, gen_random_patterns, marginal,
+                     mps_build_random, mps_correlation_map, mps_log_probs,
+                     mps_max_canonical_deviation, mps_nll, mps_sample_batch,
+                     mps_sweep_epoch, mps_train, partition_function)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
 from ttnborn.mps import _draw, mps_amplitudes
@@ -51,25 +51,25 @@ class TestCanonicalForm:
     def test_identities_at_every_center(self):
         m = mps_build_random(12, 4, seed=1)
         for center in (0, 3, 7, 11):
-            mps_canonicalize(m, center)
+            canonicalize(m, center)
             assert mps_max_canonical_deviation(m) < 1e-10
 
     def test_center_moves_preserve_probabilities(self):
         m = mps_build_random(8, 4, seed=2)
         configs = all_configs(8)
         base = mps_log_probs(m, configs)
-        mps_canonicalize(m, 0)
+        canonicalize(m, 0)
         assert np.max(np.abs(mps_log_probs(m, configs) - base)) < 1e-10
 
     def test_partition_function_matches_enumeration(self):
         m = mps_build_random(8, 4, seed=3)
         amps = mps_state_vector(m)
-        assert abs(mps_partition_function(m)
+        assert abs(partition_function(m)
                    - math.log(np.sum(amps * amps))) < 1e-10
 
     def test_partition_needs_center(self):
         with pytest.raises(StateError):
-            mps_partition_function(uniform_mps(4))
+            partition_function(uniform_mps(4))
 
 
 class TestProbabilities:
@@ -80,7 +80,7 @@ class TestProbabilities:
 
     def test_uniform_init_nll_is_n_log2(self):
         m = uniform_mps(10)
-        mps_canonicalize(m, 9)
+        canonicalize(m, 9)
         data = gen_random_patterns(10, 7, seed=5).samples
         assert abs(mps_nll(m, data) - 10 * math.log(2)) < 1e-12
 
@@ -97,7 +97,7 @@ class TestProbabilities:
         m = mps_build_random(8, 4, seed=7)
         configs = all_configs(8)
         p = np.exp(mps_log_probs(m, configs))
-        p0, p1 = mps_marginal(m, {1: 1}, 5)
+        p0, p1 = marginal(m, {1: 1}, 5)
         mask = configs[:, 1] == 1
         expect1 = p[mask & (configs[:, 5] == 1)].sum() / p[mask].sum()
         assert abs(p1 - expect1) < 1e-10
@@ -105,9 +105,9 @@ class TestProbabilities:
         for i, j in ((0, 7), (2, 4)):
             expect = float(p @ (s[:, i] * s[:, j])
                            - (p @ s[:, i]) * (p @ s[:, j]))
-            assert abs(mps_correlation(m, i, j) - expect) < 1e-10
+            assert abs(correlation(m, i, j) - expect) < 1e-10
         cmap = mps_correlation_map(m, 2)
-        assert abs(cmap[6] - mps_correlation(m, 2, 6)) < 1e-12
+        assert abs(cmap[6] - correlation(m, 2, 6)) < 1e-12
 
 
 _CONFIGS16 = all_configs(16)
@@ -154,7 +154,7 @@ class TestMarginalStack:
         patterns[:, 3] = 0
         model = mps_from_patterns(patterns)
         if center is not None:
-            mps_canonicalize(model, center)
+            canonicalize(model, center)
         with pytest.raises(DegenerateDistributionError):
             model.marginal_stack([{}, {3: 1}])
 
@@ -220,7 +220,7 @@ class TestSampling:
     def test_memorized_patterns_only(self):
         data = gen_random_patterns(12, 5, seed=18, distinct=True).samples
         model = mps_from_patterns(data)
-        mps_canonicalize(model, 11)
+        canonicalize(model, 11)
         samples = mps_sample_batch(model, 2000, seed=19)
         patterns = {r.tobytes() for r in data.astype(np.uint8)}
         assert all(r.tobytes() in patterns for r in samples)
@@ -228,7 +228,7 @@ class TestSampling:
     @pytest.mark.parametrize("center", [0, 3, 7])
     def test_chain_log_from_any_center(self, center):
         m = mps_build_random(8, 4, seed=14)
-        mps_canonicalize(m, center)
+        canonicalize(m, center)
         before = [t.data.copy() for t in m.tensors]
         samples, chain = mps_sample_batch(m, 500, seed=15,
                                           return_chain_log=True)
@@ -239,7 +239,7 @@ class TestSampling:
     @pytest.mark.parametrize("center", [0, 7])
     def test_empirical_matches_exact_from_either_end(self, center):
         m = mps_build_random(8, 4, seed=22)
-        mps_canonicalize(m, center)
+        canonicalize(m, center)
         probs = np.exp(mps_log_probs(m, all_configs(8)))
         samples = mps_sample_batch(m, 100_000, seed=23)
         counts = np.bincount(config_indices(samples), minlength=256)
@@ -272,7 +272,7 @@ class TestOddAndUnevenChains:
     @pytest.mark.parametrize("name, model", _chains())
     def test_chain_log_and_distribution(self, name, model, end):
         n = model.n_sites
-        mps_canonicalize(model, 0 if end == "first" else n - 1)
+        canonicalize(model, 0 if end == "first" else n - 1)
         samples, chain = mps_sample_batch(model, 100_000, seed=61,
                                           return_chain_log=True)
         assert np.max(np.abs(chain - mps_log_probs(model, samples))) < 1e-10
@@ -292,7 +292,7 @@ class TestSamplerCore:
     @pytest.mark.parametrize("u", [0.0, _U_MAX])
     def test_extreme_uniforms_draw_patterns(self, center, u):
         data = gen_random_patterns(12, 5, seed=62, distinct=True).samples
-        model = mps_canonicalize(mps_from_patterns(data), center)
+        model = canonicalize(mps_from_patterns(data), center)
         rows, chain = _draw(model, np.full((3, 12), u))
         patterns = {r.tobytes() for r in data.astype(np.uint8)}
         assert all(r.tobytes() in patterns for r in rows)

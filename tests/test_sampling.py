@@ -6,7 +6,6 @@ from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
                      save_samples_pbm, train, TrainConfig)
 from ttnborn import pbm
 from ttnborn.errors import DegenerateDistributionError, StateError
-from ttnborn.sampling import SampleState, _uniform_columns
 from ttnborn.ttn import _rooted_copy
 
 from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
@@ -48,15 +47,15 @@ class TestSampleBatch:
         assert np.array_equal(a, b)
 
     def test_chunking_does_not_change_the_stream(self):
-        import ttnborn.sampling as sampling
+        import ttnborn.ttn as ttn
         model = build_random(8, 4, seed=32)
         whole = sample_batch(model, 300, seed=9)
-        orig = sampling._chunk_rows
-        sampling._chunk_rows = lambda m, c: 64
+        orig = ttn._chunk_rows
+        ttn._chunk_rows = lambda m, c: 64
         try:
             chunked = sample_batch(model, 300, seed=9)
         finally:
-            sampling._chunk_rows = orig
+            ttn._chunk_rows = orig
         assert np.array_equal(whole, chunked)
 
     def test_sampling_does_not_mutate_the_model(self):
@@ -148,10 +147,10 @@ class TestDownMessages:
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
-        import ttnborn.sampling as sampling
+        import ttnborn.ttn as ttn
         model = uneven_ttn()
         whole, log = sample_batch(model, 20, seed=5, return_chain_log=True)
-        monkeypatch.setattr(sampling, "_chunk_rows", lambda m, c: chunk)
+        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
         rows, logs = sample_batch(model, 20, seed=5, return_chain_log=True)
         first, first_log = sample_batch(model, 1, seed=5,
                                         return_chain_log=True)
@@ -183,15 +182,15 @@ class TestExtremeUniforms:
         # dead_index, the first index of every bond); u at either end of
         # [0, 1) must still land on one of positive weight
         patterns = gen_random_patterns(16, 6, seed=53, distinct=True).samples
-        work = _rooted_copy(ttn_from_patterns(patterns))
+        work = _rooted_copy(ttn_from_patterns(patterns), 1)
         if dead_index:
             work = _dead_leading_bond_index(work)
-        state = SampleState(work, np.full((4, _uniform_columns(work)), u))
-        rows = state.run()
+        columns, draw = work._sampler()
+        rows, chain_log = draw(np.full((4, columns), u))
         known = {r.tobytes() for r in patterns.astype(np.uint8)}
         assert all(r.tobytes() in known for r in rows)
-        assert np.all(np.isfinite(state.chain_log))
-        assert np.allclose(state.chain_log, -np.log(6), rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(chain_log))
+        assert np.allclose(chain_log, -np.log(6), rtol=0, atol=1e-12)
 
     def test_zero_mass_raises(self):
         model = build_random(8, 2, seed=54)
@@ -213,15 +212,15 @@ class TestChainLogAtScale:
         # all ones but at most one pixel: p ~ 1e-2046, so the completed
         # subtree vectors underflow unless their scales are carried in logs
         model = sharp_product_ttn(1024, 0.01)
-        uniforms = np.full((4, _uniform_columns(model)), 0.005)
+        columns, draw = model._sampler()
+        uniforms = np.full((4, columns), 0.005)
         for row, pixel in enumerate((0, 513, 1023), start=1):
             uniforms[row, pixel] = 0.5
-        state = SampleState(model, uniforms)
-        rows = state.run()
+        rows, chain_log = draw(uniforms)
         assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
         lp = log_probs(model, rows)
         assert np.all(lp < -4700.0)
-        assert np.all(np.abs(state.chain_log - lp) <= 1e-10 * np.abs(lp))
+        assert np.all(np.abs(chain_log - lp) <= 1e-10 * np.abs(lp))
 
 
 class TestSamplerMemory:

@@ -551,6 +551,23 @@ class TestTrain:
             assert all(np.array_equal(a, b)
                        for a, b in zip(tensors[e], tensors[e - 1]))
 
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_row_dtype_does_not_change_an_epoch(self, build):
+        # rows are held as uint8 whatever their dtype; a bool matrix must
+        # not reach an index, where it would read as a mask
+        data = gen_random_patterns(16, 12, seed=14).samples
+        runs = []
+        for dtype in (np.uint8, np.int64, np.bool_, np.float64):
+            cfg = TrainConfig(learning_rate=0.05, d_max=6, epochs=2, seed=4,
+                              batch_size=8)
+            model, stats = train(build(16, 6, seed=15), data.astype(dtype),
+                                 cfg)
+            runs.append((stats.nll, [t.data for t in model.tensors if t]))
+        for nlls, tensors in runs[1:]:
+            assert nlls == runs[0][0]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(tensors, runs[0][1]))
+
     def test_small_batches_never_raise_the_full_nll(self):
         # Without the epoch check, batches of 50 of these 200 rows raise the
         # full-data NLL at epoch 3 (49.34 -> 50.16 nats) and end at 49.63,

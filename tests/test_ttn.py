@@ -12,10 +12,10 @@ from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
                      sample_batch, single_site_marginals, train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
-from ttnborn.mps import (mps_build_random, mps_correlation,
-                         mps_correlation_map, mps_marginal,
+from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
-from ttnborn.ttn import _marginal_stack, _node_data, amplitudes_from_vectors
+from ttnborn.ttn import (_check_pixel_values, _node_data,
+                         amplitudes_from_vectors)
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
                      mps_from_patterns, mps_state_vector, random_uneven_ttn,
@@ -242,6 +242,23 @@ class TestPixelValues:
         assert np.array_equal(log_probs(model, rows.astype(bool)),
                               log_probs(model, rows))
 
+    @pytest.mark.parametrize("dtype, bad, shown", [
+        (np.int64, -1, "-1"), (np.int8, 2, "2"), (np.uint8, 7, "7"),
+        (np.float64, 0.5, "0.5")])
+    def test_first_bad_value_is_named(self, dtype, bad, shown):
+        rows = np.zeros((4, 8), dtype=dtype)
+        rows[2, 5], rows[3, 1] = bad, 3 * bad   # the first bad one is named
+        with pytest.raises(ValueError) as err:
+            _check_pixel_values(rows)
+        assert str(err.value) == f"pixel values must be 0 or 1, got {shown}"
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64,
+                                       np.float64])
+    def test_zero_one_rows_pass_unchanged(self, dtype):
+        rows = gen_random_patterns(8, 5, seed=9).samples.astype(dtype)
+        assert _check_pixel_values(rows) is rows
+        assert _check_pixel_values(rows[:0]).shape == (0, 8)
+
 
 class TestMarginal:
     def test_uniform_model_half_half(self):
@@ -406,7 +423,7 @@ class TestMarginalsByEnumeration:
             mass, want = _enumerated(uneven, fixed)
             assume(mass > 1e-6)
             wants.append(want)
-        got = _marginal_stack(uneven, branches)
+        got = uneven.marginal_stack(branches)
         assert got.shape == (len(branches), 16, 2)
         assert np.max(np.abs(got - np.array(wants))) < 1e-9
 
@@ -415,7 +432,7 @@ class TestMarginalsByEnumeration:
         chain = mps_build_random(16, 3, seed=0)
         for model, marginals, marginal_of in (
                 (uneven, single_site_marginals, marginal),
-                (chain, mps_single_site_marginals, mps_marginal)):
+                (chain, mps_single_site_marginals, marginal)):
             with pytest.raises(ValueError):
                 marginals(model, fixed)
             with pytest.raises(ValueError):
@@ -425,7 +442,7 @@ class TestMarginalsByEnumeration:
         chain = mps_build_random(16, 3, seed=0)
         for model, cmap, corr, marginal_of in (
                 (uneven, correlation_map, correlation, marginal),
-                (chain, mps_correlation_map, mps_correlation, mps_marginal)):
+                (chain, mps_correlation_map, correlation, marginal)):
             for pixel in (16, -1):
                 with pytest.raises(ValueError):
                     cmap(model, pixel)
@@ -563,7 +580,7 @@ class TestGroupView:
             wants.append(np.stack([1.0 - p1, p1], axis=1))
             got = single_site_marginals(model, fixed)
             assert np.max(np.abs(got - wants[-1])) < 1e-12
-        assert np.max(np.abs(_marginal_stack(model, clamps)
+        assert np.max(np.abs(model.marginal_stack(clamps)
                              - np.array(wants))) < 1e-12
         s = 2.0 * configs - 1.0
         for ref in (0, n // 2 + 1, n - 1):
@@ -573,10 +590,12 @@ class TestGroupView:
 
 class TestEvaluationMemory:
     """log_probs holds one (S, D) message per live node and an (S, G)
-    group index, never an (S, n, 2) one-hot or (S, G, 16) weights."""
+    group index, never an (S, n, 2) one-hot or (S, G, 16) weights, with
+    S at most one chunk of rows (10,000 rows at once peaked at 208 MiB)."""
 
     @pytest.mark.parametrize("n,rows,limit_mib", [(1024, 250, 13),
-                                                  (128, 2000, 17)])
+                                                  (128, 2000, 17),
+                                                  (1024, 10_000, 32)])
     def test_peak_stays_bounded(self, n, rows, limit_mib):
         import tracemalloc
         model = build_random(n, 16, seed=57)
