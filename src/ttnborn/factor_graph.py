@@ -73,10 +73,11 @@ class TreeFactorGraph:
                                [f.copy() for f in self.factors], self.visible)
 
     def factor_in_direction(self, idx, from_var):
-        """The factor of edge idx as a matrix (state of from_var, other)."""
+        """The factor of edge idx as a C-ordered matrix (state of from_var,
+        other), so a product rounds alike for one row and for a batch."""
         a, b = self.edges[idx]
         f = self.factors[idx]
-        return f if from_var == a else f.T
+        return f if from_var == a else np.ascontiguousarray(f.T)
 
     def bfs_order(self, root=0):
         """(node, parent, edge idx) triples in breadth-first order."""

@@ -76,16 +76,17 @@ class MpsModel(BornMachine):
         return mps_sweep_epoch(self, dataset, config, **kwargs)
 
     def _amplitude_kernel(self):
-        return lambda rows: mps_amplitudes(self, rows)
-
-    def _row_floats(self) -> int:   # one two-site block product
-        return 4 * self.max_bond()
+        # the uint8 row; one two-site block product, its gather and rescale
+        return (10 * self.max_bond() + 8 + self.n_sites // 8,
+                lambda rows: mps_amplitudes(self, rows))
 
     def _sampler(self):
-        # one uniform per pixel, from a copy centred at the nearer end
+        # one uniform per pixel, from a copy centred at the nearer end; one
+        # two-site block product, the uniforms and the rows
         n, c = self.n_sites, self.canonical_center
         work = _rooted_copy(self, 0 if c < n - 1 - c else n - 1)
-        return n, lambda uniforms: _draw(work, uniforms)
+        return (4 * self.max_bond() + 3 * n // 2, n,
+                lambda uniforms: _draw(work, uniforms))
 
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:

@@ -156,11 +156,11 @@ def sample_batch(model: BornMachine, count: int, seed: int, *,
         raise ValueError("count must be >= 1")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
-    columns, draw = model._sampler()
+    row_floats, columns, draw = model._sampler()
     rng = np.random.default_rng(seed)
     samples = np.empty((count, model.n_sites), dtype=np.uint8)
     chain_log = np.empty(count)
-    for rows in _row_chunks(model, count):
+    for rows in _row_chunks(row_floats, count):
         # successive draws continue one stream, so row i does not depend on
         # the chunk size
         samples[rows], chain_log[rows] = draw(

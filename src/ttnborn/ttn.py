@@ -70,10 +70,11 @@ class BornMachine:
     stacked clamp form ``marginal_stack``, ``sample`` and ``sweep_epoch``.
     Each calls its model's module function by name, so wrapping that
     function covers it too.  ``log_probs`` and ``sampling.sample_batch``
-    walk the rows in chunks sized by ``_row_floats()`` through two kernels
-    built once per call: ``_amplitude_kernel()`` maps rows to (log |Psi|,
-    sign), and ``_sampler()`` gives the uniforms per row and a map from
-    uniforms to (rows, log p) on a re-centred copy (``_rooted_copy``).
+    walk the rows in chunks through two kernels built once per call, each
+    with the floats a row holds in it, which size the chunks:
+    ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
+    ``_sampler()`` gives the uniforms per row and a map from uniforms to
+    (rows, log p) on a re-centred copy (``_rooted_copy``).
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
@@ -220,19 +221,20 @@ class TtnModel(BornMachine):
                   for b, lg in zip(*_group_blocks(self))]
 
         def kernel(rows):   # each group's table gathered at its row index
-            index = rows.reshape(rows.shape[0], -1, 4) @ np.array([8, 4, 2, 1])
+            index = rows.reshape(len(rows), -1, 4) @ np.uint8([8, 4, 2, 1])
             return _amplitudes(self, lambda j: (tables[j][0][index[:, j]],
                                                 tables[j][1][index[:, j]]))
-        return kernel
-
-    def _row_floats(self) -> int:   # a (D, D) matrix per level of the sampler
-        return max(self.max_bond(), 2) ** 2 * (self.n_sites.bit_length() - 1)
+        # a (D, D) product at a node, a (rows, D) message per level, and the
+        # row as uint8 and its group index, each with room for temporaries
+        d, n = max(self.max_bond(), 2), self.n_sites
+        return (2 * d + n.bit_length()) * d + n // 4, kernel
 
     def _sampler(self):
-        # one uniform per pixel and per internal node (unused at a group root)
+        # one uniform per pixel and per internal node (unused at a group
+        # root); a (D, D) matrix per level, the uniforms and the rows
         from .sampling import SampleState
-        work = _RootedTree(self)
-        return (self.n_sites + self.first_leaf - 1,
+        work, d, n = _RootedTree(self), max(self.max_bond(), 2), self.n_sites
+        return (d * d * (n.bit_length() - 1) + 3 * n // 2, n + n // 2 - 1,
                 lambda uniforms: SampleState(work, uniforms).run())
 
     def sample(self, count: int, seed: int, ordering=None):
@@ -447,18 +449,17 @@ def _kron_groups(v: np.ndarray) -> np.ndarray:
 
 def _amplitudes(model: TtnModel, group_message):
     """(log_abs, sign) of every row: the tree above the group roots
-    contracted with group j's (rows, logs) message ``group_message(j)``."""
+    contracted with group j's (rows, logs) message ``group_message(j)``,
+    depth first, so one message per level is live, not a level of them."""
     first = model.n_sites // 4
-    msgs = {}
 
-    def part(n):
-        return msgs.pop(n) if n < first else group_message(n - first)
+    def up(n):   # node n's message; the root in full, to (S,) values
+        if n >= first:
+            return group_message(n - first)
+        return _contract_node(model.tensors[n], [up(2 * n), up(2 * n + 1)],
+                              0 if n > 1 else None)
 
-    for n in range(first - 1, 0, -1):   # the root in full, to (S,) values
-        msgs[n] = _contract_node(model.tensors[n], [part(2 * n),
-                                                    part(2 * n + 1)],
-                                 0 if n > 1 else None)
-    rows, logs = part(1)
+    rows, logs = up(1)
     return _signed_logs(rows.reshape(-1), logs)
 
 
@@ -498,32 +499,32 @@ def _born_log_probs(log_z: float, log_abs, sign) -> np.ndarray:
 _ROW_BUDGET = 2 ** 22   # floats per chunk of rows, 32 MiB
 
 
-def _chunk_rows(model, count: int) -> int:
-    """Rows per chunk of ``log_probs`` and ``sampling.sample_batch``: the
-    floats a row holds in the model's kernels (``_row_floats``) and 1.5 per
-    pixel (uniforms and rows) within ``_ROW_BUDGET``."""
-    per_row = model._row_floats() + 3 * model.n_sites // 2
-    return int(max(64, min(count, _ROW_BUDGET // per_row)))
+def _chunk_rows(row_floats: int, count: int) -> int:
+    """Rows per chunk of ``log_probs`` and ``sampling.sample_batch``: as many
+    as fit ``_ROW_BUDGET`` at ``row_floats`` per row, and at least 64."""
+    return int(max(64, min(count, _ROW_BUDGET // row_floats)))
 
 
-def _row_chunks(model, count: int):
+def _row_chunks(row_floats: int, count: int):
     """Consecutive slices of ``count`` rows, ``_chunk_rows`` at a time."""
-    step = _chunk_rows(model, count)
+    step = _chunk_rows(row_floats, count)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def log_probs(model: BornMachine, samples) -> np.ndarray:
     """log p(x) for a batch of samples, of either model; -inf where the
     amplitude is zero.  The rows are checked once, then passed chunk by
-    chunk to the model's ``_amplitude_kernel``."""
+    chunk, as uint8, to the model's ``_amplitude_kernel``."""
     log_z = partition_function(model)
     samples = np.atleast_2d(_check_pixel_values(samples))
     if samples.shape[1] != model.n_sites:
         raise DimensionError(f"samples have {samples.shape[1]} pixels, "
                              f"model has {model.n_sites}")
-    kernel, out = model._amplitude_kernel(), np.empty(samples.shape[0])
-    for rows in _row_chunks(model, samples.shape[0]):
-        out[rows] = _born_log_probs(log_z, *kernel(samples[rows]))
+    row_floats, kernel = model._amplitude_kernel()
+    out = np.empty(samples.shape[0])
+    for rows in _row_chunks(row_floats, samples.shape[0]):
+        out[rows] = _born_log_probs(log_z, *kernel(
+            samples[rows].astype(np.uint8, copy=False)))
     return out
 
 
@@ -531,13 +532,10 @@ def log_probs(model: BornMachine, samples) -> np.ndarray:
 
 def _rooted_copy(model: BornMachine, center: int) -> BornMachine:
     """A copy of ``model`` canonical at ``center`` that shares every
-    tensor the move leaves alone.
-
-    The copy has its own tensor list, and ``canonicalize`` replaces the
-    tensors it touches (those on the path from the old center, or all of
-    them when ``model`` has none) instead of writing into them, so
-    ``model`` is unchanged.
-    """
+    tensor the move leaves alone.  The copy has its own tensor list, and
+    ``canonicalize`` replaces the tensors it touches (those on the path from
+    the old center, or all of them when ``model`` has none) instead of
+    writing into them, so ``model`` is unchanged."""
     work = shallow_copy(model)
     work.tensors = list(model.tensors)
     if work.canonical_center != center:

@@ -30,7 +30,8 @@ class TestChunkIndependence:
         model, evaluate, _ = _models()[kind]
         rows = gen_random_patterns(16, 200, seed=3).samples
         whole = evaluate(model, rows)
-        assert ttn._chunk_rows(model, len(rows)) == len(rows)
+        assert ttn._chunk_rows(model._amplitude_kernel()[0],
+                               len(rows)) == len(rows)
         monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
         chunked = evaluate(model, rows)
         assert np.all(np.abs(chunked - whole) <= 1e-12 * np.abs(whole))
@@ -47,6 +48,17 @@ class TestChunkIndependence:
         assert np.all(np.abs(logs - log) <= 1e-12 * np.abs(log))
         assert np.all(np.abs(logs - evaluate(model, rows))
                       <= 1e-10 * np.abs(log))
+
+
+class TestRowTypes:
+    @pytest.mark.parametrize("kind", ["ttn", "mps"])
+    def test_every_0_1_dtype_evaluates_alike(self, kind):
+        # the kernels index with the row values, so chunks are cast to uint8
+        model, evaluate, _ = _models()[kind]
+        rows = gen_random_patterns(16, 40, seed=4).samples
+        want = evaluate(model, rows.astype(np.uint8))
+        for dtype in (np.int64, np.bool_, np.float64):
+            assert np.array_equal(evaluate(model, rows.astype(dtype)), want)
 
 
 class TestChainSamplerMemory:

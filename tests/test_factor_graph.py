@@ -9,6 +9,7 @@ from ttnborn import (TrainConfig, TreeFactorGraph, contract_pixel_vectors,
                      fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
                      sum_product_log_z)
 from ttnborn.errors import DimensionError, TopologyError
+from ttnborn.factor_graph import _unary, fg_edge_marginals
 
 from helpers import all_configs
 
@@ -60,6 +61,23 @@ class TestSumProduct:
             for v in (0, 1):
                 assert abs(sum_product_log_z(fg, {pix: v})
                            - enum_log_z(fg, {pix: v})) < 1e-10
+
+    def test_a_row_scores_alike_alone_and_in_a_batch(self, rng):
+        # a message's product must not round by the number of rows that
+        # share it, so one pass over the free row and the data rows gives
+        # what separate passes give
+        fg = heap_shaped_fg(128, seed=8)
+        fg.factors = [np.exp(rng.standard_normal((2, 2))) for _ in fg.edges]
+        rows = rng.integers(0, 2, size=(20, 128))
+        batch = fg_edge_marginals(fg, _unary(fg, None, rows))
+        for i in range(len(rows) + 1):
+            alone = fg_edge_marginals(fg, _unary(fg, None, rows[i - 1:i])
+                                      if i else _unary(fg, None, None))
+            assert all(np.array_equal(a[-1], b[i])
+                       for a, b in zip(alone, batch))
+        lp = fg_log_ptilde(fg, rows)
+        assert all(fg_log_ptilde(fg, row)[0] == x for row, x in zip(rows, lp))
+        assert fg_nll(fg, rows) == sum_product_log_z(fg) - np.mean(lp)
 
     def test_cycle_rejected(self):
         with pytest.raises(TopologyError):

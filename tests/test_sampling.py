@@ -185,7 +185,7 @@ class TestExtremeUniforms:
         work = _rooted_copy(ttn_from_patterns(patterns), 1)
         if dead_index:
             work = _dead_leading_bond_index(work)
-        columns, draw = work._sampler()
+        _, columns, draw = work._sampler()
         rows, chain_log = draw(np.full((4, columns), u))
         known = {r.tobytes() for r in patterns.astype(np.uint8)}
         assert all(r.tobytes() in known for r in rows)
@@ -212,7 +212,7 @@ class TestChainLogAtScale:
         # all ones but at most one pixel: p ~ 1e-2046, so the completed
         # subtree vectors underflow unless their scales are carried in logs
         model = sharp_product_ttn(1024, 0.01)
-        columns, draw = model._sampler()
+        _, columns, draw = model._sampler()
         uniforms = np.full((4, columns), 0.005)
         for row, pixel in enumerate((0, 513, 1023), start=1):
             uniforms[row, pixel] = 0.5
