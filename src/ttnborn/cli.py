@@ -90,16 +90,16 @@ def _load_ordered(path, order, shape):
 
 
 def cmd_train(args) -> int:
-    for path in [args.data] + ([args.test_data] if args.test_data else []):
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-    dataset, desc, matrix = _load_ordered(args.data, args.order, args.shape)
-    os.makedirs(args.out, exist_ok=True)
     config = TrainConfig(
         learning_rate=args.lr, d_max=args.dmax, scheme=args.scheme,
         svd_cutoff=args.svd_cutoff, epochs=args.epochs,
         batch_size=args.batch_size, seed=args.seed,
         zero_amplitude=args.zero_amplitude)
+    for path in [args.data] + ([args.test_data] if args.test_data else []):
+        if not os.path.exists(path):
+            raise FileNotFoundError(path)
+    dataset, desc, matrix = _load_ordered(args.data, args.order, args.shape)
+    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.ttnborn")
     stats_path = os.path.join(args.out, "stats.csv")
 

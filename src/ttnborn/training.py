@@ -14,13 +14,21 @@ one contraction of a node with the messages on its other axes
 (``ttn._contract_node``), so a full epoch costs one message update per edge
 crossing.
 
-The gradient of the two-site step is a rank-(1 + batch) correction of the
-merged tensor.  With a small batch the step works on that factored form and
-never materializes the merge; otherwise it materializes the merge and never
-the batch x batch Gram, so its memory stays linear in the batch.  In the
-factored form the tensor that is not the center is an isometry toward it,
-so its columns are already an orthonormal basis: the split QR-factors only
-the part of that side's environment block outside the basis.
+Both schemes take one gradient step (``_gradient_step``), on a matrix
+product K J whose rows and columns meet the batch environments.  The
+two-site step is that step on the merge of the pair, matricized against
+their bond, followed by a truncated SVD; the one-site step is the same step
+on the center, matricized against its last axis with the identity as J, and
+no split.  The finite-difference-checked gradients are built from the
+step's own terms (``_unit_merge``).
+
+The gradient is a rank-(1 + batch) correction of the merge.  With a small
+batch the two-site step works on that factored form and never materializes
+the merge; otherwise it materializes the merge and never the batch x batch
+Gram, so its memory stays linear in the batch.  In the factored form the
+tensor that is not the center is an isometry toward it, so its columns are
+already an orthonormal basis: the split QR-factors only the part of that
+side's environment block outside the basis.
 
 Everything here serves the MPS (``mps``) too: the chain is the degenerate
 tree, one path with a pixel on every tensor, and the cache, the walk, the
@@ -64,8 +72,12 @@ class TrainConfig:
     zero_amplitude: str = "strict"    # "strict" | "lenient"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if self.d_max < 1:
+            raise ValueError("d_max must be >= 1")
+        if not (math.isfinite(self.svd_cutoff) and self.svd_cutoff >= 0):
+            raise ValueError("svd_cutoff must be finite and >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.scheme not in ("one-site", "two-site"):
@@ -143,12 +155,6 @@ class _EnvCache:
         sites = sites or self.model.axis_sites(k)
         return [self._part(k, s) for a, s in enumerate(sites) if a != out]
 
-    def merged_parts(self, k: int, j: int, pair):
-        """Messages entering the open axes of the (k, j) merge, k-side
-        first, given its topology from ``_matricize_pair``."""
-        return (self.center_parts(k, pair[2], pair[0]),
-                self.center_parts(j, pair[3], pair[1]))
-
     def _part(self, k: int, site):
         """The message entering tensor k from ``site``, one of its axis
         sites."""
@@ -162,19 +168,7 @@ class _EnvCache:
         return self._onehots[site.index]
 
 
-# -- gradient building blocks -------------------------------------------------
-
-
-def _psi_raw(tdata: np.ndarray, parts):
-    """<T, env_s> for every sample, in the cached messages' scale."""
-    s_count = parts[0][0].shape[0]
-    cur = np.tensordot(parts[0][0], tdata, axes=([1], [0]))
-    cur = cur.reshape(s_count, -1)
-    trail = list(tdata.shape[1:])
-    for m, _ in parts[1:]:
-        d = trail.pop(0)
-        cur = np.einsum('sir,si->sr', cur.reshape(s_count, d, -1), m)
-    return cur.reshape(s_count)
+# -- the gradient step ---------------------------------------------------------
 
 
 def _kron_rows(parts):
@@ -182,26 +176,6 @@ def _kron_rows(parts):
     for m, _ in parts[1:]:
         s = out.shape[0]
         out = (out[:, :, None] * m[:, None, :]).reshape(s, -1)
-    return out
-
-
-def _weighted_env_sum(parts, weights, shape):
-    """sum_s weights[s] * outer(parts...[s]), shaped like the center tensor."""
-    half = max(1, len(parts) // 2)
-    return _env_outer(_kron_rows(parts[:half]), weights,
-                      _kron_rows(parts[half:])).reshape(shape)
-
-
-def _check_zero_amplitudes(psi, mode, stats):
-    zero = psi == 0.0
-    if not np.any(zero):
-        return psi
-    if mode == "strict":
-        raise DegenerateSampleError(int(np.argmax(zero)))
-    if stats is not None:
-        stats.zero_amplitude_warnings += int(np.sum(zero))
-    out = psi.copy()
-    out[zero] = _PSI_FLOOR
     return out
 
 
@@ -215,112 +189,119 @@ def _fold_scale_data(tensors, k: int):
         tensors[k] = DenseTensor(data, 0.0, validate=False)
 
 
-def _site_gradient(tdata, parts, zero_amplitude, stats=None):
-    """NLL gradient with respect to a center tensor, with the batch
-    amplitudes and |T|^2 it was formed from.
-
-    With every other tensor canonical, the normalization term is
-    2 T / |T|^2 and each sample contributes its environment divided by its
-    amplitude (cached message scales cancel in the ratio).
-    """
-    psi = _check_zero_amplitudes(_psi_raw(tdata, parts), zero_amplitude, stats)
-    norm_sq = float(np.vdot(tdata, tdata))
-    grad = 2.0 * tdata / norm_sq \
-        - (2.0 / psi.shape[0]) * _weighted_env_sum(parts, 1.0 / psi, tdata.shape)
-    return grad, psi, norm_sq
-
-
 def _env_outer(uk, w, vj):
     """uk^T diag(w) vj: the weighted environment sum of a merge, matricized
     against the merged bond (rows x cols)."""
     return (uk.T * w[None, :]) @ vj
 
 
-# -- public single-site operations --------------------------------------------
+def _unit_merge(kmat, jmat, uk, vj, zero_amplitude, stats=None):
+    """The terms that a gradient step on the merge m = kmat @ jmat is built
+    from, given the batch environments of its rows (uk: S x rows) and
+    columns (vj: S x cols).
 
+    The NLL log |m|^2 - (2/S) sum_s log |<m, env_s>| does not depend on the
+    scale of m, so the step works on the unit-norm merge k_hat @ jmat.
+    Returns the Gram matrices of kmat and jmat, |m|, k_hat, the amplitudes
+    psi of the unit-norm merge (in the cached messages' scale) and the
+    weights w = (2/S) / psi.  The NLL gradient is then
+    (2 k_hat @ jmat - _env_outer(uk, w, vj)) / |m|.
 
-def _step_batch(model: BornMachine, batch, k: int, j: int | None = None):
-    """The sample matrix of ``batch`` for a single step at center k (across
-    the edge to j), after checking that k is the center and j adjacent."""
-    if model.canonical_center != k:
-        raise StateError(f"model must be canonical at {k}, center is "
-                         f"{model.canonical_center}")
-    if j is not None and j not in model.neighbors(k):
-        raise DimensionError(f"{j} is not adjacent to {k}")
-    return sample_matrix(batch, model.n_sites)
-
-
-def gradient_one_site(model: BornMachine, batch, k: int,
-                      zero_amplitude: str = "strict") -> DenseTensor:
-    """NLL gradient with respect to the center tensor T[k], by the function
-    the one-site step runs.  The model must be canonical at k."""
-    samples = _step_batch(model, batch, k)
-    _fold_scale_data(model.tensors, k)
-    cache = _EnvCache(model, samples, k)
-    grad, _, _ = _site_gradient(model.tensors[k].data, cache.center_parts(k),
-                                zero_amplitude)
-    return DenseTensor(grad, 0.0, validate=False)
-
-
-def _backtracked(local_nll, cfg, stats):
-    """The first step size of lr, lr/2, ... (``MAX_BACKTRACKS`` halvings)
-    at which the local NLL does not rise; None, counted as a rejected step,
-    if there is none."""
-    base = local_nll(0.0)
-    alpha = cfg.learning_rate
-    for _ in range(MAX_BACKTRACKS + 1):
-        if alpha == 0.0 or local_nll(alpha) <= base:
-            return alpha
-        alpha *= 0.5
-    stats.rejected_steps += 1
-    return None
-
-
-def guarded_site_new_data(tdata, parts, cfg, stats):
-    """Shared core of the one-site step: backtracked gradient update.
-
-    Minimizes the local batch NLL log |T|^2 - (2/B) sum log |<T, env_s>|,
-    which is the global NLL as a function of the center alone; the candidate
-    objective is closed-form in the step size, so backtracking is cheap.
-    The step is taken on the unit-norm gauge representative (the NLL does
-    not depend on the center's scale), and the new center is normalized.
+    A zero amplitude raises ``DegenerateSampleError`` in "strict" mode; in
+    "lenient" mode it is floored and counted in ``stats``.
     """
-    old_norm = float(np.linalg.norm(tdata.ravel()))
-    if old_norm > 0:
-        tdata = tdata / old_norm
-    grad, psi, norm_sq = _site_gradient(tdata, parts, cfg.zero_amplitude,
-                                        stats)
+    c_kk = kmat.T @ kmat
+    c_jj = jmat @ jmat.T
+    norm = math.sqrt(max(float(np.sum(c_kk * c_jj)), 0.0))
+    if norm == 0.0:
+        raise NumericalError("gradient step on an all-zero tensor")
+    k_hat = kmat / norm
+    psi = np.einsum('sb,sb->s', uk @ k_hat, vj @ jmat.T)
+    zero = psi == 0.0
+    if np.any(zero):
+        if zero_amplitude == "strict":
+            raise DegenerateSampleError(int(np.argmax(zero)))
+        if stats is not None:
+            stats.zero_amplitude_warnings += int(np.sum(zero))
+        psi = np.where(zero, _PSI_FLOOR, psi)
+    return c_kk, c_jj, norm, k_hat, psi, (2.0 / psi.shape[0]) / psi
+
+
+def _gradient_step(kmat, jmat, uk, vj, cfg, stats):
+    """The backtracked gradient step of both schemes, on the merge
+    m = kmat @ jmat (rows x bond, bond x cols) with the batch environments
+    uk (S x rows) and vj (S x cols).
+
+    The step moves the unit-norm merge against its gradient:
+    c0 * m_hat + alpha * M with M = uk^T diag(w) vj, a rank-S correction,
+    and c0 = 1 - 2 alpha.  The local batch NLL, the global NLL as a
+    function of m alone, is closed-form in alpha, so backtracking is cheap:
+    the step takes the first of lr, lr/2, ... (``MAX_BACKTRACKS`` halvings)
+    at which it does not rise, or alpha = 0, counted as a rejected step, if
+    there is none.  One of two forms is chosen from the shapes:
+
+    - factored, when bond + S < 0.8 * min(rows, cols): the line search runs
+      on the S x S Gram of the environments (S^2 < rows * cols, so it is
+      never larger than the merge), and the stepped merge is returned as
+      the two sides [c0 / |m| * kmat | alpha uk^T diag(w)] and
+      [jmat^T | vj^T] of ``_split_factored``, whose product it is.
+    - dense, otherwise, and always when jmat is the identity (cols = bond):
+      M is formed (rows x cols), the line search reads u_s^T M v_s and
+      ||M||_F^2 from it, and the stepped merge is returned as a rows x cols
+      matrix.  No S x S array exists.
+    """
+    c_kk, c_jj, norm, k_hat, psi, w = _unit_merge(
+        kmat, jmat, uk, vj, cfg.zero_amplitude, stats)
     b = psi.shape[0]
-    psi_g = _psi_raw(grad, parts)
-    tg = float(np.vdot(tdata, grad))
-    gg = float(np.vdot(grad, grad))
+    factored = kmat.shape[1] + b < 0.8 * min(kmat.shape[0], jmat.shape[1])
+    # Overlaps of each environment with M (gw) and |M|^2 (wgw), all in the
+    # cached scale (per-sample factors cancel against psi).
+    if factored:
+        gram = (uk @ uk.T) * (vj @ vj.T)
+        gw = gram @ w
+        wgw = float(w @ gw)
+    else:
+        m_grad = _env_outer(uk, w, vj)                  # (rows, cols)
+        gw = np.einsum('sc,sc->s', uk @ m_grad, vj)
+        wgw = float(np.vdot(m_grad, m_grad))
+    psi_w = float(psi @ w)
 
     def local_nll(alpha):
-        nsq = norm_sq - 2.0 * alpha * tg + alpha * alpha * gg
-        p = psi - alpha * psi_g
+        c0 = 1.0 - 2.0 * alpha
+        nsq = c0 * c0 + 2.0 * c0 * alpha * psi_w + alpha * alpha * wgw
+        p = c0 * psi + alpha * gw
         if nsq <= 0.0 or np.any(p == 0.0):
             return float("inf")
         return math.log(nsq) - (2.0 / b) * float(np.sum(np.log(np.abs(p))))
 
-    accepted = _backtracked(local_nll, cfg, stats)
-    new = tdata if accepted is None else tdata - accepted * grad
-    n = np.linalg.norm(new.ravel())
-    if n > 0:
-        new = new / n
-    if not np.all(np.isfinite(new)):
-        raise NumericalError("non-finite tensor after a one-site step")
-    return new
+    base, alpha = local_nll(0.0), cfg.learning_rate
+    for _ in range(MAX_BACKTRACKS + 1):
+        if alpha == 0.0 or local_nll(alpha) <= base:
+            break
+        alpha *= 0.5
+    else:
+        stats.rejected_steps += 1
+        alpha = 0.0
+    c0 = 1.0 - 2.0 * alpha
+    if factored:
+        return (_factor_side(c_kk, kmat, c0 / norm,
+                             uk.T * (alpha * w)[None, :]),
+                _factor_side(c_jj, jmat.T, 1.0, vj.T))
+    return c0 * (k_hat @ jmat) + alpha * m_grad
 
 
-def _site_step(model, cache, k, cfg, stats):
-    """The one-site step at center k, for the tree and the chain alike."""
+# -- the step's operands and the gradients -------------------------------------
+
+
+def _site_operands(model, cache, k):
+    """The one-site step's operands (kmat, jmat, uk, vj): T[k] matricized
+    against its last axis, the identity, and the environments of its rows
+    and columns."""
     _fold_scale_data(model.tensors, k)
+    t = model.tensors[k].data
     parts = cache.center_parts(k)
-    new = guarded_site_new_data(model.tensors[k].data, parts, cfg, stats)
-    model.tensors[k] = DenseTensor(new, 0.0, validate=False)
-
-
-# -- two-site operations -------------------------------------------------------
+    return (t.reshape(-1, t.shape[-1]), np.eye(t.shape[-1]),
+            _kron_rows(parts[:-1]), parts[-1][0])
 
 
 def _matricize_pair(model, k, j):
@@ -339,6 +320,18 @@ def _matricize_pair(model, k, j):
     return kmat, jmat, k_dims, j_dims, (sites_k, sites_j, ak, aj)
 
 
+def _merge_operands(model, cache, k, j):
+    """The two-site step's operands (kmat, jmat, uk, vj) for the (k, j)
+    merge, and (k_dims, j_dims, topology) from ``_matricize_pair``."""
+    _fold_scale_data(model.tensors, k)
+    _fold_scale_data(model.tensors, j)
+    kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
+    sites_k, sites_j, ak, aj = pair
+    uk = _kron_rows(cache.center_parts(k, ak, sites_k))
+    vj = _kron_rows(cache.center_parts(j, aj, sites_j))
+    return (kmat, jmat, uk, vj), (k_dims, j_dims, pair)
+
+
 def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
     """The merge of T[k] and T[j] over their shared bond (k's axes first)."""
     kmat, jmat, k_dims, j_dims, _ = _matricize_pair(model, k, j)
@@ -347,28 +340,59 @@ def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
                        validate=False).rescaled()
 
 
+def _gradient(model: BornMachine, batch, k: int, j: int | None,
+              zero_amplitude: str) -> DenseTensor:
+    """The NLL gradient with respect to the center T[k] (j None) or the
+    (k, j) merge, from the terms of the step that training takes on it:
+    (2 m_hat - M(w)) / |m|, in the notation of ``_unit_merge``."""
+    if model.canonical_center != k:
+        raise StateError(f"model must be canonical at {k}, center is "
+                         f"{model.canonical_center}")
+    if j is not None and j not in model.neighbors(k):
+        raise DimensionError(f"{j} is not adjacent to {k}")
+    cache = _EnvCache(model, sample_matrix(batch, model.n_sites), k)
+    if j is None:
+        shape = model.tensors[k].shape
+        kmat, jmat, uk, vj = _site_operands(model, cache, k)
+    else:
+        (kmat, jmat, uk, vj), (k_dims, j_dims, _) = _merge_operands(
+            model, cache, k, j)
+        shape = k_dims + j_dims
+    _, _, norm, k_hat, _, w = _unit_merge(kmat, jmat, uk, vj, zero_amplitude)
+    grad = (2.0 * (k_hat @ jmat) - _env_outer(uk, w, vj)) / norm
+    return DenseTensor(grad.reshape(shape), 0.0, validate=False)
+
+
+def gradient_one_site(model: BornMachine, batch, k: int,
+                      zero_amplitude: str = "strict") -> DenseTensor:
+    """NLL gradient with respect to the center tensor T[k], from the terms
+    of the one-site step.  The model must be canonical at k."""
+    return _gradient(model, batch, k, None, zero_amplitude)
+
+
 def gradient_two_site(model: BornMachine, edge, batch,
                       zero_amplitude: str = "strict") -> DenseTensor:
-    """NLL gradient with respect to the merged tensor across ``edge``.
+    """NLL gradient with respect to the merged tensor across ``edge``, from
+    the terms of the two-site step.
 
     ``edge`` is (k, j) with k the canonical center and j adjacent; the
-    result has k's open axes first, then j's.  Its data term is the
-    ``_env_outer`` matrix that the dense two-site step adds to the merge.
+    result has k's open axes first, then j's.
     """
-    k, j = edge
-    samples = _step_batch(model, batch, k, j)
-    _fold_scale_data(model.tensors, k)
-    _fold_scale_data(model.tensors, j)
-    cache = _EnvCache(model, samples, k)
-    kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
-    parts_k, parts_j = cache.merged_parts(k, j, pair)
-    uk, vj = _kron_rows(parts_k), _kron_rows(parts_j)
-    m = kmat @ jmat
-    psi = _check_zero_amplitudes(np.einsum('sc,sc->s', uk @ m, vj),
-                                 zero_amplitude, None)
-    grad = 2.0 * m / float(np.vdot(m, m)) \
-        - _env_outer(uk, (2.0 / psi.shape[0]) / psi, vj)
-    return DenseTensor(grad.reshape(k_dims + j_dims), 0.0, validate=False)
+    return _gradient(model, batch, *edge, zero_amplitude)
+
+
+def _site_step(model, cache, k, cfg, stats):
+    """The one-site step at center k, for the tree and the chain alike: the
+    gradient step with no split, normalized."""
+    shape = model.tensors[k].shape
+    new = _gradient_step(*_site_operands(model, cache, k), cfg, stats)
+    new = new / (np.linalg.norm(new) or 1.0)
+    if not np.all(np.isfinite(new)):
+        raise NumericalError("non-finite tensor after a one-site step")
+    model.tensors[k] = DenseTensor(new.reshape(shape), 0.0, validate=False)
+
+
+# -- the two-site split ---------------------------------------------------------
 
 
 def _qr_on_basis(basis, gamma, rest):
@@ -439,90 +463,30 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
 
     Takes the pair matricized against their shared bond (kmat: rows x bond,
     jmat: bond x cols) and the batch environments of each side (uk: S x rows,
-    vj: S x cols).  Gradient-updates the merge with a backtracked step and
+    vj: S x cols).  Gradient-updates the merge by ``_gradient_step`` and
     returns the truncated factors (k_new rows x r, j_new r x cols) plus the
     truncation error.  Singular values land on the j factor when
     ``center_on_j``, normalized to unit norm.
 
-    The step is c0 * K J + alpha * M with M = uk^T diag(w) vj, a rank-S
-    correction.  One of two forms is chosen once, from the shapes:
-
-    - factored, when bond + S < 0.8 * min(rows, cols): the line search runs
-      on the S x S Gram of the environments and the exact SVD is taken in
-      factored form, O((bond + S)^2 (rows + cols)).  Here S^2 < rows * cols,
-      so the Gram is never larger than the merged tensor.  A side whose
-      Gram (c_kk or c_jj) is the identity is an isometry, as every tensor
-      but the center is in a canonical sweep: j in every sweep step, where
-      k holds the center.  Its columns serve as the basis of its QR, and
-      only the S environment columns outside their span are factored; the
-      other side gets a plain QR.
-    - dense, otherwise: M is formed (rows x cols), the line search reads
-      u_s^T M v_s and ||M||_F^2 from it, and the merge c0 * K J + alpha * M
-      is split by a dense SVD, O(S * rows * cols).  No S x S array exists.
+    A step in factored form is split by an exact SVD in factored form,
+    O((bond + S)^2 (rows + cols)).  A side whose Gram matrix is the identity
+    is an isometry, as every tensor but the center is in a canonical sweep:
+    j in every sweep step, where k holds the center.  Its columns serve as
+    the basis of its QR, and only the S environment columns outside their
+    span are factored; the other side gets a plain QR.  A dense step is
+    split by a dense SVD, O(S * rows * cols).
     """
-    c_kk = kmat.T @ kmat
-    c_jj = jmat @ jmat.T
-    merge_norm = math.sqrt(max(float(np.sum(c_kk * c_jj)), 0.0))
-    if merge_norm == 0.0:
-        raise NumericalError("two-site step on an all-zero merged tensor")
-    # Step on the unit-norm merge: its scale is pure gauge.
-    k_basis = kmat
-    kmat = kmat / merge_norm
-    a_env = uk @ kmat                 # (S, bond)
-    b_env = vj @ jmat.T               # (S, bond)
-    psi = _check_zero_amplitudes(np.einsum('sb,sb->s', a_env, b_env),
-                                 cfg.zero_amplitude, stats)
-    b = psi.shape[0]
-    rows, cols = kmat.shape[0], jmat.shape[1]
-    factored = kmat.shape[1] + b < 0.8 * min(rows, cols)
-    norm_sq = 1.0
-    w_base = (2.0 / b) / psi
-    # Overlaps of each environment with M (gw) and |M|^2 (wgw), all in the
-    # cached scale (per-sample factors cancel against psi).
-    if factored:
-        gram = (uk @ uk.T) * (vj @ vj.T)
-        gw = gram @ w_base
-        wgw = float(w_base @ gw)
+    stepped = _gradient_step(kmat, jmat, uk, vj, cfg, stats)
+    if isinstance(stepped, tuple):
+        u, s, vt, err = _split_factored(*stepped, cfg.d_max, cfg.svd_cutoff)
     else:
-        m_grad = _env_outer(uk, w_base, vj)             # (rows, cols)
-        gw = np.einsum('sc,sc->s', uk @ m_grad, vj)
-        wgw = float(np.vdot(m_grad, m_grad))
-    psi_w = float(psi @ w_base)
-
-    def local_nll(alpha):
-        c0 = 1.0 - 2.0 * alpha / norm_sq
-        nsq = (c0 * c0 * norm_sq + 2.0 * c0 * alpha * psi_w
-               + alpha * alpha * wgw)
-        p = c0 * psi + alpha * gw
-        if nsq <= 0.0 or np.any(p == 0.0):
-            return float("inf")
-        return math.log(nsq) - (2.0 / b) * float(np.sum(np.log(np.abs(p))))
-
-    accepted = _backtracked(local_nll, cfg, stats)
-    if accepted is None:
-        accepted = 0.0
-    c0 = 1.0 - 2.0 * accepted / norm_sq
-    if factored:
-        a_fac = _factor_side(c_kk, k_basis, c0 / merge_norm,
-                             uk.T * (accepted * w_base)[None, :])
-        bt_fac = _factor_side(c_jj, jmat.T, 1.0, vj.T)
-        u, s, vt, err = _split_factored(a_fac, bt_fac, cfg.d_max, cfg.svd_cutoff)
-    else:
-        merged = c0 * (kmat @ jmat) + accepted * m_grad
-        u, s, vt, err = _truncated_svd(merged, cfg.d_max, cfg.svd_cutoff)
+        u, s, vt, err = _truncated_svd(stepped, cfg.d_max, cfg.svd_cutoff)
         u, vt = _svd_sign_fix(u.copy(), vt.copy())
+    n = np.linalg.norm(s) or 1.0
     if center_on_j:
-        k_new = u
-        j_new = s[:, None] * vt
+        k_new, j_new = u, s[:, None] * vt / n
     else:
-        k_new = u * s[None, :]
-        j_new = vt
-    n = np.linalg.norm(s)
-    if n > 0:
-        if center_on_j:
-            j_new = j_new / n
-        else:
-            k_new = k_new / n
+        k_new, j_new = u * s[None, :] / n, vt
     if not (np.all(np.isfinite(k_new)) and np.all(np.isfinite(j_new))):
         raise NumericalError("non-finite tensors after a two-site step")
     return k_new, j_new, err
@@ -531,12 +495,8 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
 def _merge_step(model, cache, k, j, cfg, stats, center_to, merge_factors):
     """Gradient-update the (k, j) merge by ``merge_factors`` (the guarded
     two-site core) and re-split it with truncation."""
-    _fold_scale_data(model.tensors, k)
-    _fold_scale_data(model.tensors, j)
-    kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
-    parts_k, parts_j = cache.merged_parts(k, j, pair)
-    uk, vj = _kron_rows(parts_k), _kron_rows(parts_j)
-    k_new, j_new, err = merge_factors(kmat, jmat, uk, vj, cfg, stats,
+    operands, (k_dims, j_dims, pair) = _merge_operands(model, cache, k, j)
+    k_new, j_new, err = merge_factors(*operands, cfg, stats,
                                       center_on_j=(center_to == j))
     stats.truncation_errors[-1].append(err)
     rank = k_new.shape[1]

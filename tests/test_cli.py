@@ -113,6 +113,15 @@ class TestTrain:
         assert rc == 1
         assert "--dmax" in capsys.readouterr().err
 
+    def test_invalid_config_fails_before_writing(self, patterns_file,
+                                                 tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--data", patterns_file, "--dmax", 2, "--epochs", 1,
+                  "--seed", 1, "--svd-cutoff", "nan", "--out", out])
+        assert rc == 1
+        assert "error [argument]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = run(["train", "--data", tmp_path / "nope.txt", "--dmax", 2,
                   "--epochs", 1, "--seed", 1, "--out", tmp_path / "x"])

@@ -10,8 +10,8 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      nll, partition_function, sweep_epoch, sweep_steps, train)
 from ttnborn.errors import DegenerateSampleError, StateError
 
-from helpers import (all_configs, brute_force_amplitudes, mps_state_vector,
-                     ttn_from_patterns)
+from helpers import (all_configs, brute_force_amplitudes, mps_from_patterns,
+                     mps_state_vector, ttn_from_patterns)
 
 
 def nll_by_enumeration(model, batch):
@@ -92,7 +92,65 @@ class TestGradientOneSite:
         assert err.value.sample_index == 1
 
 
+def _environments(model, k, batch):
+    """Each row's environment of T[k], by enumeration: its amplitude with
+    T[k] replaced by each unit tensor in turn."""
+    amplitudes = (mps_state_vector if isinstance(model, MpsModel)
+                  else brute_force_amplitudes)
+    idx = np.asarray(batch) @ (1 << np.arange(model.n_sites - 1, -1, -1))
+    t = model.tensors[k]
+    env = np.empty((len(batch),) + t.shape)
+    for entry in np.ndindex(t.shape):
+        unit = np.zeros(t.shape)
+        unit[entry] = 1.0
+        model.tensors[k] = DenseTensor(unit, validate=False)
+        env[(slice(None),) + entry] = amplitudes(model)[idx]
+    model.tensors[k] = t
+    return env
+
+
 class TestUpdateOneSite:
+    # An inner tree center and an inner chain site, in a model that nearly
+    # fits its rows: each is a noisy copy of the model holding amplitude 1
+    # on every row.  Learning rate 0.05 is accepted and 1.0 overshoots.
+    @pytest.mark.parametrize("from_patterns, center", [
+        pytest.param(ttn_from_patterns, 2, id="ttn"),
+        pytest.param(mps_from_patterns, 3, id="mps")])
+    @pytest.mark.parametrize("lr, rejected", [(0.05, 0), (1.0, 1)])
+    def test_matches_direct_evaluation(self, monkeypatch, from_patterns,
+                                       center, lr, rejected):
+        import ttnborn.training as training
+        monkeypatch.setattr(training, "MAX_BACKTRACKS", 0)
+        batch = gen_random_patterns(8, 4, seed=0, distinct=True).samples
+        model = from_patterns(batch)
+        rng = np.random.default_rng(0)
+        for i, t in enumerate(model.tensors):
+            if t is not None:
+                model.tensors[i] = DenseTensor(
+                    t.data + 0.05 * rng.standard_normal(t.shape))
+        canonicalize(model, center)
+        t_hat = model.tensors[center].data
+        t_hat = t_hat / np.linalg.norm(t_hat)
+        env = _environments(model, center, batch)
+
+        def local_nll(t):
+            psi = np.tensordot(env, t, axes=t.ndim)
+            return (math.log(float(np.vdot(t, t)))
+                    - (2.0 / len(psi)) * float(np.sum(np.log(np.abs(psi)))))
+
+        psi = np.tensordot(env, t_hat, axes=t_hat.ndim)
+        m_grad = np.tensordot((2.0 / len(batch)) / psi, env, axes=1)
+        stepped = (1.0 - 2.0 * lr) * t_hat + lr * m_grad
+        stats = training.TrainStats()
+        training._site_step(model, training._EnvCache(model, batch, center),
+                            center, TrainConfig(learning_rate=lr), stats)
+        expected = t_hat if rejected else stepped
+        expected = expected / np.linalg.norm(expected)
+        got = model.tensors[center].data
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert stats.rejected_steps == rejected
+        assert (local_nll(stepped) > local_nll(t_hat)) == bool(rejected)
+
     def test_renormalize_pins_unit_norm(self):
         # the one-site step leaves a unit-norm center, so log Z = 0
         model = build_random(8, 3, seed=24)
@@ -324,7 +382,6 @@ class TestMergeSplitTwoSite:
 
         two = epochs_to_converge("two-site")
         one = epochs_to_converge("one-site")
-        assert two - math.log(10) != 0  # keep flake8 quiet about math import
         assert two <= one
 
     def test_requires_center_at_k(self):
@@ -506,6 +563,18 @@ class TestProjectedSplit:
         assert np.max(np.abs(q @ r - block)) < 1e-14 * np.max(np.abs(block))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -0.1), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("d_max", 0), ("d_max", -1),
+        ("svd_cutoff", -1e-12), ("svd_cutoff", math.nan),
+        ("svd_cutoff", math.inf), ("epochs", -1), ("scheme", "three-site"),
+        ("zero_amplitude", "loose"), ("batch_size", 0)])
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+
 class TestTrain:
     def test_zero_epochs_identity(self):
         model = build_random(8, 3, seed=28)
@@ -590,14 +659,18 @@ class TestTrain:
         model, stats = train(model, data, cfg)
         assert all(v >= math.log(10) - 1e-9 for v in stats.nll)
 
-    def test_lenient_zero_amplitude_floors_and_counts(self):
-        from helpers import ttn_from_patterns
-        model = ttn_from_patterns(np.array([[0, 0, 0, 0]]))
-        canonicalize(model, model.n_tensors)
+    @pytest.mark.parametrize("scheme", ["one-site", "two-site"])
+    @pytest.mark.parametrize("from_patterns", [
+        pytest.param(ttn_from_patterns, id="ttn"),
+        pytest.param(mps_from_patterns, id="mps")])
+    def test_lenient_zero_amplitude_floors_and_counts(self, from_patterns,
+                                                      scheme):
+        model = from_patterns(np.array([[0, 0, 0, 0]]))
+        canonicalize(model, model.n_sites - 1)
         bad = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
-        cfg = TrainConfig(learning_rate=0.01, d_max=2, scheme="one-site",
+        cfg = TrainConfig(learning_rate=0.01, d_max=2, scheme=scheme,
                           epochs=1, seed=0, zero_amplitude="lenient")
-        model, stats = sweep_epoch(model, bad, cfg)
+        model, stats = model.sweep_epoch(bad, cfg)
         assert stats.zero_amplitude_warnings > 0
 
     def test_stats_csv_schema(self, tmp_path):
