@@ -24,9 +24,9 @@ from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
 from .mps import (MpsModel, mps_build_random, mps_correlation_map,
                   mps_log_probs, mps_max_canonical_deviation, mps_nll,
                   mps_sample_batch, mps_sweep_epoch, mps_train)
-from .factor_graph import (TreeFactorGraph, fg_edge_marginals, fg_gradient,
-                           fg_log_ptilde, fg_nll, fg_to_ttn, fg_train,
-                           heap_shaped_fg, sum_product_log_z)
+from .factor_graph import (TreeFactorGraph, fg_gradient, fg_log_ptilde,
+                           fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
+                           sum_product_log_z)
 from .checkpoint import load_checkpoint, save_checkpoint
 from . import pbm
 

@@ -5,6 +5,8 @@ by a UTF-8 JSON header, then each tensor as a little-endian u64 byte length
 followed by row-major little-endian float64 data.  The header carries
 model_type (ttn | mps | treefg), n_sites, d_max, per-edge bond dimensions,
 tensor shapes in storage order, the ordering descriptor, seed and epoch.
+A treefg header's n_vars, edges and visible must be the heap layout of its
+factor stack (see ``factor_graph``); any other tree is rejected.
 
 Log scales are folded into the written data: scales are first moved onto
 the canonical center (which changes no represented value), so canonical
@@ -71,18 +73,22 @@ def _tensor_list(model):
     raise TypeError(f"cannot checkpoint {type(model).__name__}")
 
 
+def _heap_fields(fg: TreeFactorGraph) -> dict:
+    """The header fields of a tree factor graph: its heap layout."""
+    return {"n_vars": fg.n_vars, "edges": [list(e) for e in fg.edges],
+            "visible": fg.visible}
+
+
 def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
                     seed=None, epoch=None):
     """Write a model; returns the header dict actually stored."""
     arrays, model_type = _tensor_list(model)
     header = {"format": "ttnborn-checkpoint-v1", "model_type": model_type}
     if model_type == "treefg":
-        header["n_sites"] = len(model.visible)
+        header["n_sites"] = model.n_sites
         header["d_max"] = None
         header["bond_dims"] = {}
-        header["n_vars"] = model.n_vars
-        header["edges"] = [list(e) for e in model.edges]
-        header["visible"] = list(model.visible)
+        header.update(_heap_fields(model))
     else:
         header["n_sites"] = model.n_sites
         header["d_max"] = model.d_max
@@ -178,9 +184,9 @@ def load_checkpoint(path):
             else:
                 model = MpsModel(tensors, center, d_max)
         else:
-            model = TreeFactorGraph(header["n_vars"],
-                                    [tuple(e) for e in header["edges"]],
-                                    arrays, header["visible"])
+            model = TreeFactorGraph(len(header["visible"]), arrays)
+            if any(header[k] != v for k, v in _heap_fields(model).items()):
+                raise ValueError("treefg edges are not the heap layout")
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if header.get("ordering"):

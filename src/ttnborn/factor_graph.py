@@ -1,17 +1,27 @@
 """Tree-structure factor graph baseline and its mapping onto a TTN.
 
-Variables are binary; every edge carries a strictly positive 2x2 factor
-table indexed ``f[child_state, parent_state]`` (for visible edges the pixel
-is the child).  The unnormalized probability of a pixel configuration is the
-product of all factors summed over hidden variables, computed exactly by
-leaf-to-root message passing with per-message rescaling.
+The graph has the heap TTN's topology.  Its hidden variables are the heap
+nodes 1..n-1 of an n-pixel TTN, and pixel k is heap node n + k, a child of
+heap leaf (n + k) // 2; so the graph is the full binary heap 1..2n-1, and
+variable id m - 1 stands for heap node m.  Variables are binary.  Every
+node m >= 2 shares one strictly positive 2x2 factor with its parent m // 2,
+indexed f[state of m, state of m // 2].  The factors are one (2n - 2, 2, 2)
+stack, ``factors[m - 2]``: heap nodes 2..n-1 first, then pixels 0..n-1 as
+f[pixel value, leaf state].  Heap level L is the slice
+``factors[2^L - 2 : 2^(L+1) - 2]``, and the stack order is the order of the
+checkpoint's edges and tensors.
 
-Any such graph maps exactly onto a tree tensor network: each edge matrix is
-QR-split, the halves are absorbed into per-node tensors through the 3-way
-identity tensor of the hidden variable, and pixels become physical axes.
-The linear contraction of the resulting network reproduces the factor
-graph's unnormalized probabilities, which makes the mapping a structural
-cross-check between the two machines.
+The unnormalized probability of a pixel configuration is the product of all
+factors summed over the hidden states.  Every query runs the sum-product
+recursion (Kschischang, Frey and Loeliger, IEEE Trans. Inf. Theory 47:498,
+2001) one heap level at a time: an upward pass, with each message rescaled
+to a maximum of 1, gives log Z and log p~, and a downward pass adds the edge
+marginals of the gradient.  Each 2-state product is written as
+explicit multiply-adds, so a row rounds alike alone, in a batch and in any
+chunk of ``ttn._row_chunks``.
+
+``fg_to_ttn`` maps the graph exactly onto a TTN, which makes the mapping a
+structural cross-check between the two machines.
 """
 
 from __future__ import annotations
@@ -24,189 +34,131 @@ import numpy as np
 from .errors import DimensionError, TopologyError
 from .tensor import DenseTensor, qr_split
 from .training import MAX_BACKTRACKS
-from .ttn import TtnModel, _check_pixel_values
+from .ttn import (TtnModel, _check_pixel_values, _clamp_weights,
+                  _row_chunks)
 
 
 class TreeFactorGraph:
-    """Acyclic pairwise factor graph over binary variables."""
+    """Pairwise factor graph over the binary heap of an n-pixel TTN."""
 
-    def __init__(self, n_vars: int, edges, factors, visible):
-        self.n_vars = int(n_vars)
-        self.edges = [(int(a), int(b)) for a, b in edges]
-        self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
-        self.visible = [int(v) for v in visible]
-        for v in [v for e in self.edges for v in e] + self.visible:
-            if not 0 <= v < self.n_vars:
-                raise TopologyError(
-                    f"variable {v} is not in range({self.n_vars})")
-        if len(self.edges) != len(self.factors):
-            raise DimensionError("one factor table per edge required")
-        for f in self.factors:
-            if f.shape != (2, 2):
-                raise DimensionError("factor tables must be 2x2")
-            if not np.all(f > 0):   # rejects NaN too
-                raise ValueError("factor tables must be strictly positive")
-        self.adjacency = {v: [] for v in range(self.n_vars)}
-        for idx, (a, b) in enumerate(self.edges):
-            self.adjacency[a].append((b, idx))
-            self.adjacency[b].append((a, idx))
-        self._check_tree()
-        self._pixel_of = {v: i for i, v in enumerate(self.visible)}
+    def __init__(self, n_sites: int, factors):
+        if n_sites < 4 or n_sites & (n_sites - 1):
+            raise TopologyError(f"n_sites must be a power of 2 >= 4, got {n_sites}")
+        self.n_sites = n_sites
+        self.factors = np.array(factors, dtype=np.float64)
+        if self.factors.shape != (2 * n_sites - 2, 2, 2):
+            raise DimensionError(f"expected {2 * n_sites - 2} 2x2 factor "
+                                 f"tables, got shape {self.factors.shape}")
+        if not np.all(np.isfinite(self.factors) & (self.factors > 0)):
+            raise ValueError("factor tables must be strictly positive and finite")
 
-    def _check_tree(self):
-        if len(self.edges) != self.n_vars - 1:
-            raise TopologyError(
-                f"{len(self.edges)} edges on {self.n_vars} variables is not a tree")
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != self.n_vars:
-            raise TopologyError("factor graph is not connected")
+    @property
+    def n_vars(self) -> int:
+        return 2 * self.n_sites - 1
+
+    @property
+    def edges(self) -> list:
+        """(child, parent) variable ids, in the order of ``factors``."""
+        return [(m - 1, m // 2 - 1) for m in range(2, 2 * self.n_sites)]
+
+    @property
+    def visible(self) -> list:
+        return list(range(self.n_sites - 1, 2 * self.n_sites - 1))
 
     def copy(self) -> "TreeFactorGraph":
-        return TreeFactorGraph(self.n_vars, self.edges,
-                               [f.copy() for f in self.factors], self.visible)
-
-    def factor_in_direction(self, idx, from_var):
-        """The factor of edge idx as a C-ordered matrix (state of from_var,
-        other), so a product rounds alike for one row and for a batch."""
-        a, b = self.edges[idx]
-        f = self.factors[idx]
-        return f if from_var == a else np.ascontiguousarray(f.T)
-
-    def bfs_order(self, root=0):
-        """(node, parent, edge idx) triples in breadth-first order."""
-        order = [(root, None, None)]
-        seen = {root}
-        qi = 0
-        while qi < len(order):
-            u = order[qi][0]
-            qi += 1
-            for v, idx in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append((v, u, idx))
-        return order
+        return TreeFactorGraph(self.n_sites, self.factors)
 
 
-def _unary(fg: TreeFactorGraph, clamped, batch):
-    """(n_vars, 1 + S, 2) indicator/ones table: row 0 free but for the
-    pixels in ``clamped``, then one row clamped to each row of ``batch``."""
-    s = 0 if batch is None else batch.shape[0]
-    u = np.ones((fg.n_vars, 1 + s, 2))
-    for pix, val in (clamped or {}).items():
-        u[fg.visible[pix], 0] = np.eye(2)[int(val)]
-    if batch is not None:
-        for i, var in enumerate(fg.visible):
-            u[var, 1:] = np.eye(2)[batch[:, i]]
-    return u
+def _levels(factors: np.ndarray, weights: np.ndarray):
+    """The upward pass over (2, S, n) pixel weights: ones for a free pixel,
+    one-hot for an observed one.  Returns each row's log Z and, bottom up,
+    each level's beliefs, messages up and factors, indexed [state, row,
+    node] and [child state, parent state, -, node] (W nodes a level)."""
+    stack = factors.transpose(1, 2, 0)[:, :, None, :]
+    log_z = np.zeros(weights.shape[1])
+    levels = []
+    belief, width = weights, weights.shape[2]
+    while width > 1:
+        f = stack[..., width - 2:2 * width - 2]
+        msg = belief[0] * f[0] + belief[1] * f[1]
+        scale = np.maximum(msg[0], msg[1])
+        log_z += np.log(scale).sum(axis=1)
+        msg = msg / scale
+        levels.append((belief, msg, f))
+        belief = msg[:, :, 0::2] * msg[:, :, 1::2]
+        width //= 2
+    return log_z + np.log(belief[0, :, 0] + belief[1, :, 0]), levels
 
 
-def _sum_product_logz(fg: TreeFactorGraph, unary) -> np.ndarray:
-    """Batched log partition function via leaf-to-root messages."""
-    order = fg.bfs_order(0)
-    s = unary.shape[1]
-    logs = np.zeros(s)
-    beliefs = [unary[v].copy() for v in range(fg.n_vars)]
-    for node, parent, idx in reversed(order[1:]):
-        f = fg.factor_in_direction(idx, node)       # (node state, parent state)
-        msg = np.tensordot(beliefs[node], f, axes=([1], [0]))
-        mx = np.max(msg, axis=1)
-        alive = mx > 0
-        logs[alive] += np.log(mx[alive])
-        logs[~alive] = float("-inf")
-        scale = np.where(alive, mx, 1.0)
-        beliefs[parent] = beliefs[parent] * (msg / scale[:, None])
-    total = np.sum(beliefs[0], axis=1)
-    with np.errstate(divide="ignore"):
-        return logs + np.where(total > 0, np.log(np.maximum(total, 1e-300)),
-                               float("-inf"))
-
-
-def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
-    """Exact log Z of the (optionally pixel-clamped) factor graph."""
-    clamped = dict(clamped or {})
-    for pix in clamped:
-        if not 0 <= pix < len(fg.visible):
-            raise ValueError(f"clamped pixel {pix} out of range")
-    return float(_sum_product_logz(fg, _unary(fg, clamped, None))[0])
+def _edge_marginals(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (2n - 2, 2, 2) sum over the rows of ``weights`` of each edge's
+    marginal P(x_m, x_m//2), by the upward and one downward pass."""
+    _, levels = _levels(factors, weights)
+    rows = weights.shape[1]
+    out = np.empty_like(factors)
+    top = np.ones((2, rows, 1))   # the message into the root from above
+    for belief, msg, f in reversed(levels):
+        width = msg.shape[2]
+        # into each parent, from all but the node's own subtree
+        down = (msg.reshape(2, rows, width // 2, 2)[..., ::-1]
+                * top[..., None]).reshape(2, rows, width)
+        top = f[:, 0] * down[0] + f[:, 1] * down[1]   # into each node
+        # P(a, b) = belief[a] f[a, b] down[b] / sum_a belief[a] top[a]
+        belief = belief / (belief[0] * top[0] + belief[1] * top[1])
+        pairs = (belief[:, None] * down[None]).sum(axis=2)
+        out[width - 2:2 * width - 2] = (f[..., 0, :] * pairs).transpose(2, 0, 1)
+        top = top / np.maximum(top[0], top[1])
+    return out
 
 
 def _rows(fg: TreeFactorGraph, dataset) -> np.ndarray:
     """The checked (S, pixels) uint8 rows of a dataset or array."""
-    samples = dataset.samples if hasattr(dataset, "samples") else dataset
-    samples = np.atleast_2d(_check_pixel_values(samples))
-    if samples.shape[1] != len(fg.visible):
-        raise DimensionError(
-            f"expected {len(fg.visible)} pixels, got {samples.shape[1]}")
+    samples = np.atleast_2d(_check_pixel_values(
+        getattr(dataset, "samples", dataset)))
+    if samples.shape[1] != fg.n_sites:
+        raise DimensionError(f"expected {fg.n_sites} pixels, got {samples.shape[1]}")
     return samples.astype(np.uint8, copy=False)
+
+
+def _chunks(fg: TreeFactorGraph, rows: np.ndarray):
+    """(2, S, n) one-hot pixel weights of ``rows``, chunk by chunk; both
+    passes hold about 16 floats per pixel of a row."""
+    for chunk in _row_chunks(16 * fg.n_sites, rows.shape[0]):
+        x = rows[chunk]
+        yield chunk, np.array([1 - x, x], dtype=np.float64)
+
+
+def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
+    """Exact log Z of the factor graph, with the pixels in ``clamped``
+    (pixel -> value) fixed."""
+    weights = _clamp_weights(fg.n_sites, [dict(clamped or {})])
+    return float(_levels(fg.factors, weights.transpose(2, 0, 1))[0][0])
 
 
 def fg_log_ptilde(fg: TreeFactorGraph, samples) -> np.ndarray:
     """log of the unnormalized probability of fully clamped configurations."""
-    return _sum_product_logz(fg, _unary(fg, None, _rows(fg, samples)))[1:]
-
-
-def fg_nll(fg: TreeFactorGraph, dataset) -> float:
-    """log Z minus the mean log p~ of the rows, in one sum-product pass."""
-    logs = _sum_product_logz(fg, _unary(fg, None, _rows(fg, dataset)))
-    return float(logs[0] - np.mean(logs[1:]))
-
-
-def _directed_messages(fg: TreeFactorGraph, unary):
-    """All directed messages (u -> v), batched, with per-message rescaling."""
-    order = fg.bfs_order(0)
-    msgs = {}
-
-    def message(u, v, idx):
-        prod = unary[u].copy()
-        for w, widx in fg.adjacency[u]:
-            if w != v:
-                prod = prod * msgs[(w, u)]
-        out = np.tensordot(prod, fg.factor_in_direction(idx, u), axes=([1], [0]))
-        mx = np.max(out, axis=1)
-        mx[mx <= 0] = 1.0
-        return out / mx[:, None]
-
-    for node, parent, idx in reversed(order[1:]):
-        msgs[(node, parent)] = message(node, parent, idx)
-    for node, parent, idx in order[1:]:
-        msgs[(parent, node)] = message(parent, node, idx)
-    return msgs
-
-
-def fg_edge_marginals(fg: TreeFactorGraph, unary) -> list:
-    """Pairwise marginal of each edge, batched: list of (S, 2, 2) arrays."""
-    msgs = _directed_messages(fg, unary)
-    out = []
-    for idx, (a, b) in enumerate(fg.edges):
-        mu_a = unary[a].copy()
-        for w, _ in fg.adjacency[a]:
-            if w != b:
-                mu_a = mu_a * msgs[(w, a)]
-        mu_b = unary[b].copy()
-        for w, _ in fg.adjacency[b]:
-            if w != a:
-                mu_b = mu_b * msgs[(w, b)]
-        belief = mu_a[:, :, None] * fg.factors[idx][None, :, :] * mu_b[:, None, :]
-        totals = belief.sum(axis=(1, 2), keepdims=True)
-        out.append(belief / totals)
+    rows = _rows(fg, samples)
+    out = np.empty(rows.shape[0])
+    for chunk, weights in _chunks(fg, rows):
+        out[chunk] = _levels(fg.factors, weights)[0]
     return out
 
 
-def fg_gradient(fg: TreeFactorGraph, samples) -> list:
-    """Gradient of the NLL in log-parameter space, one (2, 2) array per edge.
+def fg_nll(fg: TreeFactorGraph, dataset) -> float:
+    """log Z minus the mean log p~ of the rows."""
+    return float(sum_product_log_z(fg) - np.mean(fg_log_ptilde(fg, dataset)))
 
+
+def fg_gradient(fg: TreeFactorGraph, samples) -> np.ndarray:
+    """Gradient of the NLL in log-parameter space, stacked like ``factors``:
     d NLL / d log f_e[a, b] = P_free(edge e = (a, b)) - mean_clamped P(...),
-    both terms exact by sum-product.
-    """
-    marginals = fg_edge_marginals(fg, _unary(fg, None, _rows(fg, samples)))
-    return [m[0] - m[1:].mean(axis=0) for m in marginals]
+    both terms exact by sum-product."""
+    rows = _rows(fg, samples)
+    clamped = np.zeros_like(fg.factors)
+    for _, weights in _chunks(fg, rows):
+        clamped += _edge_marginals(fg.factors, weights)
+    free = _edge_marginals(fg.factors, np.ones((2, 1, fg.n_sites)))
+    return free - clamped / rows.shape[0]
 
 
 def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
@@ -225,18 +177,15 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
             base = fg_nll(fg, samples)   # later, the previous epoch's NLL
         grads = fg_gradient(fg, samples)
         alpha = config.learning_rate
-        accepted = False
         for _try in range(MAX_BACKTRACKS + 1):
-            cand = fg.copy()
-            for e in range(len(fg.edges)):
-                cand.factors[e] = fg.factors[e] * np.exp(-alpha * grads[e])
+            cand = TreeFactorGraph(fg.n_sites,
+                                   fg.factors * np.exp(-alpha * grads))
             cand_nll = fg_nll(cand, samples)
             if cand_nll <= base:
                 fg.factors, base = cand.factors, cand_nll
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             stats["rejected_steps"] += 1
         stats["nll"].append(base)
         stats["seconds"].append(time.perf_counter() - t0)
@@ -249,81 +198,32 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
 
 def heap_shaped_fg(n_sites: int, seed=None, factors=None) -> TreeFactorGraph:
     """Factor graph whose hidden tree mirrors the heap TTN topology.
-
-    Hidden variable ids 0..n_sites-2 stand for heap nodes 1..n_sites-1;
-    pixel k is variable n_sites-1+k, attached to its heap leaf.  Factors
-    default to exp of standard normals from the seed.
-    """
-    if n_sites < 4 or n_sites & (n_sites - 1):
-        raise TopologyError(f"n_sites must be a power of 2 >= 4, got {n_sites}")
-    n_hidden = n_sites - 1
-    edges = []
-    for node in range(2, n_hidden + 1):
-        edges.append((node - 1, node // 2 - 1))          # child, parent
-    for pixel in range(n_sites):
-        leaf = (n_sites + pixel) // 2
-        edges.append((n_hidden + pixel, leaf - 1))
+    Factors default to exp of standard normals from the seed."""
     if factors is None:
-        rng = np.random.default_rng(seed)
-        factors = [np.exp(rng.standard_normal((2, 2))) for _ in edges]
-    visible = list(range(n_hidden, n_hidden + n_sites))
-    return TreeFactorGraph(n_hidden + n_sites, edges, factors, visible)
+        factors = np.exp(np.random.default_rng(seed).standard_normal(
+            (max(2 * n_sites - 2, 0), 2, 2)))
+    return TreeFactorGraph(n_sites, factors)
 
 
 def fg_to_ttn(fg: TreeFactorGraph) -> TtnModel:
-    """Exact mapping of a heap-shaped factor graph onto a linear TTN.
+    """Exact mapping of the factor graph onto a linear TTN.
 
-    Each tree-edge matrix is QR-split; the orthogonal half rides up with the
-    child, the triangular half is absorbed by the parent through the hidden
-    variable's 3-way identity.  Visible factors enter the leaf tensors with
-    the pixel index left physical.  The resulting network's plain (un-squared)
-    contraction equals the factor graph's unnormalized probability for every
-    configuration.
+    Each tree-edge matrix M = A B is QR-split: A (child state, bond) rides up
+    with the child, and B (bond, parent state) is absorbed by the parent
+    through the hidden variable's 3-way identity.  A pixel hands its leaf its
+    whole factor, so the pixel index stays physical.  The network's plain
+    (un-squared) contraction equals the factor graph's unnormalized
+    probability for every configuration.
     """
-    n_sites = len(fg.visible)
-    n_hidden = n_sites - 1
-    if fg.n_vars != n_hidden + n_sites:
-        raise DimensionError("factor graph does not have the heap TTN shape")
-    tree_edges = {}
-    pixel_edges = {}
-    for idx, (a, b) in enumerate(fg.edges):
-        if a in fg._pixel_of or b in fg._pixel_of:
-            pix = fg._pixel_of.get(a, fg._pixel_of.get(b))
-            hidden = b if a in fg._pixel_of else a
-            expect = (n_sites + pix) // 2 - 1
-            if hidden != expect:
-                raise DimensionError("pixel attached to the wrong heap leaf")
-            oriented = fg.factors[idx] if a in fg._pixel_of else fg.factors[idx].T
-            pixel_edges[pix] = oriented          # (pixel value, hidden state)
-        else:
-            child, parent = (a, b) if a > b else (b, a)
-            node = child + 1                     # heap index of the child
-            if parent + 1 != node // 2:
-                raise DimensionError("hidden tree is not heap-shaped")
-            oriented = fg.factors[idx] if a == child else fg.factors[idx].T
-            tree_edges[node] = oriented          # (child state, parent state)
-    if len(pixel_edges) != n_sites or len(tree_edges) != n_hidden - 1:
-        raise DimensionError("factor graph does not have the heap TTN shape")
-
-    # Split every tree-edge matrix M = A B; A (child state, bond) goes to the
-    # child, B (bond, parent state) to the parent.
-    a_half, b_half = {}, {}
-    for node, m in tree_edges.items():
-        res = qr_split(DenseTensor(m), [0], [1])
-        a_half[node] = res.q.data
-        b_half[node] = res.r.data * math.exp(res.r.log_scale)
-
-    tensors = [None]
-    for node in range(1, n_sites):
-        if node == 1:
-            t = np.einsum('lx,rx->lr', b_half[2], b_half[3])
-        elif 2 * node > n_sites - 1:
-            k1 = 2 * node - n_sites
-            fl = pixel_edges[k1]
-            fr = pixel_edges[k1 + 1]
-            t = np.einsum('px,qx,xu->upq', fl, fr, a_half[node])
-        else:
-            t = np.einsum('lx,rx,xu->ulr', b_half[2 * node],
-                          b_half[2 * node + 1], a_half[node])
-        tensors.append(DenseTensor(t, validate=False).rescaled())
-    return TtnModel(n_sites, tensors, canonical_center=None, d_max=2)
+    n_sites = fg.n_sites
+    below, above = list(fg.factors), {}
+    for node in range(2, n_sites):
+        res = qr_split(DenseTensor(below[node - 2]), [0], [1])
+        above[node] = res.q.data
+        below[node - 2] = res.r.data * math.exp(res.r.log_scale)
+    tensors = [np.einsum('lx,rx->lr', below[0], below[1])] + [
+        np.einsum('lx,rx,xu->ulr', below[2 * node - 2], below[2 * node - 1],
+                  above[node]) for node in range(2, n_sites)]
+    return TtnModel(n_sites, [None] + [DenseTensor(t, validate=False).rescaled()
+                                       for t in tensors],
+                    canonical_center=None, d_max=2)

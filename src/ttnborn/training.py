@@ -125,7 +125,9 @@ class _EnvCache:
     edge (u, v) with the batch clamped: one (S, D) matrix plus per-sample
     log factors.  Moving the center across an edge invalidates exactly one
     directed message, which is recomputed on the spot; every message a
-    gradient needs is then always fresh.
+    gradient needs is then always fresh.  The message the other way across
+    that edge is dropped, since nothing reads it before it is recomputed,
+    so the cache holds one message per edge, pointing at the center.
     """
 
     def __init__(self, model, samples: np.ndarray, center: int):
@@ -146,6 +148,7 @@ class _EnvCache:
         changed by moving the center u -> v (``sites``: u's axis sites)."""
         sites = sites or self.model.axis_sites(u)
         out = sites.index(v)
+        self.msgs.pop((v, u), None)
         self.msgs[(u, v)] = _contract_node(
             self.model.tensors[u], self.center_parts(u, out, sites), out)
 

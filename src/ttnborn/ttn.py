@@ -500,8 +500,9 @@ _ROW_BUDGET = 2 ** 22   # floats per chunk of rows, 32 MiB
 
 
 def _chunk_rows(row_floats: int, count: int) -> int:
-    """Rows per chunk of ``log_probs`` and ``sampling.sample_batch``: as many
-    as fit ``_ROW_BUDGET`` at ``row_floats`` per row, and at least 64."""
+    """Rows per chunk of ``log_probs``, ``sampling.sample_batch`` and the
+    factor graph's queries: as many as fit ``_ROW_BUDGET`` at
+    ``row_floats`` per row, and at least 64."""
     return int(max(64, min(count, _ROW_BUDGET // row_floats)))
 
 
@@ -695,8 +696,8 @@ def _check_pixel_values(samples) -> np.ndarray:
 
 
 def _check_pixel(k: int, n_sites: int):
-    if not 0 <= k < n_sites:
-        raise ValueError(f"pixel {k} out of range")
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < n_sites):
+        raise ValueError(f"pixel {k!r} is not an integer in range({n_sites})")
 
 
 def _clamp_weights(n_sites: int, assignments) -> np.ndarray:
@@ -707,8 +708,8 @@ def _clamp_weights(n_sites: int, assignments) -> np.ndarray:
         for k, v in assignment.items():
             _check_pixel(k, n_sites)
             if v not in (0, 1):
-                raise ValueError(f"pixel value must be 0 or 1, got {v}")
-            ops[s, k, 1 - v] = 0.0
+                raise ValueError(f"pixel value must be 0 or 1, got {v!r}")
+            ops[s, k, 1 - int(v)] = 0.0
     return ops
 
 

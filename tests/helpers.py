@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the library's evaluation paths."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,13 @@ from ttnborn.ttn import bond_capacity
 
 def all_configs(n):
     return np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.int64)
+
+
+def with_header(raw: bytes, **fields) -> bytes:
+    """The bytes of a checkpoint file with some header fields replaced."""
+    size = int.from_bytes(raw[8:16], "little")
+    blob = json.dumps({**json.loads(raw[16:16 + size]), **fields}).encode()
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + size:]
 
 
 def brute_force_amplitudes(model: TtnModel) -> np.ndarray:

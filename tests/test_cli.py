@@ -9,6 +9,8 @@ from ttnborn import (apply_ordering, heap_shaped_fg, load_binarized_text,
 from ttnborn.cli import main
 from ttnborn import pbm
 
+from helpers import with_header
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -185,10 +187,10 @@ class TestEvalSampleCorrelate:
 
     def test_eval_rejects_treefg_edge_out_of_range(self, patterns_file,
                                                    tmp_path, capsys):
-        fg = heap_shaped_fg(16, seed=1)
-        fg.edges[0] = (0, 99)
-        bad = tmp_path / "bad.ttnborn"
-        save_checkpoint(bad, fg)
+        good, bad = tmp_path / "good.ttnborn", tmp_path / "bad.ttnborn"
+        edges = save_checkpoint(good, heap_shaped_fg(16, seed=1))["edges"]
+        bad.write_bytes(with_header(good.read_bytes(),
+                                    edges=[[0, 99]] + edges[1:]))
         rc = run(["eval", "--model-path", bad, "--data", patterns_file])
         assert rc == 1
         assert "error [parse]" in capsys.readouterr().err

@@ -1,140 +1,154 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ttnborn import (TrainConfig, TreeFactorGraph, contract_pixel_vectors,
+import ttnborn.ttn as ttn
+from ttnborn import (TrainConfig, contract_pixel_vectors,
                      amplitudes_from_vectors, fg_gradient, fg_log_ptilde,
                      fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
-                     sum_product_log_z)
-from ttnborn.errors import DimensionError, TopologyError
-from ttnborn.factor_graph import _unary, fg_edge_marginals
+                     load_checkpoint, save_checkpoint, sum_product_log_z)
+from ttnborn.errors import FormatError
 
-from helpers import all_configs
+from helpers import all_configs, with_header
+
+
+_STATES = {n_vars: all_configs(n_vars) for n_vars in (7, 15)}
 
 
 def enum_log_z(fg, clamped=None):
-    clamped = clamped or {}
-    total = 0.0
-    for states in itertools.product([0, 1], repeat=fg.n_vars):
-        if any(states[fg.visible[p]] != v for p, v in clamped.items()):
-            continue
-        w = 1.0
-        for (a, b), f in zip(fg.edges, fg.factors):
-            w *= f[states[a], states[b]]
-        total += w
-    return math.log(total)
+    """log Z by summing the factor product over all 2^(2n - 1) states."""
+    states = _STATES[fg.n_vars]
+    keep = np.ones(len(states), dtype=bool)
+    for p, v in (clamped or {}).items():
+        keep &= states[:, fg.visible[p]] == v
+    weight = np.ones(len(states))
+    for (a, b), f in zip(fg.edges, fg.factors):
+        weight *= f[states[:, a], states[:, b]]
+    return math.log(weight[keep].sum())
 
 
-def random_tree(n_vars, n_visible, rng):
-    edges = [(i, int(rng.integers(0, i))) for i in range(1, n_vars)]
-    factors = [np.exp(rng.standard_normal((2, 2))) for _ in edges]
-    visible = sorted(rng.choice(n_vars, size=n_visible, replace=False).tolist())
-    return TreeFactorGraph(n_vars, edges, factors, visible)
+def random_heap_fg(n, rng):
+    return heap_shaped_fg(n, factors=np.exp(rng.standard_normal((2 * n - 2,
+                                                                 2, 2))))
 
 
 class TestSumProduct:
-    def test_single_edge_all_ones(self):
-        fg = TreeFactorGraph(2, [(1, 0)], [np.ones((2, 2))], visible=[1])
-        assert abs(sum_product_log_z(fg) - math.log(4)) < 1e-12
-
-    def test_two_factor_chain_hand_computed(self):
-        f1 = np.array([[1.0, 2.0], [3.0, 4.0]])   # (h0, h1)
-        f2 = np.array([[2.0, 1.0], [1.0, 2.0]])   # (x, h1)
-        fg = TreeFactorGraph(3, [(0, 1), (2, 1)], [f1, f2], visible=[2])
-        assert abs(sum_product_log_z(fg) - enum_log_z(fg)) < 1e-12
-
     def test_random_15_node_tree(self, rng):
-        fg = random_tree(15, 4, rng)
+        # the 8-pixel heap: 7 hidden variables and 8 pixels
+        fg = random_heap_fg(8, rng)
+        assert fg.n_vars == 15
         assert abs(sum_product_log_z(fg) - enum_log_z(fg)) < 1e-10
 
     def test_200_random_trees(self, rng):
+        # heap graphs of 7 and 15 variables with random factors
         for _ in range(200):
-            n = int(rng.integers(3, 13))
-            fg = random_tree(n, min(3, n - 1), rng)
+            fg = random_heap_fg(int(rng.choice([4, 8])), rng)
             assert abs(sum_product_log_z(fg) - enum_log_z(fg)) < 1e-10
 
     def test_clamped_matches_enumeration(self, rng):
-        fg = random_tree(10, 4, rng)
-        for pix in range(4):
-            for v in (0, 1):
-                assert abs(sum_product_log_z(fg, {pix: v})
-                           - enum_log_z(fg, {pix: v})) < 1e-10
+        for n in (4, 8):
+            fg = random_heap_fg(n, rng)
+            for pix in range(n):
+                for v in (0, 1):
+                    assert abs(sum_product_log_z(fg, {pix: v})
+                               - enum_log_z(fg, {pix: v})) < 1e-10
+
+    def test_log_ptilde_matches_enumeration(self, rng):
+        fg = random_heap_fg(4, rng)
+        configs = all_configs(4)
+        expect = [enum_log_z(fg, dict(enumerate(c))) for c in configs]
+        assert np.max(np.abs(fg_log_ptilde(fg, configs) - expect)) < 1e-10
+
+    @pytest.mark.parametrize("clamped", [
+        {0: -1}, {0: 2}, {0: 0.5}, {1.5: 0}, {-1: 0}, {8: 1}, {"0": 1}],
+        ids=["value--1", "value-2", "value-0.5", "pixel-1.5", "pixel--1",
+             "pixel-8", "pixel-str"])
+    def test_bad_clamp_rejected(self, clamped):
+        with pytest.raises(ValueError):
+            sum_product_log_z(heap_shaped_fg(8, seed=1), clamped)
 
     def test_a_row_scores_alike_alone_and_in_a_batch(self, rng):
-        # a message's product must not round by the number of rows that
-        # share it, so one pass over the free row and the data rows gives
-        # what separate passes give
-        fg = heap_shaped_fg(128, seed=8)
-        fg.factors = [np.exp(rng.standard_normal((2, 2))) for _ in fg.edges]
+        # each 2-state product is explicit multiply-adds, so a row's log p~
+        # does not depend on the rows that share its pass
+        fg = random_heap_fg(128, rng)
         rows = rng.integers(0, 2, size=(20, 128))
-        batch = fg_edge_marginals(fg, _unary(fg, None, rows))
-        for i in range(len(rows) + 1):
-            alone = fg_edge_marginals(fg, _unary(fg, None, rows[i - 1:i])
-                                      if i else _unary(fg, None, None))
-            assert all(np.array_equal(a[-1], b[i])
-                       for a, b in zip(alone, batch))
         lp = fg_log_ptilde(fg, rows)
         assert all(fg_log_ptilde(fg, row)[0] == x for row, x in zip(rows, lp))
         assert fg_nll(fg, rows) == sum_product_log_z(fg) - np.mean(lp)
 
-    def test_cycle_rejected(self):
-        with pytest.raises(TopologyError):
-            TreeFactorGraph(3, [(0, 1), (1, 2), (2, 0)],
-                            [np.ones((2, 2))] * 3, visible=[0])
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(TopologyError):
-            TreeFactorGraph(4, [(0, 1), (0, 1), (2, 3)],
-                            [np.ones((2, 2))] * 3, visible=[0])
-
-    @pytest.mark.parametrize("edges, visible", [
-        ([(0, 1), (0, 99)], [1, 2]),
-        ([(0, 1), (-1, 2)], [1, 2]),
-        ([(0, 1), (0, 2)], [1, 3]),
-    ])
-    def test_variable_out_of_range_rejected(self, edges, visible):
-        with pytest.raises(TopologyError):
-            TreeFactorGraph(3, edges, [np.ones((2, 2))] * 2, visible)
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_queries_do_not_depend_on_the_chunk(self, monkeypatch, rng,
+                                                chunk):
+        fg = random_heap_fg(16, rng)
+        rows = rng.integers(0, 2, size=(200, 16))
+        whole = (fg_log_ptilde(fg, rows), fg_nll(fg, rows),
+                 fg_gradient(fg, rows))
+        assert ttn._chunk_rows(16 * 16, len(rows)) == len(rows)
+        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        assert np.array_equal(fg_log_ptilde(fg, rows), whole[0])
+        assert fg_nll(fg, rows) == whole[1]
+        assert np.max(np.abs(fg_gradient(fg, rows) - whole[2])) < 1e-14
 
     def test_nonpositive_factor_rejected(self):
-        for bad in (0.0, np.nan):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            factors = np.ones((6, 2, 2))
+            factors[2, 0, 1] = bad
             with pytest.raises(ValueError):
-                TreeFactorGraph(2, [(1, 0)],
-                                [np.array([[1.0, bad], [1.0, 1.0]])],
-                                visible=[1])
+                heap_shaped_fg(4, factors=factors)
+
+
+class TestHeapLayout:
+    def test_header_layout_is_pinned(self, tmp_path):
+        header = save_checkpoint(tmp_path / "fg.ttnborn", heap_shaped_fg(4))
+        assert header["edges"] == [[1, 0], [2, 0], [3, 1], [4, 1], [5, 2],
+                                   [6, 2]]
+        assert header["visible"] == [3, 4, 5, 6]
+        assert header["n_vars"] == 7
+
+    @pytest.mark.parametrize("fields", [
+        {"edges": [[0, 1], [2, 0], [3, 1], [4, 1], [5, 2], [6, 2]]},
+        {"edges": [[2, 0], [1, 0], [3, 1], [4, 1], [5, 2], [6, 2]]},
+        {"edges": [[2, 0], [1, 0], [3, 2], [4, 2], [5, 1], [6, 1]]},
+        {"edges": [[1, 0], [2, 0], [3, 1], [4, 1], [5, 2], [6, 99]]},
+        {"visible": [6, 5, 4, 3]},
+        {"visible": [3, 4, 5, -1]},
+        {"n_vars": 8},
+    ], ids=["swapped", "permuted", "renumbered", "edge-out-of-range",
+            "visible", "visible-out-of-range", "n-vars"])
+    def test_non_heap_header_rejected(self, tmp_path, fields):
+        path = tmp_path / "fg.ttnborn"
+        save_checkpoint(path, heap_shaped_fg(4, seed=3))
+        path.write_bytes(with_header(path.read_bytes(), **fields))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 class TestTraining:
-    def test_single_visible_all_zeros_converges(self):
+    def test_all_zeros_data_converges(self):
         # the optimum is a hard assignment at the log-space boundary, so the
         # residual mass shrinks like 1/(lr * epochs)
-        fg = TreeFactorGraph(2, [(1, 0)], [np.ones((2, 2))], visible=[1])
-        data = np.zeros((4, 1), dtype=int)
-        cfg = TrainConfig(learning_rate=4.0, epochs=600, d_max=2)
+        fg = heap_shaped_fg(4, factors=np.ones((6, 2, 2)))
+        data = np.zeros((4, 4), dtype=int)
+        cfg = TrainConfig(learning_rate=4.0, epochs=1200, d_max=2)
         fg, _ = fg_train(fg, data, cfg)
-        p0 = math.exp(fg_log_ptilde(fg, np.array([[0]]))[0]
-                      - sum_product_log_z(fg))
+        p0 = math.exp(fg_log_ptilde(fg, data[:1])[0] - sum_product_log_z(fg))
         assert abs(p0 - 1.0) < 1e-3
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(3):
-            fg = random_tree(7, 3, rng)
-            batch = rng.integers(0, 2, size=(6, 3))
+            fg = random_heap_fg(8, rng)
+            batch = rng.integers(0, 2, size=(6, 8))
             grads = fg_gradient(fg, batch)
             h = 1e-6
-            for e in range(len(fg.edges)):
-                for a in range(2):
-                    for b in range(2):
-                        f0 = fg.factors[e][a, b]
-                        fg.factors[e][a, b] = f0 * math.exp(h)
-                        up = fg_nll(fg, batch)
-                        fg.factors[e][a, b] = f0 * math.exp(-h)
-                        down = fg_nll(fg, batch)
-                        fg.factors[e][a, b] = f0
-                        fd = (up - down) / (2 * h)
-                        assert abs(fd - grads[e][a, b]) < 1e-5
+            for index in np.ndindex(fg.factors.shape):
+                f0 = fg.factors[index]
+                fg.factors[index] = f0 * math.exp(h)
+                up = fg_nll(fg, batch)
+                fg.factors[index] = f0 * math.exp(-h)
+                down = fg_nll(fg, batch)
+                fg.factors[index] = f0
+                assert abs((up - down) / (2 * h) - grads[index]) < 1e-5
 
     @pytest.mark.parametrize("value", [-1, 2])
     @pytest.mark.parametrize("call", [
@@ -155,8 +169,7 @@ class TestTraining:
             runs.append((stats["nll"], fg.factors))
         for nlls, factors in runs[1:]:
             assert nlls == runs[0][0]
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(factors, runs[0][1]))
+            assert np.array_equal(factors, runs[0][1])
 
     def test_recorded_nll_is_the_model_nll(self, rng):
         data = rng.integers(0, 2, size=(12, 8))
@@ -193,10 +206,9 @@ class TestTraining:
 class TestMapping:
     def test_all_ones_factors_give_uniform_measure(self):
         n = 8
-        edge_count = (n - 2) + n
-        fg = heap_shaped_fg(n, factors=[np.ones((2, 2))] * edge_count)
-        ttn = fg_to_ttn(fg)
-        amp = contract_pixel_vectors(ttn, np.ones((n, 2)))
+        fg = heap_shaped_fg(n, factors=np.ones((2 * n - 2, 2, 2)))
+        assert abs(sum_product_log_z(fg) - (2 * n - 1) * math.log(2)) < 1e-12
+        amp = contract_pixel_vectors(fg_to_ttn(fg), np.ones((n, 2)))
         assert abs(amp.log_abs - sum_product_log_z(fg)) < 1e-10
 
     def test_random_factors_match_per_configuration(self):
@@ -214,11 +226,6 @@ class TestMapping:
         res = qr_split(DenseTensor(m), [0], [1])
         recon = res.q.data @ res.r.data * math.exp(res.r.log_scale)
         assert np.max(np.abs(recon - m)) < 1e-12
-
-    def test_wrong_topology_rejected(self, rng):
-        fg = random_tree(12, 8, rng)
-        with pytest.raises(DimensionError):
-            fg_to_ttn(fg)
 
     def test_hundred_random_graphs_free_and_clamped(self, rng):
         for trial in range(100):

@@ -274,6 +274,22 @@ class TestSweepEpoch:
             sweep_epoch(model, data, cfg, on_step=on_step)
             assert all(c == 2 for c in counts.values()), (scheme, counts)
 
+    @pytest.mark.parametrize("scheme", ["one-site", "two-site"])
+    @pytest.mark.parametrize("build", [build_random, mps_build_random],
+                             ids=["ttn", "mps"])
+    def test_cache_holds_one_message_per_edge(self, build, scheme):
+        # the message back across the edge the center moved over is stale,
+        # and is dropped
+        data = gen_random_patterns(16, 5, seed=1).samples
+        model = build(16, 4, seed=2)
+        model.canonicalize(15)
+        cache = model.sweep_cache(data)
+        sweep_epoch(model, data, TrainConfig(learning_rate=0.05, d_max=4,
+                                             scheme=scheme, epochs=1, seed=0),
+                    cache=cache)
+        edges = {frozenset(key) for key in cache.msgs}
+        assert len(edges) == len(cache.msgs) == len(model.bond_dims())
+
     def test_two_site_epoch_pushes_into_no_leaf(self, monkeypatch):
         # a round trip into a leaf is merged straight back, so the two-site
         # scheme pushes only on the round trips into internal nodes
