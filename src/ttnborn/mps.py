@@ -7,7 +7,7 @@ form, the QR push, the training cache, the sweep walk, the one- and two-site
 steps, the evaluation and sampling drivers, the NLL, marginals and
 correlations are the tree's own code, and the comparisons between the two
 models are like for like.  This module supplies the chain's topology, its
-amplitude and sampling kernels (both walking n/2 two-site blocks) and
+amplitude kernel and sampler node table (both on n/2 two-site blocks) and
 marginals (on the identities of the canonical form, as the tree's).
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, TopologyError
-from .sampling import _draw_pixels, sample_batch
+from . import sampling
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
@@ -80,13 +80,12 @@ class MpsModel(BornMachine):
         return (10 * self.max_bond() + 8 + self.n_sites // 8,
                 lambda rows: mps_amplitudes(self, rows))
 
-    def _sampler(self):
-        # one uniform per pixel, from a copy centred at the nearer end; one
-        # two-site block product, the uniforms and the rows
+    def _sample_view(self):
+        # a copy centred at the nearer end; a block product and its message
         n, c = self.n_sites, self.canonical_center
         work = _rooted_copy(self, 0 if c < n - 1 - c else n - 1)
-        return (4 * self.max_bond() + 3 * n // 2, n,
-                lambda uniforms: _draw(work, uniforms))
+        work.nodes = _PairNodes(work)
+        return work, 8 * self.max_bond()
 
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
@@ -113,18 +112,41 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
 # The tree's functions, under their MPS names.
 mps_max_canonical_deviation = max_canonical_deviation
 mps_log_probs = log_probs
-mps_sample_batch = sample_batch
 
 
-def _pair_blocks(tensors):
-    """Yield the chain in walk order as (Da, 4, Dc) blocks of sites 2k and
-    2k+1, indexed by 2 x_first + x_second, then the plain (Da, 2, Db) last
-    site when n is odd; one block is built at a time."""
-    for a, b in zip(tensors[0::2], tensors[1::2]):
-        yield (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)
-               ).reshape(a.shape[0], 4, -1)
-    if len(tensors) % 2:
-        yield tensors[-1]
+def mps_sample_batch(model: MpsModel, count: int, seed: int, **kwargs):
+    """``sampling.sample_batch``, looked up per call, so that a wrap of the
+    driver both models share (``perfbench``) times the chain's calls too."""
+    return sampling.sample_batch(model, count, seed, **kwargs)
+
+
+def _pair_block(a, b=None):
+    """The (Da, 4, Dc) block of two neighbouring sites, indexed by
+    2 x_a + x_b, or the plain (Da, 2, Db) site ``a`` when it has no pair."""
+    if b is None:
+        return a
+    return (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)
+            ).reshape(a.shape[0], 4, -1)
+
+
+class _PairNodes:
+    """The sampler's rooted node table (``sampling``) of a chain canonical
+    at an end: node k is the k-th pair of sites from that end, its block
+    (``_pair_block``) built when the walk reads it, with node k + 1 as its
+    second child.  When n is odd, the last site is a node of its own."""
+
+    def __init__(self, model: MpsModel):
+        self.tensors = [t.data for t in model.tensors]
+        self.reverse = model.canonical_center == model.n_sites - 1
+
+    def __len__(self):
+        return (len(self.tensors) + 1) // 2
+
+    def __getitem__(self, k: int):
+        j = len(self) - 1 - k if self.reverse else k
+        block = _pair_block(*self.tensors[2 * j:2 * j + 2])
+        return (block.transpose(2, 1, 0) if self.reverse else block,
+                slice(2 * j, 2 * j + 2), k + 1 if k + 1 < len(self) else None)
 
 
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
@@ -134,11 +156,13 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
     s_count = samples.shape[0]
     rows, msg = np.arange(s_count), np.ones((s_count, 1))
     logs = np.full(s_count, sum(t.log_scale for t in model.tensors))
-    for k, b in enumerate(_pair_blocks([t.data for t in model.tensors])):
+    tensors = [t.data for t in model.tensors]
+    for k in range(0, model.n_sites, 2):
+        b = _pair_block(*tensors[k:k + 2])
         da, m, db = b.shape
-        index = samples[:, 2 * k].astype(np.intp)
+        index = samples[:, k].astype(np.intp)
         if m == 4:
-            index = 2 * index + samples[:, 2 * k + 1]
+            index = 2 * index + samples[:, k + 1]
         x = (msg @ b.reshape(da, -1)).reshape(s_count, m, db)
         msg, logs = _rescale_rows(x[rows, index], logs)
     return _signed_logs(msg[:, 0], logs)
@@ -215,39 +239,3 @@ def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,
         samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
         model = mps_build_random(samples.shape[1], config.d_max, config.seed)
     return train(model, dataset, config, on_epoch=on_epoch)
-
-
-# -- sampling -------------------------------------------------------------------
-
-def _draw(model: MpsModel, uniforms):
-    """(samples, chain log) of the rows that ``uniforms`` draw from a chain
-    canonical at an end, column i drawing the i-th pixel in sampling order.
-
-    With the center at an end, the other tensors are isometries toward it
-    and the conditionals need no environment: at site 0 the chain is
-    sampled left to right, at the last site (where training leaves it)
-    right to left.  It is walked in two-site blocks B (``_pair_blocks``):
-    from the pure state v on its incoming bond, a block's pixels are drawn
-    in turn from its exact weights |v . B[x]|^2, and v moves on to the
-    drawn row, normalized.  The chain log sums the log of each drawn weight
-    over the block's total, so no conditional near 1 is subtracted from 1.
-    """
-    count, n = uniforms.shape
-    tensors = [t.data for t in model.tensors]
-    reverse = model.canonical_center == n - 1
-    if reverse:
-        tensors = [t.transpose(2, 1, 0) for t in reversed(tensors)]
-    rows = np.arange(count)
-    samples = np.empty((count, n), dtype=np.uint8)
-    chain_log, vec = np.zeros(count), np.ones((count, 1))
-    for k, b in enumerate(_pair_blocks(tensors)):
-        da, m, db = b.shape
-        a = (vec @ b.reshape(da, -1)).reshape(count, m, db)
-        w = np.einsum("rxb,rxb->rx", a, a)
-        cols = slice(2 * k, 2 * k + m // 2)
-        samples[:, cols], index = _draw_pixels(
-            w, uniforms[:, cols], n - 1 - 2 * k if reverse else 2 * k)
-        drawn = w[rows, index]
-        chain_log += np.log(drawn / w.sum(axis=1))
-        vec = a[rows, index] / np.sqrt(drawn)[:, None]
-    return (samples[:, ::-1] if reverse else samples), chain_log

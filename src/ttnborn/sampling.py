@@ -2,41 +2,34 @@
 
 Configurations are drawn from the exact Born distribution p(x), so a
 returned row has exactly its model probability; no Markov chain is
-involved.  ``sample_batch`` draws for both models, chunk by chunk, with
-the model's kernel (``_sampler``) on a copy centred at the root for the
-tree (``SampleState`` below) and at the nearer end for the chain
-(``mps._draw``).
+involved.  ``sample_batch`` draws for both models, chunk by chunk, by one
+walk (``SampleState``) over the rooted node table of a re-centred copy
+(``BornMachine._sampler``): the tree rooted at its root, with its 4-pixel
+groups as leaves (``ttn._RootedTree``), or the chain, the degenerate tree,
+rooted at its nearer end, one two-site block per node (``mps._PairNodes``).
 
-Rooted, every tree tensor below the root is an isometry, so the amplitude
-vectors of each subtree are orthonormal.  A node entered with a pure state
-``v`` has the amplitude matrix ``M = v . T`` over its two child bonds, and
-the first child's pixels are distributed as
-``p(x_first) = sum_s |M[:, s] . C_first(x_first)|^2`` over the open
-sibling's bond index ``s``.  The sampler draws ``s`` with weight
-``|M[:, s]|^2`` as an auxiliary variable, samples the first subtree from
-the pure state ``M[:, s]``, then the second subtree from the pure state
-``M^T C_first(x_first)``.  The auxiliary index is forgotten once the first
-subtree is drawn, so the rows follow p(x) exactly while every message is a
-per-row vector: one depth-first pass costs O(D^3) per node and row.
-
-The pass stops at the group roots, the parents of two leaves (the root
-itself at 4 pixels).  A group root entered with ``v`` draws the four pixels
-below it in turn, each from its conditional of the 16 exact weights
-``|v . B[x]|^2`` of the group's (16, D) block B (``ttn._group_blocks``).
-
-The chain log returned with the samples is log p(x) itself, from the
-amplitude assembled in the same pass: the completed subtree vectors carry
-their log scales up to the root, where ``psi = C_2^T T_1 C_3``.
+Node k is ``(T, first, second)``, T with the axes (parent bond, first,
+second).  ``first`` is a child node or a slice of pixels, whose values
+index T's middle axis, the first pixel most significant; ``second`` is a
+child node, or None where its axis has dimension 1.  Rooted, every tensor
+below the root is an isometry onto its parent bond.  The walk goes down a
+chain of second children, entering each node with a pure state ``v`` on
+its parent bond, and forms ``M = v . T``.  Below a pixel group it draws the
+group's value x with weight ``sum_s |M[x, s]|^2`` and moves on with
+``v = M[x]``.  Below a child node it draws the second bond's index s with
+weight ``|M[:, s]|^2`` as an auxiliary variable, completes the first
+subtree from the pure state ``M[:, s]`` into its amplitude vector c, and
+moves on with ``v = c^T M``; c is then exact whatever s was, so the rows
+follow p(x) exactly (Ferris and Vidal, PRB 85:165146, 2012).  A completed
+subtree folds its path back up, ``c = T . (c_first (x) c_second)``.  At the
+root the last ``v`` is the amplitude psi(x), its log scale carried along,
+so the chain log returned with the samples is ``2 log|psi| - log Z``.
 
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
-seeded generator's uniform stream, with one column per pixel and, for the
-tree, one per internal node, so it is reproducible from (seed, i) alone
-and batches of any size agree on shared indices.  A pixel is 1 iff its
-uniform is below its conditional p1.  The column of a group root now goes
-unused, since no bond index is drawn there.  (The tree's rows a seed
-yields changed twice, when the auxiliary-index pass replaced per-pixel
-conditionals and when group draws replaced the bottom auxiliary index; the
-distribution did not.)
+seeded generator's uniform stream, one column per node, so it depends on
+(seed, i) alone; each draw is one ``_draw``.  The rows a seed yields
+changed for both models when the tree's and the chain's samplers became
+this walk (and for the tree twice before); the distribution did not.
 """
 
 from __future__ import annotations
@@ -44,99 +37,69 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import (BornMachine, _node_data, _rescale_batch, _rescale_rows,
-                  _row_chunks, partition_function)
+from .ttn import BornMachine, _rescale_rows, _row_chunks, partition_function
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
 
-def _draw_pixels(weights, uniforms, pixel: int):
-    """Draw the q pixels that index (count, 2^q) exact weights, the first
-    most significant, each from its conditional given those before it:
-    pixel j is 1 iff ``uniforms[:, j]`` is below its p1.  Returns the
-    (count, q) pixels and their (count,) index; ``pixel`` names the first
-    in the error for zero mass."""
-    count, q = uniforms.shape
-    rows, index = np.arange(count), np.zeros(count, dtype=np.intp)
-    x = np.empty((count, q), dtype=np.uint8)
-    for j in range(q):
-        w = weights.reshape(count, -1, 2, 2 ** (q - 1 - j))[rows, index]
-        w = w.sum(axis=2)
-        total = w[:, 0] + w[:, 1]
-        # a drawn value has positive weight, so only the first level can
-        # lack mass
-        if j == 0 and not (total > 0.0).all():
-            raise DegenerateDistributionError(
-                f"zero conditional mass at pixel {pixel}")
-        x[:, j] = uniforms[:, j] < w[:, 1] / total
-        index = 2 * index + x[:, j]
-    return x, index
+def _draw(weights, u):
+    """The smallest index in each row of ``weights`` whose cumulative weight
+    exceeds ``u`` times the total: never one of zero weight (0 <= u < 1)."""
+    cum = np.cumsum(weights, axis=1)
+    total = cum[:, -1]
+    if not np.all(total > 0.0):
+        raise DegenerateDistributionError("zero mass at a sampling node")
+    return np.count_nonzero(cum <= (u * total)[:, None], axis=1)
 
 
 class SampleState:
-    """Lockstep sampling of one chunk of rows from a root-canonical tree
-    with its group blocks (``ttn._RootedTree``)."""
+    """Lockstep sampling of one chunk of rows by one walk over the node
+    table ``nodes`` of ``model``, a rooted copy."""
 
     def __init__(self, model, uniforms: np.ndarray):
-        self.model = model
-        self.u = uniforms
-        self.count = uniforms.shape[0]
+        self.model, self.u, self.count = model, uniforms, len(uniforms)
         self.samples = np.zeros((self.count, model.n_sites), dtype=np.uint8)
-        self.chain_log = np.zeros(self.count)
         self._rows = np.arange(self.count)
-        self.blocks = model.blocks
 
-    def _bond_index(self, weights, node: int):
-        """Draw the smallest s with cum_weight[s] > u * total, so an index
-        of zero weight is never chosen (u lies in [0, 1))."""
-        cum = np.cumsum(weights, axis=1)
-        total = cum[:, -1]
-        if not np.all(total > 0.0):
-            raise DegenerateDistributionError(
-                f"zero mass at the bond index below node {node}")
-        cut = self.u[:, self.model.n_sites + node - 1] * total
-        return np.count_nonzero(cum <= cut[:, None], axis=1)
-
-    def _group(self, node: int, v):
-        """Draw the four pixels under group root ``node`` from the pure
-        state ``v`` on its parent bond, one at a time from the 16 weights
-        |v . B|^2 of its block B; return the drawn rows of B, rescaled."""
-        block = self.blocks[node - self.model.n_sites // 4]
-        first = 4 * node - self.model.n_sites
-        self.samples[:, first:first + 4], index = _draw_pixels(
-            (v @ block.T) ** 2, self.u[:, first:first + 4], first)
-        return _rescale_rows(block[index], np.zeros(self.count))
-
-    def _subtree(self, node: int, v):
-        """Sample the subtree under ``node`` from the pure state ``v`` on its
-        parent bond, through an auxiliary bond index ``s``; return its
-        completed amplitude vector, rescaled to unit max, and the per-row
-        log of the scale taken out of it."""
-        if node >= self.model.n_sites // 4:
-            return self._group(node, v)
-        t = _node_data(self.model, node)
-        da = t.shape[0]
-        m = (_rescale_batch(v) @ t.reshape(da, -1)).reshape(
-            (self.count,) + t.shape[1:])
-        s = self._bond_index(np.einsum('rfs,rfs->rs', m, m), node)
-        left, log1 = self._subtree(2 * node, m[self._rows, :, s])
-        right, log2 = self._subtree(2 * node + 1,
-                                    np.einsum('rf,rfs->rs', left, m))
-        pair = left[:, :, None] * right[:, None, :]
-        return _rescale_rows(pair.reshape(self.count, -1)
-                             @ t.reshape(da, -1).T, log1 + log2)
+    def _walk(self, node: int, v, complete: bool = False):
+        """Draw the subtree under ``node`` from the pure state ``v`` on its
+        parent bond.  Returns the last node's ``v`` or, if ``complete``, the
+        subtree's amplitude vector, with the per-row log of its scale."""
+        logs, path = np.zeros(self.count), []
+        while node is not None:
+            t, first, second = self.model.nodes[node]
+            da, m1, m2 = t.shape
+            v, logs = _rescale_rows(v, logs)
+            m = (v @ t.reshape(da, -1)).reshape(self.count, m1, m2)
+            if isinstance(first, slice):
+                x = _draw(np.einsum("rxs,rxs->rx", m, m), self.u[:, node])
+                bits = np.unpackbits(x.astype(np.uint8)[:, None], axis=1)
+                self.samples[:, first] = bits[:, 9 - m1.bit_length():]
+                # a completed group is the one-hot of its drawn value
+                v, log = m[self._rows, x], 0.0
+                c = np.eye(m1)[x] if complete else None
+            else:
+                s = _draw(np.einsum("rfs,rfs->rs", m, m), self.u[:, node])
+                c, log = self._walk(first, m[self._rows, :, s], True)
+                v, logs = np.einsum("rf,rfs->rs", c, m), logs + log
+            if complete:
+                path.append((t, c, log))
+            node = second
+        if not complete:
+            return v, logs
+        v, logs = np.ones((self.count, 1)), np.zeros(self.count)
+        for t, c, log in reversed(path):
+            pair = (c[:, :, None] * v[:, None, :]).reshape(self.count, -1)
+            v, logs = _rescale_rows(pair @ t.reshape(len(t), -1).T, logs + log)
+        return v, logs
 
     def run(self):
-        """Fill and return ``samples`` and ``chain_log`` (log p of each
-        row)."""
-        model = self.model
-        amp, log = self._subtree(1, np.ones((self.count, 1)))
-        scale = sum(model.tensors[n].log_scale
-                    for n in range(1, model.n_tensors + 1))
+        """The chunk's (samples, chain log), the log p of each row."""
+        psi, logs = self._walk(0, np.ones((self.count, 1)))
+        scale = sum(t.log_scale for t in self.model.tensors if t is not None)
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(amp[:, 0])) + log + scale
-        self.chain_log = 2.0 * log_abs - partition_function(model)
-        return self.samples, self.chain_log
+            log_abs = np.log(np.abs(psi[:, 0])) + logs + scale
+        return self.samples, 2.0 * log_abs - partition_function(self.model)
 
 
 def sample_batch(model: BornMachine, count: int, seed: int, *,
@@ -144,16 +107,20 @@ def sample_batch(model: BornMachine, count: int, seed: int, *,
                  return_chain_log: bool = False):
     """Draw ``count`` exact samples of either model, a (count, pixels) matrix.
 
-    Row ``i`` depends only on (seed, i), whatever ``count`` and the chunk
-    size (the rows changed twice, as the module notes; their distribution
-    did not).  With an ordering descriptor the padding slots are stripped
-    and pixels are returned in raw image order.
+    ``count`` is an integer >= 1 and ``seed`` an integer >= 0, so every
+    draw follows an explicit seed.  Row ``i`` depends only on (seed, i),
+    whatever ``count`` and the chunk size (the module notes when the rows
+    changed; their distribution did not).  With an ordering descriptor the
+    padding slots are stripped and pixels are returned in raw image order.
     ``return_chain_log`` additionally returns each row's log p(x), computed
     from the amplitude the sampler assembled (not a sum of conditionals),
     for auditing against ``log_probs``.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    for name, value, low in (("count", count, 1), ("seed", seed, 0)):
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, np.integer)) or value < low):
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
     row_floats, columns, draw = model._sampler()

@@ -135,7 +135,6 @@ class _EnvCache:
         self.samples = np.asarray(samples, dtype=np.uint8)
         self.n_samples = self.samples.shape[0]
         self.msgs = {}
-        self._onehots = {}
         # the logs of every unscaled message: one shared, never written
         self._zeros = np.zeros(self.n_samples)
         self._boundary = (np.ones((self.n_samples, 1)), self._zeros)
@@ -165,10 +164,8 @@ class _EnvCache:
             return self._boundary
         if not isinstance(site, Pixel):
             return self.msgs[(site, k)]
-        if site.index not in self._onehots:
-            self._onehots[site.index] = (_EYE2[self.samples[:, site.index]],
-                                         self._zeros)
-        return self._onehots[site.index]
+        # gathered on each use, so that no per-pixel array is kept
+        return _EYE2.take(self.samples[:, site.index], axis=0), self._zeros
 
 
 # -- the gradient step ---------------------------------------------------------

@@ -16,10 +16,10 @@ the model gives (what sits on each axis of a tensor: a neighbouring node or
 a pixel).  ``BornMachine`` derives neighbors, axis lookup and the shape
 check from it, and the chain (``mps``) answers the same question, so the
 canonical form, QR pushes, the training cache, the sweep walk and the
-two-site step are written once for both, and so are the drivers of
-evaluation and sampling, over per-model kernels.  The tree's kernels and
-marginals read each 4-pixel subtree as one (16, D) block, a per-call view
-that replaces the bottom two levels of the heap (``_group_blocks``).
+two-site step are written once for both, and so are evaluation, over
+per-model kernels, and sampling, over per-model node tables.  The tree's
+reads take each 4-pixel subtree as one (16, D) block, a per-call view that
+replaces the bottom two levels of the heap (``_group_blocks``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
@@ -74,7 +74,8 @@ class BornMachine:
     with the floats a row holds in it, which size the chunks:
     ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
     ``_sampler()`` gives the uniforms per row and a map from uniforms to
-    (rows, log p) on a re-centred copy (``_rooted_copy``).
+    (rows, log p): one walk over the rooted node table of the re-centred
+    copy that ``_sample_view()`` gives.
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
@@ -138,6 +139,15 @@ class BornMachine:
         """The model to make several marginal passes on: itself, or for
         the tree a rooted copy that all of them share (``_RootedTree``)."""
         return self
+
+    def _sampler(self):
+        """(floats per row, uniforms per row, draw): one walk over the node
+        table of ``_sample_view()``, with one uniform per node."""
+        from .sampling import SampleState
+        work, walk_floats = self._sample_view()
+        columns = len(work.nodes)
+        return (walk_floats + columns + self.n_sites // 8, columns,
+                lambda uniforms: SampleState(work, uniforms).run())
 
     def sweep_cache(self, samples):
         from . import training
@@ -229,13 +239,15 @@ class TtnModel(BornMachine):
         d, n = max(self.max_bond(), 2), self.n_sites
         return (2 * d + n.bit_length()) * d + n // 4, kernel
 
-    def _sampler(self):
-        # one uniform per pixel and per internal node (unused at a group
-        # root); a (D, D) matrix per level, the uniforms and the rows
-        from .sampling import SampleState
-        work, d, n = _RootedTree(self), max(self.max_bond(), 2), self.n_sites
-        return (d * d * (n.bit_length() - 1) + 3 * n // 2, n + n // 2 - 1,
-                lambda uniforms: SampleState(work, uniforms).run())
+    def _sample_view(self):
+        # the rooted copy with its node table (heap node k is entry k - 1, a
+        # group root its block as (D, 16, 1)); a (D, D) message per level
+        work, d = _RootedTree(self), max(self.max_bond(), 4)
+        work.nodes = [(_node_data(work, k), 2 * k - 1, 2 * k)
+                      for k in range(1, self.n_sites // 4)]
+        work.nodes += [(b.T[:, :, None], slice(4 * j, 4 * j + 4), None)
+                       for j, b in enumerate(work.blocks)]
+        return work, d * d * (self.n_sites.bit_length() - 2)
 
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling

@@ -73,3 +73,20 @@ class TestChainSamplerMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestSampleArguments:
+    @pytest.mark.parametrize("kind", ["ttn", "mps"])
+    @pytest.mark.parametrize("count, seed, ok", [
+        (np.int64(3), np.uint32(7), True), (3, 7, True),
+        (2.5, 7, False), (0, 7, False), (True, 7, False), ("3", 7, False),
+        (3, None, False), (3, -1, False), (3, 7.0, False), (3, False, False)])
+    def test_count_and_seed_are_checked_integers(self, kind, count, seed, ok):
+        # a seed of None would draw from OS entropy, outside every
+        # explicit seed
+        model, _, draw = _models()[kind]
+        if ok:
+            assert np.array_equal(draw(model, count, seed), draw(model, 3, 7))
+        else:
+            with pytest.raises(ValueError):
+                draw(model, count, seed)

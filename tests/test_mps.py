@@ -12,11 +12,10 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, canonicalize,
                      mps_sweep_epoch, mps_train, partition_function)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
-from ttnborn.mps import _draw, mps_amplitudes
+from ttnborn.mps import mps_amplitudes
 
 from helpers import (all_configs, chi_square_pvalue, config_indices,
-                     mps_from_patterns, mps_state_vector, sharp_product_mps,
-                     uneven_mps)
+                     mps_from_patterns, mps_state_vector, uneven_mps)
 
 # the largest float64 below 1, the top of the uniform stream
 _U_MAX = 1.0 - 2.0 ** -53
@@ -293,7 +292,8 @@ class TestSamplerCore:
     def test_extreme_uniforms_draw_patterns(self, center, u):
         data = gen_random_patterns(12, 5, seed=62, distinct=True).samples
         model = canonicalize(mps_from_patterns(data), center)
-        rows, chain = _draw(model, np.full((3, 12), u))
+        _, columns, draw = model._sampler()
+        rows, chain = draw(np.full((3, columns), u))
         patterns = {r.tobytes() for r in data.astype(np.uint8)}
         assert all(r.tobytes() in patterns for r in rows)
         assert np.max(np.abs(chain + math.log(5))) < 1e-12
@@ -302,30 +302,20 @@ class TestSamplerCore:
     @pytest.mark.parametrize("n", [4, 7])
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_conditional_near_one_keeps_the_chain_log(self, q, n, end):
-        # independent pixels, each 0 with probability q, and u = 1 - 2^-53
-        # draws the 0s: log(1 - p1) would be off by 2.8e-8 nats per pixel
-        # at q = 1e-9.  (The amplitudes are built from q itself; from
-        # 1 - p1 they would carry the same rounding as 1 - p1.)
+        # independent pixels, each 0 with probability q, and u = 0 draws
+        # each node's first value, the 0s: log(1 - p1) would be off by
+        # 2.8e-8 nats per pixel at q = 1e-9.  (The amplitudes are built from
+        # q itself; from 1 - p1 they would carry the same rounding as
+        # 1 - p1.)
         amp = np.sqrt([q, 1.0 - q]).reshape(1, 2, 1)
         model = MpsModel([DenseTensor(amp) for _ in range(n)],
                          canonical_center=0 if end == "first" else n - 1)
-        rows, chain = _draw(model, np.full((2, n), _U_MAX))
+        _, columns, draw = model._sampler()
+        rows, chain = draw(np.zeros((2, columns)))
         assert not rows.any()
         lp = mps_log_probs(model, rows)
         assert np.allclose(lp, n * math.log(q), rtol=1e-6)
         assert np.max(np.abs(chain - lp)) < 1e-12
-
-    def test_rows_far_below_the_float_range(self):
-        # all ones but at most one pixel: p ~ 1e-2046, carried in logs
-        model = sharp_product_mps(1024, 0.01)
-        uniforms = np.full((4, 1024), 0.005)
-        for row, column in enumerate((0, 513, 1023), start=1):
-            uniforms[row, column] = 0.5
-        rows, chain = _draw(model, uniforms)
-        assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
-        lp = mps_log_probs(model, rows)
-        assert np.all(lp < -4700.0)
-        assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
 
 
 class TestEvalMemory:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
-                     gen_random_patterns, log_probs, marginal, sample_batch,
-                     save_samples_pbm, train, TrainConfig)
+from ttnborn import (DenseTensor, build_random, canonicalize,
+                     gen_random_patterns, log_probs, marginal,
+                     mps_build_random, sample_batch, save_samples_pbm, train,
+                     TrainConfig)
 from ttnborn import pbm
 from ttnborn.errors import DegenerateDistributionError, StateError
 from ttnborn.ttn import _rooted_copy
 
 from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
-    config_indices, random_uneven_ttn, sharp_product_ttn, ttn_from_patterns, \
-    uneven_ttn, uniform_ttn
+    config_indices, mps_from_patterns, random_uneven_ttn, sharp_product_mps, \
+    sharp_product_ttn, ttn_from_patterns, uneven_ttn, uniform_ttn
 
 
 class TestSampleOne:
@@ -164,17 +165,39 @@ class TestDownMessages:
 
 def _dead_leading_bond_index(model):
     """The same state with a zero-weight index prepended to every bond."""
-    def pad(data, axes):
-        widths = [(1, 0) if a in axes else (0, 0) for a in range(data.ndim)]
-        return DenseTensor(np.pad(data, widths), validate=False)
-    tensors = [None, pad(model.tensors[1].data, (0, 1))]
-    for n in range(2, model.n_tensors + 1):
-        axes = (0,) if model.is_leaf(n) else (0, 1, 2)
-        tensors.append(pad(model.tensors[n].data, axes))
-    return TtnModel(model.n_sites, tensors, 1, model.d_max)
+    work = model.copy()
+    for k in range(model.first_tensor, model.n_sites):
+        widths = [(1, 0) if isinstance(s, int) else (0, 0)
+                  for s in model.axis_sites(k)]
+        work.tensors[k] = DenseTensor(np.pad(model.tensors[k].data, widths),
+                                      validate=False)
+    return work
+
+
+def _one_zero_uniform(model, pixel: int, p1: float):
+    """(column, u) that draw ``pixel`` as 0 and the rest of its pixel group
+    as 1, for independent pixels each 1 with probability ``p1``: the middle
+    of that group value's interval of cumulative weight."""
+    nodes = model._sample_view()[0].nodes
+    for k in range(len(nodes)):
+        t, first, _ = nodes[k]
+        group = range(model.n_sites)[first] if isinstance(first, slice) else ()
+        if pixel in group:
+            q = len(group)
+            bits = np.array(list(np.ndindex((2,) * q)))
+            cum = np.cumsum(np.prod(np.where(bits, p1, 1.0 - p1), axis=1))
+            x = 2 ** q - 1 - 2 ** (q - 1 - group.index(pixel))
+            return k, (cum[x - 1] + cum[x]) / (2.0 * cum[-1])
+    raise AssertionError(f"pixel {pixel} is in no group")
 
 
 class TestExtremeUniforms:
+    """On the tree; ``TestExtremeUniformsMps`` runs them on the chain."""
+
+    # canonical at the sampling root, with amplitude 1 on each pattern
+    patterned = staticmethod(lambda p: _rooted_copy(ttn_from_patterns(p), 1))
+    build = staticmethod(build_random)
+
     @pytest.mark.parametrize("dead_index", [False, True])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
     def test_zero_weight_values_are_never_drawn(self, u, dead_index):
@@ -182,7 +205,7 @@ class TestExtremeUniforms:
         # dead_index, the first index of every bond); u at either end of
         # [0, 1) must still land on one of positive weight
         patterns = gen_random_patterns(16, 6, seed=53, distinct=True).samples
-        work = _rooted_copy(ttn_from_patterns(patterns), 1)
+        work = self.patterned(patterns)
         if dead_index:
             work = _dead_leading_bond_index(work)
         _, columns, draw = work._sampler()
@@ -193,34 +216,55 @@ class TestExtremeUniforms:
         assert np.allclose(chain_log, -np.log(6), rtol=0, atol=1e-12)
 
     def test_zero_mass_raises(self):
-        model = build_random(8, 2, seed=54)
-        root = model.tensors[1]
-        model.tensors[1] = DenseTensor(np.zeros(root.shape))
+        model = self.build(8, 2, seed=54)
+        center = model.canonical_center
+        model.tensors[center] = DenseTensor(
+            np.zeros(model.tensors[center].shape))
         with pytest.raises(DegenerateDistributionError):
             sample_batch(model, 3, seed=0)
 
 
+class TestExtremeUniformsMps(TestExtremeUniforms):
+    patterned = staticmethod(
+        lambda p: canonicalize(mps_from_patterns(p), p.shape[1] - 1))
+    build = staticmethod(mps_build_random)
+
+
 class TestChainLogAtScale:
+    """On the tree; ``TestChainLogAtScaleMps`` runs them on the chain."""
+
+    build = staticmethod(build_random)
+    # independent pixels, each 1 with probability p1
+    sharp = staticmethod(sharp_product_ttn)
+
     def test_random_tree_centred_off_root(self):
-        model = build_random(1024, 6, seed=21)
+        model = self.build(1024, 6, seed=21)
         canonicalize(model, 700)
         rows, chain = sample_batch(model, 16, seed=55, return_chain_log=True)
         lp = log_probs(model, rows)
         assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
 
     def test_rows_far_below_the_float_range(self):
-        # all ones but at most one pixel: p ~ 1e-2046, so the completed
-        # subtree vectors underflow unless their scales are carried in logs
-        model = sharp_product_ttn(1024, 0.01)
+        # all ones but at most one pixel: p ~ 1e-2046, so the amplitudes
+        # underflow unless their scales are carried in logs.  u near 1
+        # draws a group's last value, all ones.
+        model = self.sharp(1024, 0.01)
         _, columns, draw = model._sampler()
-        uniforms = np.full((4, columns), 0.005)
+        uniforms = np.full((4, columns), 1.0 - 1e-10)
         for row, pixel in enumerate((0, 513, 1023), start=1):
-            uniforms[row, pixel] = 0.5
+            column, u = _one_zero_uniform(model, pixel, 0.01)
+            uniforms[row, column] = u
         rows, chain_log = draw(uniforms)
         assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
+        assert rows[np.arange(1, 4), [0, 513, 1023]].tolist() == [0, 0, 0]
         lp = log_probs(model, rows)
         assert np.all(lp < -4700.0)
         assert np.all(np.abs(chain_log - lp) <= 1e-10 * np.abs(lp))
+
+
+class TestChainLogAtScaleMps(TestChainLogAtScale):
+    build = staticmethod(mps_build_random)
+    sharp = staticmethod(sharp_product_mps)
 
 
 class TestSamplerMemory:

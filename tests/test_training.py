@@ -290,6 +290,25 @@ class TestSweepEpoch:
         edges = {frozenset(key) for key in cache.msgs}
         assert len(edges) == len(cache.msgs) == len(model.bond_dims())
 
+    @pytest.mark.parametrize("build", [build_random, mps_build_random],
+                             ids=["ttn", "mps"])
+    def test_cache_keeps_no_per_pixel_array(self, build):
+        # a pixel's one-hot message is gathered on each use; keeping one per
+        # pixel would add 1 MB here (S x n x 2 floats)
+        import tracemalloc
+        from ttnborn import training
+        data = gen_random_patterns(128, 500, seed=6).samples
+        model = build(128, 8, seed=5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = training._EnvCache(model, data, model.n_sites - 1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(m.nbytes + logs.nbytes for m, logs in cache.msgs.values())
+        assert retained <= held + cache.samples.nbytes + 64 * 2 ** 10
+
     def test_two_site_epoch_pushes_into_no_leaf(self, monkeypatch):
         # a round trip into a leaf is merged straight back, so the two-site
         # scheme pushes only on the round trips into internal nodes
