@@ -240,14 +240,18 @@ class TtnModel(BornMachine):
         return (2 * d + n.bit_length()) * d + n // 4, kernel
 
     def _sample_view(self):
-        # the rooted copy with its node table (heap node k is entry k - 1, a
-        # group root its block as (D, 16, 1)); a (D, D) message per level
-        work, d = _RootedTree(self), max(self.max_bond(), 4)
+        # the rooted copy with its node table: heap node k is entry k - 1,
+        # an octet its tensor and its groups' blocks, the root of 4 pixels
+        # its block as (1, 16, 1).  A (D, D) message per level, an octet's
+        # (D, 16) product and three (256,) weight rows
+        work, d, n = _RootedTree(self), max(self.max_bond(), 4), self.n_sites
+        b, octet = work.blocks, n // 8
         work.nodes = [(_node_data(work, k), 2 * k - 1, 2 * k)
-                      for k in range(1, self.n_sites // 4)]
-        work.nodes += [(b.T[:, :, None], slice(4 * j, 4 * j + 4), None)
-                       for j, b in enumerate(work.blocks)]
-        return work, d * d * (self.n_sites.bit_length() - 2)
+                      for k in range(1, octet)] + [
+            (_node_data(work, octet + j), slice(8 * j, 8 * j + 8),
+             (b[2 * j], b[2 * j + 1])) for j in range(octet)] or [
+            (b[0].T[:, :, None], slice(0, 4), None)]
+        return work, d * (d * (n.bit_length() - 2) + 16) + 3 * 256
 
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling
@@ -381,8 +385,9 @@ def partition_function(model) -> float:
 def _rescale_rows(m, logs):
     """Scale each row of ``m`` to unit max magnitude in place, adding the
     log of its factor to ``logs``; zero rows stay zero."""
-    mx = np.max(np.abs(m), axis=1)
-    mx[mx == 0.0] = 1.0
+    mx = np.abs(m).max(axis=1)
+    if not mx.all():
+        mx[mx == 0.0] = 1.0
     m /= mx[:, None]
     logs += np.log(mx)
     return m, logs

@@ -163,6 +163,35 @@ class TestDownMessages:
         assert abs(first_log[0] - log[0]) < 1e-12
 
 
+class TestNodeTable:
+    @pytest.mark.parametrize("n", [4, 8, 16, 64, 1024])
+    def test_tree_draws_once_per_node_above_the_groups(self, n):
+        # one draw per 8-pixel subtree and per node above them; at n=4 the
+        # root is one 4-pixel group
+        _, columns, _ = build_random(n, 4, seed=n)._sampler()
+        assert columns == (n // 4 - 1 if n >= 8 else 1)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 33, 64])
+    def test_chain_draws_once_per_pair(self, n):
+        _, columns, _ = mps_build_random(n, 4, seed=n)._sampler()
+        assert columns == (n + 1) // 2
+
+    def test_chain_rows_are_pinned(self):
+        # recorded before the tree's sampler took 8-pixel draws, which left
+        # the chain's node table, uniforms and draws as they were; the logs
+        # pass through BLAS products, whose last bits may differ between
+        # BLAS builds
+        rows, chain_log = sample_batch(mps_build_random(64, 8, seed=5), 6,
+                                       seed=11, return_chain_log=True)
+        assert [np.packbits(r).tobytes().hex() for r in rows] == [
+            "67da6766c25b0c28", "2c58a09c0b50766c", "56d8256d0d901383",
+            "55d0216c4352f44f", "68a14669c4b2f035", "57ab195fac24caed"]
+        assert np.allclose(chain_log, [
+            -35.44876947538127, -41.00251246590579, -39.29696594355263,
+            -37.86915235092131, -36.29737976505802, -42.21255471273829],
+            rtol=1e-13, atol=0.0)
+
+
 def _dead_leading_bond_index(model):
     """The same state with a zero-weight index prepended to every bond."""
     work = model.copy()
@@ -174,21 +203,23 @@ def _dead_leading_bond_index(model):
     return work
 
 
-def _one_zero_uniform(model, pixel: int, p1: float):
-    """(column, u) that draw ``pixel`` as 0 and the rest of its pixel group
-    as 1, for independent pixels each 1 with probability ``p1``: the middle
-    of that group value's interval of cumulative weight."""
+def _lone_one_uniform(model, pixel: int, p1: float):
+    """(column, u) that draw ``pixel`` as 1 and the other pixels of its draw
+    as 0, for independent pixels each 1 with probability ``p1``: the middle
+    of that value's interval of cumulative weight.  A pixel's draw is its
+    8-pixel subtree on the tree (its 4-pixel group at n=4) and its pair on
+    the chain."""
     nodes = model._sample_view()[0].nodes
     for k in range(len(nodes)):
-        t, first, _ = nodes[k]
-        group = range(model.n_sites)[first] if isinstance(first, slice) else ()
-        if pixel in group:
-            q = len(group)
+        _, first, _ = nodes[k]
+        drawn = range(model.n_sites)[first] if isinstance(first, slice) else ()
+        if pixel in drawn:
+            q = len(drawn)
             bits = np.array(list(np.ndindex((2,) * q)))
             cum = np.cumsum(np.prod(np.where(bits, p1, 1.0 - p1), axis=1))
-            x = 2 ** q - 1 - 2 ** (q - 1 - group.index(pixel))
+            x = 2 ** (q - 1 - drawn.index(pixel))
             return k, (cum[x - 1] + cum[x]) / (2.0 * cum[-1])
-    raise AssertionError(f"pixel {pixel} is in no group")
+    raise AssertionError(f"pixel {pixel} is drawn by no node")
 
 
 class TestExtremeUniforms:
@@ -245,18 +276,20 @@ class TestChainLogAtScale:
         assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
 
     def test_rows_far_below_the_float_range(self):
-        # all ones but at most one pixel: p ~ 1e-2046, so the amplitudes
-        # underflow unless their scales are carried in logs.  u near 1
-        # draws a group's last value, all ones.
-        model = self.sharp(1024, 0.01)
+        # all zeros but at most one pixel: p ~ 1e-2046, so the amplitudes
+        # underflow unless their scales are carried in logs.  u = 0 draws
+        # each node's first value, all zeros.  (All ones, the last value,
+        # would hold 1e-16 of an 8-pixel draw's mass at p1 = 0.01, less than
+        # the 2^-53 step of u below 1, so no u could draw it.)
+        model = self.sharp(1024, 0.99)
         _, columns, draw = model._sampler()
-        uniforms = np.full((4, columns), 1.0 - 1e-10)
+        uniforms = np.zeros((4, columns))
         for row, pixel in enumerate((0, 513, 1023), start=1):
-            column, u = _one_zero_uniform(model, pixel, 0.01)
+            column, u = _lone_one_uniform(model, pixel, 0.99)
             uniforms[row, column] = u
         rows, chain_log = draw(uniforms)
-        assert rows.sum(axis=1).tolist() == [1024, 1023, 1023, 1023]
-        assert rows[np.arange(1, 4), [0, 513, 1023]].tolist() == [0, 0, 0]
+        assert rows.sum(axis=1).tolist() == [0, 1, 1, 1]
+        assert rows[np.arange(1, 4), [0, 513, 1023]].tolist() == [1, 1, 1]
         lp = log_probs(model, rows)
         assert np.all(lp < -4700.0)
         assert np.all(np.abs(chain_log - lp) <= 1e-10 * np.abs(lp))

@@ -14,7 +14,7 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
 from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
-from ttnborn.ttn import (_check_pixel_values, _node_data,
+from ttnborn.ttn import (_check_pixel_values, _node_data, _rescale_rows,
                          amplitudes_from_vectors)
 
 from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
@@ -158,6 +158,31 @@ class TestAmplitude:
         a = contract_pixel_vectors(m, np.ones((8, 2)))
         total = brute_force_amplitudes(m).sum()
         assert abs(a.sign * math.exp(a.log_abs) - total) < 1e-9 * abs(total)
+
+
+class TestRescaleRows:
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_matches_the_masked_formula_bit_for_bit(self, zero_row):
+        # negative entries, subnormals and, with zero_row, a row of zeros
+        # (signed, so a lost -0.0 shows in the bits)
+        m = np.array([[-3.0, 1.5, 0.0, 2.0],
+                      [5e-324, -1e-310, 0.0, 2.5e-320],
+                      [2.0, -7.0, 1e-300, -0.0],
+                      [-1e300, 3e299, -2e-5, 1.0]])
+        if zero_row:
+            m[1] = [0.0, -0.0, 0.0, 0.0]
+        logs = np.array([0.5, -1.0, 2.0, -3.25])
+        mx = np.max(np.abs(m), axis=1)
+        mx[mx == 0.0] = 1.0
+        want, want_logs = m / mx[:, None], logs + np.log(mx)
+        got, got_logs = _rescale_rows(m.copy(), logs.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_logs.view(np.int64),
+                              want_logs.view(np.int64))
+        if zero_row:
+            assert np.array_equal(got[1].view(np.int64),
+                                  m[1].view(np.int64))
+            assert got_logs[1] == -1.0
 
 
 class TestLogProb:
