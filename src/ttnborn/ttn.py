@@ -19,7 +19,9 @@ canonical form, QR pushes, the training cache, the sweep walk and the
 two-site step are written once for both, and so are evaluation, over
 per-model kernels, and sampling, over per-model node tables.  The tree's
 reads take each 4-pixel subtree as one (16, D) block, a per-call view that
-replaces the bottom two levels of the heap (``_group_blocks``).
+replaces the bottom two levels of the heap (``_group_blocks``), and
+evaluation, given enough rows, each 8-pixel subtree as one (256, D) table
+lifted from them (``_lifted``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
@@ -226,14 +228,26 @@ class TtnModel(BornMachine):
         return _RootedTree(self)
 
     def _amplitude_kernel(self):
-        # each block row scaled to unit max once, so a gathered row needs none
-        tables = [_rescale_rows(b.copy(), np.full(16, lg))
-                  for b, lg in zip(*_group_blocks(self))]
+        # each group table's rows scaled to unit max once, so a gathered row
+        # needs none; the octet tables, lifted from them, once the rows of
+        # one chunk pay for their build (_OCTET_MARGIN)
+        groups = _group_blocks(self, scaled=True)
+        octet, build, save = self.n_sites // 8, 0, 0
+        for k in range(octet, 2 * octet):
+            d, d1, d2 = _node_data(self, k).shape
+            build, save = build + 16 * d * d1 * (d2 + 16), save + d * d1 * d2
+        octets = None
 
-        def kernel(rows):   # each group's table gathered at its row index
-            index = rows.reshape(len(rows), -1, 4) @ np.uint8([8, 4, 2, 1])
-            return _amplitudes(self, lambda j: (tables[j][0][index[:, j]],
-                                                tables[j][1][index[:, j]]))
+        def kernel(rows):   # each table gathered at its row index
+            nonlocal octets
+            if octets is None and save and len(rows) * save >= (
+                    _OCTET_MARGIN * build):
+                octets = _lifted(self, self.n_sites // 8, *groups, True)
+            tables, logs = groups if octets is None else octets
+            width = self.n_sites // len(tables)
+            index = rows.reshape(len(rows), -1, width) @ _BIT_WEIGHTS[-width:]
+            return _amplitudes(self, len(tables), lambda j: (
+                tables[j][index[:, j]], logs[j, index[:, j]]))
         # a (D, D) product at a node, a (rows, D) message per level, and the
         # row as uint8 and its group index, each with room for temporaries
         d, n = max(self.max_bond(), 2), self.n_sites
@@ -384,8 +398,10 @@ def partition_function(model) -> float:
 
 def _rescale_rows(m, logs):
     """Scale each row of ``m`` to unit max magnitude in place, adding the
-    log of its factor to ``logs``; zero rows stay zero."""
-    mx = np.abs(m).max(axis=1)
+    log of its factor to ``logs``; zero rows stay zero.  (The ``initial``
+    changes no value and halves the reduction's time on rows of 8 or more
+    floats.)"""
+    mx = np.abs(m).max(axis=1, initial=0.0)
     if not mx.all():
         mx[mx == 0.0] = 1.0
     m /= mx[:, None]
@@ -433,29 +449,70 @@ def _node_data(model: TtnModel, n: int) -> np.ndarray:
     return t.data.reshape((-1,) + t.shape[-2:])
 
 
-def _group_blocks(model: TtnModel):
-    """The (16, D) amplitude table of each 4-pixel subtree and its log
-    scale, by group j (pixels 4j..4j+3, the first most significant in the
-    row index).  A group root is a parent of two leaves (the root at 4
-    pixels), D its parent bond; one stacked product per shape class."""
-    first, tensors = model.n_sites // 4, model.tensors
-    classes, blocks = {}, [None] * first
-    for g in range(first, 2 * first):
-        classes.setdefault(tensors[g].data.shape, []).append(g)
-    for shape, pick in classes.items():
-        t = np.stack([tensors[g].data for g in pick])
-        t = t.reshape((len(pick), -1) + shape[-2:])
-        da, db, dc = t.shape[1:]
-        left = np.stack([tensors[2 * g].data for g in pick])
-        right = np.stack([tensors[2 * g + 1].data for g in pick])
-        x = np.matmul(left.reshape(-1, 1, db, 4).transpose(0, 1, 3, 2),
-                      t @ right.reshape(-1, 1, dc, 4))
-        x = x.reshape(len(pick), da, 16).transpose(0, 2, 1)
-        for g, b in zip(pick, np.ascontiguousarray(x)):
-            blocks[g - first] = b
-    logs = [tensors[g].log_scale + tensors[2 * g].log_scale
-            + tensors[2 * g + 1].log_scale for g in range(first, 2 * first)]
-    return blocks, logs
+# floats of one stacked product in ``_lifted``, which lifts a level a few
+# nodes at a time, never a whole class's (nodes, Da, kb, D) at once
+_LIFT_FLOATS = 2 ** 16
+
+
+def _lifted(model: TtnModel, first: int, tables, logs, scaled: bool):
+    """The amplitude tables of heap nodes first … 2·first − 1 and their
+    (first, rows) row logs, from the level below's ``tables`` and ``logs``
+    (node first + j's children at 2j and 2j + 1): row i·kb + j of node T's
+    table is sum_ab L[i, a] T[:, a, b] R[j, b] for its children's tables L
+    (ka, Da) and R (kb, Db), kb·Db·Da·D + ka·kb·Da·D multiply-adds.  Each
+    shape class is one array, written by two stacked products a few nodes
+    at a time, and with ``scaled`` their rows are rescaled to unit max."""
+    nodes = [_node_data(model, k) for k in range(first, 2 * first)]
+    scales = [model.tensors[k].log_scale for k in range(first, 2 * first)]
+    logs = (logs[0::2, :, None] + logs[1::2, None, :]).reshape(first, -1)
+    logs += np.array(scales)[:, None]
+    level, classes = [None] * first, {}
+    for j, t in enumerate(nodes):
+        classes.setdefault(t.shape, []).append(j)
+    for (d, da, _), pick in classes.items():
+        ka, kb = len(tables[2 * pick[0]]), len(tables[2 * pick[0] + 1])
+        out = np.empty((len(pick), ka * kb, d))
+        step = max(1, _LIFT_FLOATS // (da * kb * d))
+        for s in range(0, len(pick), step):
+            part = pick[s:s + step]
+            left, right = (np.stack([tables[2 * j + c] for j in part])
+                           for c in (0, 1))
+            t = np.stack([nodes[j] for j in part]).transpose(0, 2, 3, 1)
+            p = np.matmul(right[:, None], t)        # (nodes, Da, kb, D)
+            np.matmul(left, p.reshape(len(part), da, -1),
+                      out=out[s:s + step].reshape(len(part), ka, -1))
+            if scaled:
+                part_logs = logs[part]
+                _rescale_rows(out[s:s + step].reshape(-1, d),
+                              part_logs.reshape(-1))
+                logs[part] = part_logs
+        for j, table in zip(pick, out):
+            level[j] = table
+    return level, logs
+
+
+def _group_blocks(model: TtnModel, scaled: bool = False):
+    """The (16, D) amplitude table of each 4-pixel subtree and its rows'
+    log scales, by group j (pixels 4j..4j+3, the first most significant in
+    the row index).  A group root is a parent of two leaves (the root at 4
+    pixels), D its parent bond: the leaves' (4, D) tables lifted one
+    level.  Without ``scaled`` a block's rows share one log scale."""
+    leaves = model.tensors[model.n_sites // 2:]
+    logs = np.array([t.log_scale for t in leaves])[:, None]
+    return _lifted(model, model.n_sites // 4,
+                   [t.data.reshape(-1, 4).T for t in leaves],
+                   np.broadcast_to(logs, (len(leaves), 4)), scaled)
+
+
+# Octet tables are built when a chunk's rows, each saving sum D·D1·D2
+# multiply-adds of the octet level's contraction, reach this multiple of
+# the build's sum 16·D·D1·(D2 + 16); measured once (CHANGES.md).  A chunk
+# is the call's rows unless the call outgrows one, far above the rule.
+_OCTET_MARGIN = 2.0
+
+# row weights of 8 pixels, the first most significant; 4 pixels read the
+# last four.  A uint8 product: at most 255
+_BIT_WEIGHTS = np.uint8([128, 64, 32, 16, 8, 4, 2, 1])
 
 
 def _kron_groups(v: np.ndarray) -> np.ndarray:
@@ -464,15 +521,15 @@ def _kron_groups(v: np.ndarray) -> np.ndarray:
                      *np.moveaxis(v, -2, 0)).reshape(v.shape[:-2] + (16,))
 
 
-def _amplitudes(model: TtnModel, group_message):
-    """(log_abs, sign) of every row: the tree above the group roots
-    contracted with group j's (rows, logs) message ``group_message(j)``,
-    depth first, so one message per level is live, not a level of them."""
-    first = model.n_sites // 4
+def _amplitudes(model: TtnModel, first: int, message):
+    """(log_abs, sign) of every row: the tree above heap level ``first``
+    (the group roots n/4, or the octets n/8) contracted with node
+    first + j's (rows, logs) message ``message(j)``, depth first, so one
+    message per level is live, not a level of them."""
 
     def up(n):   # node n's message; the root in full, to (S,) values
         if n >= first:
-            return group_message(n - first)
+            return message(n - first)
         return _contract_node(model.tensors[n], [up(2 * n), up(2 * n + 1)],
                               0 if n > 1 else None)
 
@@ -491,14 +548,14 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 2:
         vectors = vectors[np.newaxis]
-    if vectors.shape[1] != model.n_sites or vectors.shape[2] != 2:
+    if vectors.ndim != 3 or vectors.shape[1:] != (model.n_sites, 2):
         raise DimensionError(
             f"expected vectors of shape (S, {model.n_sites}, 2), got "
             f"{vectors.shape}")
     blocks, logs = _group_blocks(model)
-    return _amplitudes(model, lambda j: _rescale_rows(
+    return _amplitudes(model, len(blocks), lambda j: _rescale_rows(
         _kron_groups(vectors[:, 4 * j:4 * j + 4]) @ blocks[j],
-        np.full(vectors.shape[0], logs[j])))
+        np.full(vectors.shape[0], logs[j, 0])))
 
 
 def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
@@ -713,13 +770,16 @@ def _check_pixel_values(samples) -> np.ndarray:
 
 
 def _check_pixel(k: int, n_sites: int):
-    if not (isinstance(k, (int, np.integer)) and 0 <= k < n_sites):
+    # a bool is an int, but True is no pixel index
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer))
+                                   and 0 <= k < n_sites):
         raise ValueError(f"pixel {k!r} is not an integer in range({n_sites})")
 
 
 def _clamp_weights(n_sites: int, assignments) -> np.ndarray:
     """(B, n_sites, 2) diagonal pixel operators of B clamp assignments:
-    (1, 1) for a free pixel, one-hot for a clamped one."""
+    (1, 1) for a free pixel, one-hot for a clamped one.  A clamp value may
+    be any value equal to 0 or 1 (a bool, a float)."""
     ops = np.ones((len(assignments), n_sites, 2))
     for s, assignment in enumerate(assignments):
         for k, v in assignment.items():
@@ -742,7 +802,7 @@ def _normalized_marginals(out: np.ndarray, assignments) -> np.ndarray:
     for s, assignment in enumerate(assignments):
         for k, v in assignment.items():
             out[s, k] = 0.0
-            out[s, k, v] = 1.0
+            out[s, k, int(v)] = 1.0    # a bool v would index as a mask
     return out
 
 
@@ -757,9 +817,9 @@ def nll(model, dataset) -> float:
 def marginal(model, fixed, open_pixel: int):
     """(p0, p1) for ``open_pixel`` given the clamped pixels in ``fixed``."""
     fixed = dict(fixed or {})
+    _check_pixel(open_pixel, model.n_sites)
     if open_pixel in fixed:
         raise ValueError(f"pixel {open_pixel} is already fixed")
-    _check_pixel(open_pixel, model.n_sites)
     row = model.single_site_marginals(fixed)[open_pixel]
     return float(row[0]), float(row[1])
 

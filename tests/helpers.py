@@ -166,6 +166,20 @@ def uneven_mps(center) -> MpsModel:
     return model
 
 
+def count_lifts(monkeypatch):
+    """The heap levels (their first node) that ``ttn._lifted`` builds
+    tables for from now on, in call order: n/4 the groups, n/8 the
+    octets."""
+    import ttnborn.ttn as ttn
+    built, lifted = [], ttn._lifted
+
+    def counted(model, first, *args):
+        built.append(first)
+        return lifted(model, first, *args)
+    monkeypatch.setattr(ttn, "_lifted", counted)
+    return built
+
+
 def enum_log_z(model: TtnModel) -> float:
     amps = brute_force_amplitudes(model)
     return float(np.log(np.sum(amps * amps)))

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import ttnborn.ttn as ttn
-from ttnborn import (canonicalize, gen_random_patterns, log_probs,
-                     mps_build_random, mps_log_probs, mps_sample_batch,
-                     sample_batch)
+from ttnborn import (build_random, canonicalize, gen_random_patterns,
+                     log_probs, mps_build_random, mps_log_probs,
+                     mps_sample_batch, sample_batch)
 
-from helpers import uneven_mps, uneven_ttn
+from helpers import count_lifts, uneven_mps, uneven_ttn
 
 
 def _models():
@@ -48,6 +48,27 @@ class TestChunkIndependence:
         assert np.all(np.abs(logs - log) <= 1e-12 * np.abs(log))
         assert np.all(np.abs(logs - evaluate(model, rows))
                       <= 1e-10 * np.abs(log))
+
+
+class TestOctetTableBuilds:
+    """The tree's octet tables cost a fixed build per call, so a call
+    builds them only when its rows pay for it, and then once."""
+
+    @pytest.mark.parametrize("rows, chunk, builds", [
+        (1, None, 0), (2000, None, 1), (2000, 500, 1)])
+    def test_built_at_most_once_and_only_for_enough_rows(
+            self, monkeypatch, rows, chunk, builds):
+        model = build_random(128, 16, seed=3)
+        canonicalize(model, model.n_tensors)
+        samples = gen_random_patterns(128, rows, seed=4).samples
+        want = log_probs(model, samples)
+        built = count_lifts(monkeypatch)
+        if chunk is not None:
+            monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        got = log_probs(model, samples)
+        assert built.count(128 // 8) == builds
+        assert built.count(128 // 4) == 1        # the group tables
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestRowTypes:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from ttnborn.mps import (mps_build_random, mps_correlation_map,
 from ttnborn.ttn import (_check_pixel_values, _node_data, _rescale_rows,
                          amplitudes_from_vectors)
 
-from helpers import (all_configs, brute_force_amplitudes, enum_log_z,
-                     mps_from_patterns, mps_state_vector, random_uneven_ttn,
-                     sharp_product_mps, sharp_product_ttn, ttn_from_patterns,
-                     uneven_ttn, uniform_ttn)
+from helpers import (all_configs, brute_force_amplitudes, count_lifts,
+                     enum_log_z, mps_from_patterns, mps_state_vector,
+                     random_uneven_ttn, sharp_product_mps, sharp_product_ttn,
+                     ttn_from_patterns, uneven_ttn, uniform_ttn)
 
 
 class TestBuildRandom:
@@ -152,6 +153,13 @@ class TestAmplitude:
         m = build_random(8, 2, seed=0)
         with pytest.raises(DimensionError):
             contract_pixel_vectors(m, np.eye(2)[np.zeros(7, dtype=int)])
+
+    @pytest.mark.parametrize("shape", [(16,), (), (1, 16, 2, 1)])
+    def test_vectors_of_the_wrong_rank_rejected(self, shape):
+        m = build_random(16, 2, seed=0)
+        for contract in (contract_pixel_vectors, amplitudes_from_vectors):
+            with pytest.raises(DimensionError, match=r"\(S, 16, 2\)"):
+                contract(m, np.ones(shape))
 
     def test_linear_contraction_with_ones_sums_amplitudes(self):
         m = build_random(8, 3, seed=7)
@@ -488,6 +496,44 @@ class TestMarginalsByEnumeration:
         assert _model_state(model) == before
 
 
+class TestClampValues:
+    """A clamp value is any value equal to 0 or 1, as a row of log_probs
+    is; a pixel index is an integer, never a bool."""
+
+    @pytest.fixture(params=["ttn", "mps"])
+    def model(self, request, uneven):
+        return uneven if request.param == "ttn" else mps_build_random(
+            16, 3, seed=0)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, np.float64(1.0),
+                                       np.bool_(True), np.int8(0)])
+    def test_any_zero_or_one_clamps_like_the_int(self, model, value):
+        v = int(value)
+        want = single_site_marginals(model, {3: v})
+        assert np.array_equal(want[3], np.eye(2)[v])
+        assert np.array_equal(single_site_marginals(model, {3: value}), want)
+        assert np.array_equal(model.marginal_stack([{3: value}, {}])[0], want)
+        assert marginal(model, {3: value}, 5) == tuple(want[5])
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1, "1", None])
+    def test_other_values_rejected(self, model, value):
+        with pytest.raises(ValueError):
+            single_site_marginals(model, {3: value})
+
+    def test_bool_pixel_index_rejected(self, model):
+        for pixel in (True, False):
+            with pytest.raises(ValueError):
+                correlation_map(model, pixel)
+            with pytest.raises(ValueError):
+                marginal(model, {}, pixel)
+            with pytest.raises(ValueError):
+                marginal(model, {1: 0}, pixel)
+            with pytest.raises(ValueError):
+                single_site_marginals(model, {pixel: 1})
+            with pytest.raises(ValueError):
+                model.marginal_stack([{}, {pixel: 0}])
+
+
 def _enumerated_map(amps, ref):
     """Connected correlations of pixel ``ref`` from a full amplitude table."""
     configs = all_configs(int(np.log2(len(amps))))
@@ -613,6 +659,69 @@ class TestGroupView:
             assert np.max(np.abs(correlation_map(model, ref) - want)) < 1e-12
 
 
+_OCTET_MODELS = {"random-8": lambda: random_uneven_ttn(8, seed=8),
+                 "random-16": lambda: random_uneven_ttn(16, seed=17),
+                 "random-64": lambda: random_uneven_ttn(64, seed=64),
+                 "random-1024": lambda: random_uneven_ttn(1024, seed=1024)}
+
+
+def _both_sides(monkeypatch, model, rows):
+    """log_probs of ``rows`` below the octet size rule and above it, each
+    checked to build the octet tables (heap level n/8) only above it."""
+    import ttnborn.ttn as ttn_module
+    built, sides = count_lifts(monkeypatch), []
+    for margin in (math.inf, 0.0):
+        monkeypatch.setattr(ttn_module, "_OCTET_MARGIN", margin)
+        built.clear()
+        sides.append(log_probs(model, rows))
+        assert built.count(model.n_sites // 8) == (
+            margin == 0.0 and model.n_sites >= 8)
+    return sides
+
+
+class TestOctetTables:
+    """Above the size rule evaluation gathers each 8-pixel subtree's row
+    from one (256, D) table; below it, it contracts the octet level from the
+    group tables.  Both sides give the same log p."""
+
+    @pytest.mark.parametrize("name", sorted(_OCTET_MODELS))
+    def test_both_sides_of_the_size_rule_agree(self, monkeypatch, name):
+        model = _OCTET_MODELS[name]()
+        n = model.n_sites
+        canonicalize(model, n // 2 + 3)
+        octets = {_node_data(model, k).shape for k in range(n // 8, n // 4)}
+        assert n == 8 or len(octets) > 1
+        rows = (all_configs(n) if n <= 16
+                else gen_random_patterns(n, 300, seed=n).samples)
+        below, above = _both_sides(monkeypatch, model, rows)
+        assert np.all(np.abs(above - below) <= 1e-13 * np.abs(below))
+        if n <= 16:
+            p = brute_force_amplitudes(model) ** 2
+            assert np.max(np.abs(np.exp(above) - p / p.sum())) < 1e-15
+
+    def test_four_pixels_have_no_octet(self, monkeypatch):
+        model = random_uneven_ttn(4, seed=4)
+        canonicalize(model, 3)
+        below, above = _both_sides(monkeypatch, model, all_configs(4))
+        assert np.array_equal(above, below)
+        p = brute_force_amplitudes(model) ** 2
+        assert np.max(np.abs(np.exp(above) - p / p.sum())) < 1e-15
+
+    def test_rows_far_below_the_float_range(self, monkeypatch):
+        # independent pixels, each 1 with probability 0.01: the all-ones
+        # row has p = 1e-2048
+        model = sharp_product_ttn(1024, 0.01)
+        rows = gen_random_patterns(1024, 40, seed=9).samples
+        rows[:3] = 1
+        rows[3] = 0
+        below, above = _both_sides(monkeypatch, model, rows)
+        ones = rows.sum(axis=1)
+        want = ones * math.log(0.01) + (1024 - ones) * math.log(0.99)
+        assert above[0] < -4700.0
+        for side in (below, above):
+            assert np.all(np.abs(side - want) <= 1e-13 * np.abs(want))
+
+
 class TestEvaluationMemory:
     """log_probs holds one (S, D) message per live node and an (S, G)
     group index, never an (S, n, 2) one-hot or (S, G, 16) weights, with
@@ -622,7 +731,6 @@ class TestEvaluationMemory:
                                                   (128, 2000, 17),
                                                   (1024, 10_000, 32)])
     def test_peak_stays_bounded(self, n, rows, limit_mib):
-        import tracemalloc
         model = build_random(n, 16, seed=57)
         canonicalize(model, model.n_tensors)
         samples = gen_random_patterns(n, rows, seed=58).samples
@@ -633,6 +741,20 @@ class TestEvaluationMemory:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2 ** 20
+
+    def test_octet_tables_at_d32_stay_bounded(self):
+        # 200 rows pay for the 128 octet tables, 8 MiB at D=32; measured
+        # peak 11.1 MiB (2.9 MiB on the octet level's contraction)
+        model = build_random(1024, 32, seed=57)
+        canonicalize(model, model.n_tensors)
+        samples = gen_random_patterns(1024, 200, seed=58).samples
+        tracemalloc.start()
+        try:
+            log_probs(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2 ** 20
 
 
 class TestMarginalsAtScale:
