@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
-from .tensor import DenseTensor, _svd_sign_fix, _truncated_svd, move_axis
+from .tensor import (DenseTensor, _svd_sign_fix, _truncated_svd, kept_rank,
+                     move_axis)
 from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward, nll,
                   push_qr, sample_matrix)
 
@@ -58,6 +59,12 @@ MAX_BACKTRACKS = 8    # halvings of the learning rate per step
 _ISOMETRY_TOL = 1e-10
 # Overlap with that basis above which the residual's Q is re-projected.
 _BASIS_TOL = 1e-13
+# A dense merge whose smaller side is at least this many times d_max is split
+# from its Gram matrix (``_gram_split``); below it the full SVD is about as
+# fast or faster.
+_GRAM_SIDE = 4
+# ... and only where eigh's kept subspace is accurate to this angle.
+_GAP_TOL = 1e-10
 
 
 @dataclass
@@ -248,7 +255,8 @@ def _gradient_step(kmat, jmat, uk, vj, cfg, stats):
     - dense, otherwise, and always when jmat is the identity (cols = bond):
       M is formed (rows x cols), the line search reads u_s^T M v_s and
       ||M||_F^2 from it, and the stepped merge is returned as a rows x cols
-      matrix.  No S x S array exists.
+      matrix, which the two-site step splits by ``_split_dense``.  No S x S
+      array exists.
     """
     c_kk, c_jj, norm, k_hat, psi, w = _unit_merge(
         kmat, jmat, uk, vj, cfg.zero_amplitude, stats)
@@ -442,6 +450,49 @@ def _split_factored(a, bt, d_max, cutoff):
     return u_full, s, vt_full, err
 
 
+def _gram_split(m, d_max, cutoff):
+    """``_truncated_svd`` of the dense merge ``m`` from the eigenvectors of
+    its Gram matrix, or None where that is not safe.
+
+    With ``a`` the tall one of m and m^T, eigh of the (smaller side)^2 Gram
+    a^T a gives the kept right singular vectors V_k, and one SVD of a V_k
+    (rows x keep) turns them into orthonormal factors and the kept values.
+    The Gram squares the condition number, so this runs only where the
+    kept subspace stands apart from the rest, eps n lambda_1 /
+    (lambda_k - lambda_{k+1}) <= ``_GAP_TOL``, and where the cutoff rather
+    than d_max sets the rank, lambda_k and lambda_{k+1} each lie more than
+    eps n lambda_1 from it: then eigh keeps the same rank as the SVD.
+    """
+    a = m.T if m.shape[0] < m.shape[1] else m
+    n = a.shape[1]
+    if n < _GRAM_SIDE * d_max:
+        return None
+    lam, v = np.linalg.eigh(a.T @ a)
+    lam = np.maximum(lam[::-1], 0.0)
+    keep = kept_rank(np.sqrt(lam), d_max, cutoff)
+    slack = np.finfo(float).eps * n * lam[0]
+    gap = lam[keep - 1] - lam[keep]
+    edge = lam[keep - 1:keep + (keep < d_max)] - cutoff * float(np.sum(lam))
+    if not (gap > 0.0 and slack <= _GAP_TOL * gap
+            and np.all(np.abs(edge) > slack)):
+        return None
+    v_k = v[:, n - keep:][:, ::-1]
+    ub, s, wt = np.linalg.svd(a @ v_k, full_matrices=False)
+    vt = wt @ v_k.T
+    total = float(np.vdot(a, a))
+    err = max(total - float(s @ s), 0.0) / total
+    return (ub, s, vt, err) if a is m else (vt.T, s, ub.T, err)
+
+
+def _split_dense(m, d_max, cutoff):
+    """Truncated SVD of a dense merge, signs fixed: ``_gram_split`` where
+    it is safe, else ``_truncated_svd``."""
+    u, s, vt, err = (_gram_split(m, d_max, cutoff)
+                     or _truncated_svd(m, d_max, cutoff))
+    u, vt = _svd_sign_fix(u.copy(), vt.copy())
+    return u, s, vt, err
+
+
 def _is_isometry(gram) -> bool:
     """Whether a factor whose Gram matrix is ``gram`` has orthonormal
     columns, to ``_ISOMETRY_TOL``."""
@@ -474,14 +525,15 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
     j in every sweep step, where k holds the center.  Its columns serve as
     the basis of its QR, and only the S environment columns outside their
     span are factored; the other side gets a plain QR.  A dense step is
-    split by a dense SVD, O(S * rows * cols).
+    split by ``_split_dense``: from the eigenvectors of its Gram matrix
+    (``_gram_split``) where its smaller side is at least 4 d_max and the
+    kept values pass a gap test, else by the full SVD.
     """
     stepped = _gradient_step(kmat, jmat, uk, vj, cfg, stats)
     if isinstance(stepped, tuple):
         u, s, vt, err = _split_factored(*stepped, cfg.d_max, cfg.svd_cutoff)
     else:
-        u, s, vt, err = _truncated_svd(stepped, cfg.d_max, cfg.svd_cutoff)
-        u, vt = _svd_sign_fix(u.copy(), vt.copy())
+        u, s, vt, err = _split_dense(stepped, cfg.d_max, cfg.svd_cutoff)
     n = np.linalg.norm(s) or 1.0
     if center_on_j:
         k_new, j_new = u, s[:, None] * vt / n

@@ -129,7 +129,9 @@ class BornMachine:
         return work
 
     def max_bond(self) -> int:
-        return max(self.bond_dims().values())
+        """``max(bond_dims().values())`` without the dict: in both models
+        every bond is axis 0 of one tensor past the first."""
+        return max(len(t.data) for t in self.tensors[self.first_tensor + 1:])
 
     def canonicalize(self, center: int):
         return canonicalize(self, center)

@@ -402,6 +402,24 @@ class TestMergeSplitTwoSite:
         assert model.max_bond() > 2
         assert model.max_bond() <= 10
 
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    @pytest.mark.parametrize("start_d, d_max", [(2, 6), (8, 3)])
+    def test_max_bond_reads_the_bond_dims(self, build, start_d, d_max):
+        # (2, 6) grows the bonds, (8, 3) truncates them
+        data = gen_random_patterns(16, 12, seed=11).samples
+        model = build(16, start_d, seed=12)
+        assert model.max_bond() == max(model.bond_dims().values()) == start_d
+        seen = []
+
+        def check(model, epoch, stats):
+            seen.append(model.max_bond())
+            assert seen[-1] == max(model.bond_dims().values())
+
+        cfg = TrainConfig(learning_rate=0.05, d_max=d_max, epochs=3, seed=0)
+        _, stats = train(model, data, cfg, on_epoch=check)
+        assert seen == stats.max_bond
+        assert (max(seen) > start_d) if start_d < d_max else seen[0] == d_max
+
     def test_memorizes_faster_than_one_site(self):
         data = gen_random_patterns(16, 10, seed=42).samples
 
@@ -504,6 +522,116 @@ class TestGuardedMergeFactors:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def _train_wide_tree(monkeypatch, gram, epochs=2):
+    """Two-site epochs of a 32-pixel, D=16 tree on 256 random rows, whose
+    six merges next to the root are dense and 256 x 256.  Returns the
+    TrainStats, the dense merges and, per merge, whether the Gram split
+    took it; with ``gram`` False every dense merge takes the full SVD."""
+    import ttnborn.training as training
+    merges, taken = [], []
+    gram_split = training._gram_split
+
+    def spy(m, d_max, cutoff):
+        merges.append(m.copy())
+        out = gram_split(m, d_max, cutoff) if gram else None
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(training, "_gram_split", spy)
+    data = gen_random_patterns(32, 256, seed=21).samples
+    model = build_random(32, 16, seed=22)
+    cfg = TrainConfig(learning_rate=0.05, d_max=16, epochs=epochs, seed=0)
+    _, stats = train(model, data, cfg)
+    monkeypatch.undo()
+    return stats, merges, taken
+
+
+def _planted_merge(values, seed, side=256):
+    """A side x side merge with the given leading singular values and
+    random singular vectors (the rest zero)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((side, len(values))))[0]
+    v = np.linalg.qr(rng.standard_normal((side, len(values))))[0]
+    return (u * np.asarray(values, dtype=float)) @ v.T
+
+
+class TestGramSplit:
+    """A dense merge with its smaller side >= 4 d_max is split from its
+    Gram matrix where the gap test passes, else by the full SVD."""
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matches_the_svd_split(self, monkeypatch, transpose):
+        from ttnborn.tensor import _truncated_svd
+        from ttnborn.training import _gram_split
+        _, merges, _ = _train_wide_tree(monkeypatch, gram=True, epochs=1)
+        big = [m for m in merges if m.shape == (256, 256)]
+        assert len(big) >= 6
+        for m in big:
+            m = np.ascontiguousarray(m.T) if transpose else m
+            got = _gram_split(m, 16, 1e-12)
+            assert got is not None
+            u, s, vt, err = got
+            u_ref, s_ref, vt_ref, err_ref = _truncated_svd(m, 16, 1e-12)
+            assert s.shape == s_ref.shape == (16,)
+            assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
+            product = (u * s) @ vt - (u_ref * s_ref) @ vt_ref
+            assert np.linalg.norm(product) <= 1e-12 * np.linalg.norm(m)
+            assert abs(err - err_ref) <= 1e-12
+            for q in (u.T @ u, vt @ vt.T):
+                assert np.max(np.abs(q - np.eye(16))) < 1e-13
+
+    @pytest.mark.parametrize("case", ["tied", "tiny-kept", "straddles-cutoff",
+                                      "zero"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_falls_back_to_the_svd_bit_for_bit(self, case, transpose):
+        from ttnborn.tensor import _svd_sign_fix, _truncated_svd
+        from ttnborn.training import _gram_split, _split_dense
+        d_max, cutoff = 16, 1e-12
+        values = np.linspace(2.0, 1.0, 40)
+        if case == "tied":
+            values[16] = values[15]
+        elif case == "tiny-kept":
+            # a clean gap below the 16th value, which the Gram squares away
+            values[15], values[16:] = 1e-7 * values[0], 1e-9
+            cutoff = 0.0
+        elif case == "straddles-cutoff":
+            # rank 9 from the cutoff, with the 9th value's share of the
+            # weight at the cutoff itself
+            values = np.ones(9)
+            cutoff = 1e-4
+            values[8] = math.sqrt(8 * cutoff / (1 - cutoff))
+        m = (np.zeros((256, 256)) if case == "zero"
+             else _planted_merge(values, seed=23))
+        if transpose:
+            m = np.ascontiguousarray(m.T)
+        assert _gram_split(m, d_max, cutoff) is None
+        got = _split_dense(m, d_max, cutoff)
+        u, s, vt, err = _truncated_svd(m, d_max, cutoff)
+        ref = (*_svd_sign_fix(u.copy(), vt.copy()), s, err)
+        for a, b in zip((got[0], got[2], got[1], got[3]), ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_size_rule_keeps_small_merges_on_the_svd(self):
+        from ttnborn.training import _gram_split
+        m = _planted_merge(np.linspace(2.0, 1.0, 40), seed=24, side=128)
+        assert _gram_split(m[:, :63], 16, 1e-12) is None
+        assert _gram_split(m[:63], 16, 1e-12) is None
+        assert _gram_split(m[:, :64], 16, 1e-12) is not None
+
+    def test_training_matches_an_all_svd_run(self, monkeypatch):
+        stats, merges, taken = _train_wide_tree(monkeypatch, gram=True)
+        ref, ref_merges, ref_taken = _train_wide_tree(monkeypatch, gram=False)
+        assert sum(taken) >= 12 and not any(ref_taken)
+        assert len(merges) == len(ref_merges)
+        steps = sum(len(e) for e in stats.truncation_errors)
+        assert steps == sum(len(e) for e in ref.truncation_errors)
+        assert stats.rejected_steps == ref.rejected_steps
+        assert stats.max_bond == ref.max_bond
+        assert len(stats.nll) == 2
+        for a, b in zip(stats.nll, ref.nll):
+            assert abs(a - b) <= 1e-10 * abs(b)
 
 
 def _isometric_merge(rows, cols, bond, n_samples, seed, side):
