@@ -7,20 +7,18 @@ sweeping training, direct sampling, matrix product state and tree factor
 graph baselines, and a reproducible CLI.
 """
 
-from .tensor import (DenseTensor, QrResult, SvdResult, frobenius_norm,
-                     qr_split, svd_split)
-from .ttn import (Amplitude, TtnModel, amplitudes_from_vectors, build_random,
+from .tensor import DenseTensor, qr_split, svd_split
+from .ttn import (TtnModel, amplitudes_from_vectors, build_random,
                   canonicalize, contract_pixel_vectors, correlation,
                   correlation_map, log_probs, marginal,
                   max_canonical_deviation, nll, partition_function, push_qr,
                   single_site_marginals)
 from .training import (TrainConfig, TrainStats, gradient_one_site,
-                       gradient_two_site, merged_tensor, sweep_epoch,
-                       sweep_steps, train)
+                       gradient_two_site, merged_tensor, sweep_epoch, train)
 from .sampling import sample_batch, save_samples_pbm
 from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
                    gen_random_patterns, invert_ordering, load_binarized_text,
-                   make_ordering, morton_index, save_binarized_text)
+                   make_ordering, save_binarized_text)
 from .mps import (MpsModel, mps_build_random, mps_correlation_map,
                   mps_log_probs, mps_max_canonical_deviation, mps_nll,
                   mps_sample_batch, mps_sweep_epoch, mps_train)

@@ -5,6 +5,8 @@ by a UTF-8 JSON header, then each tensor as a little-endian u64 byte length
 followed by row-major little-endian float64 data.  The header carries
 model_type (ttn | mps | treefg), n_sites, d_max, per-edge bond dimensions,
 tensor shapes in storage order, the ordering descriptor, seed and epoch.
+A tree or chain with a canonical center is loaded only if it is canonical
+about it, so that log Z and every read stay exact.
 A treefg header's n_vars, edges and visible must be the heap layout of its
 factor stack (see ``factor_graph``); any other tree is rejected.
 
@@ -26,11 +28,15 @@ import numpy as np
 from .errors import FormatError, NumericalError
 from .data import OrderingDescriptor
 from .tensor import DenseTensor
-from .ttn import TtnModel
+from .ttn import TtnModel, max_canonical_deviation
 from .mps import MpsModel
 from .factor_graph import TreeFactorGraph
 
 MAGIC = b"TTNBORN1"
+
+# Largest canonical deviation of a loaded model with a center (training and
+# canonicalization keep it near 1e-14); every read relies on that form.
+CANONICAL_TOL = 1e-8
 
 
 def _fold_arrays(tensors, center_idx):
@@ -147,7 +153,9 @@ def load_checkpoint(path):
 
     The ordering descriptor, when present, is reconstructed and attached to
     the header under the key "ordering_descriptor".  A malformed container,
-    or a header the model constructor rejects, raises ``FormatError``.
+    a header the model constructor rejects, or a tree or chain whose tensors
+    are not canonical about its stored center (``CANONICAL_TOL``) raises
+    ``FormatError``.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -168,8 +176,8 @@ def load_checkpoint(path):
             (blen,) = struct.unpack("<Q", f.read(8))
             if blen != n:
                 raise FormatError(f"{path}: {blen} bytes for shape {shape}")
-            arrays.append(np.frombuffer(f.read(n), dtype="<f8")
-                          .reshape(shape).copy())
+            arrays.append(np.empty(shape, dtype="<f8"))
+            f.readinto(arrays[-1])
     if not all(np.isfinite(a).all() for a in arrays):
         raise FormatError(f"{path}: tensor data is not finite")
     model_type = header["model_type"]
@@ -183,6 +191,11 @@ def load_checkpoint(path):
                                  d_max)
             else:
                 model = MpsModel(tensors, center, d_max)
+            deviation = (0.0 if center is None
+                         else max_canonical_deviation(model))
+            if not deviation <= CANONICAL_TOL:
+                raise ValueError(f"the tensors are not canonical about center "
+                                 f"{center} (deviation {deviation:.3g})")
         else:
             model = TreeFactorGraph(len(header["visible"]), arrays)
             if any(header[k] != v for k, v in _heap_fields(model).items()):

@@ -34,8 +34,9 @@ class BinaryDataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.uint8)
-        if self.samples.ndim != 2:
-            raise FormatError("samples must be a 2-D matrix")
+        if self.samples.ndim != 2 or 0 in self.samples.shape:
+            raise FormatError("samples must be a 2-D matrix with at least "
+                              "one row and one pixel")
         if not np.all((self.samples == 0) | (self.samples == 1)):
             raise FormatError("samples must contain only 0 and 1")
         self.image_shape = tuple(int(x) for x in self.image_shape)

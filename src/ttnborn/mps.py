@@ -3,12 +3,11 @@
 A chain of 3-way tensors (left bond, pixel, right bond) with dimension-1
 boundary bonds.  ``MpsModel`` answers the topology question of the tree's
 Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
-form, the QR push, the training cache, the sweep walk, the one- and two-site
-steps, the evaluation and sampling drivers, the NLL, marginals and
-correlations are the tree's own code, and the comparisons between the two
-models are like for like.  This module supplies the chain's topology, its
-amplitude kernel and sampler node table (both on n/2 two-site blocks) and
-marginals (on the identities of the canonical form, as the tree's).
+form, training, the evaluation and sampling drivers, the NLL, marginals and
+correlations are the tree's own code, and the two models compare like for
+like.  This module supplies the chain's topology, its amplitude kernel and
+the rooted node table of the sampler and the marginal pass, both on n/2
+two-site blocks.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from . import sampling
 from .tensor import DenseTensor, qr_split  # noqa: F401
 from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
-from .ttn import (BornMachine, Pixel, _clamp_weights, _normalized_marginals,
-                  _rescale_batch, _rescale_rows, _rooted_copy, _signed_logs,
-                  canonicalize, correlation_map, log_probs,
+from .ttn import (BornMachine, Pixel, _rescale_rows, _rooted_copy,
+                  _signed_logs, canonicalize, correlation_map, log_probs,
                   max_canonical_deviation, nll, push_qr,
                   single_site_marginals)
 
@@ -66,9 +64,6 @@ class MpsModel(BornMachine):
     def single_site_marginals(self, assignment=None) -> np.ndarray:
         return mps_single_site_marginals(self, assignment)
 
-    def marginal_stack(self, assignments) -> np.ndarray:
-        return _marginal_stack(self, assignments)
-
     def sample(self, count: int, seed: int, ordering=None):
         return mps_sample_batch(self, count, seed, ordering=ordering)
 
@@ -80,12 +75,28 @@ class MpsModel(BornMachine):
         return (10 * self.max_bond() + 8 + self.n_sites // 8,
                 lambda rows: mps_amplitudes(self, rows))
 
-    def _sample_view(self):
-        # a copy centred at the nearer end; a block product and its message
-        n, c = self.n_sites, self.canonical_center
-        work = _rooted_copy(self, 0 if c < n - 1 - c else n - 1)
-        work.nodes = _PairNodes(work)
-        return work, 8 * self.max_bond()
+    def _sample_view(self):     # a block product and its message per row
+        return _RootedChain(self), 8 * self.max_bond()
+
+    def _marginal_view(self):
+        work = _RootedChain(self)
+        work.nodes = [work.nodes[k] for k in range(len(work.nodes))]
+        return work
+
+
+class _RootedChain(MpsModel):
+    """A copy of a chain canonical at the end nearer its center (the last
+    site if it has none) with its ``_PairNodes`` table, which
+    ``_marginal_view`` builds once for every pass made on the copy."""
+
+    def __init__(self, model: MpsModel):
+        n, c = model.n_sites, model.canonical_center
+        root = 0 if c is not None and c < n - 1 - c else n - 1
+        vars(self).update(vars(_rooted_copy(model, root)))
+        self.nodes = _PairNodes(self)
+
+    def _marginal_view(self):
+        return self
 
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
@@ -94,24 +105,23 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
         raise TopologyError("n_sites must be >= 2")
     if d_max < 1:
         raise DimensionError("d_max must be >= 1")
-    dims = [1]
-    for i in range(n_sites - 1):
-        left_sites = min(i + 1, 62)
-        right_sites = min(n_sites - 1 - i, 62)
-        dims.append(min(d_max, 2 ** left_sites, 2 ** right_sites))
-    dims.append(1)
+    # bond i holds at most 2^i and 2^(n - i) states (exponents capped at 62)
+    dims = [1] + [min(d_max, 2 ** min(i, 62), 2 ** min(n_sites - i, 62))
+                  for i in range(1, n_sites)] + [1]
     rng = np.random.default_rng(seed)
-    tensors = [DenseTensor(rng.uniform(-1.0, 1.0, size=(dims[i], 2, dims[i + 1])),
-                           validate=False)
-               for i in range(n_sites)]
+    tensors = [DenseTensor(rng.uniform(-1.0, 1.0, size=(dl, 2, dr)),
+                           validate=False) for dl, dr in zip(dims, dims[1:])]
     model = MpsModel(tensors, canonical_center=None, d_max=d_max)
     canonicalize(model, n_sites - 1)
     return model
 
 
-# The tree's functions, under their MPS names.
+# The tree's and the model-generic functions, under their MPS names.
 mps_max_canonical_deviation = max_canonical_deviation
 mps_log_probs = log_probs
+mps_nll = nll
+mps_single_site_marginals = single_site_marginals
+mps_correlation_map = correlation_map
 
 
 def mps_sample_batch(model: MpsModel, count: int, seed: int, **kwargs):
@@ -130,9 +140,9 @@ def _pair_block(a, b=None):
 
 
 class _PairNodes:
-    """The sampler's rooted node table (``sampling``) of a chain canonical
-    at an end: node k is the k-th pair of sites from that end, its block
-    (``_pair_block``) built when the walk reads it, with node k + 1 as its
+    """The rooted node table (``sampling``) of a chain canonical at an end:
+    node k is the k-th pair of sites from that end, its contiguous block
+    (``_pair_block``) built when a walk reads it, with node k + 1 as its
     second child.  When n is odd, the last site is a node of its own."""
 
     def __init__(self, model: MpsModel):
@@ -145,7 +155,8 @@ class _PairNodes:
     def __getitem__(self, k: int):
         j = len(self) - 1 - k if self.reverse else k
         block = _pair_block(*self.tensors[2 * j:2 * j + 2])
-        return (block.transpose(2, 1, 0) if self.reverse else block,
+        return (np.ascontiguousarray(block.transpose(2, 1, 0))
+                if self.reverse else block,
                 slice(2 * j, 2 * j + 2), k + 1 if k + 1 < len(self) else None)
 
 
@@ -167,60 +178,6 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
         msg, logs = _rescale_rows(x[rows, index], logs)
     return _signed_logs(msg[:, 0], logs)
 
-
-# -- marginals and correlations (doubled chain, canonical identities) --------
-
-def _marginal_stack(model: MpsModel, assignments) -> np.ndarray:
-    """(B, n_sites, 2) conditional marginals of every pixel, one block per
-    clamp assignment, as ``ttn._doubled_marginals`` gives them for the tree.
-
-    Left of the canonical center c the tensors are left isometries and right
-    of it right isometries, so the doubled message is the identity from the
-    left end up to ``lo``, the first of c and the clamped pixels, and from
-    the right end down to ``hi``, the last of them (without c, the ends).
-    """
-    n, count = model.n_sites, len(assignments)
-    ops = _clamp_weights(n, assignments)[:, :, None, :, None]
-    clamped = {k for assignment in assignments for k in assignment}
-    c = model.canonical_center
-    lo, hi = (0, n - 1) if c is None else (min(clamped | {c}),
-                                           max(clamped | {c}))
-    # through an unclamped isometry, from its isometric side, a message
-    # keeps its trace and needs no rescaling
-    free = set() if c is None else set(range(n)) - clamped
-
-    def through(i, t, m, keeps_trace):
-        # (m·t, the doubled message past t), t's incoming bond first
-        da, _, db = t.shape
-        y = (t[None] if m is None else np.matmul(
-            m, t.reshape(da, 2 * db))).reshape(-1, da, 2, db)
-        x = (y * ops[:, i] if i in clamped else y).reshape(-1, 2 * da, db)
-        m = np.matmul(x.transpose(0, 2, 1), t.reshape(2 * da, db))
-        return y, m if keeps_trace else _rescale_batch(m)
-
-    lefts, m = {}, None                  # None stands for the identity
-    for i in range(lo, n - 1):            # store the messages past lo
-        m = lefts[i + 1] = through(i, model.tensors[i].data, m,
-                                   i in free and i > c)[1]
-    out, m = np.empty((count, n, 2)), None
-    for i in range(n - 1, -1, -1):        # read every marginal
-        t = np.ascontiguousarray(model.tensors[i].data.transpose(2, 1, 0))
-        y, m = (t[None], None) if i > hi else through(i, t, m,
-                                                      i in free and i < c)
-        if i > lo:
-            y = np.matmul(y.reshape(len(y), -1, t.shape[2]),
-                          lefts.pop(i)).reshape(-1, *t.shape)
-        out[:, i] = np.sum(y * t, axis=(1, 3))
-    return _normalized_marginals(out, assignments)
-
-
-# The model-generic functions, under their MPS names.
-mps_nll = nll
-mps_single_site_marginals = single_site_marginals
-mps_correlation_map = correlation_map
-
-
-# -- training ------------------------------------------------------------------
 
 def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,
                     cache=None, stats=None, on_step=None):

@@ -44,6 +44,9 @@ def read_pbm(path) -> np.ndarray:
             pos += 1
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace after the header
+    if not all(t.isdigit() for t in tokens) or 0 in map(int, tokens):
+        raise FormatError(f"{path}: width and height must be positive "
+                          f"decimal integers, got {b' '.join(tokens)!r}")
     w, h = int(tokens[0]), int(tokens[1])
     row_bytes = (w + 7) // 8
     body = np.frombuffer(raw[pos:pos + h * row_bytes], dtype=np.uint8)

@@ -7,7 +7,8 @@ walk (``SampleState``) over the rooted node table of a re-centred copy
 (``BornMachine._sampler``): the tree rooted at its root, with its 8-pixel
 subtrees as leaves (``ttn._RootedTree``), or the chain, the degenerate
 tree, rooted at its nearer end, one two-site block per node
-(``mps._PairNodes``).
+(``mps._PairNodes``).  The marginal pass (``ttn._doubled_marginals``)
+walks tables of this format, the tree's down to its 4-pixel groups.
 
 Node k is ``(T, first, second)``, T with the axes (parent bond, first,
 second).  ``first`` is a child node or a slice of pixels, whose values

@@ -17,11 +17,11 @@ a pixel).  ``BornMachine`` derives neighbors, axis lookup and the shape
 check from it, and the chain (``mps``) answers the same question, so the
 canonical form, QR pushes, the training cache, the sweep walk and the
 two-site step are written once for both, and so are evaluation, over
-per-model kernels, and sampling, over per-model node tables.  The tree's
-reads take each 4-pixel subtree as one (16, D) block, a per-call view that
-replaces the bottom two levels of the heap (``_group_blocks``), and
-evaluation, given enough rows, each 8-pixel subtree as one (256, D) table
-lifted from them (``_lifted``).
+per-model kernels, and sampling and the doubled marginal pass, over
+per-model rooted node tables.  The tree's reads take each 4-pixel subtree
+as one (16, D) block, a per-call view that replaces the bottom two levels
+of the heap (``_group_blocks``), and evaluation, given enough rows, each
+8-pixel subtree as one (256, D) table lifted from them (``_lifted``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
@@ -43,6 +43,7 @@ from .errors import (DegenerateDistributionError, DimensionError, StateError,
 from .tensor import NEG_INF, DenseTensor, frobenius_norm, move_axis, qr_split
 
 _EYE2 = np.eye(2)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -68,16 +69,16 @@ class BornMachine:
     A model has ``n_sites``, ``tensors`` indexed from ``first_tensor`` to
     n_sites - 1 (where training keeps the center), ``first_leaf`` (where
     the right-to-left sweep ends), ``canonical_center`` and ``bond_dims()``,
-    and the methods ``log_probs``, ``single_site_marginals`` and its
-    stacked clamp form ``marginal_stack``, ``sample`` and ``sweep_epoch``.
-    Each calls its model's module function by name, so wrapping that
-    function covers it too.  ``log_probs`` and ``sampling.sample_batch``
-    walk the rows in chunks through two kernels built once per call, each
-    with the floats a row holds in it, which size the chunks:
-    ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
+    and the methods ``log_probs``, ``single_site_marginals``, ``sample`` and
+    ``sweep_epoch``.  Each calls its model's module function by name, so
+    wrapping that function covers it too.  ``log_probs`` and
+    ``sampling.sample_batch`` walk the rows in chunks through two kernels
+    built once per call, each with the floats a row holds in it, which size
+    the chunks: ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
     ``_sampler()`` gives the uniforms per row and a map from uniforms to
     (rows, log p): one walk over the rooted node table of the re-centred
-    copy that ``_sample_view()`` gives.
+    copy that ``_sample_view()`` gives, as ``marginal_stack`` (stacked
+    clamps) is one doubled pass over that of ``_marginal_view()``.
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
@@ -139,10 +140,8 @@ class BornMachine:
     def log_z(self) -> float:
         return partition_function(self)
 
-    def _marginal_view(self):
-        """The model to make several marginal passes on: itself, or for
-        the tree a rooted copy that all of them share (``_RootedTree``)."""
-        return self
+    def marginal_stack(self, assignments) -> np.ndarray:
+        return _doubled_marginals(self._marginal_view(), assignments)
 
     def _sampler(self):
         """(floats per row, uniforms per row, draw): one walk over the node
@@ -223,11 +222,14 @@ class TtnModel(BornMachine):
     def single_site_marginals(self, assignment=None) -> np.ndarray:
         return single_site_marginals(self, assignment)
 
-    def marginal_stack(self, assignments) -> np.ndarray:
-        return _RootedTree(self).marginal_stack(assignments)
-
     def _marginal_view(self):
-        return _RootedTree(self)
+        # heap node k is entry k - 1, and group j's root its block B_j^T
+        work, n = _RootedTree(self), self.n_sites
+        work.nodes = [(_node_data(work, k), 2 * k - 1, 2 * k)
+                      for k in range(1, n // 4)] + [
+            (b.T[:, :, None], slice(4 * j, 4 * j + 4), None)
+            for j, b in enumerate(work.blocks)]
+        return work
 
     def _amplitude_kernel(self):
         # each group table's rows scaled to unit max once, so a gathered row
@@ -367,24 +369,32 @@ def canonicalize(model: BornMachine, center: int) -> BornMachine:
 
 
 def max_canonical_deviation(model: BornMachine) -> float:
-    """Largest deviation of any non-center tensor from its canonical identity."""
-    if model.canonical_center is None:
+    """Largest deviation of any non-center tensor from its canonical
+    identity, max |G - 1| for its Gram matrix G over all axes but the one
+    toward the center (axis 0 off the path from the center to the first
+    tensor), checked a shape class ``_LIFT_FLOATS`` at a time."""
+    c = model.canonical_center
+    if c is None:
         raise StateError("model has no canonical center")
-    worst = 0.0
-    for n, nxt in _toward(model, model.canonical_center)[1].items():
-        if nxt is not None:
-            worst = max(worst, _isometry_deviation(
-                model.tensors[n], model.axis_toward(n, nxt)))
-    return worst
-
-
-def _isometry_deviation(t: DenseTensor, axis: int) -> float:
-    """max |G - 1| for the Gram matrix G of ``t`` contracted with itself
-    over every axis but ``axis``; 0 for an isometry onto that axis."""
-    others = [i for i in range(t.ndim) if i != axis]
-    g = np.tensordot(t.data, t.data, axes=(others, others))
-    g = g * math.exp(2.0 * t.log_scale)
-    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+    path = model.path(c, model.first_tensor)
+    toward = {n: model.axis_toward(n, nxt) for n, nxt in zip(path[1:], path)}
+    classes, worst = {}, 0.0
+    for n in range(model.first_tensor, model.n_sites):
+        t, axis = model.tensors[n], toward.get(n, 0)
+        if n != c:   # as a (that axis, the rest) matrix, a view if it can
+            a = (t.data.reshape(-1, t.data.shape[-1]).T if axis == t.ndim - 1
+                 else t.data.swapaxes(0, axis).reshape(t.data.shape[axis], -1))
+            classes.setdefault(a.shape, []).append(
+                a * math.exp(t.log_scale) if t.log_scale else a)
+    for (d, _), mats in classes.items():
+        g = np.empty((min(len(mats), max(1, _LIFT_FLOATS // d ** 2)), d, d))
+        for s in range(0, len(mats), len(g)):
+            part = mats[s:s + len(g)]
+            for i, a in enumerate(part):
+                np.matmul(a, a.T, out=g[i])
+            h = g[:len(part)] - np.eye(d)
+            worst = np.maximum(worst, np.abs(h, out=h).max())   # keeps a NaN
+    return float(worst)
 
 
 def partition_function(model) -> float:
@@ -620,117 +630,126 @@ def _rooted_copy(model: BornMachine, center: int) -> BornMachine:
     return work
 
 
-def _rescale_batch(arr):
-    """Scale each row or branch (leading index) to unit max magnitude; zero
-    ones stay zero.  For messages whose scales cancel in every normalized
+def _rescale_batch(m):
+    """Each branch's (leading index) message scaled to unit max magnitude,
+    a zero one kept; for messages whose scales cancel in every normalized
     output, so no log bookkeeping is needed."""
-    arr = np.ascontiguousarray(arr)
-    flat = arr.reshape(arr.shape[0], -1)
-    mx = np.max(np.abs(flat), axis=1)
-    nz = mx > 0
-    if np.any(nz):
-        flat[nz] /= mx[nz, None]
-    return arr
-
-
-def _up_message(t, left, right):
-    """sum T[a,b,c] L[s,b,d] R[s,c,e] T[f,d,e], (B, a, f), where an absent
-    (None) child message stands for the identity."""
-    x = t if right is None else np.matmul(t, right[:, None])
-    if left is not None:
-        x = np.matmul(left.transpose(0, 2, 1)[:, None], x)
-    da = t.shape[0]
-    return np.matmul(x.reshape(-1, da, x.shape[-2] * x.shape[-1]),
-                     t.reshape(da, -1).T)
+    return m / np.maximum(np.abs(m).max(axis=(1, 2), keepdims=True), _TINY)
 
 
 class _RootedTree(TtnModel):
     """A root-canonical copy of a tree (``_rooted_copy``) with its group
-    blocks, built once for every pass made on it: the two marginal passes
-    of ``correlation_map``, or every chunk of a sample.  It does not see
-    later changes to the model it copies, and lives as long as its caller
-    holds it."""
+    blocks and the node table of its caller, built once for every pass made
+    on it: the two marginal passes of ``correlation_map``, or every chunk of
+    a sample.  It does not see later changes to the model it copies, and
+    lives as long as its caller holds it."""
 
     def __init__(self, model: TtnModel):
         vars(self).update(vars(_rooted_copy(model, 1)))
         self.blocks = _group_blocks(self)[0]
 
-    def marginal_stack(self, assignments) -> np.ndarray:
-        return _doubled_marginals(self, self.blocks, assignments)
+    def _marginal_view(self):
+        return self
 
 
-def _doubled_marginals(work: TtnModel, blocks, assignments) -> np.ndarray:
+def _doubled_marginals(view: BornMachine, assignments) -> np.ndarray:
     """(B, n_sites, 2) conditional marginals of every pixel, one block per
-    clamp assignment in ``assignments``, on ``work``, a root-canonical
-    tree, and its group blocks.
+    clamp assignment, from the rooted node table ``view.nodes`` of a
+    re-centred copy (``_marginal_view``), in the sampler's format
+    (``sampling``), each child after its parent.
 
-    Below the root every tensor is an isometry onto its parent bond, so a
+    Below the root every T is an isometry onto its parent bond, so a
     subtree without a clamped pixel contracts to the identity in the
-    doubled network.  Doubled up-messages are formed only for subtrees
-    that hold a clamped pixel (of any branch); the one downward pass
-    carries the B branches stacked and stops at the group roots, where
-    each group's 16 doubled weights are read off its block.  Clamped
+    doubled network (Shi, Duan and Vidal, PRA 74:022320, 2006): up-messages
+    are formed only for subtrees that hold a clamped pixel (of any branch).
+    The one downward pass carries the B branches stacked and reads each
+    pixel slice's values off its environment, those of the slices without a
+    second child in one product per shape class.  A message is rescaled
+    only where a clamped sibling or the root breaks its trace.  Clamped
     pixels get a one-hot row.  Raises if a branch has zero mass.
     """
-    n_sites, count = work.n_sites, len(assignments)
+    nodes, n_sites, count = view.nodes, view.n_sites, len(assignments)
     ops = _clamp_weights(n_sites, assignments)
-    first = n_sites // 4
-    group_ops = _kron_groups(ops.reshape(count, first, 4, 2))
-    hot = set()
-    for k in {k for assignment in assignments for k in assignment}:
-        node = (n_sites + k) // 4
-        while node > 1 and node not in hot:
-            hot.add(node)
-            node //= 2
+    clamped = {k for assignment in assignments for k in assignment}
 
-    up = {}
-    for node in sorted(hot, reverse=True):
-        if node >= first:
-            b = blocks[node - first]
-            m = np.matmul(b.T * group_ops[:, node - first, None], b)
-        else:
-            m = _up_message(work.tensors[node].data, up.get(2 * node),
-                            up.get(2 * node + 1))
-        up[node] = _rescale_batch(m)
+    def on_first(t, u):   # (B, M1) weights or a (B, M1, M1) message on axis 1
+        if u.ndim == 2:
+            return t * u[:, None, :, None]
+        return np.matmul(u.transpose(0, 2, 1)[:, None], t)
 
-    # Environments above each node, (B, D, D).  Through an isometry with an
-    # identity sibling the trace is preserved, so only the root's messages
-    # and those with a clamped sibling need rescaling.
-    down = {1: np.ones((count, 1, 1))}
-    for node in range(1, first):
-        t = _node_data(work, node)
-        da, dl, dr = t.shape
-        y = down.pop(node).reshape(count * da, da) @ t.reshape(da, dl * dr)
-        y = y.reshape(count, da, dl, dr)
-        # each child's environment is y against t with the sibling's
-        # up-message, if any, applied to the sibling's axis of t
-        ul, ur = up.get(2 * node), up.get(2 * node + 1)
-        tr = t if ur is None else np.matmul(t.reshape(da * dl, dr), ur)
-        tl = t if ul is None else np.matmul(ul.transpose(0, 2, 1)[:, None], t)
-        left = np.matmul(y.transpose(0, 2, 1, 3).reshape(count, dl, da * dr),
-                         tr.reshape(-1, da, dl, dr).transpose(0, 1, 3, 2)
-                         .reshape(-1, da * dr, dl))
-        right = np.matmul(y.reshape(count, da * dl, dr).transpose(0, 2, 1),
-                          tl.reshape(-1, da * dl, dr))
-        down[2 * node] = left if ur is None else _rescale_batch(left)
-        down[2 * node + 1] = right if ul is None else _rescale_batch(right)
-        if node == 1:
-            down[2], down[3] = _rescale_batch(down[2]), _rescale_batch(down[3])
+    # the clamp weights of each slice with a clamped pixel (one past the last
+    # pixel is clipped), and the up-messages of the entries below the root
+    # that hold one, sum T[a,x,s] U1[x,x'] U2[s,s'] T[a',x',s'], (B, a, a')
+    weights, up = {}, {}
+    for e in range(len(nodes) - 1, -1, -1) if clamped else ():
+        t, first, second = nodes[e]
+        if isinstance(first, slice):
+            pixels = range(n_sites)[first]
+            if not clamped.isdisjoint(pixels):
+                w = ops[:, pixels[0]]
+                for k in pixels[1:]:
+                    w = (w[:, :, None] * ops[:, k, None]).reshape(count, -1)
+                weights[e] = w
+        u1 = weights.get(e) if isinstance(first, slice) else up.get(first)
+        u2 = up.get(second)
+        if e and (u1 is not None or u2 is not None):
+            da, m1, m2 = t.shape
+            x = t if u2 is None else np.matmul(t, u2[:, None])
+            x = x if u1 is None else on_first(x, u1)
+            up[e] = _rescale_batch(np.matmul(x.reshape(-1, da, m1 * m2),
+                                             t.reshape(da, -1).T))
 
-    # each group's 16 doubled weights B E B^T, one stacked product per
-    # group root bond dimension
-    dims = np.array([b.shape[1] for b in blocks])
-    joint = np.empty((count, first, 16))
-    for d in np.unique(dims):
-        pick = np.flatnonzero(dims == d)
-        e = np.stack([down[first + i] for i in pick], axis=1)
-        b = np.stack([blocks[i] for i in pick])
-        joint[:, pick] = np.sum(np.matmul(b, e) * b, axis=3)
-    # a pixel's own clamp weighs only its row, which is set one-hot below
-    joint = (joint * group_ops).reshape(count, first, 2, 2, 2, 2)
-    out = np.stack([joint.sum(axis=tuple(a for a in range(2, 6) if a != j))
-                    for j in range(2, 6)], axis=2)
-    return _normalized_marginals(out.reshape(count, n_sites, 2), assignments)
+    # environments on each entry's parent bond, (B, Da, Da); by width M1,
+    # the first pixels and (B, J, M1) values of J slices
+    down, values, leaves = {0: np.ones((count, 1, 1))}, {}, {}
+    for e, (t, first, second) in enumerate(nodes):
+        if second is None and isinstance(first, slice):
+            leaves.setdefault(t.shape, []).append(e)
+            continue
+        da, m1, m2 = t.shape
+        y = (down.pop(e).reshape(count * da, da) @ t.reshape(da, m1 * m2)
+             ).reshape(count, da, m1, m2)
+        u1 = weights.get(e) if isinstance(first, slice) else up.get(first)
+        u2 = up.get(second)
+        tr = t if u2 is None else np.matmul(t.reshape(da * m1, m2), u2)
+        if second is not None:
+            tl = t if u1 is None else on_first(t, u1)
+            m = np.matmul(y.reshape(count, da * m1, m2).transpose(0, 2, 1),
+                          tl.reshape(-1, da * m1, m2))
+            down[second] = m if e and u1 is None else _rescale_batch(m)
+        if isinstance(first, slice):
+            joint = np.sum(y * tr.reshape(-1, da, m1, m2), axis=(1, 3))
+            values.setdefault(m1, []).append(([first.start], joint[:, None]))
+            continue
+        m = np.matmul(y.transpose(0, 2, 1, 3).reshape(count, m1, da * m2),
+                      tr.reshape(-1, da, m1, m2).transpose(0, 1, 3, 2)
+                      .reshape(-1, da * m2, m1))
+        down[first] = m if e and u2 is None else _rescale_batch(m)
+    # the slices without a second child: B E B^T for each one's (M1, Da)
+    # block B
+    for (_, m1, _), pick in leaves.items():
+        b = np.stack([nodes[e][0][:, :, 0].T for e in pick])
+        joint = np.sum(np.matmul(b, np.stack([down[e] for e in pick], axis=1))
+                       * b, axis=3)
+        values.setdefault(m1, []).append(
+            ([nodes[e][1].start for e in pick], joint))
+
+    # each pixel's sums over its slice's values, the first pixel most
+    # significant, once each pixel's own clamp weighs them
+    out = np.empty((count, n_sites, 2))
+    for m1, parts in values.items():
+        q = m1.bit_length() - 1
+        joint = np.concatenate([j for _, j in parts], axis=1).reshape(
+            (count, -1) + (2,) * q)
+        pixels = np.add.outer([k for firsts, _ in parts for k in firsts],
+                              np.arange(q))
+        for p in range(q):
+            joint *= ops[:, pixels[:, p]].reshape(
+                (count, -1) + (1,) * p + (2,) + (1,) * (q - 1 - p))
+        out[:, pixels.ravel()] = np.stack(
+            [joint.sum(axis=tuple(a for a in range(2, q + 2) if a != p))
+             for p in range(2, q + 2)], axis=2).reshape(count, -1, 2)
+    return _normalized_marginals(out, assignments)
 
 
 # -- model-generic functions (any BornMachine) ---------------------------------

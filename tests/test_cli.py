@@ -290,6 +290,23 @@ class TestPbmInput:
         assert header["ordering"]["kind"] == "hierarchical-2d"
         assert header["n_sites"] == 16
 
+    # a width or height that is missing, not decimal or not positive; the
+    # last two once loaded as an empty image that train then fitted
+    @pytest.mark.parametrize("raw", [b"P4", b"P4\n4", b"P4\nx 2\n\0\0",
+                                     b"P4\n4 2.0\n\0\0", b"P4\n-4 2\n\0\0",
+                                     b"P4\n4 0x2\n\0\0", b"P4\n0 0\n",
+                                     b"P4\n4 0\n"])
+    def test_bad_image_size_is_a_parse_error(self, tmp_path, capsys, raw):
+        imgs = tmp_path / "imgs"
+        os.makedirs(imgs)
+        (imgs / "0.pbm").write_bytes(raw)
+        out = tmp_path / "run"
+        rc = run(["train", "--data", imgs, "--epochs", 1, "--seed", 1,
+                  "--out", out])
+        assert rc == 1
+        assert "error [parse]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_mps_checkpoint(self, patterns_file, tmp_path, capsys):
         out = tmp_path / "mps_run"
         run(["train", "--model", "mps", "--data", patterns_file,

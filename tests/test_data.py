@@ -8,7 +8,8 @@ import pytest
 import ttnborn
 from ttnborn import (BinaryDataset, apply_ordering, gen_random_patterns,
                      invert_ordering, load_binarized_text, make_ordering,
-                     morton_index, save_binarized_text)
+                     save_binarized_text)
+from ttnborn.data import morton_index
 from ttnborn.errors import FormatError, ParseError
 from ttnborn import pbm
 
@@ -206,6 +207,11 @@ class TestPbm:
         sheet = pbm.read_pbm(path)
         assert sheet.shape == (2 * 4 + 1, 3 * 4 + 2)   # 5 images on a 2x3 grid
         assert np.array_equal(sheet[:4, :4], imgs[0])
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_dataset_without_rows_or_pixels_rejected(self, shape):
+        with pytest.raises(FormatError):
+            BinaryDataset(np.zeros(shape, dtype=np.uint8), (shape[1],))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pbm"

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ttnborn import DenseTensor, frobenius_norm, qr_split, svd_split
+from ttnborn import DenseTensor, qr_split, svd_split
+from ttnborn.tensor import frobenius_norm
 from ttnborn.errors import DimensionError
 
 
@@ -193,3 +194,11 @@ class TestSvdKernels:
         full = np.linalg.svd(m, compute_uv=False)
         assert np.max(np.abs(s - full[:len(s)])) < 1e-12 * full[0]
         assert abs(err - np.sum(full[len(s):] ** 2) / np.sum(full ** 2)) < 1e-12
+
+
+def test_names_only_unit_tests_use_are_not_exported():
+    # each is imported from its module where a test needs it
+    import ttnborn
+    for name in ("QrResult", "SvdResult", "frobenius_norm", "Amplitude",
+                 "sweep_steps", "morton_index"):
+        assert not hasattr(ttnborn, name), name

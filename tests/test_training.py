@@ -7,8 +7,9 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      build_random, canonicalize, gen_random_patterns,
                      gradient_one_site, gradient_two_site, log_probs,
                      max_canonical_deviation, merged_tensor, mps_build_random,
-                     nll, partition_function, sweep_epoch, sweep_steps, train)
+                     nll, partition_function, sweep_epoch, train)
 from ttnborn.errors import DegenerateSampleError, StateError
+from ttnborn.training import sweep_steps
 
 from helpers import (all_configs, brute_force_amplitudes, mps_from_patterns,
                      mps_state_vector, ttn_from_patterns)

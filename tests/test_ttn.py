@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttnborn import (DenseTensor, TtnModel, build_random, canonicalize,
-                     contract_pixel_vectors, correlation, correlation_map,
-                     frobenius_norm, gen_random_patterns, log_probs, marginal,
+from ttnborn import (DenseTensor, MpsModel, TtnModel, build_random,
+                     canonicalize, contract_pixel_vectors, correlation,
+                     correlation_map, gen_random_patterns, log_probs, marginal,
                      max_canonical_deviation, nll, partition_function,
                      sample_batch, single_site_marginals, train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
+from ttnborn.tensor import frobenius_norm
 from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
 from ttnborn.ttn import (_check_pixel_values, _node_data, _rescale_rows,
@@ -76,6 +77,20 @@ class TestCanonicalize:
             canonicalize(m, center)
             assert m.canonical_center == center
             assert max_canonical_deviation(m) < 1e-10
+
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_deviation_sees_every_tensor(self, build):
+        # a wrong center, a log scale, and a NaN past the first shape class
+        m = build(64, 4, seed=5)
+        canonicalize(m, 33)
+        m.canonical_center = 40
+        assert max_canonical_deviation(m) > 1e-3
+        m.canonical_center = 33
+        t = m.tensors[34]
+        m.tensors[34] = DenseTensor(t.data * np.exp(-3.0), 3.0)
+        assert max_canonical_deviation(m) < 1e-12
+        m.tensors[60].data[0, 0, 0] = np.nan
+        assert np.isnan(max_canonical_deviation(m))
 
     def test_center_moves_leave_probabilities_invariant(self):
         m = build_random(8, 4, seed=4)
@@ -589,6 +604,71 @@ class TestCorrelationMapOneBranch:
         correlation_map(model, 6)
         assert calls == {"canonicalize": 1, "_group_blocks": 1,
                          "_doubled_marginals": 2}
+
+
+def _random_chain(n_sites, seed):
+    """Random chain, not canonicalized, with each bond drawn from 1 to 4
+    (capped by what either side can carry)."""
+    rng = np.random.default_rng(seed)
+    dims = [1] + [int(rng.integers(1, min(4, 2 ** i, 2 ** (n_sites - i)) + 1))
+                  for i in range(1, n_sites)] + [1]
+    return MpsModel([DenseTensor(rng.uniform(-1, 1, (dl, 2, dr)))
+                     for dl, dr in zip(dims[:-1], dims[1:])], d_max=4)
+
+
+def _small_models():
+    """(id, build, amplitude table of a model): odd chains, whose last pair
+    node has one site, and the smallest trees, each with a center of every
+    kind (none, the first tensor, a middle one, the last)."""
+    for n in (3, 5, 7):
+        for center in (None, 0, n // 2, n - 1):
+            yield f"mps-{n}-{center}", lambda n=n, c=center: (
+                _random_chain(n, seed=n), c), mps_state_vector
+    for n in (4, 8):
+        for center in (None, 1, n // 2 - 1, n - 1):
+            yield f"ttn-{n}-{center}", lambda n=n, c=center: (
+                random_uneven_ttn(n, seed=n), c), brute_force_amplitudes
+
+
+_SMALL_MODELS = {name: (build, amps) for name, build, amps in _small_models()}
+
+
+class TestDoubledPassOnSmallModels:
+    """The one doubled marginal pass on the node tables no other test
+    reaches, against enumeration: stacks of up to 3 clamp branches, and
+    every map."""
+
+    @pytest.fixture(params=sorted(_SMALL_MODELS))
+    def small(self, request):
+        build, amps_of = _SMALL_MODELS[request.param]
+        model, center = build()
+        if center is not None:
+            canonicalize(model, center)
+        return model, amps_of(model)
+
+    def test_marginal_stacks(self, small):
+        model, amps = small
+        n = model.n_sites
+        configs = all_configs(n)
+        p = amps ** 2 / np.sum(amps ** 2)
+
+        def enumerated(fixed):
+            mask = np.all(configs[:, list(fixed)] == list(fixed.values()),
+                          axis=1)
+            p1 = p[mask] @ configs[mask] / p[mask].sum()
+            return np.stack([1.0 - p1, p1], axis=1)
+
+        for branches in ([{}], [{n - 1: 1}], [{}, {0: 1}, {n - 1: 0, 1: 1}],
+                         [{n // 2: 0, n - 1: 1}, {0: 0, 1: 1, 2: 0}]):
+            got = model.marginal_stack(branches)
+            want = np.array([enumerated(fixed) for fixed in branches])
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_correlation_maps(self, small):
+        model, amps = small
+        for ref in range(model.n_sites):
+            got = correlation_map(model, ref)
+            assert np.max(np.abs(got - _enumerated_map(amps, ref))) < 1e-12
 
 
 _GROUP_MODELS = {"random-4": lambda: random_uneven_ttn(4, seed=4),
