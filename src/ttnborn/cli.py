@@ -302,7 +302,8 @@ _ERROR_CLASSES = (
 
 
 def _apply_config_defaults(parser, argv):
-    """Layer a key=value config file under the flags; explicit flags win."""
+    """Layer a key=value config file under the flags; explicit flags win.
+    A value that its flag's type or choices reject is a ParseError."""
     pre, _ = parser.parse_known_args(argv)
     if not getattr(pre, "config", None):
         return
@@ -319,10 +320,11 @@ def _apply_config_defaults(parser, argv):
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
             typed[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            typed[key] = action.type(raw)
-        else:
-            typed[key] = raw
+            continue
+        try:   # the flag's own type and choices checks
+            typed[key] = parser._get_values(action, [raw])
+        except argparse.ArgumentError as exc:
+            raise ParseError(f"config key {key!r}: {exc.message}")
     # Subparsers parse into a fresh namespace, so the defaults must be
     # installed on each subparser that owns the flag; explicit flags still
     # override installed defaults.

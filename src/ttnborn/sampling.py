@@ -4,33 +4,31 @@ Configurations are drawn from the exact Born distribution p(x), so a
 returned row has exactly its model probability; no Markov chain is
 involved.  ``sample_batch`` draws for both models, chunk by chunk, by one
 walk (``SampleState``) over the rooted node table of a re-centred copy
-(``BornMachine._sampler``): the tree rooted at its root, with its 8-pixel
-subtrees as leaves (``ttn._RootedTree``), or the chain, the degenerate
-tree, rooted at its nearer end, one two-site block per node
-(``mps._PairNodes``).  The marginal pass (``ttn._doubled_marginals``)
+(``BornMachine._sampler``): the tree rooted at its root, down to its
+8-pixel subtrees' (256, D) amplitude tables (``ttn._RootedTree``), or the
+chain, the degenerate tree, rooted at its nearer end, one two-site block
+per node (``mps._PairNodes``).  The marginal pass (``ttn._doubled_marginals``)
 walks tables of this format, the tree's down to its 4-pixel groups.
 
 Node k is ``(T, first, second)``, T with the axes (parent bond, first,
 second).  ``first`` is a child node or a slice of pixels, whose values
 index T's middle axis, the first pixel most significant; ``second`` is a
-child node, or None where its axis has dimension 1.  At an octet, a parent
-of two 4-pixel group roots, ``first`` slices its 8 pixels and ``second``
-holds the groups' (16, D) amplitude blocks (B1, B2).  Rooted, every tensor
-below the root is an isometry onto its parent bond.  The walk goes down a
-chain of second children, entering each node with a pure state ``v`` on
-its parent bond, and forms ``M = v . T``.  Below a pixel group it draws the
-group's value x with weight ``sum_s |M[x, s]|^2`` and moves on with
-``v = M[x]``.  An octet draws its 8 pixels in one draw from their exact
-joint law given v, the weights ``|A|^2`` of ``A = B1 . M . B2^T``.  Below a
-child node it draws the second bond's index s with weight ``|M[:, s]|^2``
-as an auxiliary variable, completes the first subtree from the pure state
-``M[:, s]`` into its amplitude vector c, and moves on with ``v = c^T M``;
-c is then exact whatever s was, so the rows follow p(x) exactly (Ferris
-and Vidal, PRB 85:165146, 2012).  A completed subtree ends at an octet,
-``c = T . (B1[x1] (x) B2[x2])`` for its groups' values, and folds its path
-back up, ``c = T . (c_first (x) c_second)``.  At the root the last ``v``
-is the amplitude psi(x), its log scale carried along, so the chain log
-returned with the samples is ``2 log|psi| - log Z``.
+child node, or None where its axis has dimension 1, as at a subtree's
+table A, whose node is ``A^T[:, :, None]``.  Rooted, every tensor below
+the root is an isometry onto its parent bond.  The walk goes down a chain
+of second children, entering each node with a pure state ``v`` on its
+parent bond, and forms ``M = v . T``.  Below a pixel slice it draws the
+slice's value x with weight ``sum_s |M[x, s]|^2`` and moves on with
+``v = M[x]``; at a table that is ``|v . A^T|^2``, the exact joint law of
+its pixels given v.  Below a child node it draws the second bond's index s
+with weight ``|M[:, s]|^2`` as an auxiliary variable, completes the first
+subtree from the pure state ``M[:, s]`` into its amplitude vector c, and
+moves on with ``v = c^T M``; c is then exact whatever s was, so the rows
+follow p(x) exactly (Ferris and Vidal, PRB 85:165146, 2012).  A completed
+subtree ends at a table, ``c = A[x]``, and folds its path back up,
+``c = T . (c_first (x) c_second)``.  At the root the last ``v`` is the
+amplitude psi(x), its log scale carried along, so the chain log returned
+with the samples is ``2 log|psi| - log Z``.
 
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
 seeded generator's uniform stream, one column per node (n/4 - 1 for a tree
@@ -38,7 +36,8 @@ of 8 pixels or more), so it depends on (seed, i) alone; each draw is one
 ``_draw``.  The rows a seed yields changed for both models when the tree's
 and the chain's samplers became this walk, and for the tree again when it
 took one draw per 8-pixel subtree (and twice before); the distribution did
-not.
+not.  Drawing that subtree from its table instead of its two groups'
+blocks left the rows as they were.
 """
 
 from __future__ import annotations
@@ -87,17 +86,6 @@ class SampleState:
             da, m1, m2 = t.shape
             v, logs = _rescale_rows(v, logs)
             m = (v @ t.reshape(da, -1)).reshape(count, m1, m2)
-            if isinstance(second, tuple):
-                # an octet: A = B1 . M . B2^T over both groups' 256 values
-                b1, b2 = second
-                a = np.matmul(b1, (m.reshape(-1, m2) @ b2.T).reshape(
-                    count, m1, 16)).reshape(count, 256)
-                x = _draw(a * a, self.u[:, node])
-                self.samples[:, first] = _BITS[x]
-                if not complete:
-                    return a[rows, x, None], logs
-                path.append((t, b1[x >> 4], 0.0))
-                break
             if isinstance(first, slice):
                 x = _draw(np.einsum("rxs,rxs->rx", m, m), self.u[:, node])
                 self.samples[:, first] = _BITS[x, 9 - m1.bit_length():]
@@ -109,10 +97,13 @@ class SampleState:
                 if complete:
                     path.append((t, c, log))
             if second is None:
-                return v, logs
+                break
             node = second
-        # fold the path back up from the octet's second group, c = T.(c (x) v)
-        v, logs = b2[x & 15], np.zeros(count)
+        if not complete:
+            return v, logs
+        # fold the path back up from the row x of the table the walk ended
+        # at, c = T.(c (x) v)
+        v, logs = t[:, x, 0].T, np.zeros(count)
         for t, c, log in reversed(path):
             pair = (c[:, :, None] * v[:, None, :]).reshape(count, -1)
             v, logs = _rescale_rows(pair @ t.reshape(len(t), -1).T, logs + log)

@@ -20,8 +20,9 @@ two-site step are written once for both, and so are evaluation, over
 per-model kernels, and sampling and the doubled marginal pass, over
 per-model rooted node tables.  The tree's reads take each 4-pixel subtree
 as one (16, D) block, a per-call view that replaces the bottom two levels
-of the heap (``_group_blocks``), and evaluation, given enough rows, each
-8-pixel subtree as one (256, D) table lifted from them (``_lifted``).
+of the heap (``_group_blocks``), and sampling and evaluation (given enough
+rows) each 8-pixel subtree as one (256, D) table lifted from them
+(``_lifted``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
@@ -44,6 +45,7 @@ from .tensor import NEG_INF, DenseTensor, frobenius_norm, move_axis, qr_split
 
 _EYE2 = np.eye(2)
 _TINY = np.finfo(float).tiny
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -223,13 +225,7 @@ class TtnModel(BornMachine):
         return single_site_marginals(self, assignment)
 
     def _marginal_view(self):
-        # heap node k is entry k - 1, and group j's root its block B_j^T
-        work, n = _RootedTree(self), self.n_sites
-        work.nodes = [(_node_data(work, k), 2 * k - 1, 2 * k)
-                      for k in range(1, n // 4)] + [
-            (b.T[:, :, None], slice(4 * j, 4 * j + 4), None)
-            for j, b in enumerate(work.blocks)]
-        return work
+        return _RootedTree(self, 4)
 
     def _amplitude_kernel(self):
         # each group table's rows scaled to unit max once, so a gathered row
@@ -258,18 +254,9 @@ class TtnModel(BornMachine):
         return (2 * d + n.bit_length()) * d + n // 4, kernel
 
     def _sample_view(self):
-        # the rooted copy with its node table: heap node k is entry k - 1,
-        # an octet its tensor and its groups' blocks, the root of 4 pixels
-        # its block as (1, 16, 1).  A (D, D) message per level, an octet's
-        # (D, 16) product and three (256,) weight rows
-        work, d, n = _RootedTree(self), max(self.max_bond(), 4), self.n_sites
-        b, octet = work.blocks, n // 8
-        work.nodes = [(_node_data(work, k), 2 * k - 1, 2 * k)
-                      for k in range(1, octet)] + [
-            (_node_data(work, octet + j), slice(8 * j, 8 * j + 8),
-             (b[2 * j], b[2 * j + 1])) for j in range(octet)] or [
-            (b[0].T[:, :, None], slice(0, 4), None)]
-        return work, d * (d * (n.bit_length() - 2) + 16) + 3 * 256
+        # a (D, D) message per level and three (256,) weight rows
+        d, n = max(self.max_bond(), 4), self.n_sites
+        return _RootedTree(self, 8), d * d * (n.bit_length() - 2) + 3 * 256
 
     def sample(self, count: int, seed: int, ordering=None):
         from . import sampling
@@ -372,7 +359,8 @@ def max_canonical_deviation(model: BornMachine) -> float:
     """Largest deviation of any non-center tensor from its canonical
     identity, max |G - 1| for its Gram matrix G over all axes but the one
     toward the center (axis 0 off the path from the center to the first
-    tensor), checked a shape class ``_LIFT_FLOATS`` at a time."""
+    tensor), checked a shape class ``_LIFT_FLOATS`` at a time.  A tensor
+    whose scaled Gram would pass the float range deviates by inf."""
     c = model.canonical_center
     if c is None:
         raise StateError("model has no canonical center")
@@ -381,11 +369,19 @@ def max_canonical_deviation(model: BornMachine) -> float:
     classes, worst = {}, 0.0
     for n in range(model.first_tensor, model.n_sites):
         t, axis = model.tensors[n], toward.get(n, 0)
-        if n != c:   # as a (that axis, the rest) matrix, a view if it can
-            a = (t.data.reshape(-1, t.data.shape[-1]).T if axis == t.ndim - 1
-                 else t.data.swapaxes(0, axis).reshape(t.data.shape[axis], -1))
-            classes.setdefault(a.shape, []).append(
-                a * math.exp(t.log_scale) if t.log_scale else a)
+        if n == c:
+            continue
+        # as a (that axis, the rest) matrix, a view if it can, its scale
+        # folded in: G's entries reach (scale * max |a|)^2 * columns
+        a = (t.data.reshape(-1, t.data.shape[-1]).T if axis == t.ndim - 1
+             else t.data.swapaxes(0, axis).reshape(t.data.shape[axis], -1))
+        if t.log_scale and (top := np.abs(a).max(initial=0.0)):
+            log_top = t.log_scale + math.log(top)
+            if 2.0 * log_top + math.log(a.shape[1]) >= _LOG_FLOAT_MAX:
+                worst = math.inf
+                continue
+            a = a / top * math.exp(log_top)
+        classes.setdefault(a.shape, []).append(a)
     for (d, _), mats in classes.items():
         g = np.empty((min(len(mats), max(1, _LIFT_FLOATS // d ** 2)), d, d))
         for s in range(0, len(mats), len(g)):
@@ -638,15 +634,24 @@ def _rescale_batch(m):
 
 
 class _RootedTree(TtnModel):
-    """A root-canonical copy of a tree (``_rooted_copy``) with its group
-    blocks and the node table of its caller, built once for every pass made
-    on it: the two marginal passes of ``correlation_map``, or every chunk of
-    a sample.  It does not see later changes to the model it copies, and
+    """A root-canonical copy of a tree (``_rooted_copy``) with its node
+    table, built once for every pass made on it: the two marginal passes of
+    ``correlation_map``, or every chunk of a sample.  Heap node k is entry
+    k - 1 down to the subtrees of ``width`` pixels (4 or 8, and 4 at n = 4),
+    and subtree j's root is its amplitude table A_j as A_j^T[:, :, None],
+    a view.  It does not see later changes to the model it copies, and
     lives as long as its caller holds it."""
 
-    def __init__(self, model: TtnModel):
+    def __init__(self, model: TtnModel, width: int):
         vars(self).update(vars(_rooted_copy(model, 1)))
-        self.blocks = _group_blocks(self)[0]
+        tables, n = _group_blocks(self), self.n_sites
+        if width == 8 and n >= 8:
+            tables = _lifted(self, n // 8, *tables, False)
+        tables, width = tables[0], n // len(tables[0])
+        self.nodes = [(_node_data(self, k), 2 * k - 1, 2 * k)
+                      for k in range(1, len(tables))] + [
+            (a.T[:, :, None], slice(width * j, width * j + width), None)
+            for j, a in enumerate(tables)]
 
     def _marginal_view(self):
         return self

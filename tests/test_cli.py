@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from ttnborn import (apply_ordering, heap_shaped_fg, load_binarized_text,
-                     load_checkpoint, nll, save_checkpoint)
+from ttnborn import (apply_ordering, build_random, heap_shaped_fg,
+                     load_binarized_text, load_checkpoint, nll,
+                     save_checkpoint)
 from ttnborn.cli import main
 from ttnborn import pbm
 
@@ -347,3 +348,25 @@ class TestConfigFile:
                   "--out", tmp_path / "x"])
         assert rc == 1
         assert "error [parse]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "model", "foo"), ("train", "order", "3d"),
+        ("train", "dmax", "abc"), ("sample", "format", "xyz")])
+    def test_value_its_flag_rejects_is_a_parse_error(
+            self, patterns_file, tmp_path, capsys, command, key, value):
+        # each of these once ran (an MPS, raster order, a sample call that
+        # wrote no file) or failed as a bare ValueError from the flag's type
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x"
+        cfg.write_text(f"{key} = {value}\n")
+        if command == "train":
+            args = ["train", "--data", patterns_file, "--epochs", 1]
+            args += [] if key == "dmax" else ["--dmax", 2]
+        else:
+            model_path = tmp_path / "m.ttnborn"
+            save_checkpoint(model_path, build_random(16, 2, seed=1))
+            args = ["sample", "--model-path", model_path, "--count", 3]
+        rc = run(["--config", cfg] + args + ["--seed", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [parse]" in err and repr(key) in err
+        assert not out.exists()

@@ -191,6 +191,21 @@ class TestNodeTable:
             -37.86915235092131, -36.29737976505802, -42.21255471273829],
             rtol=1e-13, atol=0.0)
 
+    def test_tree_rows_are_pinned(self):
+        # recorded while each 8-pixel subtree was drawn from its two groups'
+        # blocks; drawing it from its (256, D) table keeps the rows.  Centred
+        # off the root, so the rooted copy moves the centre first
+        model = canonicalize(build_random(64, 8, seed=5), 63)
+        rows, chain_log = sample_batch(model, 6, seed=11,
+                                       return_chain_log=True)
+        assert [np.packbits(r).tobytes().hex() for r in rows] == [
+            "55e85871547c3e30", "b0ab35a130c2ba1c", "47eb164140695aed",
+            "1f2cbbae45431a30", "aada07bc1c120e5b", "f2a34d84d8051757"]
+        assert np.allclose(chain_log, [
+            -36.86264845004627, -37.85652080183405, -41.49701820930368,
+            -37.550227504672264, -39.69448794776677, -40.5584483145677],
+            rtol=1e-13, atol=0.0)
+
 
 def _dead_leading_bond_index(model):
     """The same state with a zero-weight index prepended to every bond."""

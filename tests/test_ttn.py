@@ -92,6 +92,21 @@ class TestCanonicalize:
         m.tensors[60].data[0, 0, 0] = np.nan
         assert np.isnan(max_canonical_deviation(m))
 
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_scale_past_the_float_range_deviates_by_inf(self, build):
+        # the centre's scale past exp's range, then a centre moved off it:
+        # once an OverflowError.  A zero tensor's Gram is 0 at any scale
+        m = build(8, 4, seed=6)
+        c = m.canonical_center
+        m.tensors[c] = DenseTensor(m.tensors[c].data, 800.0)
+        m.canonical_center = 7 - c
+        assert max_canonical_deviation(m) == math.inf
+        devs = []
+        for log_scale in (800.0, 0.0):
+            m.tensors[c] = DenseTensor(np.zeros(m.tensors[c].shape), log_scale)
+            devs.append(max_canonical_deviation(m))
+        assert devs[0] == devs[1] >= 1.0
+
     def test_center_moves_leave_probabilities_invariant(self):
         m = build_random(8, 4, seed=4)
         configs = all_configs(8)
