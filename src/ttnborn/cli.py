@@ -301,6 +301,11 @@ _ERROR_CLASSES = (
 )
 
 
+# a store-true flag's values in a config file, matched case-insensitively
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config_defaults(parser, argv):
     """Layer a key=value config file under the flags; explicit flags win.
     A value that its flag's type or choices reject is a ParseError."""
@@ -308,18 +313,18 @@ def _apply_config_defaults(parser, argv):
     if not getattr(pre, "config", None):
         return
     defaults = _read_config_file(pre.config)
-    actions = {a.dest: a for a in parser._actions}
-    subparsers = parser._subparsers._group_actions[0].choices
-    for sp in subparsers.values():
-        for a in sp._actions:
-            actions.setdefault(a.dest, a)
+    parsers = [parser, *parser._subparsers._group_actions[0].choices.values()]
+    # a flag several parsers share is read by the first that owns it
+    actions = {a.dest: a for p in reversed(parsers) for a in p._actions}
     typed = {}
     for key, raw in defaults.items():
         if key not in actions:
             raise ParseError(f"unknown config key {key!r}")
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            typed[key] = raw.lower() in ("1", "true", "yes", "on")
+            typed[key] = _SWITCH_VALUES.get(raw.lower())
+            if typed[key] is None:
+                raise ParseError(f"config key {key!r}: {raw!r} is not yes/no")
             continue
         try:   # the flag's own type and choices checks
             typed[key] = parser._get_values(action, [raw])
@@ -328,13 +333,9 @@ def _apply_config_defaults(parser, argv):
     # Subparsers parse into a fresh namespace, so the defaults must be
     # installed on each subparser that owns the flag; explicit flags still
     # override installed defaults.
-    own = {a.dest for a in parser._actions}
-    parser.set_defaults(**{k: v for k, v in typed.items() if k in own})
-    for sp in subparsers.values():
-        sp_dests = {a.dest for a in sp._actions}
-        relevant = {k: v for k, v in typed.items() if k in sp_dests}
-        if relevant:
-            sp.set_defaults(**relevant)
+    for p in parsers:
+        dests = {a.dest for a in p._actions}
+        p.set_defaults(**{k: v for k, v in typed.items() if k in dests})
 
 
 def main(argv=None) -> int:

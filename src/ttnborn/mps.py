@@ -5,9 +5,9 @@ boundary bonds.  ``MpsModel`` answers the topology question of the tree's
 Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
 form, training, the evaluation and sampling drivers, the NLL, marginals and
 correlations are the tree's own code, and the two models compare like for
-like.  This module supplies the chain's topology, its amplitude kernel and
-the rooted node table of the sampler and the marginal pass, both on n/2
-two-site blocks.
+like.  This module supplies the chain's topology, its amplitude kernel,
+site by site except for pairs cheap enough to block, and the rooted node
+table of the sampler and the marginal pass, on n/2 two-site blocks.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class MpsModel(BornMachine):
         return mps_sweep_epoch(self, dataset, config, **kwargs)
 
     def _amplitude_kernel(self):
-        # the uint8 row; one two-site block product, its gather and rescale
+        # the uint8 row; a pair's block product (or a site's), its gather
         return (10 * self.max_bond() + 8 + self.n_sites // 8,
                 lambda rows: mps_amplitudes(self, rows))
 
@@ -160,22 +160,31 @@ class _PairNodes:
                 slice(2 * j, 2 * j + 2), k + 1 if k + 1 < len(self) else None)
 
 
+# A pair's block costs 4 Da Db Dc multiply-adds; from the D = 32 count up
+# that outweighs the GEMM call and gather it saves: walk the two sites.
+_BLOCK_MADDS = 4 * 32 ** 3
+
+
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
     """(log|Psi|, sign) arrays for a (S, n_sites) batch of checked pixel
-    configurations.  Each row's message takes one GEMM per two-site block,
-    then a gather at the row's pair index."""
+    configurations.  Each row's message takes one GEMM and one gather per
+    site, or per pair below ``_BLOCK_MADDS``, and one rescale per pair."""
     s_count = samples.shape[0]
     rows, msg = np.arange(s_count), np.ones((s_count, 1))
     logs = np.full(s_count, sum(t.log_scale for t in model.tensors))
     tensors = [t.data for t in model.tensors]
     for k in range(0, model.n_sites, 2):
-        b = _pair_block(*tensors[k:k + 2])
-        da, m, db = b.shape
-        index = samples[:, k].astype(np.intp)
-        if m == 4:
-            index = 2 * index + samples[:, k + 1]
-        x = (msg @ b.reshape(da, -1)).reshape(s_count, m, db)
-        msg, logs = _rescale_rows(x[rows, index], logs)
+        pair = tensors[k:k + 2]     # a lone last site: one part either way
+        madds = 2 * pair[0].size * pair[-1].shape[2]     # 4 Da Db Dc
+        parts = [pair] if madds < _BLOCK_MADDS else [[t] for t in pair]
+        for j, part in zip((k, k + 1), parts):
+            b = _pair_block(*part)
+            da, m, db = b.shape
+            index = samples[:, j].astype(np.intp)
+            if m == 4:
+                index = 2 * index + samples[:, j + 1]
+            msg = (msg @ b.reshape(da, -1)).reshape(-1, m, db)[rows, index]
+        msg, logs = _rescale_rows(msg, logs)
     return _signed_logs(msg[:, 0], logs)
 
 

@@ -370,3 +370,39 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "error [parse]" in err and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sheet", "distinct", "record_timing"])
+    def test_switch_value_neither_yes_nor_no_is_a_parse_error(
+            self, patterns_file, tmp_path, capsys, key):
+        # "maybe" once read as false: ``sheet`` wrote a file per sample
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x"
+        cfg.write_text(f"{key} = maybe\n")
+        if key == "sheet":
+            model_path = tmp_path / "m.ttnborn"
+            save_checkpoint(model_path, build_random(16, 2, seed=1))
+            args = ["sample", "--model-path", model_path, "--count", 3]
+        elif key == "distinct":
+            args = ["gen-random", "--n-pixels", 16, "--count", 3]
+        else:
+            args = ["train", "--data", patterns_file, "--dmax", 2,
+                    "--epochs", 1]
+        rc = run(["--config", cfg] + args + ["--seed", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [parse]" in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, sheet", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("Off", False)])
+    def test_switch_values_read_case_insensitively(self, tmp_path, value,
+                                                   sheet):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x"
+        cfg.write_text(f"sheet = {value}\n")
+        model_path = tmp_path / "m.ttnborn"
+        save_checkpoint(model_path, build_random(16, 2, seed=1))
+        rc = run(["--config", cfg, "sample", "--model-path", model_path,
+                  "--count", 3, "--seed", 1, "--out", out])
+        assert rc == 0
+        assert (out / "sample_sheet.pbm").exists() == sheet
+        assert (out / "sample_0000.pbm").exists() != sheet

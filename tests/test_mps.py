@@ -12,10 +12,13 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, canonicalize,
                      mps_sweep_epoch, mps_train, partition_function)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
+import ttnborn.mps as mps
+import ttnborn.ttn as ttn
 from ttnborn.mps import mps_amplitudes
 
 from helpers import (all_configs, chi_square_pvalue, config_indices,
-                     mps_from_patterns, mps_state_vector, uneven_mps)
+                     mps_from_patterns, mps_state_vector, sharp_product_mps,
+                     uneven_mps)
 
 # the largest float64 below 1, the top of the uniform stream
 _U_MAX = 1.0 - 2.0 ** -53
@@ -284,6 +287,83 @@ class TestOddAndUnevenChains:
             counts = np.bincount(config_indices(samples[:, lo:hi]),
                                  minlength=2 ** (hi - lo))
             assert chi_square_pvalue(counts, marg) > 0.01
+
+
+def count_blocks(monkeypatch):
+    """The (Da, Db, Dc) bonds of each pair block that ``mps._pair_block``
+    builds from now on, in call order; a lone site passes through
+    uncounted."""
+    built, block = [], mps._pair_block
+
+    def counted(a, b=None):
+        if b is not None:
+            built.append((a.shape[0], a.shape[2], b.shape[2]))
+        return block(a, b)
+    monkeypatch.setattr(mps, "_pair_block", counted)
+    return built
+
+
+class TestChainKernel:
+    """``mps_amplitudes`` builds a pair's block below ``mps._BLOCK_MADDS``
+    and walks the pair's two sites at or above it."""
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_one_block_per_pair_up_to_d16(self, monkeypatch, d):
+        model = mps_build_random(1024, d, seed=70)
+        rows = gen_random_patterns(1024, 3, seed=71).samples
+        built = count_blocks(monkeypatch)
+        mps_log_probs(model, rows)
+        assert len(built) == 512
+
+    def test_no_block_inside_a_d32_chain(self, monkeypatch):
+        # bonds grow 1, 2, 4, 8, 16, 32 from either end: only the three
+        # pairs at each end, under the D = 32 count, keep their blocks
+        model = mps_build_random(1024, 32, seed=72)
+        rows = gen_random_patterns(1024, 3, seed=73).samples
+        built = count_blocks(monkeypatch)
+        mps_log_probs(model, rows)
+        assert built == [(1, 2, 4), (4, 8, 16), (16, 32, 32),
+                         (32, 32, 16), (16, 8, 4), (4, 2, 1)]
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_log_probs_match_enumeration_across_the_rule(self, monkeypatch,
+                                                         n):
+        # bonds up to 64: the pairs in the middle walk their sites, those
+        # nearer the ends keep their blocks, and n = 13 ends on a lone site
+        model = mps_build_random(n, 64, seed=74 + n)
+        configs = all_configs(n)
+        built = count_blocks(monkeypatch)
+        mps_amplitudes(model, configs.astype(np.uint8))
+        assert 0 < len(built) < n // 2
+        got = mps_log_probs(model, configs)
+        p = mps_state_vector(model) ** 2
+        want = np.log(p / p.sum())
+        p_want = np.exp(want)
+        assert np.max(np.abs(np.exp(got) - p_want)) < 1e-13 * p_want.max()
+        # a row far below uniform carries its amplitude's cancellation
+        # error, in whatever order the sums run
+        kept = want > -n * math.log(2) - 5
+        assert np.all(np.abs(got - want)[kept] <= 1e-13 * -want[kept])
+
+    def test_one_call_equals_three_chunks_bit_for_bit(self, monkeypatch):
+        model = mps_build_random(64, 40, seed=76)
+        rows = gen_random_patterns(64, 300, seed=77).samples
+        whole = mps_log_probs(model, rows)
+        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: 100)
+        assert np.array_equal(mps_log_probs(model, rows), whole)
+
+    def test_site_walk_carries_rows_far_below_the_float_range(
+            self, monkeypatch):
+        # p ~ 1e-2046 for each row: one rescale per pair keeps the
+        # messages in range when every pair walks its two sites
+        model = sharp_product_mps(1024, 0.99)
+        rows = np.zeros((3, 1024), dtype=np.uint8)
+        rows[1, 0] = rows[2, 1023] = 1
+        blocked = mps_log_probs(model, rows)
+        monkeypatch.setattr(mps, "_BLOCK_MADDS", 0)
+        walked = mps_log_probs(model, rows)
+        assert np.all(blocked < -4700.0)
+        assert np.all(np.abs(walked - blocked) <= 1e-13 * np.abs(blocked))
 
 
 class TestSamplerCore:
