@@ -10,9 +10,9 @@ about it, so that log Z and every read stay exact.
 A treefg header's n_vars, edges and visible must be the heap layout of its
 factor stack (see ``factor_graph``); any other tree is rejected.
 
-Log scales are folded into the written data: scales are first moved onto
-the canonical center (which changes no represented value), so canonical
-models always serialize to finite floats.  Field order is fixed, making
+A tree or chain with a nonzero ``log_norm`` stores it in the header field
+``log_norm``, so a save then load is bit-identical; an absent field means
+0, a present one must be a finite number.  Field order is fixed, making
 identical models byte-identical on disk.
 """
 
@@ -22,10 +22,11 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
-from .errors import FormatError, NumericalError
+from .errors import FormatError
 from .data import OrderingDescriptor
 from .tensor import DenseTensor
 from .ttn import TtnModel, max_canonical_deviation
@@ -39,46 +40,6 @@ MAGIC = b"TTNBORN1"
 CANONICAL_TOL = 1e-8
 
 
-def _fold_arrays(tensors, center_idx):
-    """Fold every tensor's log_scale into its data, exactly when possible.
-
-    The canonical center's scale is pure gauge (probabilities do not depend
-    on it), so when folding it would leave float range it is dropped instead;
-    any other tensor with an unfoldable scale is an error.
-    """
-    out = []
-    for i, t in enumerate(tensors):
-        if t is None:
-            out.append(None)
-            continue
-        if t.log_scale == 0.0:
-            out.append(t.data)
-            continue
-        if abs(t.log_scale) < 690.0:
-            data = t.data * math.exp(t.log_scale)
-            if np.all(np.isfinite(data)):
-                out.append(data)
-                continue
-        if i == center_idx:
-            out.append(t.data)
-        else:
-            raise NumericalError(
-                f"tensor {i}: log_scale {t.log_scale:.3g} cannot be folded "
-                "for writing")
-    return out
-
-
-def _tensor_list(model):
-    if isinstance(model, (TtnModel, MpsModel)):
-        # without a canonical center the first tensor may drop its scale
-        first, center = model.first_tensor, model.canonical_center
-        arrays = _fold_arrays(model.tensors, first if center is None else center)
-        return arrays[first:], model.model_type
-    if isinstance(model, TreeFactorGraph):
-        return list(model.factors), "treefg"
-    raise TypeError(f"cannot checkpoint {type(model).__name__}")
-
-
 def _heap_fields(fg: TreeFactorGraph) -> dict:
     """The header fields of a tree factor graph: its heap layout."""
     return {"n_vars": fg.n_vars, "edges": [list(e) for e in fg.edges],
@@ -88,27 +49,27 @@ def _heap_fields(fg: TreeFactorGraph) -> dict:
 def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
                     seed=None, epoch=None):
     """Write a model; returns the header dict actually stored."""
-    arrays, model_type = _tensor_list(model)
-    header = {"format": "ttnborn-checkpoint-v1", "model_type": model_type}
-    if model_type == "treefg":
-        header["n_sites"] = model.n_sites
-        header["d_max"] = None
-        header["bond_dims"] = {}
-        header.update(_heap_fields(model))
+    header = {"format": "ttnborn-checkpoint-v1"}
+    if isinstance(model, TreeFactorGraph):
+        arrays = list(model.factors)
+        header.update(model_type="treefg", n_sites=model.n_sites, d_max=None,
+                      bond_dims={}, **_heap_fields(model))
+    elif isinstance(model, (TtnModel, MpsModel)):
+        arrays = [t.data for t in model.tensors[model.first_tensor:]]
+        bonds = {str(k): int(v) for k, v in model.bond_dims().items()}
+        header.update(model_type=model.model_type, n_sites=model.n_sites,
+                      d_max=model.d_max, bond_dims=bonds,
+                      canonical_center=model.canonical_center)
+        if model.log_norm:
+            header["log_norm"] = model.log_norm
     else:
-        header["n_sites"] = model.n_sites
-        header["d_max"] = model.d_max
-        header["bond_dims"] = {str(k): int(v) for k, v in model.bond_dims().items()}
-        header["canonical_center"] = model.canonical_center
-    header["tensor_shapes"] = [list(a.shape) for a in arrays]
-    header["ordering"] = ordering.to_json_dict() if ordering is not None else None
-    header["seed"] = seed
-    header["epoch"] = epoch
+        raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    header.update(tensor_shapes=[list(a.shape) for a in arrays],
+                  ordering=ordering and ordering.to_json_dict(),
+                  seed=seed, epoch=epoch)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
+        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
         for a in arrays:
             raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
             f.write(struct.pack("<Q", len(raw)))
@@ -145,6 +106,10 @@ def _checked_header(blob: bytes, path) -> dict:
     for name, ok in checks.items():
         if not ok(header.get(name)):
             raise FormatError(f"{path}: bad {name} in header")
+    log_norm = header.get("log_norm", 0.0)   # finite, as an int too
+    if type(log_norm) not in (int, float) or not (
+            abs(log_norm) <= sys.float_info.max):
+        raise FormatError(f"{path}: bad log_norm in header")
     return header
 
 
@@ -184,13 +149,13 @@ def load_checkpoint(path):
     try:   # TopologyError and DimensionError are ValueErrors too
         if model_type in ("ttn", "mps"):
             tensors = [DenseTensor(a, validate=False) for a in arrays]
-            center = header.get("canonical_center")
-            d_max = header.get("d_max")
+            center, d_max = header.get("canonical_center"), header.get("d_max")
             if model_type == "ttn":
                 model = TtnModel(header["n_sites"], [None] + tensors, center,
                                  d_max)
             else:
                 model = MpsModel(tensors, center, d_max)
+            model.log_norm = float(header.get("log_norm", 0.0))
             deviation = (0.0 if center is None
                          else max_canonical_deviation(model))
             if not deviation <= CANONICAL_TOL:

@@ -23,7 +23,8 @@ from . import factor_graph as fgm
 from . import mps as mpsm
 from . import pbm
 from .data import (BinaryDataset, apply_ordering, gen_random_patterns,
-                   load_binarized_text, make_ordering, save_binarized_text)
+                   load_binarized_text, make_ordering, save_binarized_text,
+                   text_lines)
 from .errors import (DegenerateDistributionError, DegenerateSampleError,
                      DimensionError, FormatError, NumericalError, ParseError,
                      StateError, TopologyError)
@@ -45,15 +46,14 @@ def _limit_threads(n: int):
 def _read_config_file(path):
     """key = value lines mapping to long flag names; '#' starts a comment."""
     out = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", ln, 1)
-            key, value = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+    for ln, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", ln, 1)
+        key, value = (s.strip() for s in line.split("=", 1))
+        out[key.replace("-", "_")] = value
     return out
 
 

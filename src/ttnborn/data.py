@@ -17,6 +17,7 @@ Two orderings are provided:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +141,18 @@ def invert_ordering(leaf_matrix: np.ndarray, desc: OrderingDescriptor) -> np.nda
     return leaf_matrix[:, desc.permutation]
 
 
+def text_lines(path):
+    """(number, line) of each line of a UTF-8 text file, split as ``open``
+    splits text; ParseError at the first byte that does not decode (which
+    "surrogateescape" reads as the character U+DC00 + the byte)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for ln, line in enumerate(f, start=1):
+            if bad := re.search("[\udc80-\udcff]", line):
+                raise ParseError(f"byte {ord(bad[0]) - 0xdc00:#04x} is not "
+                                 "UTF-8 text", ln, bad.start() + 1)
+            yield ln, line
+
+
 def load_binarized_text(path) -> BinaryDataset:
     """Load a whitespace-separated 0/1 text file, one sample per line.
 
@@ -149,29 +162,28 @@ def load_binarized_text(path) -> BinaryDataset:
     """
     rows = []
     width = None
-    with open(path, "r") as f:
-        for ln, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                vals = np.array(tokens, dtype=np.float64)
-            except ValueError:
-                vals = None
-            if vals is None or not np.all((vals == 0.0) | (vals == 1.0)):
-                for col, tok in enumerate(tokens, start=1):
-                    try:
-                        v = float(tok)
-                    except ValueError:
-                        raise ParseError(f"token {tok!r} is not 0 or 1", ln, col)
-                    if v not in (0.0, 1.0):
-                        raise ParseError(f"token {tok!r} is not 0 or 1", ln, col)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise FormatError(
-                    f"line {ln} has {len(vals)} tokens, expected {width}")
-            rows.append(vals.astype(np.uint8))
+    for ln, line in text_lines(path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            vals = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            vals = None
+        if vals is None or not np.all((vals == 0.0) | (vals == 1.0)):
+            for col, tok in enumerate(tokens, start=1):
+                try:
+                    v = float(tok)
+                except ValueError:
+                    raise ParseError(f"token {tok!r} is not 0 or 1", ln, col)
+                if v not in (0.0, 1.0):
+                    raise ParseError(f"token {tok!r} is not 0 or 1", ln, col)
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise FormatError(
+                f"line {ln} has {len(vals)} tokens, expected {width}")
+        rows.append(vals.astype(np.uint8))
     if not rows:
         raise FormatError(f"{path}: no samples found")
     samples = np.stack(rows)

@@ -14,7 +14,7 @@ checkpoint's edges and tensors.
 The unnormalized probability of a pixel configuration is the product of all
 factors summed over the hidden states.  Every query runs the sum-product
 recursion (Kschischang, Frey and Loeliger, IEEE Trans. Inf. Theory 47:498,
-2001) one heap level at a time: an upward pass, with each message rescaled
+2001) one heap level at a time: an upward pass, with each message scaled
 to a maximum of 1, gives log Z and log p~, and a downward pass adds the edge
 marginals of the gradient.  Each 2-state product is written as
 explicit multiply-adds, so a row rounds alike alone, in a batch and in any
@@ -26,7 +26,6 @@ structural cross-check between the two machines.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import DimensionError, TopologyError
 from .tensor import DenseTensor, qr_split
 from .training import MAX_BACKTRACKS
 from .ttn import (TtnModel, _check_pixel_values, _clamp_weights,
-                  _row_chunks)
+                  _in_window, _row_chunks)
 
 
 class TreeFactorGraph:
@@ -220,10 +219,12 @@ def fg_to_ttn(fg: TreeFactorGraph) -> TtnModel:
     for node in range(2, n_sites):
         res = qr_split(DenseTensor(below[node - 2]), [0], [1])
         above[node] = res.q.data
-        below[node - 2] = res.r.data * math.exp(res.r.log_scale)
+        below[node - 2] = res.r.data
     tensors = [np.einsum('lx,rx->lr', below[0], below[1])] + [
         np.einsum('lx,rx,xu->ulr', below[2 * node - 2], below[2 * node - 1],
                   above[node]) for node in range(2, n_sites)]
-    return TtnModel(n_sites, [None] + [DenseTensor(t, validate=False).rescaled()
-                                       for t in tensors],
-                    canonical_center=None, d_max=2)
+    model = TtnModel(n_sites, [None] + [DenseTensor(t, validate=False)
+                                        for t in tensors], d_max=2)
+    for t in model.tensors[1:]:     # new tensors, so written in place
+        t.data = _in_window(model, t.data)
+    return model

@@ -166,12 +166,13 @@ _BLOCK_MADDS = 4 * 32 ** 3
 
 
 def mps_amplitudes(model: MpsModel, samples) -> tuple:
-    """(log|Psi|, sign) arrays for a (S, n_sites) batch of checked pixel
-    configurations.  Each row's message takes one GEMM and one gather per
-    site, or per pair below ``_BLOCK_MADDS``, and one rescale per pair."""
+    """(log|Psi|, sign) arrays, without ``log_norm``, of a (S, n_sites) batch
+    of checked pixel configurations.  Each row's message takes one GEMM and
+    one gather per site, or per pair below ``_BLOCK_MADDS``, and one rescale
+    per pair."""
     s_count = samples.shape[0]
     rows, msg = np.arange(s_count), np.ones((s_count, 1))
-    logs = np.full(s_count, sum(t.log_scale for t in model.tensors))
+    logs = np.zeros(s_count)
     tensors = [t.data for t in model.tensors]
     for k in range(0, model.n_sites, 2):
         pair = tensors[k:k + 2]     # a lone last site: one part either way

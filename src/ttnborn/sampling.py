@@ -28,7 +28,7 @@ follow p(x) exactly (Ferris and Vidal, PRB 85:165146, 2012).  A completed
 subtree ends at a table, ``c = A[x]``, and folds its path back up,
 ``c = T . (c_first (x) c_second)``.  At the root the last ``v`` is the
 amplitude psi(x), its log scale carried along, so the chain log returned
-with the samples is ``2 log|psi| - log Z``.
+with the samples is ``2 log|psi| - log Z``, both without ``log_norm``.
 
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
 seeded generator's uniform stream, one column per node (n/4 - 1 for a tree
@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import BornMachine, _rescale_rows, _row_chunks, partition_function
+from .ttn import BornMachine, _data_log_z, _rescale_rows, _row_chunks
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
@@ -112,10 +112,9 @@ class SampleState:
     def run(self):
         """The chunk's (samples, chain log), the log p of each row."""
         psi, logs = self._walk(0, np.ones((self.count, 1)))
-        scale = sum(t.log_scale for t in self.model.tensors if t is not None)
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(psi[:, 0])) + logs + scale
-        return self.samples, 2.0 * log_abs - partition_function(self.model)
+            log_abs = np.log(np.abs(psi[:, 0])) + logs
+        return self.samples, 2.0 * log_abs - _data_log_z(self.model)
 
 
 def sample_batch(model: BornMachine, count: int, seed: int, *,

@@ -1,13 +1,11 @@
-"""Dense real tensors with a tracked log-scale factor.
+"""Dense real tensors.
 
-Every multi-way array in this package is a ``DenseTensor``: a float64
-ndarray ``data`` together with a scalar ``log_scale``, representing the
-tensor ``exp(log_scale) * data``.  Carrying the magnitude in log space keeps
-contractions of networks with ~1000 tensors finite, and lets ratios of
-amplitudes cancel scales exactly.
+Every multi-way array in this package is a ``DenseTensor``, a thin holder of
+a float64 ndarray ``data``.  What keeps contractions of ~1000 tensors finite
+is one log scale per model, its ``log_norm`` (``ttn.BornMachine``).
 
 Three operations cover everything built on top: matricized QR, truncated
-SVD, and the Frobenius norm; ``DenseTensor.rescaled`` keeps data in range.
+SVD, and the Frobenius norm.
 """
 
 from __future__ import annotations
@@ -19,28 +17,26 @@ import numpy as np
 
 from .errors import DimensionError
 
-# ``DenseTensor.rescaled``: if max |data| leaves this window, data is rescaled
-# to unit max magnitude and the factor folded into log_scale.
-RESCALE_HI = 1e150
-RESCALE_LO = 1e-150
-
 NEG_INF = float("-inf")
 
 
 class DenseTensor:
-    """A float64 array plus a log-scale factor; immutable by convention."""
+    """A float64 array; immutable by convention."""
 
-    __slots__ = ("data", "log_scale")
+    __slots__ = ("data",)
+
+    # a nonzero ``log_scale`` is folded into the data on construction; both
+    # exist only because ``perfbench`` builds and reads tensors with them
+    log_scale = 0.0
 
     def __init__(self, data, log_scale: float = 0.0, validate: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if validate:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("tensor data must be finite")
-            if not math.isfinite(log_scale):
-                raise ValueError("log_scale must be finite")
+        if log_scale != 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                arr = arr * np.exp(log_scale)
+        if (validate or log_scale) and not np.all(np.isfinite(arr)):
+            raise ValueError("tensor data must be finite")
         self.data = arr
-        self.log_scale = float(log_scale)
 
     @property
     def shape(self):
@@ -51,18 +47,10 @@ class DenseTensor:
         return self.data.ndim
 
     def copy(self) -> "DenseTensor":
-        return DenseTensor(self.data.copy(), self.log_scale, validate=False)
-
-    def rescaled(self) -> "DenseTensor":
-        """Apply the rescaling policy: fold extreme magnitudes into log_scale."""
-        m = float(np.max(np.abs(self.data))) if self.data.size else 0.0
-        if m == 0.0 or RESCALE_LO <= m <= RESCALE_HI:
-            return self
-        return DenseTensor(self.data / m, self.log_scale + math.log(m),
-                           validate=False)
+        return DenseTensor(self.data.copy(), validate=False)
 
     def __repr__(self):
-        return f"DenseTensor(shape={self.shape}, log_scale={self.log_scale:.6g})"
+        return f"DenseTensor(shape={self.shape})"
 
 
 @dataclass
@@ -109,9 +97,8 @@ def qr_split(t: DenseTensor, row_axes, col_axes) -> QrResult:
     """QR-factor the matricization rows=row_axes, cols=col_axes.
 
     Q comes back reshaped to (row_axes..., k) with exactly orthonormal
-    columns; R is (k, col_axes...) and carries the whole input log_scale.
-    The diagonal of R is forced non-negative so the decomposition is
-    deterministic.
+    columns; R is (k, col_axes...).  The diagonal of R is forced
+    non-negative so the decomposition is deterministic.
     """
     _check_axis_partition(t, row_axes, col_axes)
     mat, row_dims, col_dims = _matricize(t, row_axes, col_axes)
@@ -121,10 +108,8 @@ def qr_split(t: DenseTensor, row_axes, col_axes) -> QrResult:
     q = q * diag_sign[np.newaxis, :]
     r = r * diag_sign[:, np.newaxis]
     k = q.shape[1]
-    q_t = DenseTensor(q.reshape(row_dims + [k]), 0.0, validate=False)
-    r_t = DenseTensor(r.reshape([k] + col_dims), t.log_scale,
-                      validate=False).rescaled()
-    return QrResult(q=q_t, r=r_t)
+    return QrResult(q=DenseTensor(q.reshape(row_dims + [k]), validate=False),
+                    r=DenseTensor(r.reshape([k] + col_dims), validate=False))
 
 
 def kept_rank(s: np.ndarray, d_max: int, cutoff: float) -> int:
@@ -173,9 +158,8 @@ def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
               cutoff: float = 0.0) -> SvdResult:
     """Truncated SVD of the matricization rows=row_axes, cols=col_axes.
 
-    Both factors have orthonormal columns; the singular values absorb the
-    input log_scale.  ``truncation_error`` is the discarded squared weight
-    relative to the total squared weight.
+    Both factors have orthonormal columns.  ``truncation_error`` is the
+    discarded squared weight relative to the total squared weight.
     """
     if d_max < 1:
         raise DimensionError("d_max must be >= 1")
@@ -188,27 +172,29 @@ def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
         u[0, 0] = 1.0
         v[0, 0] = 1.0
         return SvdResult(
-            u=DenseTensor(u.reshape(row_dims + [1]), 0.0, validate=False),
+            u=DenseTensor(u.reshape(row_dims + [1]), validate=False),
             s=[0.0],
-            v=DenseTensor(v.reshape(col_dims + [1]), 0.0, validate=False),
+            v=DenseTensor(v.reshape(col_dims + [1]), validate=False),
             truncation_error=0.0)
     u, s, vt, err = _truncated_svd(mat, d_max, cutoff)
     u, vt = _svd_sign_fix(u, vt)
     k = len(s)
-    scale = math.exp(t.log_scale) if t.log_scale != 0.0 else 1.0
     return SvdResult(
-        u=DenseTensor(u.reshape(row_dims + [k]), 0.0, validate=False),
-        s=[float(x) * scale for x in s],
+        u=DenseTensor(u.reshape(row_dims + [k]), validate=False),
+        s=[float(x) for x in s],
         v=DenseTensor(np.ascontiguousarray(vt.T).reshape(col_dims + [k]),
-                      0.0, validate=False),
+                      validate=False),
         truncation_error=err)
 
 
 def frobenius_norm(t: DenseTensor) -> float:
-    """log of the Frobenius norm, log_scale included; -inf for the zero tensor."""
+    """log of the Frobenius norm; -inf for the zero tensor.  A norm whose
+    square passes the float range is taken of the data scaled to unit max."""
     if t.data.size == 0:
         raise DimensionError("tensor is empty")
-    n = float(np.linalg.norm(t.data.ravel()))
-    if n == 0.0:
-        return NEG_INF
-    return math.log(n) + t.log_scale
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(t.data.ravel()))
+    if n == math.inf:
+        top = float(np.abs(t.data).max())
+        return math.log(top) + math.log(np.linalg.norm(t.data.ravel() / top))
+    return math.log(n) if n else NEG_INF

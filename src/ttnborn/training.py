@@ -186,16 +186,6 @@ def _kron_rows(parts):
     return out
 
 
-def _fold_scale_data(tensors, k: int):
-    t = tensors[k]
-    if t.log_scale != 0.0:
-        data = t.data * math.exp(t.log_scale)
-        if not np.all(np.isfinite(data)):
-            raise NumericalError(
-                f"tensor {k} log_scale {t.log_scale:.3g} cannot be folded")
-        tensors[k] = DenseTensor(data, 0.0, validate=False)
-
-
 def _env_outer(uk, w, vj):
     """uk^T diag(w) vj: the weighted environment sum of a merge, matricized
     against the merged bond (rows x cols)."""
@@ -305,7 +295,6 @@ def _site_operands(model, cache, k):
     """The one-site step's operands (kmat, jmat, uk, vj): T[k] matricized
     against its last axis, the identity, and the environments of its rows
     and columns."""
-    _fold_scale_data(model.tensors, k)
     t = model.tensors[k].data
     parts = cache.center_parts(k)
     return (t.reshape(-1, t.shape[-1]), np.eye(t.shape[-1]),
@@ -331,8 +320,6 @@ def _matricize_pair(model, k, j):
 def _merge_operands(model, cache, k, j):
     """The two-site step's operands (kmat, jmat, uk, vj) for the (k, j)
     merge, and (k_dims, j_dims, topology) from ``_matricize_pair``."""
-    _fold_scale_data(model.tensors, k)
-    _fold_scale_data(model.tensors, j)
     kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
     sites_k, sites_j, ak, aj = pair
     uk = _kron_rows(cache.center_parts(k, ak, sites_k))
@@ -343,9 +330,7 @@ def _merge_operands(model, cache, k, j):
 def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
     """The merge of T[k] and T[j] over their shared bond (k's axes first)."""
     kmat, jmat, k_dims, j_dims, _ = _matricize_pair(model, k, j)
-    scale = model.tensors[k].log_scale + model.tensors[j].log_scale
-    return DenseTensor((kmat @ jmat).reshape(k_dims + j_dims), scale,
-                       validate=False).rescaled()
+    return DenseTensor((kmat @ jmat).reshape(k_dims + j_dims), validate=False)
 
 
 def _gradient(model: BornMachine, batch, k: int, j: int | None,
@@ -368,7 +353,7 @@ def _gradient(model: BornMachine, batch, k: int, j: int | None,
         shape = k_dims + j_dims
     _, _, norm, k_hat, _, w = _unit_merge(kmat, jmat, uk, vj, zero_amplitude)
     grad = (2.0 * (k_hat @ jmat) - _env_outer(uk, w, vj)) / norm
-    return DenseTensor(grad.reshape(shape), 0.0, validate=False)
+    return DenseTensor(grad.reshape(shape), validate=False)
 
 
 def gradient_one_site(model: BornMachine, batch, k: int,
@@ -397,7 +382,7 @@ def _site_step(model, cache, k, cfg, stats):
     new = new / (np.linalg.norm(new) or 1.0)
     if not np.all(np.isfinite(new)):
         raise NumericalError("non-finite tensor after a one-site step")
-    model.tensors[k] = DenseTensor(new.reshape(shape), 0.0, validate=False)
+    model.tensors[k] = DenseTensor(new.reshape(shape), validate=False)
 
 
 # -- the two-site split ---------------------------------------------------------
@@ -555,9 +540,9 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to, merge_factors):
     sites_k, sites_j, ak, aj = pair
     k_tensor = move_axis(k_new.reshape(k_dims + [rank]), -1, ak)
     j_tensor = move_axis(j_new.reshape([rank] + j_dims), 0, aj)
-    model.tensors[k] = DenseTensor(np.ascontiguousarray(k_tensor), 0.0,
+    model.tensors[k] = DenseTensor(np.ascontiguousarray(k_tensor),
                                    validate=False)
-    model.tensors[j] = DenseTensor(np.ascontiguousarray(j_tensor), 0.0,
+    model.tensors[j] = DenseTensor(np.ascontiguousarray(j_tensor),
                                    validate=False)
     model.canonical_center = center_to
     cache.refresh_move(*((k, j, sites_k) if center_to == j
@@ -635,21 +620,20 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
     right-to-left pass then a left-to-right pass, each of ``sweep_steps``.
 
     Checks the data, canonicalizes the model to its last tensor and
-    normalizes that center, and builds the environment cache unless given
-    one.  Returns the uint8 sample matrix, the stats (with this epoch's
-    truncation errors) and the seconds the passes took.
+    normalizes that center (with ``log_norm`` 0), and builds the environment
+    cache unless given one.  Returns the uint8 sample matrix, the stats
+    (with this epoch's truncation errors) and the seconds the passes took.
     """
     samples = sample_matrix(dataset, model.n_sites)
     last = model.n_sites - 1
     if model.canonical_center != last:
         model.canonicalize(last)
-    # Normalize in place of folding: a freshly canonicalized center can
-    # carry a log_scale far beyond float range, but the represented
-    # distribution does not depend on it.
+    # p depends on neither the center's norm nor log_norm, however large
     t = model.tensors[last]
     n = np.linalg.norm(t.data.ravel())
     if n > 0:
-        model.tensors[last] = DenseTensor(t.data / n, 0.0, validate=False)
+        model.tensors[last] = DenseTensor(t.data / n, validate=False)
+    model.log_norm = 0.0
     if stats is None:
         stats = TrainStats()
     if cache is None:
@@ -726,7 +710,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
                 kept = stats.nll[-1]
             else:
                 # both are canonical at the last tensor
-                model.tensors = before.tensors
+                model.tensors, model.log_norm = before.tensors, before.log_norm
                 for record in (stats.nll, stats.seconds, stats.max_bond):
                     record.pop()
                 _exit_epoch(model, stats, seconds, kept)

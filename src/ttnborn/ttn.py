@@ -28,7 +28,7 @@ The squared amplitude of a pixel configuration, normalized by the partition
 function, is the model probability.  In mixed canonical form every tensor
 except one (the center) contracts with itself over its two non-center-facing
 axes to the identity, which makes the partition function the squared
-Frobenius norm of the center tensor.
+Frobenius norm of the center tensor, times exp(2 ``BornMachine.log_norm``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .tensor import NEG_INF, DenseTensor, frobenius_norm, move_axis, qr_split
 
 _EYE2 = np.eye(2)
 _TINY = np.finfo(float).tiny
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_WINDOW = (1e-150, 1e150)   # of max |entry|, kept by ``push_qr``
 
 
 @dataclass
@@ -88,7 +88,12 @@ class BornMachine:
     chain's two ends); ``path(u, v)`` lists the tensors from u to v.
     Neighbors, axis lookup, the shape check, ``copy``, ``canonicalize``,
     ``log_z`` and ``sweep_cache`` are written here once for both models.
+    Psi is exp(``log_norm``) times the network of the tensors' data;
+    ``log_z`` and ``amplitudes_from_vectors`` include it, ``log_probs`` and
+    the sampler's chain log, where it cancels, do not.
     """
+
+    log_norm = 0.0
 
     def neighbors(self, k: int):
         return [s for s in self.axis_sites(k)
@@ -308,21 +313,30 @@ def build_random(n_pixels_padded: int, d_max: int, seed: int) -> TtnModel:
 
 # -- canonical form ---------------------------------------------------------
 
+def _in_window(model: BornMachine, a: np.ndarray) -> np.ndarray:
+    """``a``, or where its max |entry| m leaves ``_WINDOW``, a / m with
+    log m moved onto ``model.log_norm``."""
+    m = float(np.max(np.abs(a))) if a.size else 0.0
+    if m == 0.0 or _WINDOW[0] <= m <= _WINDOW[1]:
+        return a
+    model.log_norm += math.log(m)
+    return a / m
+
+
 def push_qr(model: BornMachine, u: int, v: int):
-    """Make tensor u canonical toward neighbor v, absorbing R into v."""
+    """Make u canonical toward v, absorbing R into v (both ``_in_window``)."""
     au = model.axis_toward(u, v)
     t = model.tensors[u]
     rows = [i for i in range(t.ndim) if i != au]
     res = qr_split(t, rows, [au])
     q = move_axis(res.q.data, -1, au)
-    model.tensors[u] = DenseTensor(np.ascontiguousarray(q), 0.0, validate=False)
+    model.tensors[u] = DenseTensor(np.ascontiguousarray(q), validate=False)
     av = model.axis_toward(v, u)
-    tv = model.tensors[v]
-    merged = np.tensordot(res.r.data, tv.data, axes=([1], [av]))
+    merged = np.tensordot(_in_window(model, res.r.data),
+                          model.tensors[v].data, axes=([1], [av]))
     merged = move_axis(merged, 0, av)
     model.tensors[v] = DenseTensor(
-        np.ascontiguousarray(merged), tv.log_scale + res.r.log_scale,
-        validate=False).rescaled()
+        _in_window(model, np.ascontiguousarray(merged)), validate=False)
 
 
 def _toward(model: BornMachine, center: int):
@@ -359,8 +373,8 @@ def max_canonical_deviation(model: BornMachine) -> float:
     """Largest deviation of any non-center tensor from its canonical
     identity, max |G - 1| for its Gram matrix G over all axes but the one
     toward the center (axis 0 off the path from the center to the first
-    tensor), checked a shape class ``_LIFT_FLOATS`` at a time.  A tensor
-    whose scaled Gram would pass the float range deviates by inf."""
+    tensor), checked a shape class ``_LIFT_FLOATS`` at a time; inf or NaN
+    where a Gram passes the float range."""
     c = model.canonical_center
     if c is None:
         raise StateError("model has no canonical center")
@@ -371,23 +385,17 @@ def max_canonical_deviation(model: BornMachine) -> float:
         t, axis = model.tensors[n], toward.get(n, 0)
         if n == c:
             continue
-        # as a (that axis, the rest) matrix, a view if it can, its scale
-        # folded in: G's entries reach (scale * max |a|)^2 * columns
+        # as a (that axis, the rest) matrix, a view if it can
         a = (t.data.reshape(-1, t.data.shape[-1]).T if axis == t.ndim - 1
              else t.data.swapaxes(0, axis).reshape(t.data.shape[axis], -1))
-        if t.log_scale and (top := np.abs(a).max(initial=0.0)):
-            log_top = t.log_scale + math.log(top)
-            if 2.0 * log_top + math.log(a.shape[1]) >= _LOG_FLOAT_MAX:
-                worst = math.inf
-                continue
-            a = a / top * math.exp(log_top)
         classes.setdefault(a.shape, []).append(a)
     for (d, _), mats in classes.items():
         g = np.empty((min(len(mats), max(1, _LIFT_FLOATS // d ** 2)), d, d))
         for s in range(0, len(mats), len(g)):
             part = mats[s:s + len(g)]
-            for i, a in enumerate(part):
-                np.matmul(a, a.T, out=g[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, a in enumerate(part):
+                    np.matmul(a, a.T, out=g[i])
             h = g[:len(part)] - np.eye(d)
             worst = np.maximum(worst, np.abs(h, out=h).max())   # keeps a NaN
     return float(worst)
@@ -395,11 +403,15 @@ def max_canonical_deviation(model: BornMachine) -> float:
 
 def partition_function(model) -> float:
     """log Z for a model (tree or chain) in mixed canonical form."""
+    return _data_log_z(model) + 2.0 * model.log_norm
+
+
+def _data_log_z(model) -> float:
+    """log Z of the network of the tensors' data, without ``log_norm``."""
     if model.canonical_center is None:
         raise StateError("partition_function requires a canonical center; "
                          "canonicalize the model first")
-    log_norm = frobenius_norm(model.tensors[model.canonical_center])
-    return 2.0 * log_norm
+    return 2.0 * frobenius_norm(model.tensors[model.canonical_center])
 
 
 # -- amplitudes --------------------------------------------------------------
@@ -423,8 +435,8 @@ def _contract_node(t: DenseTensor, parts, out=None):
 
     ``parts`` lists the messages in axis order.  The message on the lowest
     axis enters by one GEMM, the other (if any) by a per-sample product.
-    Returns the (rows, logs) message along ``out``, rescaled, or for a full
-    contraction the unscaled per-sample values with their logs.
+    Returns the (rows, logs) message along ``out``, row-scaled, or for a
+    full contraction the unscaled per-sample values, each with new logs.
     """
     axes = [a for a in range(t.ndim) if a != out]
     m, logs = parts[0]
@@ -436,7 +448,8 @@ def _contract_node(t: DenseTensor, parts, out=None):
         # axes[1] is x's axis axes[1]
         keep = [i for i in range(x.ndim) if i != axes[1]]
         x = np.einsum(x, range(x.ndim), m, [0, axes[1]], keep)
-    logs = logs + t.log_scale
+    else:
+        logs = logs.copy()
     if out is None:
         return x, logs
     return _rescale_rows(x, logs)
@@ -469,11 +482,9 @@ def _lifted(model: TtnModel, first: int, tables, logs, scaled: bool):
     table is sum_ab L[i, a] T[:, a, b] R[j, b] for its children's tables L
     (ka, Da) and R (kb, Db), kb·Db·Da·D + ka·kb·Da·D multiply-adds.  Each
     shape class is one array, written by two stacked products a few nodes
-    at a time, and with ``scaled`` their rows are rescaled to unit max."""
+    at a time, and with ``scaled`` their rows are scaled to unit max."""
     nodes = [_node_data(model, k) for k in range(first, 2 * first)]
-    scales = [model.tensors[k].log_scale for k in range(first, 2 * first)]
     logs = (logs[0::2, :, None] + logs[1::2, None, :]).reshape(first, -1)
-    logs += np.array(scales)[:, None]
     level, classes = [None] * first, {}
     for j, t in enumerate(nodes):
         classes.setdefault(t.shape, []).append(j)
@@ -504,12 +515,11 @@ def _group_blocks(model: TtnModel, scaled: bool = False):
     log scales, by group j (pixels 4j..4j+3, the first most significant in
     the row index).  A group root is a parent of two leaves (the root at 4
     pixels), D its parent bond: the leaves' (4, D) tables lifted one
-    level.  Without ``scaled`` a block's rows share one log scale."""
+    level.  Without ``scaled`` every log is 0."""
     leaves = model.tensors[model.n_sites // 2:]
-    logs = np.array([t.log_scale for t in leaves])[:, None]
     return _lifted(model, model.n_sites // 4,
                    [t.data.reshape(-1, 4).T for t in leaves],
-                   np.broadcast_to(logs, (len(leaves), 4)), scaled)
+                   np.zeros((len(leaves), 4)), scaled)
 
 
 # Octet tables are built when a chunk's rows, each saving sum D·D1·D2
@@ -551,7 +561,7 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
     ``vectors`` has shape (S, n_sites, 2); returns (log_abs, sign) arrays of
     shape (S,).  One-hot rows give amplitudes of pixel configurations; other
     vectors give weighted sums of amplitudes (e.g. all-ones sums Psi over all
-    configurations).
+    configurations).  The amplitudes include ``log_norm``.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 2:
@@ -560,10 +570,11 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
         raise DimensionError(
             f"expected vectors of shape (S, {model.n_sites}, 2), got "
             f"{vectors.shape}")
-    blocks, logs = _group_blocks(model)
-    return _amplitudes(model, len(blocks), lambda j: _rescale_rows(
+    blocks, _ = _group_blocks(model)
+    log_abs, sign = _amplitudes(model, len(blocks), lambda j: _rescale_rows(
         _kron_groups(vectors[:, 4 * j:4 * j + 4]) @ blocks[j],
-        np.full(vectors.shape[0], logs[j, 0])))
+        np.zeros(vectors.shape[0])))
+    return log_abs + model.log_norm, sign
 
 
 def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
@@ -597,8 +608,9 @@ def _row_chunks(row_floats: int, count: int):
 def log_probs(model: BornMachine, samples) -> np.ndarray:
     """log p(x) for a batch of samples, of either model; -inf where the
     amplitude is zero.  The rows are checked once, then passed chunk by
-    chunk, as uint8, to the model's ``_amplitude_kernel``."""
-    log_z = partition_function(model)
+    chunk, as uint8, to the model's ``_amplitude_kernel``; neither its
+    amplitudes nor this log Z include ``log_norm``."""
+    log_z = _data_log_z(model)
     samples = np.atleast_2d(_check_pixel_values(samples))
     if samples.shape[1] != model.n_sites:
         raise DimensionError(f"samples have {samples.shape[1]} pixels, "
@@ -669,7 +681,7 @@ def _doubled_marginals(view: BornMachine, assignments) -> np.ndarray:
     are formed only for subtrees that hold a clamped pixel (of any branch).
     The one downward pass carries the B branches stacked and reads each
     pixel slice's values off its environment, those of the slices without a
-    second child in one product per shape class.  A message is rescaled
+    second child in one product per shape class.  A message is scaled
     only where a clamped sibling or the root breaks its trace.  Clamped
     pixels get a one-hot row.  Raises if a branch has zero mass.
     """

@@ -28,12 +28,11 @@ def brute_force_amplitudes(model: TtnModel) -> np.ndarray:
     Builds the complete state vector of every subtree instead of clamping
     samples, so it exercises none of the library's message passing.  Index
     order puts pixel 0 in the most significant bit, matching all_configs.
+    The model's ``log_norm`` scales the table.
     """
     tables = {}
-    log_total = 0.0
     for n in range(model.n_tensors, 1, -1):
         t = model.tensors[n]
-        log_total += t.log_scale
         if model.is_leaf(n):
             tables[n] = t.data.reshape(t.shape[0], 4)
         else:
@@ -42,20 +41,18 @@ def brute_force_amplitudes(model: TtnModel) -> np.ndarray:
             full = np.einsum('abc,bl,cr->alr', t.data, left, right)
             tables[n] = full.reshape(t.shape[0], -1)
     t1 = model.tensors[1]
-    log_total += t1.log_scale
     vec = np.einsum('bc,bl,cr->lr', t1.data, tables[2], tables[3]).ravel()
-    return vec * math.exp(log_total)
+    return vec * math.exp(model.log_norm)
 
 
 def mps_state_vector(model: MpsModel) -> np.ndarray:
-    """Full 2^n amplitude table of an MPS, pixel 0 most significant."""
+    """Full 2^n amplitude table of an MPS, pixel 0 most significant, scaled
+    by the model's ``log_norm``."""
     acc = np.ones((1, 1))          # (config block, right bond)
-    log_total = 0.0
     for t in model.tensors:
-        log_total += t.log_scale
         acc = np.einsum('xl,lpr->xpr', acc, t.data)
         acc = acc.reshape(-1, acc.shape[-1])
-    return acc.ravel() * math.exp(log_total)
+    return acc.ravel() * math.exp(model.log_norm)
 
 
 def ttn_from_patterns(patterns) -> TtnModel:

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ttnborn import (DenseTensor, build_random, canonicalize,
-                     heap_shaped_fg, load_checkpoint, log_probs,
+                     gen_random_patterns, heap_shaped_fg, load_checkpoint,
+                     log_probs,
                      make_ordering, mps_build_random, mps_log_probs,
                      save_checkpoint, sum_product_log_z)
 from ttnborn.checkpoint import MAGIC
 from ttnborn.errors import FormatError
 
-from helpers import all_configs
+from helpers import all_configs, with_header
 
 
 class TestRoundTrip:
@@ -32,6 +33,7 @@ class TestRoundTrip:
                                   model.tensors[n].data)
         assert loaded.canonical_center == model.canonical_center
         assert h2["ordering_descriptor"].kind == "raster-1d"
+        assert "log_norm" not in h2 and loaded.log_norm == 0.0
 
     def test_mps_roundtrip_preserves_distribution(self, tmp_path):
         model = mps_build_random(8, 4, seed=71)
@@ -76,6 +78,33 @@ class TestRoundTrip:
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
         assert np.all(np.isfinite(loaded.tensors[1].data))
+
+
+class TestLogNorm:
+    @pytest.mark.parametrize("build,d_max", [(build_random, 16),
+                                             (mps_build_random, 32)])
+    def test_fresh_1024_site_model_round_trips_exactly(self, tmp_path, build,
+                                                       d_max):
+        # a fresh canonicalization leaves a log_norm far past exp's range;
+        # written as a header field, it comes back with the tensors' bits
+        model = build(1024, d_max, 3)
+        assert model.log_norm > 700.0
+        path = tmp_path / "m.ttnborn"
+        assert save_checkpoint(path, model)["log_norm"] == model.log_norm
+        loaded, _ = load_checkpoint(path)
+        assert loaded.log_norm == model.log_norm
+        assert loaded.log_z() == model.log_z()
+        rows = gen_random_patterns(1024, 16, seed=4).samples
+        assert np.array_equal(log_probs(loaded, rows), log_probs(model, rows))
+
+    def test_integer_log_norm_is_read_as_a_float(self, tmp_path):
+        model = build_random(8, 4, seed=79)
+        path = tmp_path / "m.ttnborn"
+        save_checkpoint(path, model)
+        path.write_bytes(with_header(path.read_bytes(), log_norm=3))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.log_norm == 3.0
+        assert abs(loaded.log_z() - model.log_z() - 6.0) < 1e-12
 
 
 class TestFormat:
@@ -279,6 +308,17 @@ _MALFORMED = {
     "treefg-without-edges": lambda raw, h, p:
         _container({**h, "model_type": "treefg", "n_vars": 15,
                     "visible": list(range(7, 15))}, p),
+    "nan-log-norm": lambda raw, h, p:
+        _container({**h, "log_norm": math.nan}, p),
+    "string-log-norm": lambda raw, h, p:
+        _container({**h, "log_norm": "1.5"}, p),
+    "null-log-norm": lambda raw, h, p: _container({**h, "log_norm": None}, p),
+    "bool-log-norm": lambda raw, h, p: _container({**h, "log_norm": True}, p),
+    # JSON reads 1e400 as inf; an integer past the float range stays an int
+    "overflowing-log-norm": lambda raw, h, p: _container(
+        json.dumps(h)[:-1].encode() + b', "log_norm": 1e400}', p),
+    "huge-int-log-norm": lambda raw, h, p:
+        _container({**h, "log_norm": 10 ** 400}, p),
     "bad-ordering": lambda raw, h, p:
         _container({**h, "ordering": {"kind": "spiral", "raw_shape": [8]}},
                    p),

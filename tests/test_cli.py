@@ -406,3 +406,30 @@ class TestConfigFile:
         assert rc == 0
         assert (out / "sample_sheet.pbm").exists() == sheet
         assert (out / "sample_0000.pbm").exists() != sheet
+
+
+class TestUndecodableText:
+    """A byte that is not UTF-8 once escaped as a UnicodeDecodeError,
+    reported as ``error [argument]``."""
+
+    def test_dataset_byte_is_a_parse_error_naming_the_line(self, tmp_path,
+                                                           capsys):
+        data, out = tmp_path / "bad.txt", tmp_path / "x"
+        data.write_bytes(b"0 1 0 1\n1 0 \xff 1\n")
+        rc = run(["train", "--data", data, "--dmax", 2, "--epochs", 1,
+                  "--seed", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [parse]: line 2, column 5: byte 0xff" in err
+        assert not out.exists()
+
+    def test_config_byte_is_a_parse_error_naming_the_line(
+            self, patterns_file, tmp_path, capsys):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x"
+        cfg.write_bytes(b"dmax = 2\r\nepochs = 1\xc3\n")
+        rc = run(["--config", cfg, "train", "--data", patterns_file,
+                  "--seed", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [parse]: line 2, column 11: byte 0xc3" in err
+        assert not out.exists()

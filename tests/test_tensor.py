@@ -9,16 +9,23 @@ from ttnborn.tensor import frobenius_norm
 from ttnborn.errors import DimensionError
 
 
-class TestRescaled:
-    def test_rescaling_policy_keeps_data_in_window(self):
-        # values at the window edge stay put; beyond it they fold into the log
-        edge = DenseTensor(np.full((2, 2), 1e150), 0.0)
-        assert edge.rescaled() is edge
-        out = DenseTensor(np.full((4,), 1e300), 400.0).rescaled()
-        assert abs(out.log_scale - (400.0 + math.log(1e300))) < 1e-9
-        assert np.array_equal(out.data, np.ones(4))
-        tiny = DenseTensor(np.full((4,), 1e-200), 0.0).rescaled()
-        assert abs(tiny.log_scale - math.log(1e-200)) < 1e-9
+class TestConstructorScale:
+    def test_log_scale_is_folded_into_the_data(self, rng):
+        x = rng.standard_normal((3, 2, 4))
+        for s in (7.5, -300.0, 0.0):
+            t = DenseTensor(x, s)
+            assert np.array_equal(t.data, DenseTensor(x * np.exp(s)).data)
+            assert t.log_scale == 0.0
+        assert DenseTensor(x, 0.0).data is x     # no copy without a scale
+
+    def test_scale_past_the_float_range_raises(self):
+        x = np.full((2, 2), 1e100)
+        for s in (600.0, 800.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DenseTensor(x, s)
+        with pytest.raises(ValueError):   # even unvalidated
+            DenseTensor(x, 800.0, validate=False)
+        assert np.all(DenseTensor(x, -800.0).data == 0.0)
 
 
 class TestQrSplit:
@@ -46,12 +53,6 @@ class TestQrSplit:
             t = rng.standard_normal((5, 4))
             res = qr_split(DenseTensor(t), [0], [1])
             assert np.all(np.diag(res.r.data) >= 0)
-
-    def test_log_scale_carried_on_r(self, rng):
-        t = rng.standard_normal((3, 3))
-        res = qr_split(DenseTensor(t, 7.5), [0], [1])
-        assert res.q.log_scale == 0.0
-        assert abs(res.r.log_scale - 7.5) < 1e-12
 
     def test_invalid_partition_raises(self):
         with pytest.raises(DimensionError):
@@ -131,6 +132,11 @@ class TestFrobeniusNorm:
 
     def test_zero_tensor_sentinel(self):
         assert frobenius_norm(DenseTensor(np.zeros((2, 2)))) == float("-inf")
+
+    def test_square_past_the_float_range(self):
+        # the sum of squares overflows; the norm itself, 2e200, does not
+        got = frobenius_norm(DenseTensor(np.full((2, 2), 1e200)))
+        assert abs(got - math.log(2e200)) < 1e-12
 
     def test_random_matches_loop_sum(self, rng):
         t = rng.standard_normal((3, 4, 2))

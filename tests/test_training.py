@@ -310,6 +310,17 @@ class TestSweepEpoch:
         held = sum(m.nbytes + logs.nbytes for m, logs in cache.msgs.values())
         assert retained <= held + cache.samples.nbytes + 64 * 2 ** 10
 
+    def test_root_message_leaves_the_message_it_reads(self):
+        # the root's message toward child 3 has one part, child 2's cached
+        # message, whose logs the row rescale must not write into
+        data = gen_random_patterns(16, 5, seed=1).samples
+        model = build_random(16, 4, seed=2)
+        model.canonicalize(15)
+        cache = model.sweep_cache(data)
+        logs = cache.msgs[(2, 1)][1].copy()
+        cache.refresh_move(1, 3)
+        assert np.array_equal(cache.msgs[(2, 1)][1], logs)
+
     def test_two_site_epoch_pushes_into_no_leaf(self, monkeypatch):
         # a round trip into a leaf is merged straight back, so the two-site
         # scheme pushes only on the round trips into internal nodes
@@ -783,6 +794,20 @@ class TestTrain:
         for e in undone:
             assert all(np.array_equal(a, b)
                        for a, b in zip(tensors[e], tensors[e - 1]))
+
+    def test_an_undone_epoch_restores_log_norm(self):
+        # batches of 2 of these 12 rows raise the full NLL in the first
+        # epoch, which is undone: the model is the one training started
+        # from, its log_norm included (the sweep had set it to 0)
+        data = gen_random_patterns(16, 12, seed=14).samples
+        model = build_random(16, 8, seed=15)
+        model.log_norm = 3.0
+        start = model.copy().canonicalize(15)
+        cfg = TrainConfig(learning_rate=0.05, d_max=8, epochs=1, seed=0,
+                          batch_size=2)
+        _, stats = train(model, data, cfg)
+        assert stats.nll == [nll(start, data)]
+        assert model.log_norm == 3.0 and model.log_z() == start.log_z()
 
     @pytest.mark.parametrize("build", [build_random, mps_build_random])
     def test_row_dtype_does_not_change_an_epoch(self, build):

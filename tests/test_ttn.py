@@ -93,19 +93,13 @@ class TestCanonicalize:
         assert np.isnan(max_canonical_deviation(m))
 
     @pytest.mark.parametrize("build", [build_random, mps_build_random])
-    def test_scale_past_the_float_range_deviates_by_inf(self, build):
-        # the centre's scale past exp's range, then a centre moved off it:
-        # once an OverflowError.  A zero tensor's Gram is 0 at any scale
+    def test_gram_past_the_float_range_is_not_finite(self, build):
+        # a centre with entries near 1e200, then a centre moved off it
         m = build(8, 4, seed=6)
         c = m.canonical_center
-        m.tensors[c] = DenseTensor(m.tensors[c].data, 800.0)
+        m.tensors[c] = DenseTensor(m.tensors[c].data * 1e200)
         m.canonical_center = 7 - c
-        assert max_canonical_deviation(m) == math.inf
-        devs = []
-        for log_scale in (800.0, 0.0):
-            m.tensors[c] = DenseTensor(np.zeros(m.tensors[c].shape), log_scale)
-            devs.append(max_canonical_deviation(m))
-        assert devs[0] == devs[1] >= 1.0
+        assert not np.isfinite(max_canonical_deviation(m))
 
     def test_center_moves_leave_probabilities_invariant(self):
         m = build_random(8, 4, seed=4)
@@ -122,6 +116,49 @@ class TestCanonicalize:
         m = build_random(8, 4, seed=0)
         with pytest.raises(TopologyError):
             canonicalize(m, 9)
+
+
+class TestLogNorm:
+    """Psi = exp(log_norm) x the network of the tensors' data."""
+
+    @staticmethod
+    def _far_from_one(seed):
+        # entries near 1e90 under node 2 and 1e-80 under node 3: each first
+        # push into node 2 or 3 leaves 1e+-150, while Psi stays near 1e30
+        m = build_random(8, 2, seed=seed)
+        for k, f in ((2, 1e90), (4, 1e90), (5, 1e90),
+                     (3, 1e-80), (6, 1e-80), (7, 1e-80)):
+            m.tensors[k] = DenseTensor(m.tensors[k].data * f)
+        m.canonical_center = None
+        return m
+
+    def test_canonicalize_keeps_entries_in_the_window(self):
+        for seed in range(3):
+            m = self._far_from_one(seed)
+            expect = enum_log_z(m)
+            configs = all_configs(8)
+            amps = brute_force_amplitudes(m)
+            canonicalize(m, 1)
+            tops = [np.abs(t.data).max() for t in m.tensors[1:]]
+            assert 1e-150 <= min(tops) and max(tops) <= 1e150
+            assert abs(m.log_norm) > 10.0
+            assert abs(partition_function(m) - expect) < 1e-12 * abs(expect)
+            assert abs(enum_log_z(m) - expect) < 1e-12 * abs(expect)
+            # log_probs leave log_norm out, amplitudes_from_vectors keep it
+            assert np.allclose(log_probs(m, configs),
+                               2.0 * np.log(np.abs(amps)) - expect,
+                               rtol=0.0, atol=1e-10)
+            log_abs, _ = amplitudes_from_vectors(m, np.eye(2)[configs])
+            assert np.allclose(log_abs, np.log(np.abs(amps)),
+                               rtol=0.0, atol=1e-10)
+
+    def test_moving_the_centre_keeps_log_z(self):
+        m = self._far_from_one(3)
+        canonicalize(m, 1)
+        log_z = partition_function(m)
+        for center in (5, 7, 1):
+            canonicalize(m, center)
+            assert abs(partition_function(m) - log_z) < 1e-12 * abs(log_z)
 
 
 class TestPartitionFunction:
