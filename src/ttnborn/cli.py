@@ -99,6 +99,10 @@ def cmd_train(args) -> int:
         if not os.path.exists(path):
             raise FileNotFoundError(path)
     dataset, desc, matrix = _load_ordered(args.data, args.order, args.shape)
+    if args.test_data:   # read and checked before anything is written
+        test_ds, _ = _resolve_ordering(_load_dataset(args.test_data),
+                                       args.order, args.shape)
+        test_matrix = apply_ordering(test_ds, desc)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.ttnborn")
     stats_path = os.path.join(args.out, "stats.csv")
@@ -129,9 +133,7 @@ def cmd_train(args) -> int:
     stats.write_csv(stats_path, record_timing=args.record_timing)
     print(f"train_nll={evaluate(model, matrix):.6f}")
     if args.test_data:
-        test_ds = _load_dataset(args.test_data)
-        test_ds, _ = _resolve_ordering(test_ds, args.order, args.shape)
-        print(f"test_nll={evaluate(model, apply_ordering(test_ds, desc)):.6f}")
+        print(f"test_nll={evaluate(model, test_matrix):.6f}")
     return 0
 
 

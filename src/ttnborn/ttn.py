@@ -21,7 +21,7 @@ per-model kernels, and sampling and the doubled marginal pass, over
 per-model rooted node tables.  The tree's reads take each 4-pixel subtree
 as one (16, D) block, a per-call view that replaces the bottom two levels
 of the heap (``_group_blocks``), and sampling and evaluation (given enough
-rows) each 8-pixel subtree as one (256, D) table lifted from them
+distinct rows) each 8-pixel subtree as one (256, D) table lifted from them
 (``_lifted``).
 
 The squared amplitude of a pixel configuration, normalized by the partition
@@ -234,29 +234,36 @@ class TtnModel(BornMachine):
 
     def _amplitude_kernel(self):
         # each group table's rows scaled to unit max once, so a gathered row
-        # needs none; the octet tables, lifted from them, once the rows of
-        # one chunk pay for their build (_OCTET_MARGIN)
+        # needs none; the octet tables, lifted from them, once the distinct
+        # octet values of one chunk pay for their build (_OCTET_MARGIN)
         groups = _group_blocks(self, scaled=True)
-        octet, build, save = self.n_sites // 8, 0, 0
-        for k in range(octet, 2 * octet):
-            d, d1, d2 = _node_data(self, k).shape
-            build, save = build + 16 * d * d1 * (d2 + 16), save + d * d1 * d2
-        octets = None
+        octet = self.n_sites // 8
+        shapes = [_node_data(self, k).shape for k in range(octet, 2 * octet)]
+        build = sum(16 * d * d1 * (d2 + 16) for d, d1, d2 in shapes)
+        saves, octets = [d * d1 * d2 for d, d1, d2 in shapes], None
 
-        def kernel(rows):   # each table gathered at its row index
+        def kernel(rows):   # each table's rows at its subtrees' patterns
             nonlocal octets
-            if octets is None and save and len(rows) * save >= (
-                    _OCTET_MARGIN * build):
-                octets = _lifted(self, self.n_sites // 8, *groups, True)
+            index = np.packbits(rows, axis=1)   # (rows, octets) values
+            if octets is None and saves:
+                seen = np.zeros((octet, 256), bool)
+                seen.reshape(-1)[index + np.arange(0, 256 * octet, 256)] = True
+                if (np.count_nonzero(seen, axis=1) @ saves
+                        >= _OCTET_MARGIN * build):
+                    octets = _lifted(self, octet, *groups, True)
             tables, logs = groups if octets is None else octets
-            width = self.n_sites // len(tables)
-            index = rows.reshape(len(rows), -1, width) @ _BIT_WEIGHTS[-width:]
-            return _amplitudes(self, len(tables), lambda j: (
-                tables[j][index[:, j]], logs[j, index[:, j]]))
-        # a (D, D) product at a node, a (rows, D) message per level, and the
-        # row as uint8 and its group index, each with room for temporaries
+            if octets is None:   # the groups' values, the octets' halves
+                index = np.stack([index >> 4, index & 15], axis=2).reshape(
+                    len(rows), -1)
+            picks, expand = _pattern_picks(np.ascontiguousarray(
+                index[:, :len(tables)].T), len(tables[0]))
+            log_abs, sign = _amplitudes(self, len(tables), lambda j: (
+                tables[j], logs[j]), picks)
+            return log_abs[expand], sign[expand]
+        # a (D, D) product at a node, a (rows, D) message per level, the row
+        # as uint8, its index and two levels' labels, with their temporaries
         d, n = max(self.max_bond(), 2), self.n_sites
-        return (2 * d + n.bit_length()) * d + n // 4, kernel
+        return (2 * d + n.bit_length()) * d + n // 4 + 5 * n // 8, kernel
 
     def _sample_view(self):
         # a (D, D) message per level and three (256,) weight rows
@@ -522,15 +529,11 @@ def _group_blocks(model: TtnModel, scaled: bool = False):
                    np.zeros((len(leaves), 4)), scaled)
 
 
-# Octet tables are built when a chunk's rows, each saving sum D·D1·D2
-# multiply-adds of the octet level's contraction, reach this multiple of
-# the build's sum 16·D·D1·(D2 + 16); measured once (CHANGES.md).  A chunk
-# is the call's rows unless the call outgrows one, far above the rule.
+# Octet tables are built when a chunk's distinct values of each octet,
+# each saving D·D1·D2 multiply-adds of the octet level's contraction, reach
+# this multiple of the build's sum 16·D·D1·(D2 + 16); measured once
+# (CHANGES.md).  A chunk is the call's rows unless the call outgrows one.
 _OCTET_MARGIN = 2.0
-
-# row weights of 8 pixels, the first most significant; 4 pixels read the
-# last four.  A uint8 product: at most 255
-_BIT_WEIGHTS = np.uint8([128, 64, 32, 16, 8, 4, 2, 1])
 
 
 def _kron_groups(v: np.ndarray) -> np.ndarray:
@@ -539,17 +542,49 @@ def _kron_groups(v: np.ndarray) -> np.ndarray:
                      *np.moveaxis(v, -2, 0)).reshape(v.shape[:-2] + (16,))
 
 
-def _amplitudes(model: TtnModel, first: int, message):
+def _pattern_picks(labels: np.ndarray, bound: int):
+    """``_amplitudes``'s picks, node -> the rows of its children's messages
+    it contracts, and the index that expands the root's values to rows,
+    from the tables' (nodes, rows) ``labels``, each below ``bound``.
+
+    Level by level, a node's key is its children's labels, and its labels
+    rank its distinct keys, which it contracts.  Labelling stops at the
+    first level whose distinct keys fill over 7/8 of its (node, row)
+    entries (for random rows, the first), which contracts every row."""
+    picks = {}
+    while len(labels) > 1:
+        first = len(labels) // 2
+        keys = labels[0::2].astype(np.intp) * bound + labels[1::2]
+        ordered = np.sort(keys, axis=1)
+        new = np.ones(keys.shape, bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+        if 8 * np.count_nonzero(new) > 7 * keys.size:
+            picks.update((first + j, labels[2 * j:2 * j + 2])
+                         for j in range(first))
+            return picks, slice(None)
+        rank = np.cumsum(new, axis=1) - 1
+        labels = np.empty_like(rank)
+        np.put_along_axis(labels, np.argsort(keys, axis=1), rank, axis=1)
+        picks.update((first + j, np.divmod(o[s], bound))
+                     for j, (o, s) in enumerate(zip(ordered, new)))
+        bound = int(rank[:, -1].max()) + 1
+    return picks, labels[0]
+
+
+def _amplitudes(model: TtnModel, first: int, message, picks=()):
     """(log_abs, sign) of every row: the tree above heap level ``first``
     (the group roots n/4, or the octets n/8) contracted with node
     first + j's (rows, logs) message ``message(j)``, depth first, so one
-    message per level is live, not a level of them."""
+    message per level is live, not a level of them.  A node in the
+    mapping ``picks`` contracts the rows of its children's it names."""
 
     def up(n):   # node n's message; the root in full, to (S,) values
         if n >= first:
             return message(n - first)
-        return _contract_node(model.tensors[n], [up(2 * n), up(2 * n + 1)],
-                              0 if n > 1 else None)
+        parts = [up(2 * n), up(2 * n + 1)]
+        if n in picks:
+            parts = [(m[i], logs[i]) for (m, logs), i in zip(parts, picks[n])]
+        return _contract_node(model.tensors[n], parts, 0 if n > 1 else None)
 
     rows, logs = up(1)
     return _signed_logs(rows.reshape(-1), logs)

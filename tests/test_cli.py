@@ -423,6 +423,31 @@ class TestUndecodableText:
         assert "error [parse]: line 2, column 5: byte 0xff" in err
         assert not out.exists()
 
+    def test_test_data_byte_fails_before_training_writes(
+            self, patterns_file, tmp_path, capsys):
+        test, out = tmp_path / "bad.txt", tmp_path / "x"
+        test.write_bytes(b"0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1\n"
+                         b"1 0 \xff 1 0 1 0 1 0 1 0 1 0 1 0 1\n")
+        rc = run(["train", "--data", patterns_file, "--test-data", test,
+                  "--dmax", 2, "--epochs", 1, "--seed", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error [parse]: line 2, column 5: byte 0xff" in err
+        assert not (out / "model.ttnborn").exists()
+        assert not (out / "stats.csv").exists()
+
+    def test_test_data_is_evaluated_after_training(self, patterns_file,
+                                                    tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--data", patterns_file, "--test-data",
+                  patterns_file, "--dmax", 2, "--epochs", 1, "--seed", 1,
+                  "--out", out])
+        assert rc == 0
+        printed = capsys.readouterr().out.split()
+        train_nll, test_nll = (line.split("=")[1] for line in printed)
+        assert test_nll == train_nll
+        assert (out / "model.ttnborn").exists()
+
     def test_config_byte_is_a_parse_error_naming_the_line(
             self, patterns_file, tmp_path, capsys):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "x"

@@ -35,11 +35,6 @@ from ttnborn.errors import FormatError, ParseError
 SEED = 20240601
 MAX_EXAMPLES = 300
 
-# hypothesis imports libcst to print a failing example as a patch, which
-# warns on import in some environments; a failure stays a failure
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-
 fuzz = settings(max_examples=MAX_EXAMPLES, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
                                        HealthCheck.too_slow])

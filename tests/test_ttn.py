@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttnborn import (DenseTensor, MpsModel, TtnModel, build_random,
-                     canonicalize, contract_pixel_vectors, correlation,
-                     correlation_map, gen_random_patterns, log_probs, marginal,
-                     max_canonical_deviation, nll, partition_function,
-                     sample_batch, single_site_marginals, train, TrainConfig)
+from ttnborn import (BinaryDataset, DenseTensor, MpsModel, TtnModel,
+                     apply_ordering, build_random, canonicalize,
+                     contract_pixel_vectors, correlation, correlation_map,
+                     gen_random_patterns, load_binarized_text, log_probs,
+                     make_ordering, marginal, max_canonical_deviation, nll,
+                     partition_function, sample_batch, single_site_marginals,
+                     train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError, TopologyError)
 from ttnborn.tensor import frobenius_norm
@@ -19,10 +22,14 @@ from ttnborn.mps import (mps_build_random, mps_correlation_map,
 from ttnborn.ttn import (_check_pixel_values, _node_data, _rescale_rows,
                          amplitudes_from_vectors)
 
-from helpers import (all_configs, brute_force_amplitudes, count_lifts,
-                     enum_log_z, mps_from_patterns, mps_state_vector,
-                     random_uneven_ttn, sharp_product_mps, sharp_product_ttn,
-                     ttn_from_patterns, uneven_ttn, uniform_ttn)
+from helpers import (all_configs, brute_force_amplitudes, config_indices,
+                     count_lifts, enum_log_z, mps_from_patterns,
+                     mps_state_vector, random_uneven_ttn, sharp_product_mps,
+                     sharp_product_ttn, ttn_from_patterns, uneven_ttn,
+                     uniform_ttn)
+
+DIGITS = os.path.join(os.path.dirname(__file__), "fixtures",
+                      "digits_28x28.txt")
 
 
 class TestBuildRandom:
@@ -854,10 +861,89 @@ class TestOctetTables:
             assert np.all(np.abs(side - want) <= 1e-13 * np.abs(want))
 
 
+def _row_set(kind, n, count, seed):
+    """``count`` rows of n pixels: copies of one row, noisy copies of four
+    base rows (2% of pixels flipped), distinct random rows or one row."""
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        rows = (all_configs(n)[rng.permutation(2 ** n)[:count]] if n <= 16
+                else rng.integers(0, 2, (count, n)))
+        assert len(np.unique(rows, axis=0)) == count
+        return rows
+    base = rng.integers(0, 2, (4, n))
+    if kind == "one":
+        return base[:1]
+    if kind == "identical":
+        return np.repeat(base[:1], count, axis=0)
+    rows = base[rng.integers(4, size=count)]
+    return rows ^ (rng.random(rows.shape) < 0.02)
+
+
+def _per_row_log_probs(model, rows):
+    """log p of each row from the per-row contraction of one-hot vectors,
+    which labels no pattern."""
+    log_abs, sign = amplitudes_from_vectors(model, np.eye(2)[rows])
+    return np.where(sign != 0, 2.0 * log_abs - model.log_z(), -np.inf)
+
+
+class TestDistinctPatterns:
+    """Evaluation contracts each node above the tables once per distinct
+    row pattern of its subtree, as long as the patterns repeat; every row
+    gets the log p of its own per-row contraction."""
+
+    @pytest.mark.parametrize("kind", ["identical", "noisy", "distinct",
+                                      "one", "noisy-1-row-chunks"])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_agrees_with_the_per_row_contraction(self, monkeypatch, n, kind):
+        import ttnborn.ttn as ttn_module
+        model = _OCTET_MODELS[f"random-{n}"]()
+        canonicalize(model, n // 2 + 3)
+        if kind.endswith("chunks"):
+            monkeypatch.setattr(ttn_module, "_chunk_rows", lambda m, c: 1)
+        rows = _row_set(kind.split("-")[0], n, 40 if kind.endswith("chunks")
+                        else 300 if n > 8 else 200, seed=n)
+        want = _per_row_log_probs(model, rows)
+        for side in _both_sides(monkeypatch, model, rows):
+            assert np.all(np.abs(side - want) <= 1e-13 * np.abs(want))
+            if n <= 16:
+                p = brute_force_amplitudes(model) ** 2
+                p = p[config_indices(rows)] / p.sum()
+                assert np.max(np.abs(np.exp(side) - p)) < 1e-15
+
+    def test_copies_contract_one_row_per_node(self, monkeypatch):
+        import ttnborn.ttn as ttn_module
+        model = build_random(1024, 16, seed=5)
+        canonicalize(model, model.n_tensors)
+        row = gen_random_patterns(1024, 1, seed=6).samples
+        single = log_probs(model, row)
+        contract, rows = ttn_module._contract_node, []
+
+        def counted(t, parts, out=None):
+            rows.append(len(parts[0][0]))
+            return contract(t, parts, out)
+        monkeypatch.setattr(ttn_module, "_contract_node", counted)
+        got = log_probs(model, np.repeat(row, 100, axis=0))
+        # no octet tables, so every node above the 256 group roots
+        assert rows == [1] * 255
+        assert np.all(got == single)
+
+    def test_copies_build_no_octet_table(self, monkeypatch):
+        model = build_random(128, 16, seed=3)
+        canonicalize(model, model.n_tensors)
+        rows = gen_random_patterns(128, 300, seed=4).samples
+        built = count_lifts(monkeypatch)
+        log_probs(model, np.repeat(rows[:1], 300, axis=0))
+        assert built == [128 // 4]
+        built.clear()
+        log_probs(model, rows)
+        assert built == [128 // 4, 128 // 8]
+
+
 class TestEvaluationMemory:
-    """log_probs holds one (S, D) message per live node and an (S, G)
-    group index, never an (S, n, 2) one-hot or (S, G, 16) weights, with
-    S at most one chunk of rows (10,000 rows at once peaked at 208 MiB)."""
+    """log_probs holds one (S, D) message per live node, an (S, G) group
+    index and two levels' pattern labels, never an (S, n, 2) one-hot or
+    (S, G, 16) weights, with S at most one chunk of rows (10,000 rows at
+    once peaked at 208 MiB)."""
 
     @pytest.mark.parametrize("n,rows,limit_mib", [(1024, 250, 13),
                                                   (128, 2000, 17),
@@ -887,6 +973,26 @@ class TestEvaluationMemory:
         finally:
             tracemalloc.stop()
         assert peak < 13 * 2 ** 20
+
+    def test_noisy_digit_copies_at_d32_stay_bounded(self):
+        # 10,000 noisy copies of the 20 fixture digits in hierarchical-2d
+        # order, whose subtree patterns repeat
+        raw = load_binarized_text(DIGITS)
+        rng = np.random.default_rng(59)
+        noisy = raw.samples[rng.integers(raw.n_samples, size=10_000)]
+        noisy ^= (rng.random(noisy.shape) < 0.02).astype(np.uint8)
+        samples = apply_ordering(
+            BinaryDataset(noisy, raw.image_shape),
+            make_ordering("hierarchical-2d", raw.image_shape))
+        model = build_random(1024, 32, seed=57)
+        canonicalize(model, model.n_tensors)
+        tracemalloc.start()
+        try:
+            log_probs(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestMarginalsAtScale:
