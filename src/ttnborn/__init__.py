@@ -8,23 +8,19 @@ graph baselines, and a reproducible CLI.
 """
 
 from .tensor import DenseTensor, qr_split, svd_split
-from .ttn import (TtnModel, amplitudes_from_vectors, build_random,
-                  canonicalize, contract_pixel_vectors, correlation,
-                  correlation_map, log_probs, marginal,
-                  max_canonical_deviation, nll, partition_function, push_qr,
-                  single_site_marginals)
+from .ttn import (TtnModel, build_random, canonicalize,
+                  contract_pixel_vectors, correlation, correlation_map,
+                  log_probs, marginal, max_canonical_deviation, nll,
+                  partition_function, push_qr, single_site_marginals)
 from .training import (TrainConfig, TrainStats, gradient_one_site,
                        gradient_two_site, merged_tensor, sweep_epoch, train)
 from .sampling import sample_batch, save_samples_pbm
 from .data import (BinaryDataset, OrderingDescriptor, apply_ordering,
                    gen_random_patterns, invert_ordering, load_binarized_text,
                    make_ordering, save_binarized_text)
-from .mps import (MpsModel, mps_build_random, mps_correlation_map,
-                  mps_log_probs, mps_max_canonical_deviation, mps_nll,
-                  mps_sample_batch, mps_sweep_epoch, mps_train)
-from .factor_graph import (TreeFactorGraph, fg_gradient, fg_log_ptilde,
-                           fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
-                           sum_product_log_z)
+from .mps import MpsModel, mps_build_random, mps_train
+from .factor_graph import (TreeFactorGraph, fg_nll, fg_to_ttn, fg_train,
+                           heap_shaped_fg, sum_product_log_z)
 from .checkpoint import load_checkpoint, save_checkpoint
 from . import pbm
 

@@ -28,9 +28,9 @@ from .data import (BinaryDataset, apply_ordering, gen_random_patterns,
 from .errors import (DegenerateDistributionError, DegenerateSampleError,
                      DimensionError, FormatError, NumericalError, ParseError,
                      StateError, TopologyError)
-from .sampling import save_samples_pbm
+from .sampling import sample_batch, save_samples_pbm
 from .training import TrainConfig, TrainStats, train
-from .ttn import build_random, correlation_map, nll
+from .ttn import build_random, correlation_map, nll, partition_function
 
 
 def _limit_threads(n: int):
@@ -163,7 +163,7 @@ def cmd_eval(args) -> int:
     if header["model_type"] == "treefg":
         value, log_z = fgm.fg_nll(model, matrix), fgm.sum_product_log_z(model)
     else:
-        value, log_z = nll(model, matrix), model.log_z()
+        value, log_z = nll(model, matrix), partition_function(model)
     print(f"# exact log_z={log_z:.6f}", file=sys.stderr)
     print(f"nll={value:.6f}")
     return 0
@@ -171,7 +171,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     model, _, desc = _load_model(args.model_path, "sample")
-    samples = model.sample(args.count, args.seed, ordering=desc)
+    samples = sample_batch(model, args.count, args.seed, ordering=desc)
     os.makedirs(args.out, exist_ok=True)
     shape = desc.raw_shape if desc is not None else (samples.shape[1],)
     if args.format in ("pbm", "both"):

@@ -195,12 +195,11 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
 
 # -- TTN-shaped graphs and the exact mapping ---------------------------------
 
-def heap_shaped_fg(n_sites: int, seed=None, factors=None) -> TreeFactorGraph:
-    """Factor graph whose hidden tree mirrors the heap TTN topology.
-    Factors default to exp of standard normals from the seed."""
-    if factors is None:
-        factors = np.exp(np.random.default_rng(seed).standard_normal(
-            (max(2 * n_sites - 2, 0), 2, 2)))
+def heap_shaped_fg(n_sites: int, seed=None) -> TreeFactorGraph:
+    """Factor graph whose hidden tree mirrors the heap TTN topology, with
+    factors exp of standard normals from the seed."""
+    factors = np.exp(np.random.default_rng(seed).standard_normal(
+        (max(2 * n_sites - 2, 0), 2, 2)))
     return TreeFactorGraph(n_sites, factors)
 
 

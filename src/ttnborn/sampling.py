@@ -4,7 +4,7 @@ Configurations are drawn from the exact Born distribution p(x), so a
 returned row has exactly its model probability; no Markov chain is
 involved.  ``sample_batch`` draws for both models, chunk by chunk, by one
 walk (``SampleState``) over the rooted node table of a re-centred copy
-(``BornMachine._sampler``): the tree rooted at its root, down to its
+(``_sampler``): the tree rooted at its root, down to its
 8-pixel subtrees' (256, D) amplitude tables (``ttn._RootedTree``), or the
 chain, the degenerate tree, rooted at its nearer end, one two-site block
 per node (``mps._PairNodes``).  The marginal pass (``ttn._doubled_marginals``)
@@ -41,6 +41,8 @@ blocks left the rows as they were.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -117,6 +119,15 @@ class SampleState:
         return self.samples, 2.0 * log_abs - _data_log_z(self.model)
 
 
+def _sampler(model: BornMachine):
+    """(floats per row, uniforms per row, draw): one walk over the node
+    table of ``model._sample_view()``, with one uniform per node."""
+    work, walk_floats = model._sample_view()
+    columns = len(work.nodes)
+    return (walk_floats + columns + model.n_sites // 8, columns,
+            lambda uniforms: SampleState(work, uniforms).run())
+
+
 def sample_batch(model: BornMachine, count: int, seed: int, *,
                  ordering: OrderingDescriptor = None,
                  return_chain_log: bool = False):
@@ -138,7 +149,7 @@ def sample_batch(model: BornMachine, count: int, seed: int, *,
                              f"got {value!r}")
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
-    row_floats, columns, draw = model._sampler()
+    row_floats, columns, draw = _sampler(model)
     rng = np.random.default_rng(seed)
     samples = np.empty((count, model.n_sites), dtype=np.uint8)
     chain_log = np.empty(count)
@@ -161,8 +172,6 @@ def save_samples_pbm(samples: np.ndarray, shape, out_dir, *,
     ``shape`` is (height, width); flat sample vectors are reshaped to it.
     Returns the list of paths written.
     """
-    import os
-
     samples = np.asarray(samples)
     h, w = (shape if len(shape) == 2 else (1, int(shape[0])))
     images = samples.reshape(samples.shape[0], h, w)

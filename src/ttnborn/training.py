@@ -49,8 +49,8 @@ from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
 from .tensor import (DenseTensor, _svd_sign_fix, _truncated_svd, kept_rank,
                      move_axis)
-from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward, nll,
-                  push_qr, sample_matrix)
+from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward,
+                  canonicalize, nll, push_qr, sample_matrix)
 
 _PSI_FLOOR = math.exp(-300)
 MAX_BACKTRACKS = 8    # halvings of the learning rate per step
@@ -627,7 +627,7 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
     samples = sample_matrix(dataset, model.n_sites)
     last = model.n_sites - 1
     if model.canonical_center != last:
-        model.canonicalize(last)
+        canonicalize(model, last)
     # p depends on neither the center's norm nor log_norm, however large
     t = model.tensors[last]
     n = np.linalg.norm(t.data.ravel())
@@ -637,7 +637,7 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
     if stats is None:
         stats = TrainStats()
     if cache is None:
-        cache = model.sweep_cache(samples)
+        cache = _EnvCache(model, samples, last)
     stats.truncation_errors.append([])
     started = time.perf_counter()
     for start, rightward in ((last, False), (model.first_leaf, True)):
@@ -680,7 +680,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
     """
     full = sample_matrix(dataset, model.n_sites)
     stats = TrainStats()
-    model.canonicalize(model.n_sites - 1)
+    canonicalize(model, model.n_sites - 1)
     rng = np.random.default_rng(config.seed)
     batch_size = config.batch_size
     if batch_size is None or int(batch_size) >= full.shape[0]:
@@ -701,7 +701,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
             # Valid to build here: the model is canonical at its last
             # tensor (train entry or the previous epoch's postcondition), and
             # the center-only adjustments at epoch entry touch no message.
-            cache = model.sweep_cache(batch)
+            cache = _EnvCache(model, batch, model.n_sites - 1)
         _, stats = model.sweep_epoch(batch, config, cache=cache, stats=stats)
         seconds = stats.seconds[-1] = time.perf_counter() - t0
         if batch_size is not None:

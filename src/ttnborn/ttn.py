@@ -71,26 +71,26 @@ class BornMachine:
     A model has ``n_sites``, ``tensors`` indexed from ``first_tensor`` to
     n_sites - 1 (where training keeps the center), ``first_leaf`` (where
     the right-to-left sweep ends), ``canonical_center`` and ``bond_dims()``,
-    and the methods ``log_probs``, ``single_site_marginals``, ``sample`` and
-    ``sweep_epoch``.  Each calls its model's module function by name, so
-    wrapping that function covers it too.  ``log_probs`` and
+    and three methods, ``log_probs``, ``single_site_marginals`` and
+    ``sweep_epoch``, that call its model's module function by name; every
+    other operation is only a module function.  ``log_probs`` and
     ``sampling.sample_batch`` walk the rows in chunks through two kernels
     built once per call, each with the floats a row holds in it, which size
     the chunks: ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
-    ``_sampler()`` gives the uniforms per row and a map from uniforms to
-    (rows, log p): one walk over the rooted node table of the re-centred
-    copy that ``_sample_view()`` gives, as ``marginal_stack`` (stacked
+    ``sampling._sampler`` gives the uniforms per row and a map from uniforms
+    to (rows, log p): one walk over the rooted node table of the re-centred
+    copy that ``_sample_view()`` gives, as ``_doubled_marginals`` (stacked
     clamps) is one doubled pass over that of ``_marginal_view()``.
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
     index), a ``Pixel`` or None for a dimension-1 boundary bond (the
     chain's two ends); ``path(u, v)`` lists the tensors from u to v.
-    Neighbors, axis lookup, the shape check, ``copy``, ``canonicalize``,
-    ``log_z`` and ``sweep_cache`` are written here once for both models.
-    Psi is exp(``log_norm``) times the network of the tensors' data;
-    ``log_z`` and ``amplitudes_from_vectors`` include it, ``log_probs`` and
-    the sampler's chain log, where it cancels, do not.
+    Neighbors, axis lookup, the shape check and ``copy`` are written here
+    once for both models.  Psi is exp(``log_norm``) times the network of
+    the tensors' data; ``partition_function`` and
+    ``amplitudes_from_vectors`` include it, ``log_probs`` and the sampler's
+    chain log, where it cancels, do not.
     """
 
     log_norm = 0.0
@@ -140,28 +140,6 @@ class BornMachine:
         """``max(bond_dims().values())`` without the dict: in both models
         every bond is axis 0 of one tensor past the first."""
         return max(len(t.data) for t in self.tensors[self.first_tensor + 1:])
-
-    def canonicalize(self, center: int):
-        return canonicalize(self, center)
-
-    def log_z(self) -> float:
-        return partition_function(self)
-
-    def marginal_stack(self, assignments) -> np.ndarray:
-        return _doubled_marginals(self._marginal_view(), assignments)
-
-    def _sampler(self):
-        """(floats per row, uniforms per row, draw): one walk over the node
-        table of ``_sample_view()``, with one uniform per node."""
-        from .sampling import SampleState
-        work, walk_floats = self._sample_view()
-        columns = len(work.nodes)
-        return (walk_floats + columns + self.n_sites // 8, columns,
-                lambda uniforms: SampleState(work, uniforms).run())
-
-    def sweep_cache(self, samples):
-        from . import training
-        return training._EnvCache(self, samples, self.n_sites - 1)
 
 
 class TtnModel(BornMachine):
@@ -224,9 +202,11 @@ class TtnModel(BornMachine):
     first_tensor = 1
 
     def log_probs(self, samples) -> np.ndarray:
+        # per model, so that perfbench's ttn.log_probs counts tree rows only
         return log_probs(self, samples)
 
     def single_site_marginals(self, assignment=None) -> np.ndarray:
+        # per model, as perfbench times each model's marginals apart
         return single_site_marginals(self, assignment)
 
     def _marginal_view(self):
@@ -270,12 +250,9 @@ class TtnModel(BornMachine):
         d, n = max(self.max_bond(), 4), self.n_sites
         return _RootedTree(self, 8), d * d * (n.bit_length() - 2) + 3 * 256
 
-    def sample(self, count: int, seed: int, ordering=None):
-        from . import sampling
-        return sampling.sample_batch(self, count, seed, ordering=ordering)
-
     def sweep_epoch(self, dataset, config, **kwargs):
-        from . import training
+        # per model, as perfbench times each model's epoch apart
+        from . import training      # which imports this module
         return training.sweep_epoch(self, dataset, config, **kwargs)
 
 
@@ -813,7 +790,8 @@ def single_site_marginals(model, assignment=None) -> np.ndarray:
     zero total probability mass.  Relies on the canonical form: a model with
     a canonical center must be canonical about it.
     """
-    return model.marginal_stack([dict(assignment or {})])[0]
+    return _doubled_marginals(model._marginal_view(),
+                              [dict(assignment or {})])[0]
 
 
 def sample_matrix(dataset, n_sites: int) -> np.ndarray:
@@ -922,7 +900,7 @@ def correlation_map(model, ref_pixel: int) -> np.ndarray:
     spin = np.array([-1.0, 1.0])
     means = base @ spin
     v = int(base[ref_pixel, 1] > base[ref_pixel, 0])
-    cond = view.marginal_stack([{ref_pixel: v}])[0]
+    cond = _doubled_marginals(view, [{ref_pixel: v}])[0]
     out = (2.0 * spin[v] * base[ref_pixel, v]) * (cond @ spin - means)
     out[ref_pixel] = 1.0 - means[ref_pixel] ** 2
     return out

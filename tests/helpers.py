@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
-                     build_random, gen_random_patterns, train)
+                     build_random, canonicalize, gen_random_patterns, train)
 from ttnborn.ttn import bond_capacity
 
 
@@ -159,7 +159,7 @@ def uneven_mps(center) -> MpsModel:
     model = MpsModel([DenseTensor(rng.uniform(-1.0, 1.0, (dl, 2, dr)))
                       for dl, dr in zip(dims[:-1], dims[1:])], d_max=5)
     if center is not None:
-        model.canonicalize(center)
+        canonicalize(model, center)
     return model
 
 

@@ -9,8 +9,8 @@ import pytest
 
 import ttnborn.ttn as ttn
 from ttnborn import (build_random, canonicalize, gen_random_patterns,
-                     log_probs, mps_build_random, mps_log_probs,
-                     mps_sample_batch, sample_batch)
+                     log_probs, mps_build_random, sample_batch)
+from ttnborn.mps import mps_log_probs, mps_sample_batch
 
 from helpers import count_lifts, uneven_mps, uneven_ttn
 

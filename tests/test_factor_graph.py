@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import ttnborn.ttn as ttn
-from ttnborn import (TrainConfig, contract_pixel_vectors,
-                     amplitudes_from_vectors, fg_gradient, fg_log_ptilde,
+from ttnborn import (TrainConfig, TreeFactorGraph, contract_pixel_vectors,
                      fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
                      load_checkpoint, save_checkpoint, sum_product_log_z)
 from ttnborn.errors import FormatError
+from ttnborn.factor_graph import fg_gradient, fg_log_ptilde
+from ttnborn.ttn import amplitudes_from_vectors
 
 from helpers import all_configs, with_header
 
@@ -29,8 +30,7 @@ def enum_log_z(fg, clamped=None):
 
 
 def random_heap_fg(n, rng):
-    return heap_shaped_fg(n, factors=np.exp(rng.standard_normal((2 * n - 2,
-                                                                 2, 2))))
+    return TreeFactorGraph(n, np.exp(rng.standard_normal((2 * n - 2, 2, 2))))
 
 
 class TestSumProduct:
@@ -95,7 +95,7 @@ class TestSumProduct:
             factors = np.ones((6, 2, 2))
             factors[2, 0, 1] = bad
             with pytest.raises(ValueError):
-                heap_shaped_fg(4, factors=factors)
+                TreeFactorGraph(4, factors)
 
 
 class TestHeapLayout:
@@ -128,7 +128,7 @@ class TestTraining:
     def test_all_zeros_data_converges(self):
         # the optimum is a hard assignment at the log-space boundary, so the
         # residual mass shrinks like 1/(lr * epochs)
-        fg = heap_shaped_fg(4, factors=np.ones((6, 2, 2)))
+        fg = TreeFactorGraph(4, np.ones((6, 2, 2)))
         data = np.zeros((4, 4), dtype=int)
         cfg = TrainConfig(learning_rate=4.0, epochs=1200, d_max=2)
         fg, _ = fg_train(fg, data, cfg)
@@ -206,7 +206,7 @@ class TestTraining:
 class TestMapping:
     def test_all_ones_factors_give_uniform_measure(self):
         n = 8
-        fg = heap_shaped_fg(n, factors=np.ones((2 * n - 2, 2, 2)))
+        fg = TreeFactorGraph(n, np.ones((2 * n - 2, 2, 2)))
         assert abs(sum_product_log_z(fg) - (2 * n - 1) * math.log(2)) < 1e-12
         amp = contract_pixel_vectors(fg_to_ttn(fg), np.ones((n, 2)))
         assert abs(amp.log_abs - sum_product_log_z(fg)) < 1e-10

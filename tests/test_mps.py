@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, canonicalize,
                      correlation, gen_random_patterns, marginal,
-                     mps_build_random, mps_correlation_map, mps_log_probs,
-                     mps_max_canonical_deviation, mps_nll, mps_sample_batch,
-                     mps_sweep_epoch, mps_train, partition_function)
+                     mps_build_random, mps_train, partition_function)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
 import ttnborn.mps as mps
 import ttnborn.ttn as ttn
-from ttnborn.mps import mps_amplitudes
+from ttnborn.sampling import _sampler
+from ttnborn.mps import (mps_amplitudes, mps_correlation_map, mps_log_probs,
+                         mps_max_canonical_deviation, mps_nll,
+                         mps_sample_batch, mps_sweep_epoch)
 
 from helpers import (all_configs, chi_square_pvalue, config_indices,
                      mps_from_patterns, mps_state_vector, sharp_product_mps,
@@ -146,7 +147,7 @@ class TestMarginalStack:
             mass, want = _enumerated(p, fixed)
             assume(mass > 1e-6)
             wants.append(want)
-        got = model.marginal_stack(branches)
+        got = ttn._doubled_marginals(model._marginal_view(), branches)
         assert got.shape == (len(branches), 16, 2)
         assert np.max(np.abs(got - np.array(wants))) < 1e-9
 
@@ -158,7 +159,7 @@ class TestMarginalStack:
         if center is not None:
             canonicalize(model, center)
         with pytest.raises(DegenerateDistributionError):
-            model.marginal_stack([{}, {3: 1}])
+            ttn._doubled_marginals(model._marginal_view(), [{}, {3: 1}])
 
 
 class TestTraining:
@@ -372,7 +373,7 @@ class TestSamplerCore:
     def test_extreme_uniforms_draw_patterns(self, center, u):
         data = gen_random_patterns(12, 5, seed=62, distinct=True).samples
         model = canonicalize(mps_from_patterns(data), center)
-        _, columns, draw = model._sampler()
+        _, columns, draw = _sampler(model)
         rows, chain = draw(np.full((3, columns), u))
         patterns = {r.tobytes() for r in data.astype(np.uint8)}
         assert all(r.tobytes() in patterns for r in rows)
@@ -390,7 +391,7 @@ class TestSamplerCore:
         amp = np.sqrt([q, 1.0 - q]).reshape(1, 2, 1)
         model = MpsModel([DenseTensor(amp) for _ in range(n)],
                          canonical_center=0 if end == "first" else n - 1)
-        _, columns, draw = model._sampler()
+        _, columns, draw = _sampler(model)
         rows, chain = draw(np.zeros((2, columns)))
         assert not rows.any()
         lp = mps_log_probs(model, rows)

@@ -7,6 +7,7 @@ from ttnborn import (DenseTensor, build_random, canonicalize,
                      TrainConfig)
 from ttnborn import pbm
 from ttnborn.errors import DegenerateDistributionError, StateError
+from ttnborn.sampling import _sampler
 from ttnborn.ttn import _rooted_copy
 
 from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
@@ -168,12 +169,12 @@ class TestNodeTable:
     def test_tree_draws_once_per_node_above_the_groups(self, n):
         # one draw per 8-pixel subtree and per node above them; at n=4 the
         # root is one 4-pixel group
-        _, columns, _ = build_random(n, 4, seed=n)._sampler()
+        _, columns, _ = _sampler(build_random(n, 4, seed=n))
         assert columns == (n // 4 - 1 if n >= 8 else 1)
 
     @pytest.mark.parametrize("n", [2, 5, 8, 33, 64])
     def test_chain_draws_once_per_pair(self, n):
-        _, columns, _ = mps_build_random(n, 4, seed=n)._sampler()
+        _, columns, _ = _sampler(mps_build_random(n, 4, seed=n))
         assert columns == (n + 1) // 2
 
     def test_chain_rows_are_pinned(self):
@@ -254,7 +255,7 @@ class TestExtremeUniforms:
         work = self.patterned(patterns)
         if dead_index:
             work = _dead_leading_bond_index(work)
-        _, columns, draw = work._sampler()
+        _, columns, draw = _sampler(work)
         rows, chain_log = draw(np.full((4, columns), u))
         known = {r.tobytes() for r in patterns.astype(np.uint8)}
         assert all(r.tobytes() in known for r in rows)
@@ -297,7 +298,7 @@ class TestChainLogAtScale:
         # would hold 1e-16 of an 8-pixel draw's mass at p1 = 0.01, less than
         # the 2^-53 step of u below 1, so no u could draw it.)
         model = self.sharp(1024, 0.99)
-        _, columns, draw = model._sampler()
+        _, columns, draw = _sampler(model)
         uniforms = np.zeros((4, columns))
         for row, pixel in enumerate((0, 513, 1023), start=1):
             column, u = _lone_one_uniform(model, pixel, 0.99)

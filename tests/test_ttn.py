@@ -19,8 +19,8 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
 from ttnborn.tensor import frobenius_norm
 from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
-from ttnborn.ttn import (_check_pixel_values, _node_data, _rescale_rows,
-                         amplitudes_from_vectors)
+from ttnborn.ttn import (_check_pixel_values, _doubled_marginals,
+                         _node_data, _rescale_rows, amplitudes_from_vectors)
 
 from helpers import (all_configs, brute_force_amplitudes, config_indices,
                      count_lifts, enum_log_z, mps_from_patterns,
@@ -530,7 +530,7 @@ class TestMarginalsByEnumeration:
             mass, want = _enumerated(uneven, fixed)
             assume(mass > 1e-6)
             wants.append(want)
-        got = uneven.marginal_stack(branches)
+        got = _doubled_marginals(uneven._marginal_view(), branches)
         assert got.shape == (len(branches), 16, 2)
         assert np.max(np.abs(got - np.array(wants))) < 1e-9
 
@@ -586,7 +586,8 @@ class TestClampValues:
         want = single_site_marginals(model, {3: v})
         assert np.array_equal(want[3], np.eye(2)[v])
         assert np.array_equal(single_site_marginals(model, {3: value}), want)
-        assert np.array_equal(model.marginal_stack([{3: value}, {}])[0], want)
+        assert np.array_equal(_doubled_marginals(
+            model._marginal_view(), [{3: value}, {}])[0], want)
         assert marginal(model, {3: value}, 5) == tuple(want[5])
 
     @pytest.mark.parametrize("value", [0.5, 2.0, -1, "1", None])
@@ -605,7 +606,7 @@ class TestClampValues:
             with pytest.raises(ValueError):
                 single_site_marginals(model, {pixel: 1})
             with pytest.raises(ValueError):
-                model.marginal_stack([{}, {pixel: 0}])
+                _doubled_marginals(model._marginal_view(), [{}, {pixel: 0}])
 
 
 def _enumerated_map(amps, ref):
@@ -719,7 +720,7 @@ class TestDoubledPassOnSmallModels:
 
         for branches in ([{}], [{n - 1: 1}], [{}, {0: 1}, {n - 1: 0, 1: 1}],
                          [{n // 2: 0, n - 1: 1}, {0: 0, 1: 1, 2: 0}]):
-            got = model.marginal_stack(branches)
+            got = _doubled_marginals(model._marginal_view(), branches)
             want = np.array([enumerated(fixed) for fixed in branches])
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -790,7 +791,7 @@ class TestGroupView:
             wants.append(np.stack([1.0 - p1, p1], axis=1))
             got = single_site_marginals(model, fixed)
             assert np.max(np.abs(got - wants[-1])) < 1e-12
-        assert np.max(np.abs(model.marginal_stack(clamps)
+        assert np.max(np.abs(_doubled_marginals(model._marginal_view(), clamps)
                              - np.array(wants))) < 1e-12
         s = 2.0 * configs - 1.0
         for ref in (0, n // 2 + 1, n - 1):
@@ -883,7 +884,8 @@ def _per_row_log_probs(model, rows):
     """log p of each row from the per-row contraction of one-hot vectors,
     which labels no pattern."""
     log_abs, sign = amplitudes_from_vectors(model, np.eye(2)[rows])
-    return np.where(sign != 0, 2.0 * log_abs - model.log_z(), -np.inf)
+    return np.where(sign != 0, 2.0 * log_abs - partition_function(model),
+                    -np.inf)
 
 
 class TestDistinctPatterns:
