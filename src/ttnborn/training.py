@@ -124,6 +124,18 @@ class TrainStats:
 # -- per-sample message cache -------------------------------------------------
 
 
+def _unit_max_rows(m, logs):
+    """Each row of ``m`` divided by its max magnitude in place, its log
+    added to ``logs`` (zero rows kept).  Not ``ttn._rescale_rows``: a sweep
+    turns any change in its messages' last bits into another model."""
+    mx = np.abs(m).max(axis=1, initial=0.0)
+    if not mx.all():
+        mx[mx == 0.0] = 1.0
+    m /= mx[:, None]
+    logs += np.log(mx)
+    return m, logs
+
+
 class _EnvCache:
     """Cached per-sample messages around the moving center, for the tree
     and the chain alike.
@@ -155,8 +167,8 @@ class _EnvCache:
         sites = sites or self.model.axis_sites(u)
         out = sites.index(v)
         self.msgs.pop((v, u), None)
-        self.msgs[(u, v)] = _contract_node(
-            self.model.tensors[u], self.center_parts(u, out, sites), out)
+        self.msgs[(u, v)] = _unit_max_rows(*_contract_node(
+            self.model.tensors[u], self.center_parts(u, out, sites), out))
 
     def center_parts(self, k: int, out=None, sites=None):
         """Messages entering every axis of tensor k but ``out``, in axis

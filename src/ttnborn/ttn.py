@@ -213,9 +213,9 @@ class TtnModel(BornMachine):
         return _RootedTree(self, 4)
 
     def _amplitude_kernel(self):
-        # each group table's rows scaled to unit max once, so a gathered row
-        # needs none; the octet tables, lifted from them, once the distinct
-        # octet values of one chunk pay for their build (_OCTET_MARGIN)
+        # each group table's rows scaled once, so a gathered row needs none;
+        # the octet tables, lifted from them, once the distinct octet values
+        # of a chunk whose rows could pay for their build do (_OCTET_MARGIN)
         groups = _group_blocks(self, scaled=True)
         octet = self.n_sites // 8
         shapes = [_node_data(self, k).shape for k in range(octet, 2 * octet)]
@@ -225,7 +225,8 @@ class TtnModel(BornMachine):
         def kernel(rows):   # each table's rows at its subtrees' patterns
             nonlocal octets
             index = np.packbits(rows, axis=1)   # (rows, octets) values
-            if octets is None and saves:
+            if octets is None and saves and (
+                    len(rows) * sum(saves) >= _OCTET_MARGIN * build):
                 seen = np.zeros((octet, 256), bool)
                 seen.reshape(-1)[index + np.arange(0, 256 * octet, 256)] = True
                 if (np.count_nonzero(seen, axis=1) @ saves
@@ -235,8 +236,12 @@ class TtnModel(BornMachine):
             if octets is None:   # the groups' values, the octets' halves
                 index = np.stack([index >> 4, index & 15], axis=2).reshape(
                     len(rows), -1)
-            picks, expand = _pattern_picks(np.ascontiguousarray(
-                index[:, :len(tables)].T), len(tables[0]))
+            labels = index[:, :len(tables)].T    # (tables, rows)
+            if len(rows) == 1:   # one row, one pattern: no labelling
+                return _amplitudes(self, len(tables), lambda j: (
+                    tables[j][labels[j]], logs[j][labels[j]]))
+            picks, expand = _pattern_picks(np.ascontiguousarray(labels),
+                                           len(tables[0]))
             log_abs, sign = _amplitudes(self, len(tables), lambda j: (
                 tables[j], logs[j]), picks)
             return log_abs[expand], sign[expand]
@@ -401,15 +406,14 @@ def _data_log_z(model) -> float:
 # -- amplitudes --------------------------------------------------------------
 
 def _rescale_rows(m, logs):
-    """Scale each row of ``m`` to unit max magnitude in place, adding the
-    log of its factor to ``logs``; zero rows stay zero.  (The ``initial``
-    changes no value and halves the reduction's time on rows of 8 or more
-    floats.)"""
-    mx = np.abs(m).max(axis=1, initial=0.0)
-    if not mx.all():
-        mx[mx == 0.0] = 1.0
-    m /= mx[:, None]
-    logs += np.log(mx)
+    """Scale each row of ``m`` in place by the power of two 2^-e that puts
+    its max magnitude in [0.5, 1), adding e·ln 2 to ``logs``: no mantissa
+    bit changes, and a zero row keeps its bits and log.  (``np.ldexp``, as a
+    factor 2^-e overflows at a subnormal max; ``initial`` halves the
+    reduction's time on rows of 8 or more floats.)"""
+    e = np.frexp(np.abs(m).max(axis=1, initial=0.0))[1]
+    np.ldexp(m, -e[:, None], out=m)
+    logs += e * math.log(2.0)
     return m, logs
 
 
@@ -419,8 +423,8 @@ def _contract_node(t: DenseTensor, parts, out=None):
 
     ``parts`` lists the messages in axis order.  The message on the lowest
     axis enters by one GEMM, the other (if any) by a per-sample product.
-    Returns the (rows, logs) message along ``out``, row-scaled, or for a
-    full contraction the unscaled per-sample values, each with new logs.
+    Returns the (rows, logs) message along ``out``, unscaled, or for a full
+    contraction the per-sample values, each with new logs.
     """
     axes = [a for a in range(t.ndim) if a != out]
     m, logs = parts[0]
@@ -434,9 +438,7 @@ def _contract_node(t: DenseTensor, parts, out=None):
         x = np.einsum(x, range(x.ndim), m, [0, axes[1]], keep)
     else:
         logs = logs.copy()
-    if out is None:
-        return x, logs
-    return _rescale_rows(x, logs)
+    return x, logs
 
 
 def _signed_logs(val: np.ndarray, logs: np.ndarray):
@@ -466,7 +468,7 @@ def _lifted(model: TtnModel, first: int, tables, logs, scaled: bool):
     table is sum_ab L[i, a] T[:, a, b] R[j, b] for its children's tables L
     (ka, Da) and R (kb, Db), kb·Db·Da·D + ka·kb·Da·D multiply-adds.  Each
     shape class is one array, written by two stacked products a few nodes
-    at a time, and with ``scaled`` their rows are scaled to unit max."""
+    at a time; ``scaled`` rescales their rows (``_rescale_rows``)."""
     nodes = [_node_data(model, k) for k in range(first, 2 * first)]
     logs = (logs[0::2, :, None] + logs[1::2, None, :]).reshape(first, -1)
     level, classes = [None] * first, {}
@@ -561,7 +563,8 @@ def _amplitudes(model: TtnModel, first: int, message, picks=()):
         parts = [up(2 * n), up(2 * n + 1)]
         if n in picks:
             parts = [(m[i], logs[i]) for (m, logs), i in zip(parts, picks[n])]
-        return _contract_node(model.tensors[n], parts, 0 if n > 1 else None)
+        x = _contract_node(model.tensors[n], parts, 0 if n > 1 else None)
+        return _rescale_rows(*x) if n > 1 else x
 
     rows, logs = up(1)
     return _signed_logs(rows.reshape(-1), logs)

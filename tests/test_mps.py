@@ -366,6 +366,55 @@ class TestChainKernel:
         assert np.all(blocked < -4700.0)
         assert np.all(np.abs(walked - blocked) <= 1e-13 * np.abs(blocked))
 
+    @pytest.mark.parametrize("center", [0, 7, 40, 63])
+    def test_deferred_rescales_match_a_rescale_per_pair(self, monkeypatch,
+                                                        center):
+        # the messages' bits are the same; only the logs' sums round apart
+        model = canonicalize(mps_build_random(64, 8, seed=78), center)
+        rows = gen_random_patterns(64, 50, seed=79).samples
+        deferred = mps_log_probs(model, rows)
+        monkeypatch.setattr(mps, "_SPAN", 1)
+        per_pair = mps_log_probs(model, rows)
+        assert np.all(np.abs(deferred - per_pair)
+                      <= 1e-14 * np.abs(per_pair))
+
+    def test_rows_that_underflow_inside_a_span_are_walked_again(
+            self, monkeypatch):
+        # each pixel's amplitude is 1e-150 at 1, so an all-ones row's
+        # message underflows to zero inside one span of rescales
+        model = sharp_product_mps(1024, 1e-300)
+        rows = np.zeros((7, 1024), dtype=np.uint8)
+        rows[::3] = 1
+        whole = mps_log_probs(model, rows)
+        want = 1024 * math.log(1e-300)
+        assert np.all(np.abs(whole[::3] - want) <= 1e-13 * abs(want))
+        assert np.all(np.abs(np.delete(whole, [0, 3, 6])) < 1e-13)
+        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: 3)
+        assert np.array_equal(mps_log_probs(model, rows), whole)
+
+    def test_a_row_below_the_floor_before_the_centre_is_walked_again(self):
+        # sites of amplitude 1e-160 at 1 around a centre of 1e150 at 1: the
+        # row's message is subnormal, 1e-320, just before the centre pair,
+        # which would lift it to 1e-170 with its lost bits
+        site = DenseTensor(np.array([1.0, 1e-160]).reshape(1, 2, 1))
+        centre = DenseTensor(np.array([1.0, 1e150]).reshape(1, 2, 1))
+        model = MpsModel([site] * 20 + [centre] + [site] * 11,
+                         canonical_center=20, d_max=1)
+        row = np.zeros((1, 32), dtype=np.uint8)
+        row[0, [17, 18, 20]] = 1
+        want = (2 * (2 * math.log(1e-160) + math.log(1e150))
+                - math.log1p(1e300))
+        got = mps_log_probs(model, row)[0]
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_a_zero_amplitude_reads_minus_inf_after_an_underflow(self):
+        model = sharp_product_mps(1024, 1e-300)
+        model.tensors[700] = DenseTensor(np.array([[[1.0], [0.0]]]))
+        rows = np.ones((3, 1024), dtype=np.uint8)
+        rows[1, :700] = rows[2, 701:] = 0
+        got = mps_log_probs(model, rows)
+        assert np.all(got == -np.inf)
+
 
 class TestSamplerCore:
     @pytest.mark.parametrize("center", [0, 11])

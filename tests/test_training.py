@@ -9,7 +9,7 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      max_canonical_deviation, merged_tensor, mps_build_random,
                      nll, partition_function, sweep_epoch, train)
 from ttnborn.errors import DegenerateSampleError, StateError
-from ttnborn.training import _EnvCache, sweep_steps
+from ttnborn.training import _EnvCache, _unit_max_rows, sweep_steps
 
 from helpers import (all_configs, brute_force_amplitudes, mps_from_patterns,
                      mps_state_vector, ttn_from_patterns)
@@ -223,6 +223,27 @@ class TestGradientTwoSite:
             checked += 1
             if checked >= 24:   # two dozen entries per edge keep this quick
                 break
+
+
+class TestUnitMaxRows:
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_matches_the_masked_formula_bit_for_bit(self, zero_row):
+        # the environment messages' scale: negative entries, subnormals
+        # and, with zero_row, a row of zeros (signed, so a lost -0.0 shows)
+        m = np.array([[-3.0, 1.5, 0.0, 2.0],
+                      [5e-324, -1e-310, 0.0, 2.5e-320],
+                      [2.0, -7.0, 1e-300, -0.0],
+                      [-1e300, 3e299, -2e-5, 1.0]])
+        if zero_row:
+            m[1] = [0.0, -0.0, 0.0, 0.0]
+        logs = np.array([0.5, -1.0, 2.0, -3.25])
+        mx = np.max(np.abs(m), axis=1)
+        mx[mx == 0.0] = 1.0
+        want, want_logs = m / mx[:, None], logs + np.log(mx)
+        got, got_logs = _unit_max_rows(m.copy(), logs.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_logs.view(np.int64),
+                              want_logs.view(np.int64))
 
 
 class TestSweepEpoch:

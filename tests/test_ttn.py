@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -244,9 +245,9 @@ class TestAmplitude:
 
 class TestRescaleRows:
     @pytest.mark.parametrize("zero_row", [False, True])
-    def test_matches_the_masked_formula_bit_for_bit(self, zero_row):
-        # negative entries, subnormals and, with zero_row, a row of zeros
-        # (signed, so a lost -0.0 shows in the bits)
+    def test_scales_each_row_by_a_power_of_two_bit_for_bit(self, zero_row):
+        # negative entries, subnormals, a 1e300 row and, with zero_row, a
+        # row of zeros (signed, so a lost -0.0 shows in the bits)
         m = np.array([[-3.0, 1.5, 0.0, 2.0],
                       [5e-324, -1e-310, 0.0, 2.5e-320],
                       [2.0, -7.0, 1e-300, -0.0],
@@ -254,13 +255,17 @@ class TestRescaleRows:
         if zero_row:
             m[1] = [0.0, -0.0, 0.0, 0.0]
         logs = np.array([0.5, -1.0, 2.0, -3.25])
-        mx = np.max(np.abs(m), axis=1)
-        mx[mx == 0.0] = 1.0
-        want, want_logs = m / mx[:, None], logs + np.log(mx)
-        got, got_logs = _rescale_rows(m.copy(), logs.copy())
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(got_logs.view(np.int64),
-                              want_logs.view(np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, got_logs = _rescale_rows(m.copy(), logs.copy())
+        e = np.rint((got_logs - logs) / math.log(2.0)).astype(int)
+        assert np.all(np.abs(got_logs - logs - e * math.log(2.0)) < 1e-12)
+        assert np.array_equal(np.ldexp(got, e[:, None]).view(np.int64),
+                              m.view(np.int64))
+        top = np.abs(got).max(axis=1)
+        nonzero = np.abs(m).max(axis=1) > 0.0
+        assert np.all((top[nonzero] >= 0.5) & (top[nonzero] < 1.0))
+        assert nonzero.all() != zero_row
         if zero_row:
             assert np.array_equal(got[1].view(np.int64),
                                   m[1].view(np.int64))
