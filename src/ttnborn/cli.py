@@ -58,6 +58,8 @@ def _read_config_file(path):
 
 
 def _resolve_ordering(dataset: BinaryDataset, order: str, shape):
+    """The leaf ordering of ``dataset`` under --order and --shape."""
+    image_shape = dataset.image_shape
     if shape:
         try:
             h, w = (int(x) for x in shape.lower().split("x"))
@@ -66,13 +68,13 @@ def _resolve_ordering(dataset: BinaryDataset, order: str, shape):
         if h * w != dataset.n_pixels:
             raise DimensionError(
                 f"--shape {shape} does not match {dataset.n_pixels} pixels")
-        dataset = BinaryDataset(dataset.samples, (h, w), dataset.name)
+        image_shape = (h, w)
     if order == "2d":
-        if len(dataset.image_shape) != 2:
+        if len(image_shape) != 2:
             raise DimensionError(
                 "--order 2d needs 2-D shaped data; pass --shape HxW")
-        return dataset, make_ordering("hierarchical-2d", dataset.image_shape)
-    return dataset, make_ordering("raster-1d", dataset.image_shape)
+        return make_ordering("hierarchical-2d", image_shape)
+    return make_ordering("raster-1d", image_shape)
 
 
 def _load_dataset(path):
@@ -83,10 +85,11 @@ def _load_dataset(path):
     return load_binarized_text(path)
 
 
-def _load_ordered(path, order, shape):
+def _leaf_rows(path, desc):
+    """The rows of a data file in a model's leaf order ``desc``, or as
+    stored when the model has none."""
     dataset = _load_dataset(path)
-    dataset, desc = _resolve_ordering(dataset, order, shape)
-    return dataset, desc, apply_ordering(dataset, desc)
+    return dataset.samples if desc is None else apply_ordering(dataset, desc)
 
 
 def cmd_train(args) -> int:
@@ -98,11 +101,11 @@ def cmd_train(args) -> int:
     for path in [args.data] + ([args.test_data] if args.test_data else []):
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-    dataset, desc, matrix = _load_ordered(args.data, args.order, args.shape)
+    dataset = _load_dataset(args.data)
+    desc = _resolve_ordering(dataset, args.order, args.shape)
+    matrix = apply_ordering(dataset, desc)
     if args.test_data:   # read and checked before anything is written
-        test_ds, _ = _resolve_ordering(_load_dataset(args.test_data),
-                                       args.order, args.shape)
-        test_matrix = apply_ordering(test_ds, desc)
+        test_matrix = _leaf_rows(args.test_data, desc)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.ttnborn")
     stats_path = os.path.join(args.out, "stats.csv")
@@ -150,16 +153,7 @@ def _load_model(path, command=None):
 
 def cmd_eval(args) -> int:
     model, header, desc = _load_model(args.model_path)
-    dataset = _load_dataset(args.data)
-    if desc is not None:
-        if dataset.n_pixels != int(np.prod(desc.raw_shape)):
-            raise DimensionError(
-                f"dataset has {dataset.n_pixels} pixels, model expects "
-                f"{int(np.prod(desc.raw_shape))}")
-        matrix = apply_ordering(
-            BinaryDataset(dataset.samples, desc.raw_shape, dataset.name), desc)
-    else:
-        matrix = dataset.samples
+    matrix = _leaf_rows(args.data, desc)
     if header["model_type"] == "treefg":
         value, log_z = fgm.fg_nll(model, matrix), fgm.sum_product_log_z(model)
     else:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import DimensionError, FormatError, ParseError
+from .ttn import sample_matrix
 
 
 @dataclass
@@ -34,12 +35,10 @@ class BinaryDataset:
     name: str = ""
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.uint8)
-        if self.samples.ndim != 2 or 0 in self.samples.shape:
-            raise FormatError("samples must be a 2-D matrix with at least "
-                              "one row and one pixel")
-        if not np.all((self.samples == 0) | (self.samples == 1)):
-            raise FormatError("samples must contain only 0 and 1")
+        try:
+            self.samples = sample_matrix(self.samples)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
         self.image_shape = tuple(int(x) for x in self.image_shape)
         if int(np.prod(self.image_shape)) != self.samples.shape[1]:
             raise FormatError(
@@ -126,7 +125,7 @@ def make_ordering(kind: str, image_shape) -> OrderingDescriptor:
 def apply_ordering(dataset: BinaryDataset, desc: OrderingDescriptor) -> np.ndarray:
     """Route raw samples into leaf order; padding slots are filled with 0."""
     if dataset.n_pixels != len(desc.permutation):
-        raise ValueError(
+        raise DimensionError(
             f"dataset has {dataset.n_pixels} pixels but ordering expects "
             f"{len(desc.permutation)}")
     out = np.zeros((dataset.n_samples, desc.padded_size), dtype=np.uint8)

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import DimensionError, TopologyError
 from .tensor import DenseTensor, qr_split
 from .training import MAX_BACKTRACKS
-from .ttn import (TtnModel, _check_pixel_values, _clamp_weights,
-                  _in_window, _row_chunks)
+from .ttn import (TtnModel, _clamp_weights, _in_window, _row_chunks,
+                  sample_matrix)
 
 
 class TreeFactorGraph:
@@ -110,15 +110,6 @@ def _edge_marginals(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(fg: TreeFactorGraph, dataset) -> np.ndarray:
-    """The checked (S, pixels) uint8 rows of a dataset or array."""
-    samples = np.atleast_2d(_check_pixel_values(
-        getattr(dataset, "samples", dataset)))
-    if samples.shape[1] != fg.n_sites:
-        raise DimensionError(f"expected {fg.n_sites} pixels, got {samples.shape[1]}")
-    return samples.astype(np.uint8, copy=False)
-
-
 def _chunks(fg: TreeFactorGraph, rows: np.ndarray):
     """(2, S, n) one-hot pixel weights of ``rows``, chunk by chunk; both
     passes hold about 16 floats per pixel of a row."""
@@ -136,7 +127,7 @@ def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
 
 def fg_log_ptilde(fg: TreeFactorGraph, samples) -> np.ndarray:
     """log of the unnormalized probability of fully clamped configurations."""
-    rows = _rows(fg, samples)
+    rows = sample_matrix(samples, fg.n_sites)
     out = np.empty(rows.shape[0])
     for chunk, weights in _chunks(fg, rows):
         out[chunk] = _levels(fg.factors, weights)[0]
@@ -152,7 +143,7 @@ def fg_gradient(fg: TreeFactorGraph, samples) -> np.ndarray:
     """Gradient of the NLL in log-parameter space, stacked like ``factors``:
     d NLL / d log f_e[a, b] = P_free(edge e = (a, b)) - mean_clamped P(...),
     both terms exact by sum-product."""
-    rows = _rows(fg, samples)
+    rows = sample_matrix(samples, fg.n_sites)
     clamped = np.zeros_like(fg.factors)
     for _, weights in _chunks(fg, rows):
         clamped += _edge_marginals(fg.factors, weights)
@@ -168,7 +159,7 @@ def fg_train(fg: TreeFactorGraph, dataset, config, *, on_epoch=None) -> tuple:
     rejected.  ``on_epoch(fg, epoch, stats)`` runs after every epoch, as in
     ``training.train``.
     """
-    samples = _rows(fg, dataset)
+    samples = sample_matrix(dataset, fg.n_sites)
     stats = {"nll": [], "seconds": [], "rejected_steps": 0}
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

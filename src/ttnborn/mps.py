@@ -22,7 +22,7 @@ from .training import (TrainConfig, _exit_epoch, _sweep,
                        guarded_merge_factors, train)
 from .ttn import (BornMachine, Pixel, _rescale_rows, _rooted_copy,
                   _signed_logs, canonicalize, correlation_map, log_probs,
-                  max_canonical_deviation, nll, push_qr,
+                  max_canonical_deviation, nll, push_qr, sample_matrix,
                   single_site_marginals)
 
 
@@ -220,8 +220,8 @@ def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,
 def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,
               on_epoch=None):
     """Train an MPS Born machine with the shared loop, ``training.train``;
-    builds a fresh random model unless given one."""
+    builds a fresh random model, as wide as the rows, unless given one."""
+    samples = sample_matrix(dataset)   # its width is checked by ``train``
     if model is None:
-        samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
         model = mps_build_random(samples.shape[1], config.d_max, config.seed)
-    return train(model, dataset, config, on_epoch=on_epoch)
+    return train(model, samples, config, on_epoch=on_epoch)

@@ -69,17 +69,16 @@ def read_pbm_dir(path) -> np.ndarray:
     return np.stack([img.ravel() for img in images]), shape
 
 
-def write_contact_sheet(path, images, cols: int = None, gap: int = 1):
-    """Tile images into one PBM with a white separator between tiles."""
+def write_contact_sheet(path, images):
+    """Tile images into one PBM, ceil(sqrt(count)) to a row, with a
+    one-pixel white separator between tiles."""
     images = np.asarray(images)
     count, h, w = images.shape
-    if cols is None:
-        cols = int(np.ceil(np.sqrt(count)))
+    cols = int(np.ceil(np.sqrt(count)))
     rows = (count + cols - 1) // cols
-    sheet = np.zeros((rows * h + (rows - 1) * gap,
-                      cols * w + (cols - 1) * gap), dtype=np.uint8)
+    sheet = np.zeros((rows * (h + 1) - 1, cols * (w + 1) - 1), dtype=np.uint8)
     for i in range(count):
         r, c = divmod(i, cols)
-        sheet[r * (h + gap):r * (h + gap) + h,
-              c * (w + gap):c * (w + gap) + w] = images[i]
+        sheet[r * (h + 1):r * (h + 1) + h,
+              c * (w + 1):c * (w + 1) + w] = images[i]
     write_pbm(path, sheet)

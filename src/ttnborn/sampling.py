@@ -47,7 +47,8 @@ import os
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .ttn import BornMachine, _data_log_z, _rescale_rows, _row_chunks
+from .ttn import (BornMachine, _data_log_z, _rescale_rows, _row_chunks,
+                  sample_matrix)
 from .data import OrderingDescriptor, invert_ordering
 from . import pbm
 
@@ -169,12 +170,13 @@ def save_samples_pbm(samples: np.ndarray, shape, out_dir, *,
                      prefix: str = "sample", sheet: bool = False):
     """Write samples as PBM (P4) files, one per sample or a tiled sheet.
 
-    ``shape`` is (height, width); flat sample vectors are reshaped to it.
-    Returns the list of paths written.
+    ``shape`` is (height, width); flat sample vectors, checked by
+    ``ttn.sample_matrix``, are reshaped to it.  Returns the list of paths
+    written.
     """
-    samples = np.asarray(samples)
     h, w = (shape if len(shape) == 2 else (1, int(shape[0])))
-    images = samples.reshape(samples.shape[0], h, w)
+    samples = sample_matrix(samples, h * w)
+    images = samples.reshape(-1, h, w)
     os.makedirs(out_dir, exist_ok=True)
     if sheet:
         path = os.path.join(out_dir, f"{prefix}_sheet.pbm")

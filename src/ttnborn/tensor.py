@@ -4,8 +4,8 @@ Every multi-way array in this package is a ``DenseTensor``, a thin holder of
 a float64 ndarray ``data``.  What keeps contractions of ~1000 tensors finite
 is one log scale per model, its ``log_norm`` (``ttn.BornMachine``).
 
-Three operations cover everything built on top: matricized QR, truncated
-SVD, and the Frobenius norm.
+Four operations cover everything built on top: matricized QR, truncated
+SVD, the Frobenius norm and the row-wise Kronecker product.
 """
 
 from __future__ import annotations
@@ -185,6 +185,16 @@ def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
         v=DenseTensor(np.ascontiguousarray(vt.T).reshape(col_dims + [k]),
                       validate=False),
         truncation_error=err)
+
+
+def kron_rows(mats):
+    """The row-wise Kronecker product of (S, d_i) matrices, (S, prod d_i),
+    the first one's index most significant; formed left to right, so the
+    first matrix itself when there is one."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, :, None] * m[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def frobenius_norm(t: DenseTensor) -> float:

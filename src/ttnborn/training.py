@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
 from .tensor import (DenseTensor, _svd_sign_fix, _truncated_svd, kept_rank,
-                     move_axis)
+                     kron_rows, move_axis)
 from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward,
                   canonicalize, nll, push_qr, sample_matrix)
 
@@ -103,7 +103,6 @@ class TrainStats:
     truncation_errors: list = field(default_factory=list)  # one list per epoch
     rejected_steps: int = 0
     zero_amplitude_warnings: int = 0
-    final_bond_dims: dict = field(default_factory=dict)
 
     def mean_truncation_errors(self):
         return [float(np.mean(t)) if t else 0.0 for t in self.truncation_errors]
@@ -151,7 +150,7 @@ class _EnvCache:
 
     def __init__(self, model, samples: np.ndarray, center: int):
         self.model = model
-        self.samples = np.asarray(samples, dtype=np.uint8)
+        self.samples = samples     # checked uint8 rows (``sample_matrix``)
         self.n_samples = self.samples.shape[0]
         self.msgs = {}
         # the logs of every unscaled message: one shared, never written
@@ -188,14 +187,6 @@ class _EnvCache:
 
 
 # -- the gradient step ---------------------------------------------------------
-
-
-def _kron_rows(parts):
-    out = parts[0][0]
-    for m, _ in parts[1:]:
-        s = out.shape[0]
-        out = (out[:, :, None] * m[:, None, :]).reshape(s, -1)
-    return out
 
 
 def _env_outer(uk, w, vj):
@@ -310,7 +301,7 @@ def _site_operands(model, cache, k):
     t = model.tensors[k].data
     parts = cache.center_parts(k)
     return (t.reshape(-1, t.shape[-1]), np.eye(t.shape[-1]),
-            _kron_rows(parts[:-1]), parts[-1][0])
+            kron_rows([m for m, _ in parts[:-1]]), parts[-1][0])
 
 
 def _matricize_pair(model, k, j):
@@ -334,8 +325,8 @@ def _merge_operands(model, cache, k, j):
     merge, and (k_dims, j_dims, topology) from ``_matricize_pair``."""
     kmat, jmat, k_dims, j_dims, pair = _matricize_pair(model, k, j)
     sites_k, sites_j, ak, aj = pair
-    uk = _kron_rows(cache.center_parts(k, ak, sites_k))
-    vj = _kron_rows(cache.center_parts(j, aj, sites_j))
+    uk = kron_rows([m for m, _ in cache.center_parts(k, ak, sites_k)])
+    vj = kron_rows([m for m, _ in cache.center_parts(j, aj, sites_j)])
     return (kmat, jmat, uk, vj), (k_dims, j_dims, pair)
 
 
@@ -659,11 +650,11 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
 
 
 def _exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
-    """The shared exit of a sweep epoch: records its NLL, time and bonds."""
+    """The shared exit of a sweep epoch: records its NLL, time and largest
+    bond."""
     stats.nll.append(epoch_nll)
     stats.seconds.append(seconds)
     stats.max_bond.append(model.max_bond())
-    stats.final_bond_dims = {str(k): int(v) for k, v in model.bond_dims().items()}
     return model, stats
 
 

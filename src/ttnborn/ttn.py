@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import (DegenerateDistributionError, DimensionError, StateError,
                      TopologyError)
-from .tensor import NEG_INF, DenseTensor, frobenius_norm, move_axis, qr_split
+from .tensor import (NEG_INF, DenseTensor, frobenius_norm, kron_rows,
+                     move_axis, qr_split)
 
 _EYE2 = np.eye(2)
 _TINY = np.finfo(float).tiny
@@ -515,12 +516,6 @@ def _group_blocks(model: TtnModel, scaled: bool = False):
 _OCTET_MARGIN = 2.0
 
 
-def _kron_groups(v: np.ndarray) -> np.ndarray:
-    """(..., 16) products of (..., 4, 2) per-pixel vectors, in row order."""
-    return np.einsum("...a,...b,...c,...d->...abcd",
-                     *np.moveaxis(v, -2, 0)).reshape(v.shape[:-2] + (16,))
-
-
 def _pattern_picks(labels: np.ndarray, bound: int):
     """``_amplitudes``'s picks, node -> the rows of its children's messages
     it contracts, and the index that expands the root's values to rows,
@@ -587,7 +582,7 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
             f"{vectors.shape}")
     blocks, _ = _group_blocks(model)
     log_abs, sign = _amplitudes(model, len(blocks), lambda j: _rescale_rows(
-        _kron_groups(vectors[:, 4 * j:4 * j + 4]) @ blocks[j],
+        kron_rows(vectors.transpose(1, 0, 2)[4 * j:4 * j + 4]) @ blocks[j],
         np.zeros(vectors.shape[0])))
     return log_abs + model.log_norm, sign
 
@@ -622,19 +617,15 @@ def _row_chunks(row_floats: int, count: int):
 
 def log_probs(model: BornMachine, samples) -> np.ndarray:
     """log p(x) for a batch of samples, of either model; -inf where the
-    amplitude is zero.  The rows are checked once, then passed chunk by
-    chunk, as uint8, to the model's ``_amplitude_kernel``; neither its
+    amplitude is zero.  The rows are checked once (``sample_matrix``), then
+    passed chunk by chunk to the model's ``_amplitude_kernel``; neither its
     amplitudes nor this log Z include ``log_norm``."""
     log_z = _data_log_z(model)
-    samples = np.atleast_2d(_check_pixel_values(samples))
-    if samples.shape[1] != model.n_sites:
-        raise DimensionError(f"samples have {samples.shape[1]} pixels, "
-                             f"model has {model.n_sites}")
+    samples = sample_matrix(samples, model.n_sites)
     row_floats, kernel = model._amplitude_kernel()
     out = np.empty(samples.shape[0])
     for rows in _row_chunks(row_floats, samples.shape[0]):
-        out[rows] = _born_log_probs(log_z, *kernel(
-            samples[rows].astype(np.uint8, copy=False)))
+        out[rows] = _born_log_probs(log_z, *kernel(samples[rows]))
     return out
 
 
@@ -718,10 +709,7 @@ def _doubled_marginals(view: BornMachine, assignments) -> np.ndarray:
         if isinstance(first, slice):
             pixels = range(n_sites)[first]
             if not clamped.isdisjoint(pixels):
-                w = ops[:, pixels[0]]
-                for k in pixels[1:]:
-                    w = (w[:, :, None] * ops[:, k, None]).reshape(count, -1)
-                weights[e] = w
+                weights[e] = kron_rows(ops.transpose(1, 0, 2)[first])
         u1 = weights.get(e) if isinstance(first, slice) else up.get(first)
         u2 = up.get(second)
         if e and (u1 is not None or u2 is not None):
@@ -797,30 +785,32 @@ def single_site_marginals(model, assignment=None) -> np.ndarray:
                               [dict(assignment or {})])[0]
 
 
-def sample_matrix(dataset, n_sites: int) -> np.ndarray:
-    """The (S, n_sites) sample matrix of a dataset or array, checked, as
-    uint8 (a bool matrix would index as a mask); not copied if it is."""
-    samples = dataset.samples if hasattr(dataset, "samples") else np.asarray(dataset)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("dataset must be a nonempty matrix of samples")
-    if samples.shape[1] != n_sites:
+def sample_matrix(rows, n_sites=None) -> np.ndarray:
+    """The one check of pixel rows, a ``BinaryDataset`` or an array-like:
+    an (S, n_sites) uint8 matrix (a bool one would index as a mask), not
+    copied if the rows already are one.  A 1-D array is one row.  There
+    must be a row, of ``n_sites`` pixels unless that is None, and every
+    value must be 0 or 1 (as an index, -1 would read as pixel value 1),
+    checked by min and max for integers and bools; the first bad one is
+    named."""
+    samples = np.asarray(getattr(rows, "samples", rows))
+    if samples.ndim == 1:
+        samples = samples[None]
+    if samples.ndim != 2:
+        raise DimensionError(f"rows must be a 1-D or 2-D array, got "
+                             f"{samples.ndim}-D")
+    if n_sites is not None and samples.shape[1] != n_sites:
         raise DimensionError(
-            f"dataset has {samples.shape[1]} pixels, model has {n_sites}")
-    return _check_pixel_values(samples).astype(np.uint8, copy=False)
-
-
-def _check_pixel_values(samples) -> np.ndarray:
-    """``samples`` as an array, once every value is checked to be 0 or 1
-    (as an index, -1 would silently read as pixel value 1): integers and
-    bools by their min and max, other dtypes value by value."""
-    samples = np.asarray(samples)
-    if samples.dtype.kind in "biu" and (
-            samples.size == 0 or samples.min() >= 0 and samples.max() <= 1):
-        return samples
-    bad = (samples != 0) & (samples != 1)
-    if np.any(bad):
-        raise ValueError(f"pixel values must be 0 or 1, got {samples[bad][0]}")
-    return samples
+            f"rows have {samples.shape[1]} pixels, model has {n_sites}")
+    if 0 in samples.shape:
+        raise ValueError("need at least one row of pixels")
+    if not (samples.dtype.kind in "biu"
+            and samples.min() >= 0 and samples.max() <= 1):
+        bad = (samples != 0) & (samples != 1)
+        if np.any(bad):
+            raise ValueError(
+                f"pixel values must be 0 or 1, got {samples[bad][0]}")
+    return samples.astype(np.uint8, copy=False)
 
 
 def _check_pixel(k: int, n_sites: int):

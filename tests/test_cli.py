@@ -458,3 +458,35 @@ class TestUndecodableText:
         err = capsys.readouterr().err
         assert "error [parse]: line 2, column 11: byte 0xc3" in err
         assert not out.exists()
+
+
+class TestLeafRows:
+    """``eval --data`` and ``train --test-data`` reach leaf order one way,
+    so a data file of another pixel count is a shape error in both."""
+
+    @pytest.fixture
+    def narrow_file(self, tmp_path):
+        path = tmp_path / "narrow.txt"
+        assert run(["gen-random", "--n-pixels", 12, "--count", 3,
+                    "--seed", 1, "--out", path]) == 0
+        return path
+
+    def test_test_data_fails_before_training_writes(
+            self, patterns_file, narrow_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--data", patterns_file, "--test-data",
+                  narrow_file, "--dmax", 2, "--epochs", 1, "--seed", 1,
+                  "--out", out])
+        assert rc == 1
+        assert "error [shape]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_data(self, patterns_file, narrow_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["train", "--data", patterns_file, "--dmax", 2,
+                    "--epochs", 1, "--seed", 1, "--out", out]) == 0
+        capsys.readouterr()
+        rc = run(["eval", "--model-path", out / "model.ttnborn",
+                  "--data", narrow_file])
+        assert rc == 1
+        assert "error [shape]" in capsys.readouterr().err

@@ -213,6 +213,15 @@ class TestPbm:
         with pytest.raises(FormatError):
             BinaryDataset(np.zeros(shape, dtype=np.uint8), (shape[1],))
 
+    @pytest.mark.parametrize("value, dtype", [(0.5, np.float64),
+                                              (256, np.int64)])
+    def test_dataset_values_outside_0_1_rejected(self, value, dtype):
+        # checked before the cast to uint8, which reads both as 0
+        rows = np.zeros((2, 4), dtype=dtype)
+        rows[1, 2] = value
+        with pytest.raises(FormatError, match="0 or 1"):
+            BinaryDataset(rows, (4,))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pbm"
         path.write_bytes(b"P1\n2 2\n0 1 1 0\n")

@@ -1,6 +1,7 @@
 """The evaluation and sampling drivers that both Born machines share:
 ``log_probs`` and ``sample_batch`` walk the rows in chunks of
-``ttn._chunk_rows`` and hand each chunk to the model's kernel."""
+``ttn._chunk_rows`` and hand each chunk to the model's kernel.  Every
+function that takes pixel rows checks them by ``ttn.sample_matrix``."""
 
 import tracemalloc
 
@@ -8,9 +9,14 @@ import numpy as np
 import pytest
 
 import ttnborn.ttn as ttn
-from ttnborn import (build_random, canonicalize, gen_random_patterns,
-                     log_probs, mps_build_random, sample_batch)
-from ttnborn.mps import mps_log_probs, mps_sample_batch
+from ttnborn import (BinaryDataset, TrainConfig, build_random, canonicalize,
+                     fg_nll, fg_train, gen_random_patterns, gradient_one_site,
+                     gradient_two_site, heap_shaped_fg, log_probs,
+                     mps_build_random, mps_train, nll, sample_batch,
+                     sweep_epoch, train)
+from ttnborn.errors import DimensionError
+from ttnborn.factor_graph import fg_gradient, fg_log_ptilde
+from ttnborn.mps import mps_log_probs, mps_sample_batch, mps_sweep_epoch
 
 from helpers import count_lifts, uneven_mps, uneven_ttn
 
@@ -71,15 +77,94 @@ class TestOctetTableBuilds:
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
+def _tree(center=7):
+    model = build_random(8, 2, seed=1)
+    return canonicalize(model, center)
+
+
+def _chain():
+    return mps_build_random(8, 2, seed=1)
+
+
+_CFG = TrainConfig(d_max=2, epochs=1, seed=0)
+
+# Every function that takes pixel rows, each on a fresh 8-pixel model, as
+# rows -> a result that two calls on the same rows give bit for bit.
+ROW_ENTRY_POINTS = {
+    "sample_matrix": lambda rows: ttn.sample_matrix(rows, 8),
+    "log_probs": lambda rows: log_probs(_tree(), rows),
+    "mps_log_probs": lambda rows: mps_log_probs(_chain(), rows),
+    "nll": lambda rows: nll(_tree(), rows),
+    "train": lambda rows: train(_tree(), rows, _CFG)[1].nll,
+    "sweep_epoch": lambda rows: sweep_epoch(_tree(), rows, _CFG)[1].nll,
+    "mps_sweep_epoch":
+        lambda rows: mps_sweep_epoch(_chain(), rows, _CFG)[1].nll,
+    "gradient_one_site":
+        lambda rows: gradient_one_site(_tree(3), rows, 3).data,
+    "gradient_two_site":
+        lambda rows: gradient_two_site(_tree(3), (3, 6), rows).data,
+    # sized from the rows, so that any width is accepted
+    "mps_train": lambda rows: mps_train(rows, _CFG)[1].nll,
+    "mps_train(model)":
+        lambda rows: mps_train(rows, _CFG, model=_chain())[1].nll,
+    "fg_log_ptilde": lambda rows: fg_log_ptilde(heap_shaped_fg(8, 1), rows),
+    "fg_nll": lambda rows: fg_nll(heap_shaped_fg(8, 1), rows),
+    "fg_gradient": lambda rows: fg_gradient(heap_shaped_fg(8, 1), rows),
+    "fg_train":
+        lambda rows: fg_train(heap_shaped_fg(8, 1), rows, _CFG)[1]["nll"],
+}
+
+_ROWS = gen_random_patterns(8, 5, seed=4).samples
+
+
+def _with(value, dtype):
+    rows = _ROWS.astype(dtype)
+    rows[2, 3] = value
+    return rows
+
+
+ACCEPTED_ROWS = {
+    "uint8": _ROWS, "bool": _ROWS.astype(bool),
+    "int64": _ROWS.astype(np.int64), "float64": _ROWS.astype(np.float64),
+    "list": _ROWS.tolist(), "dataset": BinaryDataset(_ROWS, (8,)),
+}
+REJECTED_ROWS = {
+    "no rows": (_ROWS[:0], ValueError),
+    "3-D": (_ROWS[None], DimensionError),
+    "width": (_ROWS[:, :7], DimensionError),
+    "value 2": (_with(2, np.uint8), ValueError),
+    "value 0.5": (_with(0.5, np.float64), ValueError),
+    "value -1": (_with(-1, np.int64), ValueError),
+}
+
+
 class TestRowTypes:
     @pytest.mark.parametrize("kind", ["ttn", "mps"])
     def test_every_0_1_dtype_evaluates_alike(self, kind):
-        # the kernels index with the row values, so chunks are cast to uint8
+        # the kernels index with the row values, so rows are cast to uint8
         model, evaluate, _ = _models()[kind]
         rows = gen_random_patterns(16, 40, seed=4).samples
         want = evaluate(model, rows.astype(np.uint8))
         for dtype in (np.int64, np.bool_, np.float64):
             assert np.array_equal(evaluate(model, rows.astype(dtype)), want)
+
+    @pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
+    def test_every_accepted_form_gives_one_result(self, entry):
+        call = ROW_ENTRY_POINTS[entry]
+        want = call(_ROWS)
+        for form, rows in ACCEPTED_ROWS.items():
+            assert np.array_equal(call(rows), want), form
+        # a 1-D array is one row
+        assert np.array_equal(call(_ROWS[0]), call(_ROWS[:1]))
+
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case) for entry in ROW_ENTRY_POINTS for case in REJECTED_ROWS
+        if (entry, case) != ("mps_train", "width")])
+    def test_every_rejected_form_raises_one_typed_error(self, entry, case):
+        rows, error = REJECTED_ROWS[case]
+        with pytest.raises(ValueError) as err:
+            ROW_ENTRY_POINTS[entry](rows)
+        assert type(err.value) is error
 
 
 class TestChainSamplerMemory:

@@ -6,7 +6,8 @@ from ttnborn import (DenseTensor, build_random, canonicalize,
                      mps_build_random, sample_batch, save_samples_pbm, train,
                      TrainConfig)
 from ttnborn import pbm
-from ttnborn.errors import DegenerateDistributionError, StateError
+from ttnborn.errors import (DegenerateDistributionError, DimensionError,
+                            StateError)
 from ttnborn.sampling import _sampler
 from ttnborn.ttn import _rooted_copy
 
@@ -367,6 +368,19 @@ class TestOrderingAndFiles:
         assert len(paths) == 4
         back = pbm.read_pbm(paths[0])
         assert np.array_equal(back.ravel(), samples[0])
+
+    @pytest.mark.parametrize("rows, error", [
+        (np.zeros((0, 16)), ValueError), (np.full((2, 16), 7), ValueError),
+        (np.zeros((2, 12)), DimensionError)])
+    @pytest.mark.parametrize("sheet", [False, True])
+    def test_rows_are_checked_before_writing(self, tmp_path, rows, error,
+                                             sheet):
+        # unchecked, no rows divided by zero in the sheet, and 7 was
+        # written as a set bit
+        with pytest.raises(ValueError) as err:
+            save_samples_pbm(rows, (4, 4), tmp_path / "out", sheet=sheet)
+        assert type(err.value) is error
+        assert not (tmp_path / "out").exists()
 
     def test_contact_sheet_emission(self, tmp_path):
         model = build_random(16, 4, seed=64)

@@ -20,8 +20,8 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
 from ttnborn.tensor import frobenius_norm
 from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
-from ttnborn.ttn import (_check_pixel_values, _doubled_marginals,
-                         _node_data, _rescale_rows, amplitudes_from_vectors)
+from ttnborn.ttn import (_doubled_marginals, _node_data, _rescale_rows,
+                         amplitudes_from_vectors, sample_matrix)
 
 from helpers import (all_configs, brute_force_amplitudes, config_indices,
                      count_lifts, enum_log_z, mps_from_patterns,
@@ -361,15 +361,17 @@ class TestPixelValues:
         rows = np.zeros((4, 8), dtype=dtype)
         rows[2, 5], rows[3, 1] = bad, 3 * bad   # the first bad one is named
         with pytest.raises(ValueError) as err:
-            _check_pixel_values(rows)
+            sample_matrix(rows, 8)
         assert str(err.value) == f"pixel values must be 0 or 1, got {shown}"
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64,
                                        np.float64])
     def test_zero_one_rows_pass_unchanged(self, dtype):
+        # as uint8, and uint8 rows as they are, not copied
         rows = gen_random_patterns(8, 5, seed=9).samples.astype(dtype)
-        assert _check_pixel_values(rows) is rows
-        assert _check_pixel_values(rows[:0]).shape == (0, 8)
+        got = sample_matrix(rows, 8)
+        assert got.dtype == np.uint8 and np.array_equal(got, rows)
+        assert (got is rows) == (dtype is np.uint8)
 
 
 class TestMarginal:
