@@ -8,10 +8,10 @@ graph baselines, and a reproducible CLI.
 """
 
 from .tensor import DenseTensor, qr_split, svd_split
-from .ttn import (TtnModel, build_random, canonicalize,
-                  contract_pixel_vectors, correlation, correlation_map,
-                  log_probs, marginal, max_canonical_deviation, nll,
-                  partition_function, push_qr, single_site_marginals)
+from .born import (canonicalize, correlation, correlation_map, log_probs,
+                   marginal, max_canonical_deviation, nll, partition_function,
+                   push_qr, single_site_marginals)
+from .ttn import TtnModel, build_random, contract_pixel_vectors
 from .training import (TrainConfig, TrainStats, gradient_one_site,
                        gradient_two_site, merged_tensor, sweep_epoch, train)
 from .sampling import sample_batch, save_samples_pbm

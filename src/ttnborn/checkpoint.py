@@ -26,10 +26,11 @@ import sys
 
 import numpy as np
 
+from .born import max_canonical_deviation
 from .errors import FormatError
 from .data import OrderingDescriptor
 from .tensor import DenseTensor
-from .ttn import TtnModel, max_canonical_deviation
+from .ttn import TtnModel
 from .mps import MpsModel
 from .factor_graph import TreeFactorGraph
 

@@ -22,6 +22,7 @@ from . import checkpoint as ckpt
 from . import factor_graph as fgm
 from . import mps as mpsm
 from . import pbm
+from .born import correlation_map, nll, partition_function
 from .data import (BinaryDataset, apply_ordering, gen_random_patterns,
                    load_binarized_text, make_ordering, save_binarized_text,
                    text_lines)
@@ -30,7 +31,7 @@ from .errors import (DegenerateDistributionError, DegenerateSampleError,
                      StateError, TopologyError)
 from .sampling import sample_batch, save_samples_pbm
 from .training import TrainConfig, TrainStats, train
-from .ttn import build_random, correlation_map, nll, partition_function
+from .ttn import build_random
 
 
 def _limit_threads(n: int):

@@ -2,8 +2,8 @@
 
 Models consume pixels in "leaf order": a flat vector whose length is a power
 of two.  An :class:`OrderingDescriptor` records how raw image pixels map onto
-leaf slots and which slots are always-zero padding, so samples can be routed
-into a model and generated samples routed back out.
+leaf slots, every other slot being always-zero padding, so samples can be
+routed into a model and generated samples routed back out.
 
 Two orderings are provided:
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParseError
-from .ttn import sample_matrix
+from .born import sample_matrix
 
 
 @dataclass
@@ -62,7 +62,6 @@ class OrderingDescriptor:
     raw_shape: tuple
     padded_size: int                     # number of leaf slots, a power of 2
     permutation: np.ndarray = field(repr=False)   # raw index -> leaf slot
-    padding_slots: np.ndarray = field(repr=False)  # sorted always-zero slots
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "raw_shape": list(self.raw_shape)}
@@ -97,10 +96,7 @@ def make_ordering(kind: str, image_shape) -> OrderingDescriptor:
         pad = padded - n_raw
         left = pad // 2   # extra padding slot goes to the right end
         perm = np.arange(n_raw, dtype=np.int64) + left
-        pad_slots = np.concatenate([np.arange(left),
-                                    np.arange(left + n_raw, padded)])
-        return OrderingDescriptor(kind, image_shape, padded, perm,
-                                  pad_slots.astype(np.int64))
+        return OrderingDescriptor(kind, image_shape, padded, perm)
     if kind == "hierarchical-2d":
         if len(image_shape) != 2:
             raise ValueError("hierarchical-2d ordering requires a 2-D shape")
@@ -115,10 +111,7 @@ def make_ordering(kind: str, image_shape) -> OrderingDescriptor:
         for r in range(h):
             for c in range(w):
                 perm[r, c] = morton_index(int(rows[r, 0]), int(cols[0, c]), bits)
-        perm = perm.ravel()
-        all_slots = np.arange(side * side, dtype=np.int64)
-        pad_slots = np.setdiff1d(all_slots, perm)
-        return OrderingDescriptor(kind, image_shape, side * side, perm, pad_slots)
+        return OrderingDescriptor(kind, image_shape, side * side, perm.ravel())
     raise ValueError(f"unknown ordering kind: {kind!r}")
 
 

@@ -18,7 +18,7 @@ recursion (Kschischang, Frey and Loeliger, IEEE Trans. Inf. Theory 47:498,
 to a maximum of 1, gives log Z and log p~, and a downward pass adds the edge
 marginals of the gradient.  Each 2-state product is written as
 explicit multiply-adds, so a row rounds alike alone, in a batch and in any
-chunk of ``ttn._row_chunks``.
+chunk of ``born.row_chunks``.
 
 ``fg_to_ttn`` maps the graph exactly onto a TTN, which makes the mapping a
 structural cross-check between the two machines.
@@ -30,11 +30,11 @@ import time
 
 import numpy as np
 
+from .born import clamp_weights, in_window, row_chunks, sample_matrix
 from .errors import DimensionError, TopologyError
 from .tensor import DenseTensor, qr_split
 from .training import MAX_BACKTRACKS
-from .ttn import (TtnModel, _clamp_weights, _in_window, _row_chunks,
-                  sample_matrix)
+from .ttn import TtnModel
 
 
 class TreeFactorGraph:
@@ -113,7 +113,7 @@ def _edge_marginals(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _chunks(fg: TreeFactorGraph, rows: np.ndarray):
     """(2, S, n) one-hot pixel weights of ``rows``, chunk by chunk; both
     passes hold about 16 floats per pixel of a row."""
-    for chunk in _row_chunks(16 * fg.n_sites, rows.shape[0]):
+    for chunk in row_chunks(16 * fg.n_sites, rows.shape[0]):
         x = rows[chunk]
         yield chunk, np.array([1 - x, x], dtype=np.float64)
 
@@ -121,7 +121,7 @@ def _chunks(fg: TreeFactorGraph, rows: np.ndarray):
 def sum_product_log_z(fg: TreeFactorGraph, clamped=None) -> float:
     """Exact log Z of the factor graph, with the pixels in ``clamped``
     (pixel -> value) fixed."""
-    weights = _clamp_weights(fg.n_sites, [dict(clamped or {})])
+    weights = clamp_weights(fg.n_sites, [dict(clamped or {})])
     return float(_levels(fg.factors, weights.transpose(2, 0, 1))[0][0])
 
 
@@ -216,5 +216,5 @@ def fg_to_ttn(fg: TreeFactorGraph) -> TtnModel:
     model = TtnModel(n_sites, [None] + [DenseTensor(t, validate=False)
                                         for t in tensors], d_max=2)
     for t in model.tensors[1:]:     # new tensors, so written in place
-        t.data = _in_window(model, t.data)
+        t.data = in_window(model, t.data)
     return model

@@ -1,29 +1,30 @@
 """Matrix product state Born machine baseline.
 
 A chain of 3-way tensors (left bond, pixel, right bond) with dimension-1
-boundary bonds.  ``MpsModel`` answers the topology question of the tree's
-Born-machine interface (``ttn.BornMachine.axis_sites``), so the canonical
-form, training, the evaluation and sampling drivers, the NLL, marginals and
-correlations are the tree's own code, and the two models compare like for
-like.  This module supplies the chain's topology, its amplitude kernel,
-site by site except for pairs cheap enough to block, and the rooted node
-table of the sampler and the marginal pass, on n/2 two-site blocks.
+boundary bonds.  ``MpsModel`` answers the topology question of the
+Born-machine interface (``born.BornMachine.axis_sites``), so the canonical
+form, the evaluation driver, the NLL, marginals and correlations (through
+``born``), training and sampling are the code the tree runs too, and the
+two models compare like for like.  This module supplies the chain's
+topology, its amplitude kernel, site by site except for pairs cheap enough
+to block, and the rooted node table of the sampler and the marginal pass,
+on n/2 two-site blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, TopologyError
 from . import sampling
+from .born import (BornMachine, Pixel, canonicalize, correlation_map,
+                   log_probs, max_canonical_deviation, nll, push_qr,
+                   rescale_rows, rooted_copy, sample_matrix, signed_logs,
+                   single_site_marginals)
+from .errors import DimensionError, TopologyError
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
 from .tensor import DenseTensor, qr_split  # noqa: F401
-from .training import (TrainConfig, _exit_epoch, _sweep,
-                       guarded_merge_factors, train)
-from .ttn import (BornMachine, Pixel, _rescale_rows, _rooted_copy,
-                  _signed_logs, canonicalize, correlation_map, log_probs,
-                  max_canonical_deviation, nll, push_qr, sample_matrix,
-                  single_site_marginals)
+from .training import (TrainConfig, exit_epoch, guarded_merge_factors,
+                       sweep, train)
 
 
 class MpsModel(BornMachine):
@@ -52,7 +53,7 @@ class MpsModel(BornMachine):
     def bond_dims(self) -> dict:
         return {i: self.tensors[i].shape[0] for i in range(1, self.n_sites)}
 
-    # -- the Born-machine interface (see ``ttn.BornMachine``) ---------------
+    # -- the Born-machine interface (see ``born.BornMachine``) --------------
 
     model_type = "mps"
     first_tensor = 0
@@ -92,7 +93,7 @@ class _RootedChain(MpsModel):
     def __init__(self, model: MpsModel):
         n, c = model.n_sites, model.canonical_center
         root = 0 if c is not None and c < n - 1 - c else n - 1
-        vars(self).update(vars(_rooted_copy(model, root)))
+        vars(self).update(vars(rooted_copy(model, root)))
         self.nodes = _PairNodes(self)
 
     def _marginal_view(self):
@@ -116,7 +117,7 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
     return model
 
 
-# The tree's and the model-generic functions, under their MPS names.
+# The model-generic functions (``born``), under their MPS names.
 mps_max_canonical_deviation = max_canonical_deviation
 mps_log_probs = log_probs
 mps_nll = nll
@@ -198,23 +199,23 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
                 if len(redo):
                     msg[redo], logs[redo] = walk(last[redo], last_logs[redo],
                                                  rows[redo], first, p + 1, 1)
-            msg, logs = _rescale_rows(msg, logs)
+            msg, logs = rescale_rows(msg, logs)
             last, last_logs, first = msg, logs, p + 1
         return msg, logs
 
     msg, logs = walk(np.ones((len(samples), 1)), np.zeros(len(samples)),
                      samples, 0, (len(tensors) + 1) // 2,
                      1 if c is None else _SPAN)
-    return _signed_logs(msg[:, 0], logs)
+    return signed_logs(msg[:, 0], logs)
 
 
 def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,
                     cache=None, stats=None, on_step=None):
     """Right-to-left then left-to-right pass, every site updated once each,
-    by the tree's sweep (``training._sweep``)."""
-    samples, stats, seconds = _sweep(model, dataset, config, cache, stats,
-                                     on_step, push_qr, guarded_merge_factors)
-    return _exit_epoch(model, stats, seconds, mps_nll(model, samples))
+    by the tree's sweep (``training.sweep``)."""
+    samples, stats, seconds = sweep(model, dataset, config, cache, stats,
+                                    on_step, push_qr, guarded_merge_factors)
+    return exit_epoch(model, stats, seconds, mps_nll(model, samples))
 
 
 def mps_train(dataset, config: TrainConfig, *, model: MpsModel = None,

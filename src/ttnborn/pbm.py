@@ -74,6 +74,8 @@ def write_contact_sheet(path, images):
     one-pixel white separator between tiles."""
     images = np.asarray(images)
     count, h, w = images.shape
+    if count == 0:
+        raise ValueError("a contact sheet needs at least one image")
     cols = int(np.ceil(np.sqrt(count)))
     rows = (count + cols - 1) // cols
     sheet = np.zeros((rows * (h + 1) - 1, cols * (w + 1) - 1), dtype=np.uint8)

@@ -4,10 +4,10 @@ Configurations are drawn from the exact Born distribution p(x), so a
 returned row has exactly its model probability; no Markov chain is
 involved.  ``sample_batch`` draws for both models, chunk by chunk, by one
 walk (``SampleState``) over the rooted node table of a re-centred copy
-(``_sampler``): the tree rooted at its root, down to its
-8-pixel subtrees' (256, D) amplitude tables (``ttn._RootedTree``), or the
-chain, the degenerate tree, rooted at its nearer end, one two-site block
-per node (``mps._PairNodes``).  The marginal pass (``ttn._doubled_marginals``)
+(``_sampler``): the tree rooted at its root, down to its 8-pixel subtrees'
+(256, D) amplitude tables (``ttn._RootedTree``), or the chain, the
+degenerate tree, rooted at its nearer end, one two-site block per node
+(``mps._PairNodes``).  The marginal pass (``born._doubled_marginals``)
 walks tables of this format, the tree's down to its 4-pixel groups.
 
 Node k is ``(T, first, second)``, T with the axes (parent bond, first,
@@ -46,11 +46,11 @@ import os
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, StateError
-from .ttn import (BornMachine, _data_log_z, _rescale_rows, _row_chunks,
-                  sample_matrix)
-from .data import OrderingDescriptor, invert_ordering
 from . import pbm
+from .born import (BornMachine, data_log_z, rescale_rows, row_chunks,
+                   sample_matrix)
+from .data import OrderingDescriptor, invert_ordering
+from .errors import DegenerateDistributionError, StateError
 
 
 # row x holds the 8 bits of x, most significant first; a q-pixel value
@@ -87,7 +87,7 @@ class SampleState:
         while True:
             t, first, second = self.model.nodes[node]
             da, m1, m2 = t.shape
-            v, logs = _rescale_rows(v, logs)
+            v, logs = rescale_rows(v, logs)
             m = (v @ t.reshape(da, -1)).reshape(count, m1, m2)
             if isinstance(first, slice):
                 x = _draw(np.einsum("rxs,rxs->rx", m, m), self.u[:, node])
@@ -109,7 +109,7 @@ class SampleState:
         v, logs = t[:, x, 0].T, np.zeros(count)
         for t, c, log in reversed(path):
             pair = (c[:, :, None] * v[:, None, :]).reshape(count, -1)
-            v, logs = _rescale_rows(pair @ t.reshape(len(t), -1).T, logs + log)
+            v, logs = rescale_rows(pair @ t.reshape(len(t), -1).T, logs + log)
         return v, logs
 
     def run(self):
@@ -117,7 +117,7 @@ class SampleState:
         psi, logs = self._walk(0, np.ones((self.count, 1)))
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(psi[:, 0])) + logs
-        return self.samples, 2.0 * log_abs - _data_log_z(self.model)
+        return self.samples, 2.0 * log_abs - data_log_z(self.model)
 
 
 def _sampler(model: BornMachine):
@@ -154,7 +154,7 @@ def sample_batch(model: BornMachine, count: int, seed: int, *,
     rng = np.random.default_rng(seed)
     samples = np.empty((count, model.n_sites), dtype=np.uint8)
     chain_log = np.empty(count)
-    for rows in _row_chunks(row_floats, count):
+    for rows in row_chunks(row_floats, count):
         # successive draws continue one stream, so row i does not depend on
         # the chunk size
         samples[rows], chain_log[rows] = draw(
@@ -171,7 +171,7 @@ def save_samples_pbm(samples: np.ndarray, shape, out_dir, *,
     """Write samples as PBM (P4) files, one per sample or a tiled sheet.
 
     ``shape`` is (height, width); flat sample vectors, checked by
-    ``ttn.sample_matrix``, are reshaped to it.  Returns the list of paths
+    ``born.sample_matrix``, are reshaped to it.  Returns the list of paths
     written.
     """
     h, w = (shape if len(shape) == 2 else (1, int(shape[0])))

@@ -2,7 +2,7 @@
 
 Every multi-way array in this package is a ``DenseTensor``, a thin holder of
 a float64 ndarray ``data``.  What keeps contractions of ~1000 tensors finite
-is one log scale per model, its ``log_norm`` (``ttn.BornMachine``).
+is one log scale per model, its ``log_norm`` (``born.BornMachine``).
 
 Four operations cover everything built on top: matricized QR, truncated
 SVD, the Frobenius norm and the row-wise Kronecker product.
@@ -124,7 +124,7 @@ def kept_rank(s: np.ndarray, d_max: int, cutoff: float) -> int:
     return max(1, min(int(d_max), significant, len(s)))
 
 
-def _svd_sign_fix(u, vt):
+def svd_sign_fix(u, vt):
     """Deterministic sign convention: the largest-magnitude entry of each
     left singular vector is positive (in place; the first of tied entries
     decides).  Multiplying by +-1 is exact, so this equals negating the
@@ -136,7 +136,7 @@ def _svd_sign_fix(u, vt):
     return u, vt
 
 
-def _truncated_svd(m: np.ndarray, d_max: int, cutoff: float):
+def truncated_svd(m: np.ndarray, d_max: int, cutoff: float):
     """Dense SVD of ``m`` truncated to ``kept_rank`` values, signs not yet
     fixed: (u, s, vt views, discarded / total squared weight).
 
@@ -176,8 +176,8 @@ def svd_split(t: DenseTensor, row_axes, col_axes, d_max: int,
             s=[0.0],
             v=DenseTensor(v.reshape(col_dims + [1]), validate=False),
             truncation_error=0.0)
-    u, s, vt, err = _truncated_svd(mat, d_max, cutoff)
-    u, vt = _svd_sign_fix(u, vt)
+    u, s, vt, err = truncated_svd(mat, d_max, cutoff)
+    u, vt = svd_sign_fix(u, vt)
     k = len(s)
     return SvdResult(
         u=DenseTensor(u.reshape(row_dims + [k]), validate=False),

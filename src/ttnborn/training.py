@@ -11,7 +11,7 @@ pushes the non-canonical part one edge further.  Because everything but the
 center is canonical, the partition function is the squared norm of the
 center and per-sample environments come from cached subtree messages, each
 one contraction of a node with the messages on its other axes
-(``ttn._contract_node``), so a full epoch costs one message update per edge
+(``born.contract_node``), so a full epoch costs one message update per edge
 crossing.
 
 Both schemes take one gradient step (``_gradient_step``), on a matrix
@@ -33,7 +33,7 @@ side's environment block outside the basis.
 Everything here serves the MPS (``mps``) too: the chain is the degenerate
 tree, one path with a pixel on every tensor, and the cache, the walk, the
 QR push and the one- and two-site steps read only the per-axis topology
-answer of ``ttn.BornMachine``.  The MPS supplies only its own epoch entry
+answer of ``born.BornMachine``.  The MPS supplies only its own epoch entry
 point, so that its epoch and its two-site core are timed under its name.
 """
 
@@ -45,13 +45,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .born import (BornMachine, Pixel, canonicalize, contract_node, nll,
+                   push_qr, sample_matrix, toward_center)
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
-from .tensor import (DenseTensor, _svd_sign_fix, _truncated_svd, kept_rank,
-                     kron_rows, move_axis)
-from .ttn import (_EYE2, BornMachine, Pixel, _contract_node, _toward,
-                  canonicalize, nll, push_qr, sample_matrix)
+from .tensor import (DenseTensor, kept_rank, kron_rows, move_axis,
+                     svd_sign_fix, truncated_svd)
 
+_EYE2 = np.eye(2)     # the one-hot rows of pixel values 0 and 1
 _PSI_FLOOR = math.exp(-300)
 MAX_BACKTRACKS = 8    # halvings of the learning rate per step
 # A two-site factor whose Gram matrix is the identity to this tolerance is
@@ -125,7 +126,7 @@ class TrainStats:
 
 def _unit_max_rows(m, logs):
     """Each row of ``m`` divided by its max magnitude in place, its log
-    added to ``logs`` (zero rows kept).  Not ``ttn._rescale_rows``: a sweep
+    added to ``logs`` (zero rows kept).  Not ``born.rescale_rows``: a sweep
     turns any change in its messages' last bits into another model."""
     mx = np.abs(m).max(axis=1, initial=0.0)
     if not mx.all():
@@ -156,7 +157,7 @@ class _EnvCache:
         # the logs of every unscaled message: one shared, never written
         self._zeros = np.zeros(self.n_samples)
         self._boundary = (np.ones((self.n_samples, 1)), self._zeros)
-        order, toward = _toward(model, center)
+        order, toward = toward_center(model, center)
         for u in reversed(order[1:]):
             self.refresh_move(u, toward[u])
 
@@ -166,7 +167,7 @@ class _EnvCache:
         sites = sites or self.model.axis_sites(u)
         out = sites.index(v)
         self.msgs.pop((v, u), None)
-        self.msgs[(u, v)] = _unit_max_rows(*_contract_node(
+        self.msgs[(u, v)] = _unit_max_rows(*contract_node(
             self.model.tensors[u], self.center_parts(u, out, sites), out))
 
     def center_parts(self, k: int, out=None, sites=None):
@@ -433,13 +434,13 @@ def _split_factored(a, bt, d_max, cutoff):
     """
     qa, ra = _qr_on_basis(*a)
     qb, rb = _qr_on_basis(*bt)
-    u, s, vt, err = _truncated_svd(ra @ rb.T, d_max, cutoff)
-    u_full, vt_full = _svd_sign_fix(qa @ u, vt @ qb.T)
+    u, s, vt, err = truncated_svd(ra @ rb.T, d_max, cutoff)
+    u_full, vt_full = svd_sign_fix(qa @ u, vt @ qb.T)
     return u_full, s, vt_full, err
 
 
 def _gram_split(m, d_max, cutoff):
-    """``_truncated_svd`` of the dense merge ``m`` from the eigenvectors of
+    """``truncated_svd`` of the dense merge ``m`` from the eigenvectors of
     its Gram matrix, or None where that is not safe.
 
     With ``a`` the tall one of m and m^T, eigh of the (smaller side)^2 Gram
@@ -474,10 +475,10 @@ def _gram_split(m, d_max, cutoff):
 
 def _split_dense(m, d_max, cutoff):
     """Truncated SVD of a dense merge, signs fixed: ``_gram_split`` where
-    it is safe, else ``_truncated_svd``."""
+    it is safe, else ``truncated_svd``."""
     u, s, vt, err = (_gram_split(m, d_max, cutoff)
-                     or _truncated_svd(m, d_max, cutoff))
-    u, vt = _svd_sign_fix(u.copy(), vt.copy())
+                     or truncated_svd(m, d_max, cutoff))
+    u, vt = svd_sign_fix(u.copy(), vt.copy())
     return u, s, vt, err
 
 
@@ -617,8 +618,8 @@ def _execute_pass(model, cache, cfg, steps, stats, on_step, push,
             on_step(model, (u, v, due))
 
 
-def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
-           merge_factors):
+def sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
+          merge_factors):
     """The body of a sweep epoch, for the tree and the chain alike: a
     right-to-left pass then a left-to-right pass, each of ``sweep_steps``.
 
@@ -649,7 +650,7 @@ def _sweep(model, dataset, config: TrainConfig, cache, stats, on_step, push,
     return samples, stats, time.perf_counter() - started
 
 
-def _exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
+def exit_epoch(model, stats: TrainStats, seconds: float, epoch_nll: float):
     """The shared exit of a sweep epoch: records its NLL, time and largest
     bond."""
     stats.nll.append(epoch_nll)
@@ -665,9 +666,9 @@ def sweep_epoch(model: BornMachine, dataset, config: TrainConfig, *,
     The model must be (and ends up) canonical at the rightmost tensor; every
     tensor is updated exactly once per pass.
     """
-    samples, stats, seconds = _sweep(model, dataset, config, cache, stats,
-                                     on_step, push_qr, guarded_merge_factors)
-    return _exit_epoch(model, stats, seconds, nll(model, samples))
+    samples, stats, seconds = sweep(model, dataset, config, cache, stats,
+                                    on_step, push_qr, guarded_merge_factors)
+    return exit_epoch(model, stats, seconds, nll(model, samples))
 
 
 def train(model, dataset, config: TrainConfig, *, on_epoch=None):
@@ -716,7 +717,7 @@ def train(model, dataset, config: TrainConfig, *, on_epoch=None):
                 model.tensors, model.log_norm = before.tensors, before.log_norm
                 for record in (stats.nll, stats.seconds, stats.max_bond):
                     record.pop()
-                _exit_epoch(model, stats, seconds, kept)
+                exit_epoch(model, stats, seconds, kept)
                 config = replace(config,
                                  learning_rate=config.learning_rate / 2)
             cache = None

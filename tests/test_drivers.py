@@ -1,14 +1,14 @@
 """The evaluation and sampling drivers that both Born machines share:
 ``log_probs`` and ``sample_batch`` walk the rows in chunks of
-``ttn._chunk_rows`` and hand each chunk to the model's kernel.  Every
-function that takes pixel rows checks them by ``ttn.sample_matrix``."""
+``born._chunk_rows`` and hand each chunk to the model's kernel.  Every
+function that takes pixel rows checks them by ``born.sample_matrix``."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import ttnborn.ttn as ttn
+import ttnborn.born as born
 from ttnborn import (BinaryDataset, TrainConfig, build_random, canonicalize,
                      fg_nll, fg_train, gen_random_patterns, gradient_one_site,
                      gradient_two_site, heap_shaped_fg, log_probs,
@@ -36,9 +36,9 @@ class TestChunkIndependence:
         model, evaluate, _ = _models()[kind]
         rows = gen_random_patterns(16, 200, seed=3).samples
         whole = evaluate(model, rows)
-        assert ttn._chunk_rows(model._amplitude_kernel()[0],
-                               len(rows)) == len(rows)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        assert born._chunk_rows(model._amplitude_kernel()[0],
+                                len(rows)) == len(rows)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: chunk)
         chunked = evaluate(model, rows)
         assert np.all(np.abs(chunked - whole) <= 1e-12 * np.abs(whole))
 
@@ -48,7 +48,7 @@ class TestChunkIndependence:
                                                 chunk):
         model, evaluate, draw = _models()[kind]
         whole, log = draw(model, 200, 7, return_chain_log=True)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: chunk)
         rows, logs = draw(model, 200, 7, return_chain_log=True)
         assert np.array_equal(rows, whole)
         assert np.all(np.abs(logs - log) <= 1e-12 * np.abs(log))
@@ -70,7 +70,7 @@ class TestOctetTableBuilds:
         want = log_probs(model, samples)
         built = count_lifts(monkeypatch)
         if chunk is not None:
-            monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+            monkeypatch.setattr(born, "_chunk_rows", lambda m, c: chunk)
         got = log_probs(model, samples)
         assert built.count(128 // 8) == builds
         assert built.count(128 // 4) == 1        # the group tables
@@ -91,7 +91,7 @@ _CFG = TrainConfig(d_max=2, epochs=1, seed=0)
 # Every function that takes pixel rows, each on a fresh 8-pixel model, as
 # rows -> a result that two calls on the same rows give bit for bit.
 ROW_ENTRY_POINTS = {
-    "sample_matrix": lambda rows: ttn.sample_matrix(rows, 8),
+    "sample_matrix": lambda rows: born.sample_matrix(rows, 8),
     "log_probs": lambda rows: log_probs(_tree(), rows),
     "mps_log_probs": lambda rows: mps_log_probs(_chain(), rows),
     "nll": lambda rows: nll(_tree(), rows),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import ttnborn.ttn as ttn
+import ttnborn.born as born
 from ttnborn import (TrainConfig, TreeFactorGraph, contract_pixel_vectors,
                      fg_nll, fg_to_ttn, fg_train, heap_shaped_fg,
                      load_checkpoint, save_checkpoint, sum_product_log_z)
@@ -84,8 +84,8 @@ class TestSumProduct:
         rows = rng.integers(0, 2, size=(200, 16))
         whole = (fg_log_ptilde(fg, rows), fg_nll(fg, rows),
                  fg_gradient(fg, rows))
-        assert ttn._chunk_rows(16 * 16, len(rows)) == len(rows)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        assert born._chunk_rows(16 * 16, len(rows)) == len(rows)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: chunk)
         assert np.array_equal(fg_log_ptilde(fg, rows), whole[0])
         assert fg_nll(fg, rows) == whole[1]
         assert np.max(np.abs(fg_gradient(fg, rows) - whole[2])) < 1e-14

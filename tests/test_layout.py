@@ -5,33 +5,13 @@ import pathlib
 
 import ttnborn
 
-# The functions allowed an import in their body: the optional threadpoolctl,
-# and the tree's epoch method, whose module ``training`` imports ``ttn``.
-FUNCTION_IMPORTS = {("cli.py", "_limit_threads"), ("ttn.py", "sweep_epoch")}
+# The one function allowed an import in its body: the optional threadpoolctl.
+FUNCTION_IMPORTS = {("cli.py", "_limit_threads")}
 
 # The private names that one module of the package imports from another, as
-# (importer, module, name).  The set only shrinks: a new entry fails the
-# test, and so does an entry that is no longer imported, so that deleting
-# one also deletes it here.
-PRIVATE_IMPORTS = {
-    ("factor_graph.py", "ttn", "_clamp_weights"),
-    ("factor_graph.py", "ttn", "_in_window"),
-    ("factor_graph.py", "ttn", "_row_chunks"),
-    ("mps.py", "training", "_exit_epoch"),
-    ("mps.py", "training", "_sweep"),
-    ("mps.py", "ttn", "_rescale_rows"),
-    ("mps.py", "ttn", "_rooted_copy"),
-    ("mps.py", "ttn", "_signed_logs"),
-    ("sampling.py", "ttn", "_data_log_z"),
-    ("sampling.py", "ttn", "_rescale_rows"),
-    ("sampling.py", "ttn", "_row_chunks"),
-    ("training.py", "tensor", "_svd_sign_fix"),
-    ("training.py", "tensor", "_truncated_svd"),
-    ("training.py", "ttn", "_EYE2"),
-    ("training.py", "ttn", "_contract_node"),
-    ("training.py", "ttn", "_toward"),
-}
-
+# (importer, module, name): none.  A name a sibling module uses is public
+# or lives with its one user.
+PRIVATE_IMPORTS = set()
 
 def _sources():
     for path in sorted(pathlib.Path(ttnborn.__file__).parent.glob("*.py")):
@@ -61,3 +41,18 @@ def test_no_new_private_name_crosses_a_module():
     new, gone = sorted(found - PRIVATE_IMPORTS), sorted(PRIVATE_IMPORTS - found)
     assert not new, f"private names imported across modules: {new}"
     assert not gone, f"no longer imported, so drop from PRIVATE_IMPORTS: {gone}"
+
+
+def test_born_sits_below_both_models():
+    # the package modules each module imports, by ``from .x import y`` or
+    # ``from . import x``
+    found = {name: set() for name, _ in _sources()}
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found[name].update([node.module] if node.module
+                                   else [alias.name for alias in node.names])
+    born = found.get("born.py", set())
+    assert born <= {"errors", "tensor"}, born
+    for name in ("training.py", "sampling.py", "data.py"):
+        assert not found[name] & {"ttn", "mps"}, f"{name}: {found[name]}"

@@ -10,8 +10,8 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, canonicalize,
                      mps_build_random, mps_train, partition_function)
 from ttnborn.errors import (DegenerateDistributionError, StateError,
                             TopologyError)
+import ttnborn.born as born
 import ttnborn.mps as mps
-import ttnborn.ttn as ttn
 from ttnborn.sampling import _sampler
 from ttnborn.mps import (mps_amplitudes, mps_correlation_map, mps_log_probs,
                          mps_max_canonical_deviation, mps_nll,
@@ -147,7 +147,7 @@ class TestMarginalStack:
             mass, want = _enumerated(p, fixed)
             assume(mass > 1e-6)
             wants.append(want)
-        got = ttn._doubled_marginals(model._marginal_view(), branches)
+        got = born._doubled_marginals(model._marginal_view(), branches)
         assert got.shape == (len(branches), 16, 2)
         assert np.max(np.abs(got - np.array(wants))) < 1e-9
 
@@ -159,7 +159,7 @@ class TestMarginalStack:
         if center is not None:
             canonicalize(model, center)
         with pytest.raises(DegenerateDistributionError):
-            ttn._doubled_marginals(model._marginal_view(), [{}, {3: 1}])
+            born._doubled_marginals(model._marginal_view(), [{}, {3: 1}])
 
 
 class TestTraining:
@@ -350,7 +350,7 @@ class TestChainKernel:
         model = mps_build_random(64, 40, seed=76)
         rows = gen_random_patterns(64, 300, seed=77).samples
         whole = mps_log_probs(model, rows)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: 100)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: 100)
         assert np.array_equal(mps_log_probs(model, rows), whole)
 
     def test_site_walk_carries_rows_far_below_the_float_range(
@@ -389,7 +389,7 @@ class TestChainKernel:
         want = 1024 * math.log(1e-300)
         assert np.all(np.abs(whole[::3] - want) <= 1e-13 * abs(want))
         assert np.all(np.abs(np.delete(whole, [0, 3, 6])) < 1e-13)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: 3)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: 3)
         assert np.array_equal(mps_log_probs(model, rows), whole)
 
     def test_a_row_below_the_floor_before_the_centre_is_walked_again(self):

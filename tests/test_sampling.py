@@ -9,7 +9,7 @@ from ttnborn import pbm
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError)
 from ttnborn.sampling import _sampler
-from ttnborn.ttn import _rooted_copy
+from ttnborn.born import rooted_copy
 
 from helpers import all_configs, brute_force_amplitudes, chi_square_pvalue, \
     config_indices, mps_from_patterns, random_uneven_ttn, sharp_product_mps, \
@@ -50,15 +50,15 @@ class TestSampleBatch:
         assert np.array_equal(a, b)
 
     def test_chunking_does_not_change_the_stream(self):
-        import ttnborn.ttn as ttn
+        import ttnborn.born as born
         model = build_random(8, 4, seed=32)
         whole = sample_batch(model, 300, seed=9)
-        orig = ttn._chunk_rows
-        ttn._chunk_rows = lambda m, c: 64
+        orig = born._chunk_rows
+        born._chunk_rows = lambda m, c: 64
         try:
             chunked = sample_batch(model, 300, seed=9)
         finally:
-            ttn._chunk_rows = orig
+            born._chunk_rows = orig
         assert np.array_equal(whole, chunked)
 
     def test_sampling_does_not_mutate_the_model(self):
@@ -150,10 +150,10 @@ class TestDownMessages:
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunks_agree_with_sample_one(self, monkeypatch, chunk):
-        import ttnborn.ttn as ttn
+        import ttnborn.born as born
         model = uneven_ttn()
         whole, log = sample_batch(model, 20, seed=5, return_chain_log=True)
-        monkeypatch.setattr(ttn, "_chunk_rows", lambda m, c: chunk)
+        monkeypatch.setattr(born, "_chunk_rows", lambda m, c: chunk)
         rows, logs = sample_batch(model, 20, seed=5, return_chain_log=True)
         first, first_log = sample_batch(model, 1, seed=5,
                                         return_chain_log=True)
@@ -243,7 +243,7 @@ class TestExtremeUniforms:
     """On the tree; ``TestExtremeUniformsMps`` runs them on the chain."""
 
     # canonical at the sampling root, with amplitude 1 on each pattern
-    patterned = staticmethod(lambda p: _rooted_copy(ttn_from_patterns(p), 1))
+    patterned = staticmethod(lambda p: rooted_copy(ttn_from_patterns(p), 1))
     build = staticmethod(build_random)
 
     @pytest.mark.parametrize("dead_index", [False, True])

@@ -170,7 +170,7 @@ def _sign_fix_by_loop(u, vt):
 
 class TestSvdKernels:
     def test_sign_fix_matches_the_column_loop_bit_for_bit(self, rng):
-        from ttnborn.tensor import _svd_sign_fix
+        from ttnborn.tensor import svd_sign_fix
         u = rng.standard_normal((9, 6))
         vt = rng.standard_normal((6, 11))
         # tied magnitudes: the first of the tied entries decides
@@ -179,22 +179,22 @@ class TestSvdKernels:
         u[:, 3] = [0.0, -0.0, 0, 0, 0, 0, 0, 0, 0]
         u[:, 4] = [0.1, -0.7, 0.2, 0.7, 0, 0, 0, 0, 0]
         ref_u, ref_vt = _sign_fix_by_loop(u, vt)
-        got_u, got_vt = _svd_sign_fix(u.copy(), vt.copy())
+        got_u, got_vt = svd_sign_fix(u.copy(), vt.copy())
         for got, ref in ((got_u, ref_u), (got_vt, ref_vt)):
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 9), (16, 512), (7, 7), (30, 8)])
     def test_truncated_svd_of_wide_matches_its_transpose(self, rng, shape):
-        from ttnborn.tensor import _svd_sign_fix, _truncated_svd
+        from ttnborn.tensor import svd_sign_fix, truncated_svd
         m = rng.standard_normal(shape)
-        u, s, vt, err = _truncated_svd(m, 5, 0.0)
-        v_t, s_t, ut_t, err_t = _truncated_svd(np.ascontiguousarray(m.T), 5,
-                                               0.0)
+        u, s, vt, err = truncated_svd(m, 5, 0.0)
+        v_t, s_t, ut_t, err_t = truncated_svd(np.ascontiguousarray(m.T), 5,
+                                              0.0)
         assert len(s) == min(5, *shape)
         assert np.max(np.abs(s - s_t)) < 1e-12 * s[0]
         assert abs(err - err_t) < 1e-12
-        u, vt = _svd_sign_fix(u.copy(), vt.copy())
-        u_t, vt_t = _svd_sign_fix(ut_t.T.copy(), v_t.T.copy())
+        u, vt = svd_sign_fix(u.copy(), vt.copy())
+        u_t, vt_t = svd_sign_fix(ut_t.T.copy(), v_t.T.copy())
         assert np.max(np.abs(u - u_t)) < 1e-12
         assert np.max(np.abs(vt - vt_t)) < 1e-12
         full = np.linalg.svd(m, compute_uv=False)

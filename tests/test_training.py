@@ -596,7 +596,7 @@ class TestGramSplit:
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_matches_the_svd_split(self, monkeypatch, transpose):
-        from ttnborn.tensor import _truncated_svd
+        from ttnborn.tensor import truncated_svd
         from ttnborn.training import _gram_split
         _, merges, _ = _train_wide_tree(monkeypatch, gram=True, epochs=1)
         big = [m for m in merges if m.shape == (256, 256)]
@@ -606,7 +606,7 @@ class TestGramSplit:
             got = _gram_split(m, 16, 1e-12)
             assert got is not None
             u, s, vt, err = got
-            u_ref, s_ref, vt_ref, err_ref = _truncated_svd(m, 16, 1e-12)
+            u_ref, s_ref, vt_ref, err_ref = truncated_svd(m, 16, 1e-12)
             assert s.shape == s_ref.shape == (16,)
             assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
             product = (u * s) @ vt - (u_ref * s_ref) @ vt_ref
@@ -619,7 +619,7 @@ class TestGramSplit:
                                       "zero"])
     @pytest.mark.parametrize("transpose", [False, True])
     def test_falls_back_to_the_svd_bit_for_bit(self, case, transpose):
-        from ttnborn.tensor import _svd_sign_fix, _truncated_svd
+        from ttnborn.tensor import svd_sign_fix, truncated_svd
         from ttnborn.training import _gram_split, _split_dense
         d_max, cutoff = 16, 1e-12
         values = np.linspace(2.0, 1.0, 40)
@@ -641,8 +641,8 @@ class TestGramSplit:
             m = np.ascontiguousarray(m.T)
         assert _gram_split(m, d_max, cutoff) is None
         got = _split_dense(m, d_max, cutoff)
-        u, s, vt, err = _truncated_svd(m, d_max, cutoff)
-        ref = (*_svd_sign_fix(u.copy(), vt.copy()), s, err)
+        u, s, vt, err = truncated_svd(m, d_max, cutoff)
+        ref = (*svd_sign_fix(u.copy(), vt.copy()), s, err)
         for a, b in zip((got[0], got[2], got[1], got[3]), ref):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

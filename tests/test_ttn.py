@@ -20,8 +20,8 @@ from ttnborn.errors import (DegenerateDistributionError, DimensionError,
 from ttnborn.tensor import frobenius_norm
 from ttnborn.mps import (mps_build_random, mps_correlation_map,
                          mps_single_site_marginals)
-from ttnborn.ttn import (_doubled_marginals, _node_data, _rescale_rows,
-                         amplitudes_from_vectors, sample_matrix)
+from ttnborn.born import _doubled_marginals, rescale_rows, sample_matrix
+from ttnborn.ttn import _node_data, amplitudes_from_vectors
 
 from helpers import (all_configs, brute_force_amplitudes, config_indices,
                      count_lifts, enum_log_z, mps_from_patterns,
@@ -257,7 +257,7 @@ class TestRescaleRows:
         logs = np.array([0.5, -1.0, 2.0, -3.25])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got, got_logs = _rescale_rows(m.copy(), logs.copy())
+            got, got_logs = rescale_rows(m.copy(), logs.copy())
         e = np.rint((got_logs - logs) / math.log(2.0)).astype(int)
         assert np.all(np.abs(got_logs - logs - e * math.log(2.0)) < 1e-12)
         assert np.array_equal(np.ldexp(got, e[:, None]).view(np.int64),
@@ -659,15 +659,18 @@ class TestCorrelationMapOneBranch:
         assert abs(cmap(model, 0)[5] - 1.0) < 1e-12
 
     def test_one_rooting_one_block_build_two_passes(self, monkeypatch):
+        import ttnborn.born as born
         import ttnborn.ttn as ttn_module
         model = random_uneven_ttn(16, seed=31)
         canonicalize(model, model.n_tensors)            # a leaf
         calls = {}
-        for name in ("canonicalize", "_group_blocks", "_doubled_marginals"):
-            def counted(*args, _fn=getattr(ttn_module, name), _name=name):
+        for module, name in ((born, "canonicalize"),
+                             (ttn_module, "_group_blocks"),
+                             (born, "_doubled_marginals")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
-            monkeypatch.setattr(ttn_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         correlation_map(model, 6)
         assert calls == {"canonicalize": 1, "_group_blocks": 1,
                          "_doubled_marginals": 2}
@@ -904,11 +907,11 @@ class TestDistinctPatterns:
                                       "one", "noisy-1-row-chunks"])
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_agrees_with_the_per_row_contraction(self, monkeypatch, n, kind):
-        import ttnborn.ttn as ttn_module
+        import ttnborn.born as born
         model = _OCTET_MODELS[f"random-{n}"]()
         canonicalize(model, n // 2 + 3)
         if kind.endswith("chunks"):
-            monkeypatch.setattr(ttn_module, "_chunk_rows", lambda m, c: 1)
+            monkeypatch.setattr(born, "_chunk_rows", lambda m, c: 1)
         rows = _row_set(kind.split("-")[0], n, 40 if kind.endswith("chunks")
                         else 300 if n > 8 else 200, seed=n)
         want = _per_row_log_probs(model, rows)
@@ -925,12 +928,12 @@ class TestDistinctPatterns:
         canonicalize(model, model.n_tensors)
         row = gen_random_patterns(1024, 1, seed=6).samples
         single = log_probs(model, row)
-        contract, rows = ttn_module._contract_node, []
+        contract, rows = ttn_module.contract_node, []
 
         def counted(t, parts, out=None):
             rows.append(len(parts[0][0]))
             return contract(t, parts, out)
-        monkeypatch.setattr(ttn_module, "_contract_node", counted)
+        monkeypatch.setattr(ttn_module, "contract_node", counted)
         got = log_probs(model, np.repeat(row, 100, axis=0))
         # no octet tables, so every node above the 256 group roots
         assert rows == [1] * 255
