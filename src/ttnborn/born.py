@@ -42,32 +42,51 @@ class BornMachine:
     (``mps.MpsModel``); the model-generic functions below and
     ``training.train`` are written once on top of it.
 
-    A model has ``n_sites``, ``tensors`` indexed from ``first_tensor`` to
-    n_sites - 1 (where training keeps the center), ``first_leaf`` (where
-    the right-to-left sweep ends), ``canonical_center`` and ``bond_dims()``,
-    and three methods, ``log_probs``, ``single_site_marginals`` and
-    ``sweep_epoch``, that call its model's module function by name; every
-    other operation is only a module function.  ``log_probs`` and
-    ``sampling.sample_batch`` walk the rows in chunks through two kernels
-    built once per call, each with the floats a row holds in it, which size
-    the chunks: ``_amplitude_kernel()`` maps rows to (log |Psi|, sign), and
-    ``sampling._sampler`` gives the uniforms per row and a map from uniforms
-    to (rows, log p): one walk over the rooted node table of the re-centred
-    copy that ``_sample_view()`` gives, as ``_doubled_marginals`` (stacked
-    clamps) is one doubled pass over that of ``_marginal_view()``.
+    A model is built one way, ``Model(tensors, canonical_center=None,
+    d_max=None)``: ``n_sites`` is ``len(tensors)``, indexed from
+    ``first_tensor`` (the slots before it unused) to n_sites - 1, where
+    training keeps the center.  It has ``first_leaf`` (where the
+    right-to-left sweep ends), ``bond_dims()`` and three methods,
+    ``log_probs``, ``single_site_marginals`` and ``sweep_epoch``, that call
+    its model's module function by name; every other operation is only a
+    module function.  ``log_probs`` and ``sampling.sample_batch`` walk the
+    rows in chunks through two kernels built once per call, each with the
+    floats a row holds in it, which size the chunks: ``_amplitude_kernel()``
+    maps rows to (log |Psi|, sign), and ``sampling._sampler`` gives the
+    uniforms per row and a map from uniforms to (rows, log p): one walk over
+    the rooted node table of the re-centred copy that ``_sample_view()``
+    gives, as ``_doubled_marginals`` (stacked clamps) is one doubled pass
+    over that of ``_marginal_view()``.
 
     Each model answers one topology question, ``axis_sites(k)``: what sits
     on each axis of tensor k, in axis order, a neighbouring tensor (its
     index), a ``Pixel`` or None for a dimension-1 boundary bond (the
-    chain's two ends); ``path(u, v)`` lists the tensors from u to v.
-    Neighbors, axis lookup, the shape check and ``copy`` are written here
-    once for both models.  Psi is exp(``log_norm``) times the network of
-    the tensors' data; ``partition_function`` and
+    chain's two ends); ``path(u, v)`` lists the tensors from u to v, and
+    ``_check_size()`` rejects a tensor count it has no topology for.
+    Neighbors, axis lookup, the shape check, ``bond_dims`` and ``copy`` are
+    written here once for both models.  Psi is exp(``log_norm``) times the
+    network of the tensors' data; ``partition_function`` and
     ``ttn.amplitudes_from_vectors`` include it, ``log_probs`` and the
     sampler's chain log, where it cancels, do not.
     """
 
     log_norm = 0.0
+
+    def __init__(self, tensors, canonical_center=None, d_max=None):
+        self.tensors = list(tensors)
+        self._check_size()
+        self.canonical_center = canonical_center
+        self.d_max = d_max
+        self._check_shapes()
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.tensors)
+
+    def bond_dims(self) -> dict:
+        """Each bond's dimension, by the tensor whose axis 0 it is."""
+        return {k: self.tensors[k].shape[0]
+                for k in range(self.first_tensor + 1, self.n_sites)}
 
     def neighbors(self, k: int):
         return [s for s in self.axis_sites(k)
@@ -111,9 +130,22 @@ class BornMachine:
         return work
 
     def max_bond(self) -> int:
-        """``max(bond_dims().values())`` without the dict: in both models
-        every bond is axis 0 of one tensor past the first."""
+        """``max(bond_dims().values())`` without the dict."""
         return max(len(t.data) for t in self.tensors[self.first_tensor + 1:])
+
+
+def bond_capacity(d_max: int, pixels: int, n_sites: int) -> int:
+    """d_max, capped by 2^k for the k pixels on either side of a bond with
+    ``pixels`` of the ``n_sites`` on one side (and k by 62)."""
+    return min(d_max, 2 ** min(pixels, n_sites - pixels, 62))
+
+
+def random_tensors(shapes, seed) -> list:
+    """Tensors of the given shapes, in order, with entries i.i.d. uniform
+    on (-1, 1) from one seeded generator, so a seed gives one model."""
+    rng = np.random.default_rng(seed)
+    return [DenseTensor(rng.uniform(-1.0, 1.0, size=shape), validate=False)
+            for shape in shapes]
 
 
 # -- canonical form ---------------------------------------------------------
@@ -133,11 +165,11 @@ def push_qr(model: BornMachine, u: int, v: int):
     au = model.axis_toward(u, v)
     t = model.tensors[u]
     rows = [i for i in range(t.ndim) if i != au]
-    res = qr_split(t, rows, [au])
-    q = move_axis(res.q.data, -1, au)
+    q, r = qr_split(t, rows, [au])
+    q = move_axis(q, -1, au)
     model.tensors[u] = DenseTensor(np.ascontiguousarray(q), validate=False)
     av = model.axis_toward(v, u)
-    merged = np.tensordot(in_window(model, res.r.data),
+    merged = np.tensordot(in_window(model, r),
                           model.tensors[v].data, axes=([1], [av]))
     merged = move_axis(merged, 0, av)
     model.tensors[v] = DenseTensor(
@@ -462,11 +494,13 @@ def sample_matrix(rows, n_sites=None) -> np.ndarray:
     return samples.astype(np.uint8, copy=False)
 
 
-def _check_pixel(k: int, n_sites: int):
-    # a bool is an int, but True is no pixel index
-    if isinstance(k, bool) or not (isinstance(k, (int, np.integer))
-                                   and 0 <= k < n_sites):
-        raise ValueError(f"pixel {k!r} is not an integer in range({n_sites})")
+def check_int(name: str, value, low: int, high=math.inf):
+    """ValueError unless ``value`` is an integer in [low, high), a numpy
+    one too but never a bool (an int, but True is no count or index)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value < high):
+        bound = f">= {low}" if high == math.inf else f"in range({low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def clamp_weights(n_sites: int, assignments) -> np.ndarray:
@@ -476,7 +510,7 @@ def clamp_weights(n_sites: int, assignments) -> np.ndarray:
     ops = np.ones((len(assignments), n_sites, 2))
     for s, assignment in enumerate(assignments):
         for k, v in assignment.items():
-            _check_pixel(k, n_sites)
+            check_int("pixel", k, 0, n_sites)
             if v not in (0, 1):
                 raise ValueError(f"pixel value must be 0 or 1, got {v!r}")
             ops[s, k, 1 - int(v)] = 0.0
@@ -510,7 +544,7 @@ def nll(model, dataset) -> float:
 def marginal(model, fixed, open_pixel: int):
     """(p0, p1) for ``open_pixel`` given the clamped pixels in ``fixed``."""
     fixed = dict(fixed or {})
-    _check_pixel(open_pixel, model.n_sites)
+    check_int("pixel", open_pixel, 0, model.n_sites)
     if open_pixel in fixed:
         raise ValueError(f"pixel {open_pixel} is already fixed")
     row = model.single_site_marginals(fixed)[open_pixel]
@@ -521,7 +555,7 @@ def correlation(model, pixel_i: int, pixel_j: int) -> float:
     """Connected correlation <s_i s_j> - <s_i><s_j> with pixels mapped to +-1."""
     if pixel_i == pixel_j:
         raise ValueError("correlation requires two distinct pixels")
-    _check_pixel(pixel_j, model.n_sites)
+    check_int("pixel", pixel_j, 0, model.n_sites)
     return float(correlation_map(model, pixel_i)[pixel_j])
 
 
@@ -536,7 +570,7 @@ def correlation_map(model, ref_pixel: int) -> np.ndarray:
     Both passes run on one ``_marginal_view``; the means are those of
     ``single_site_marginals``, bit for bit.
     """
-    _check_pixel(ref_pixel, model.n_sites)
+    check_int("pixel", ref_pixel, 0, model.n_sites)
     view = model._marginal_view()
     base = view.single_site_marginals()
     spin = np.array([-1.0, 1.0])

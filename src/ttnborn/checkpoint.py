@@ -6,7 +6,8 @@ followed by row-major little-endian float64 data.  The header carries
 model_type (ttn | mps | treefg), n_sites, d_max, per-edge bond dimensions,
 tensor shapes in storage order, the ordering descriptor, seed and epoch.
 A tree or chain with a canonical center is loaded only if it is canonical
-about it, so that log Z and every read stay exact.
+about it, so that log Z and every read stay exact, and only if its
+header's n_sites and bond_dims are those of its tensors.
 A treefg header's n_vars, edges and visible must be the heap layout of its
 factor stack (see ``factor_graph``); any other tree is rejected.
 
@@ -40,11 +41,18 @@ MAGIC = b"TTNBORN1"
 # canonicalization keep it near 1e-14); every read relies on that form.
 CANONICAL_TOL = 1e-8
 
+_MODELS = {"ttn": TtnModel, "mps": MpsModel}
+
 
 def _heap_fields(fg: TreeFactorGraph) -> dict:
     """The header fields of a tree factor graph: its heap layout."""
     return {"n_vars": fg.n_vars, "edges": [list(e) for e in fg.edges],
             "visible": fg.visible}
+
+
+def _bond_dims(model) -> dict:
+    """The header's ``bond_dims`` of a tree or chain, as JSON reads it."""
+    return {str(k): int(v) for k, v in model.bond_dims().items()}
 
 
 def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
@@ -57,9 +65,8 @@ def save_checkpoint(path, model, *, ordering: OrderingDescriptor = None,
                       bond_dims={}, **_heap_fields(model))
     elif isinstance(model, (TtnModel, MpsModel)):
         arrays = [t.data for t in model.tensors[model.first_tensor:]]
-        bonds = {str(k): int(v) for k, v in model.bond_dims().items()}
         header.update(model_type=model.model_type, n_sites=model.n_sites,
-                      d_max=model.d_max, bond_dims=bonds,
+                      d_max=model.d_max, bond_dims=_bond_dims(model),
                       canonical_center=model.canonical_center)
         if model.log_norm:
             header["log_norm"] = model.log_norm
@@ -120,8 +127,8 @@ def load_checkpoint(path):
     The ordering descriptor, when present, is reconstructed and attached to
     the header under the key "ordering_descriptor".  A malformed container,
     a header the model constructor rejects, or a tree or chain whose tensors
-    are not canonical about its stored center (``CANONICAL_TOL``) raises
-    ``FormatError``.
+    are not canonical about its stored center (``CANONICAL_TOL``) or do not
+    have its header's n_sites and bond_dims raises ``FormatError``.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -148,20 +155,21 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: tensor data is not finite")
     model_type = header["model_type"]
     try:   # TopologyError and DimensionError are ValueErrors too
-        if model_type in ("ttn", "mps"):
-            tensors = [DenseTensor(a, validate=False) for a in arrays]
-            center, d_max = header.get("canonical_center"), header.get("d_max")
-            if model_type == "ttn":
-                model = TtnModel(header["n_sites"], [None] + tensors, center,
-                                 d_max)
-            else:
-                model = MpsModel(tensors, center, d_max)
+        if model_type in _MODELS:
+            cls, center = _MODELS[model_type], header.get("canonical_center")
+            model = cls([None] * cls.first_tensor + [
+                DenseTensor(a, validate=False) for a in arrays], center,
+                header.get("d_max"))
             model.log_norm = float(header.get("log_norm", 0.0))
             deviation = (0.0 if center is None
                          else max_canonical_deviation(model))
             if not deviation <= CANONICAL_TOL:
                 raise ValueError(f"the tensors are not canonical about center "
                                  f"{center} (deviation {deviation:.3g})")
+            if (header["n_sites"], header.get("bond_dims")) != (
+                    model.n_sites, _bond_dims(model)):
+                raise ValueError("header n_sites or bond_dims do not match "
+                                 "the tensors")
         else:
             model = TreeFactorGraph(len(header["visible"]), arrays)
             if any(header[k] != v for k, v in _heap_fields(model).items()):

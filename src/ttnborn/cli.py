@@ -24,8 +24,8 @@ from . import mps as mpsm
 from . import pbm
 from .born import correlation_map, nll, partition_function
 from .data import (BinaryDataset, apply_ordering, gen_random_patterns,
-                   load_binarized_text, make_ordering, save_binarized_text,
-                   text_lines)
+                   invert_ordering, load_binarized_text, make_ordering,
+                   save_binarized_text, text_lines)
 from .errors import (DegenerateDistributionError, DegenerateSampleError,
                      DimensionError, FormatError, NumericalError, ParseError,
                      StateError, TopologyError)
@@ -195,7 +195,7 @@ def cmd_correlate(args) -> int:
         leaf_ref = p if desc is None else int(desc.permutation[p])
         leaf_map = correlation_map(model, leaf_ref)
         if desc is not None:
-            raw = leaf_map[desc.permutation].reshape(desc.raw_shape)
+            raw = invert_ordering(leaf_map, desc).reshape(desc.raw_shape)
         else:
             raw = leaf_map.reshape(1, -1)
         out_path = os.path.join(args.out, f"corr_{p}.csv")

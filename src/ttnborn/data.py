@@ -126,11 +126,14 @@ def apply_ordering(dataset: BinaryDataset, desc: OrderingDescriptor) -> np.ndarr
     return out
 
 def invert_ordering(leaf_matrix: np.ndarray, desc: OrderingDescriptor) -> np.ndarray:
-    """Strip padding and undo the permutation: leaf order back to raw pixels."""
+    """Strip padding and undo the permutation: leaf order back to raw pixels,
+    of a row or a matrix of ``desc.padded_size`` leaves a row."""
     leaf_matrix = np.asarray(leaf_matrix)
-    if leaf_matrix.ndim == 1:
-        return leaf_matrix[desc.permutation]
-    return leaf_matrix[:, desc.permutation]
+    if leaf_matrix.ndim not in (1, 2) or (
+            leaf_matrix.shape[-1] != desc.padded_size):
+        raise DimensionError(f"ordering expects rows of {desc.padded_size} "
+                             f"leaves, got shape {leaf_matrix.shape}")
+    return leaf_matrix[..., desc.permutation]
 
 
 def text_lines(path):

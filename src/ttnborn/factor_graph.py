@@ -207,14 +207,13 @@ def fg_to_ttn(fg: TreeFactorGraph) -> TtnModel:
     n_sites = fg.n_sites
     below, above = list(fg.factors), {}
     for node in range(2, n_sites):
-        res = qr_split(DenseTensor(below[node - 2]), [0], [1])
-        above[node] = res.q.data
-        below[node - 2] = res.r.data
+        above[node], below[node - 2] = qr_split(
+            DenseTensor(below[node - 2]), [0], [1])
     tensors = [np.einsum('lx,rx->lr', below[0], below[1])] + [
         np.einsum('lx,rx,xu->ulr', below[2 * node - 2], below[2 * node - 1],
                   above[node]) for node in range(2, n_sites)]
-    model = TtnModel(n_sites, [None] + [DenseTensor(t, validate=False)
-                                        for t in tensors], d_max=2)
+    model = TtnModel([None] + [DenseTensor(t, validate=False)
+                               for t in tensors], d_max=2)
     for t in model.tensors[1:]:     # new tensors, so written in place
         t.data = in_window(model, t.data)
     return model

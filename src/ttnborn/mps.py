@@ -16,13 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .born import (BornMachine, Pixel, canonicalize, correlation_map,
-                   log_probs, max_canonical_deviation, nll, push_qr,
-                   rescale_rows, rooted_copy, sample_matrix, signed_logs,
-                   single_site_marginals)
+from .born import (BornMachine, Pixel, bond_capacity, canonicalize,
+                   correlation_map, log_probs, max_canonical_deviation, nll,
+                   push_qr, random_tensors, rescale_rows, rooted_copy,
+                   sample_matrix, signed_logs, single_site_marginals)
 from .errors import DimensionError, TopologyError
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
-from .tensor import DenseTensor, qr_split  # noqa: F401
+from .tensor import qr_split  # noqa: F401
 from .training import (TrainConfig, exit_epoch, guarded_merge_factors,
                        sweep, train)
 
@@ -30,17 +30,9 @@ from .training import (TrainConfig, exit_epoch, guarded_merge_factors,
 class MpsModel(BornMachine):
     """Open-boundary MPS over binary pixels with a canonical center."""
 
-    def __init__(self, tensors, canonical_center=None, d_max=None):
-        self.tensors = list(tensors)
-        if len(self.tensors) < 2:
+    def _check_size(self):
+        if self.n_sites < 2:
             raise TopologyError("an MPS needs at least 2 sites")
-        self.canonical_center = canonical_center
-        self.d_max = d_max
-        self._check_shapes()
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
 
     def axis_sites(self, i: int):
         return [i - 1 if i > 0 else None, Pixel(i),
@@ -49,9 +41,6 @@ class MpsModel(BornMachine):
     def path(self, i: int, j: int):
         step = 1 if j >= i else -1
         return list(range(i, j + step, step))
-
-    def bond_dims(self) -> dict:
-        return {i: self.tensors[i].shape[0] for i in range(1, self.n_sites)}
 
     # -- the Born-machine interface (see ``born.BornMachine``) --------------
 
@@ -106,13 +95,11 @@ def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
         raise TopologyError("n_sites must be >= 2")
     if d_max < 1:
         raise DimensionError("d_max must be >= 1")
-    # bond i holds at most 2^i and 2^(n - i) states (exponents capped at 62)
-    dims = [1] + [min(d_max, 2 ** min(i, 62), 2 ** min(n_sites - i, 62))
+    # bond i has i pixels on its left
+    dims = [1] + [bond_capacity(d_max, i, n_sites)
                   for i in range(1, n_sites)] + [1]
-    rng = np.random.default_rng(seed)
-    tensors = [DenseTensor(rng.uniform(-1.0, 1.0, size=(dl, 2, dr)),
-                           validate=False) for dl, dr in zip(dims, dims[1:])]
-    model = MpsModel(tensors, canonical_center=None, d_max=d_max)
+    shapes = [(dl, 2, dr) for dl, dr in zip(dims, dims[1:])]
+    model = MpsModel(random_tensors(shapes, seed), d_max=d_max)
     canonicalize(model, n_sites - 1)
     return model
 

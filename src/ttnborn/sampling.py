@@ -47,8 +47,8 @@ import os
 import numpy as np
 
 from . import pbm
-from .born import (BornMachine, data_log_z, rescale_rows, row_chunks,
-                   sample_matrix)
+from .born import (BornMachine, check_int, data_log_z, rescale_rows,
+                   row_chunks, sample_matrix)
 from .data import OrderingDescriptor, invert_ordering
 from .errors import DegenerateDistributionError, StateError
 
@@ -143,11 +143,8 @@ def sample_batch(model: BornMachine, count: int, seed: int, *,
     from the amplitude the sampler assembled (not a sum of conditionals),
     for auditing against ``log_probs``.
     """
-    for name, value, low in (("count", count, 1), ("seed", seed, 0)):
-        if (isinstance(value, bool)
-                or not isinstance(value, (int, np.integer)) or value < low):
-            raise ValueError(f"{name} must be an integer >= {low}, "
-                             f"got {value!r}")
+    check_int("count", count, 1)
+    check_int("seed", seed, 0)
     if model.canonical_center is None:
         raise StateError("sampling requires a canonicalized model")
     row_floats, columns, draw = _sampler(model)

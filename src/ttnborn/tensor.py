@@ -54,12 +54,6 @@ class DenseTensor:
 
 
 @dataclass
-class QrResult:
-    q: DenseTensor  # (row_axes..., k), orthonormal columns when matricized
-    r: DenseTensor  # (k, col_axes...), non-negative diagonal
-
-
-@dataclass
 class SvdResult:
     u: DenseTensor          # (row_axes..., k), orthonormal columns
     s: list                 # kept singular values, descending
@@ -93,12 +87,12 @@ def _matricize(t: DenseTensor, row_axes, col_axes):
     return np.ascontiguousarray(mat), row_dims, col_dims
 
 
-def qr_split(t: DenseTensor, row_axes, col_axes) -> QrResult:
+def qr_split(t: DenseTensor, row_axes, col_axes):
     """QR-factor the matricization rows=row_axes, cols=col_axes.
 
-    Q comes back reshaped to (row_axes..., k) with exactly orthonormal
-    columns; R is (k, col_axes...).  The diagonal of R is forced
-    non-negative so the decomposition is deterministic.
+    Returns the arrays (q, r): q reshaped to (row_axes..., k) with exactly
+    orthonormal columns, r to (k, col_axes...).  The diagonal of r is
+    forced non-negative so the decomposition is deterministic.
     """
     _check_axis_partition(t, row_axes, col_axes)
     mat, row_dims, col_dims = _matricize(t, row_axes, col_axes)
@@ -108,8 +102,7 @@ def qr_split(t: DenseTensor, row_axes, col_axes) -> QrResult:
     q = q * diag_sign[np.newaxis, :]
     r = r * diag_sign[:, np.newaxis]
     k = q.shape[1]
-    return QrResult(q=DenseTensor(q.reshape(row_dims + [k]), validate=False),
-                    r=DenseTensor(r.reshape([k] + col_dims), validate=False))
+    return q.reshape(row_dims + [k]), r.reshape([k] + col_dims)
 
 
 def kept_rank(s: np.ndarray, d_max: int, cutoff: float) -> int:

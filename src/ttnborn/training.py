@@ -45,8 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .born import (BornMachine, Pixel, canonicalize, contract_node, nll,
-                   push_qr, sample_matrix, toward_center)
+from .born import (BornMachine, Pixel, canonicalize, check_int,
+                   contract_node, nll, push_qr, sample_matrix, toward_center)
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
 from .tensor import (DenseTensor, kept_rank, kron_rows, move_axis,
@@ -82,18 +82,16 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
         if not (math.isfinite(self.svd_cutoff) and self.svd_cutoff >= 0):
             raise ValueError("svd_cutoff must be finite and >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, low in (("d_max", 1), ("epochs", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        if self.batch_size is not None:
+            check_int("batch_size", self.batch_size, 1)
         if self.scheme not in ("one-site", "two-site"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.zero_amplitude not in ("strict", "lenient"):
             raise ValueError(f"unknown zero_amplitude mode {self.zero_amplitude!r}")
-        if self.batch_size is not None and int(self.batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

@@ -4,12 +4,15 @@ Topology
 --------
 The model is a perfect binary tree stored heap-style.  For ``n_sites``
 pixels (a power of two, >= 4) there are ``n_sites - 1`` tensors indexed
-1..n_sites-1.  Tensor 1 is the 2-way root with axes (bond to node 2,
-bond to node 3); every other tensor ``n`` is 3-way with axes
-(bond to parent ``n // 2``, bond to child ``2n``, bond to child ``2n + 1``).
-Nodes whose children indices exceed the tensor count are leaves; their two
-lower axes are physical with dimension 2, and heap slot ``n_sites + k``
-corresponds to pixel ``k``, so pixels run left to right across the leaves.
+1..n_sites-1; ``TtnModel(tensors, canonical_center=None, d_max=None)``
+takes them after an unused slot 0 (None), so that ``n_sites`` is
+``len(tensors)``, as for the chain.  Tensor 1 is the 2-way root with axes
+(bond to node 2, bond to node 3); every other tensor ``n`` is 3-way with
+axes (bond to parent ``n // 2``, bond to child ``2n``, bond to child
+``2n + 1``).  Nodes whose children indices exceed the tensor count are
+leaves; their two lower axes are physical with dimension 2, and heap slot
+``n_sites + k`` corresponds to pixel ``k``, so pixels run left to right
+across the leaves.
 
 ``TtnModel.axis_sites`` turns that arithmetic into the one topology answer
 (what sits on each axis of a tensor: a neighbouring node or a pixel) that
@@ -29,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
-from .born import (LIFT_FLOATS, BornMachine, Pixel, canonicalize,
-                   contract_node, log_probs, rescale_rows, rooted_copy,
-                   signed_logs, single_site_marginals)
+from .born import (LIFT_FLOATS, BornMachine, Pixel, bond_capacity,
+                   canonicalize, contract_node, log_probs, random_tensors,
+                   rescale_rows, rooted_copy, signed_logs,
+                   single_site_marginals)
 from .errors import DimensionError, TopologyError
-from .tensor import DenseTensor, kron_rows
+from .tensor import kron_rows
 # Not called here; ``perfbench`` calls or wraps these by their ``ttn`` names.
 from .born import (correlation_map, max_canonical_deviation,  # noqa: F401
                    nll, push_qr)
@@ -51,21 +55,12 @@ class Amplitude:
 class TtnModel(BornMachine):
     """Heap-indexed binary tree of tensors with canonical-center bookkeeping."""
 
-    def __init__(self, n_sites: int, tensors, canonical_center=None,
-                 d_max=None):
-        if n_sites < 4 or n_sites & (n_sites - 1):
-            raise TopologyError(f"n_sites must be a power of 2 >= 4, got {n_sites}")
-        self.n_sites = n_sites
-        self.tensors = list(tensors)           # index 0 unused
-        if len(self.tensors) != n_sites:
-            raise TopologyError(
-                f"expected {n_sites - 1} tensors (plus unused slot 0), got "
-                f"{len(self.tensors) - 1}")
-        self.canonical_center = canonical_center
-        self.d_max = d_max
-        self._check_shapes()
-
     # -- topology ----------------------------------------------------------
+
+    def _check_size(self):
+        n = self.n_sites   # slot 0 counted, unused
+        if n < 4 or n & (n - 1):
+            raise TopologyError(f"n_sites must be a power of 2 >= 4, got {n}")
 
     @property
     def n_tensors(self) -> int:
@@ -97,10 +92,6 @@ class TtnModel(BornMachine):
                 b //= 2
                 up_v.append(b)
         return up_u[:-1] + up_v[::-1]
-
-    def bond_dims(self) -> dict:
-        """Dimension of the parent edge above each node n >= 2."""
-        return {n: self.tensors[n].shape[0] for n in range(2, self.n_tensors + 1)}
 
     # -- the Born-machine interface ------------------------------------------
 
@@ -166,41 +157,22 @@ class TtnModel(BornMachine):
         return training.sweep_epoch(self, dataset, config, **kwargs)
 
 
-def bond_capacity(n_sites: int, node: int, d_max: int) -> int:
-    """Bond dimension of the edge above ``node``: d_max capped by what the
-    subtree can carry (2 to the number of pixels below the edge)."""
-    sites_below = n_sites >> (node.bit_length() - 1)   # halved per level
-    if sites_below >= 62:
-        return d_max
-    return min(d_max, 2 ** sites_below)
-
-
 def build_random(n_pixels_padded: int, d_max: int, seed: int) -> TtnModel:
-    """Random TTN with capacity-capped bonds, canonicalized to the root.
-
-    Entries are i.i.d. uniform on (-1, 1) from a seeded generator, so the
-    same seed always yields the identical model.
-    """
-    if n_pixels_padded < 4 or n_pixels_padded & (n_pixels_padded - 1):
+    """Random TTN with capacity-capped bonds (``born.bond_capacity``; the
+    edge above node n has n_pixels_padded / 2^level(n) pixels below it),
+    canonicalized to the root; its entries are ``born.random_tensors``."""
+    n = n_pixels_padded
+    if n < 4 or n & (n - 1):
         raise TopologyError(
-            f"n_pixels_padded must be a power of 2 >= 4, got {n_pixels_padded}")
+            f"n_pixels_padded must be a power of 2 >= 4, got {n}")
     if d_max < 1:
         raise DimensionError("d_max must be >= 1")
-    n_t = n_pixels_padded - 1
-    dims = {n: bond_capacity(n_pixels_padded, n, d_max) for n in range(2, n_t + 1)}
-    rng = np.random.default_rng(seed)
-    tensors = [None]
-    for n in range(1, n_t + 1):
-        if n == 1:
-            shape = (dims[2], dims[3])
-        elif 2 * n > n_t:
-            shape = (dims[n], 2, 2)
-        else:
-            shape = (dims[n], dims[2 * n], dims[2 * n + 1])
-        tensors.append(DenseTensor(rng.uniform(-1.0, 1.0, size=shape),
-                                   validate=False))
-    model = TtnModel(n_pixels_padded, tensors, canonical_center=None,
-                     d_max=d_max)
+    dims = {k: bond_capacity(d_max, n >> (k.bit_length() - 1), n)
+            for k in range(2, n)}
+    shapes = [(dims[2], dims[3])] + [
+        (dims[k],) + ((2, 2) if 2 * k >= n else (dims[2 * k], dims[2 * k + 1]))
+        for k in range(2, n)]
+    model = TtnModel([None] + random_tensors(shapes, seed), d_max=d_max)
     canonicalize(model, 1)
     return model
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      build_random, canonicalize, gen_random_patterns, train)
-from ttnborn.ttn import bond_capacity
+from ttnborn.born import bond_capacity
 
 
 def all_configs(n):
@@ -73,7 +73,7 @@ def ttn_from_patterns(patterns) -> TtnModel:
             for a in range(count):
                 data[a, a, a] = 1.0
         tensors.append(DenseTensor(data, validate=False))
-    return TtnModel(n_sites, tensors, canonical_center=None, d_max=count)
+    return TtnModel(tensors, canonical_center=None, d_max=count)
 
 
 def mps_from_patterns(patterns) -> MpsModel:
@@ -108,13 +108,14 @@ def random_uneven_ttn(n_sites, seed, d_max=5) -> TtnModel:
     differ and the group roots (parents of two leaves) fall into several
     shape classes."""
     rng = np.random.default_rng(seed)
-    dims = {n: int(rng.integers(1, bond_capacity(n_sites, n, d_max) + 1))
+    dims = {n: int(rng.integers(1, bond_capacity(
+                d_max, n_sites >> (n.bit_length() - 1), n_sites) + 1))
             for n in range(2, n_sites)}
     tensors = [None, DenseTensor(rng.uniform(-1, 1, (dims[2], dims[3])))]
     for n in range(2, n_sites):
         below = (2, 2) if 2 * n >= n_sites else (dims[2 * n], dims[2 * n + 1])
         tensors.append(DenseTensor(rng.uniform(-1, 1, (dims[n],) + below)))
-    return TtnModel(n_sites, tensors, canonical_center=None, d_max=d_max)
+    return TtnModel(tensors, canonical_center=None, d_max=d_max)
 
 
 def uniform_ttn(n_sites) -> TtnModel:
@@ -125,7 +126,7 @@ def uniform_ttn(n_sites) -> TtnModel:
             tensors.append(DenseTensor(np.full((1, 2, 2), 0.5)))
         else:
             tensors.append(DenseTensor(np.ones((1, 1, 1))))
-    return TtnModel(n_sites, tensors, canonical_center=None, d_max=1)
+    return TtnModel(tensors, canonical_center=None, d_max=1)
 
 
 def sharp_product_ttn(n_sites, p1):
@@ -138,7 +139,7 @@ def sharp_product_ttn(n_sites, p1):
             tensors.append(DenseTensor(np.outer(amp, amp)[None]))
         else:
             tensors.append(DenseTensor(np.ones((1, 1, 1))))
-    return TtnModel(n_sites, tensors, canonical_center=1, d_max=1)
+    return TtnModel(tensors, canonical_center=1, d_max=1)
 
 
 def sharp_product_mps(n_sites, p1) -> MpsModel:

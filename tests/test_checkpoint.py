@@ -109,6 +109,21 @@ class TestLogNorm:
                    - 6.0) < 1e-12
 
 
+class TestHeaderMatchesTensors:
+    @pytest.mark.parametrize("fields", [
+        {"n_sites": 99}, {"n_sites": 16}, {"bond_dims": {"1": 999}},
+        {"bond_dims": {str(k): 1 for k in range(8)}}],
+        ids=["n-sites-99", "n-sites-16", "bond-dims-999", "bond-dims-ones"])
+    @pytest.mark.parametrize("build", [build_random, mps_build_random],
+                             ids=["ttn", "mps"])
+    def test_mismatch_raises_format_error(self, tmp_path, build, fields):
+        path = tmp_path / "m.ttnborn"
+        save_checkpoint(path, build(8, 4, seed=80))
+        path.write_bytes(with_header(path.read_bytes(), **fields))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+
 class TestFormat:
     def test_magic_at_offset_zero(self, tmp_path):
         model = build_random(4, 2, seed=0)

@@ -10,7 +10,7 @@ from ttnborn import (BinaryDataset, apply_ordering, gen_random_patterns,
                      invert_ordering, load_binarized_text, make_ordering,
                      save_binarized_text)
 from ttnborn.data import morton_index
-from ttnborn.errors import FormatError, ParseError
+from ttnborn.errors import DimensionError, FormatError, ParseError
 from ttnborn import pbm
 
 
@@ -130,6 +130,12 @@ class TestOrdering:
         desc = make_ordering("hierarchical-2d", (28, 28))
         leaf = apply_ordering(ds, desc)
         assert np.array_equal(invert_ordering(leaf, desc), ds.samples)
+
+    @pytest.mark.parametrize("shape", [(5, 1023), (1023,), (5, 1024, 1)])
+    def test_invert_rejects_rows_of_another_width(self, shape):
+        desc = make_ordering("hierarchical-2d", (28, 28))
+        with pytest.raises(DimensionError):
+            invert_ordering(np.zeros(shape, np.uint8), desc)
 
     def test_all_ones_image_counts(self):
         ds = BinaryDataset(np.ones((1, 784), dtype=np.uint8), (28, 28))

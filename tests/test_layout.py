@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import ttnborn
 
@@ -56,3 +57,24 @@ def test_born_sits_below_both_models():
     assert born <= {"errors", "tensor"}, born
     for name in ("training.py", "sampling.py", "data.py"):
         assert not found[name] & {"ttn", "mps"}, f"{name}: {found[name]}"
+
+
+def test_benchmark_only_imports_are_the_benchmarks():
+    # a name that a module imports on a ``# noqa: F401`` line, not to use
+    # it, is one that perfbench/bench.py wraps or calls by that module's
+    # name, as ``<module>.<name>`` or ``(<module>, "<name>")``
+    bench = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+             / "bench.py").read_text()
+    stray = []
+    for path in sorted(pathlib.Path(ttnborn.__file__).parent.glob("*.py")):
+        text, module = path.read_text(), path.stem
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                stray += [f"{module}.{alias.name}" for alias in node.names
+                          if not re.search(
+                              rf'\b{module}\.{alias.name}\b'
+                              rf'|\({module}, "{alias.name}"', bench)]
+    assert not stray, f"imported for a benchmark that does not use: {stray}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttnborn import (DenseTensor, build_random, canonicalize,
-                     gen_random_patterns, log_probs, marginal,
+                     gen_random_patterns, log_probs, make_ordering, marginal,
                      mps_build_random, sample_batch, save_samples_pbm, train,
                      TrainConfig)
 from ttnborn import pbm
@@ -360,6 +360,15 @@ class TestOrderingAndFiles:
         assert out.shape == (20, 12)
         patterns = {r.tobytes() for r in raw.samples}
         assert all(r.tobytes() in patterns for r in out.astype(np.uint8))
+
+    @pytest.mark.parametrize("raw_shape", [(4,), (100,)])
+    def test_ordering_of_another_width_is_rejected(self, raw_shape):
+        # 4 leaves would keep the first 4 of 16 pixels, and 128 index past
+        # them
+        model = build_random(16, 3, seed=1)
+        with pytest.raises(DimensionError):
+            sample_batch(model, 3, 0,
+                         ordering=make_ordering("raster-1d", raw_shape))
 
     def test_pbm_emission(self, tmp_path):
         model = build_random(16, 4, seed=62)

@@ -30,29 +30,29 @@ class TestConstructorScale:
 
 class TestQrSplit:
     def test_identity(self):
-        res = qr_split(DenseTensor(np.eye(2)), [0], [1])
-        assert np.allclose(np.abs(res.q.data), np.eye(2))
-        assert np.allclose(np.abs(np.diag(res.r.data.reshape(2, 2))), 1.0)
+        q, r = qr_split(DenseTensor(np.eye(2)), [0], [1])
+        assert np.allclose(np.abs(q), np.eye(2))
+        assert np.allclose(np.abs(np.diag(r.reshape(2, 2))), 1.0)
 
     def test_rank_one(self):
         t = DenseTensor(np.array([[2.0, 0.0], [0.0, 0.0]]))
-        res = qr_split(t, [0], [1])
-        assert np.allclose(np.abs(res.q.data[:, 0]), [1, 0])
-        assert abs(abs(res.r.data[0, 0]) - 2.0) < 1e-12
+        q, r = qr_split(t, [0], [1])
+        assert np.allclose(np.abs(q[:, 0]), [1, 0])
+        assert abs(abs(r[0, 0]) - 2.0) < 1e-12
 
     def test_random_reconstruction_and_orthonormality(self, rng):
         t = rng.standard_normal((4, 3, 2))
-        res = qr_split(DenseTensor(t), [0, 1], [2])
-        q = res.q.data.reshape(12, 2)
-        assert np.max(np.abs(q.T @ q - np.eye(2))) < 1e-12
-        recon = np.einsum('abk,kc->abc', res.q.data, res.r.data)
+        q, r = qr_split(DenseTensor(t), [0, 1], [2])
+        m = q.reshape(12, 2)
+        assert np.max(np.abs(m.T @ m - np.eye(2))) < 1e-12
+        recon = np.einsum('abk,kc->abc', q, r)
         assert np.max(np.abs(recon - t)) / np.linalg.norm(t) < 1e-12
 
     def test_r_diagonal_nonnegative(self, rng):
         for _ in range(20):
             t = rng.standard_normal((5, 4))
-            res = qr_split(DenseTensor(t), [0], [1])
-            assert np.all(np.diag(res.r.data) >= 0)
+            _, r = qr_split(DenseTensor(t), [0], [1])
+            assert np.all(np.diag(r) >= 0)
 
     def test_invalid_partition_raises(self):
         with pytest.raises(DimensionError):
@@ -66,9 +66,9 @@ class TestQrSplit:
             axes = list(rng.permutation(ndim))
             cut = int(rng.integers(1, ndim))
             rows, cols = sorted(axes[:cut]), sorted(axes[cut:])
-            res = qr_split(DenseTensor(t), rows, cols)
-            k = res.q.shape[-1]
-            recon = np.tensordot(res.q.data, res.r.data, axes=([len(rows)], [0]))
+            q, r = qr_split(DenseTensor(t), rows, cols)
+            k = q.shape[-1]
+            recon = np.tensordot(q, r, axes=([len(rows)], [0]))
             expect = np.transpose(t, rows + cols)
             denom = max(np.linalg.norm(t), 1e-300)
             assert np.max(np.abs(recon - expect)) / denom < 1e-12

@@ -47,7 +47,7 @@ class TestGradientOneSite:
         t1 = DenseTensor(np.ones((1, 1)))
         t2 = DenseTensor(np.eye(2).reshape(1, 2, 2))
         t3 = DenseTensor(np.array([[[1.0, 0.0], [0.0, 0.0]]]))
-        model = TtnModel(4, [None, t1, t2, t3], canonical_center=2)
+        model = TtnModel([None, t1, t2, t3], canonical_center=2)
         batch = np.array([[0, 0, 0, 0]])
         g = gradient_one_site(model, batch, 2)
         assert np.max(np.abs(g.data - np.array([[[-1.0, 0.0], [0.0, 1.0]]]))) \
@@ -765,7 +765,9 @@ class TestTrainConfig:
         ("learning_rate", math.inf), ("d_max", 0), ("d_max", -1),
         ("svd_cutoff", -1e-12), ("svd_cutoff", math.nan),
         ("svd_cutoff", math.inf), ("epochs", -1), ("scheme", "three-site"),
-        ("zero_amplitude", "loose"), ("batch_size", 0)])
+        ("zero_amplitude", "loose"), ("batch_size", 0), ("d_max", 2.5),
+        ("d_max", True), ("batch_size", 2.5), ("epochs", 1.5),
+        ("seed", -1), ("seed", 0.5)])
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

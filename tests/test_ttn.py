@@ -200,7 +200,7 @@ class TestAmplitude:
     def test_all_equal_tensors_are_symmetric(self):
         tensors = [None, DenseTensor(np.ones((2, 2)))]
         tensors += [DenseTensor(np.ones((2, 2, 2))) for _ in range(2)]
-        m = TtnModel(4, tensors)
+        m = TtnModel(tensors)
         configs = all_configs(4)
         vals = [contract_pixel_vectors(m, np.eye(2)[c]) for c in configs]
         assert len({(round(a.log_abs, 12), a.sign) for a in vals}) == 1
