@@ -341,11 +341,18 @@ def rooted_copy(model: BornMachine, center: int) -> BornMachine:
     tensor the move leaves alone.  The copy has its own tensor list, and
     ``canonicalize`` replaces the tensors it touches (those on the path from
     the old center, or all of them when ``model`` has none) instead of
-    writing into them, so ``model`` is unchanged."""
+    writing into them, so ``model`` is unchanged.  The copy's center is a
+    new tensor with its max magnitude in [0.5, 1), by a power of two carried
+    on ``log_norm``, so the reads of any center scale stay in float range."""
     work = shallow_copy(model)
     work.tensors = list(model.tensors)
     if work.canonical_center != center:
         canonicalize(work, center)
+    t = work.tensors[center].data
+    e = int(np.frexp(np.abs(t).max(initial=0.0))[1])
+    if e:
+        work.tensors[center] = DenseTensor(np.ldexp(t, -e), validate=False)
+        work.log_norm += e * math.log(2.0)
     return work
 
 
@@ -494,13 +501,14 @@ def sample_matrix(rows, n_sites=None) -> np.ndarray:
     return samples.astype(np.uint8, copy=False)
 
 
-def check_int(name: str, value, low: int, high=math.inf):
+def check_int(name: str, value, low=-math.inf, high=math.inf):
     """ValueError unless ``value`` is an integer in [low, high), a numpy
     one too but never a bool (an int, but True is no count or index)."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not low <= value < high):
-        bound = f">= {low}" if high == math.inf else f"in range({low}, {high})"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+        bound = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+                 else f" in range({low}, {high})")
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def clamp_weights(n_sites: int, assignments) -> np.ndarray:

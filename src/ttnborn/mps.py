@@ -17,9 +17,10 @@ import numpy as np
 
 from . import sampling
 from .born import (BornMachine, Pixel, bond_capacity, canonicalize,
-                   correlation_map, log_probs, max_canonical_deviation, nll,
-                   push_qr, random_tensors, rescale_rows, rooted_copy,
-                   sample_matrix, signed_logs, single_site_marginals)
+                   check_int, correlation_map, log_probs,
+                   max_canonical_deviation, nll, push_qr, random_tensors,
+                   rescale_rows, rooted_copy, sample_matrix, signed_logs,
+                   single_site_marginals)
 from .errors import DimensionError, TopologyError
 # Not called here; ``perfbench`` wraps ``mps.qr_split`` by name.
 from .tensor import qr_split  # noqa: F401
@@ -90,7 +91,12 @@ class _RootedChain(MpsModel):
 
 
 def mps_build_random(n_sites: int, d_max: int, seed: int) -> MpsModel:
-    """Random MPS with capacity-capped bonds, canonicalized to the last site."""
+    """Random MPS with capacity-capped bonds, canonicalized to the last site.
+    ``n_sites`` and ``d_max`` are integers (numpy ones too, never a bool;
+    else ValueError), >= 2 (else TopologyError) and >= 1 (else
+    DimensionError)."""
+    check_int("n_sites", n_sites)
+    check_int("d_max", d_max)
     if n_sites < 2:
         raise TopologyError("n_sites must be >= 2")
     if d_max < 1:
@@ -162,11 +168,14 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
     one gather per site, or per pair below ``_BLOCK_MADDS``.  Non-centre
     slices A[:, x, :] of a canonical chain have operator norm <= 1, so rows
     are rescaled only every ``_SPAN`` pairs, before the centre's pair and at
-    the end; a row then below ``_FLOOR`` is walked again pair by pair."""
+    the end; a row then below ``_FLOOR`` is walked again from the last
+    rescale, one rescale per pair to the end."""
     tensors, c = [t.data for t in model.tensors], model.canonical_center
+    stop = (len(tensors) + 1) // 2
+    msg_out, logs_out = np.empty(len(samples)), np.empty(len(samples))
 
-    def walk(msg, logs, rows, first, stop, span):   # pairs first .. stop - 1
-        last, last_logs, at = msg, logs, np.arange(len(rows))
+    def walk(msg, logs, rows, ids, first, span):   # pairs first .. stop - 1
+        last, last_logs, at = msg, logs, np.arange(len(ids))
         for p in range(first, stop):
             pair = tensors[2 * p:2 * p + 2]   # a lone last site: one part
             madds = 2 * pair[0].size * pair[-1].shape[2]     # 4 Da Db Dc
@@ -184,16 +193,21 @@ def mps_amplitudes(model: MpsModel, samples) -> tuple:
                 low = np.flatnonzero(np.abs(msg).max(axis=1) < _FLOOR)
                 redo = low[last[low].any(axis=1)]   # not zero at ``last``
                 if len(redo):
-                    msg[redo], logs[redo] = walk(last[redo], last_logs[redo],
-                                                 rows[redo], first, p + 1, 1)
+                    walk(last[redo], last_logs[redo], rows[redo], ids[redo],
+                         first, 1)
+                    keep = np.delete(at, redo)
+                    if not len(keep):
+                        return
+                    msg, logs, rows, ids = (msg[keep], logs[keep], rows[keep],
+                                            ids[keep])
+                    at = np.arange(len(ids))
             msg, logs = rescale_rows(msg, logs)
             last, last_logs, first = msg, logs, p + 1
-        return msg, logs
+        msg_out[ids], logs_out[ids] = msg[:, 0], logs
 
-    msg, logs = walk(np.ones((len(samples), 1)), np.zeros(len(samples)),
-                     samples, 0, (len(tensors) + 1) // 2,
-                     1 if c is None else _SPAN)
-    return signed_logs(msg[:, 0], logs)
+    walk(np.ones((len(samples), 1)), np.zeros(len(samples)), samples,
+         np.arange(len(samples)), 0, 1 if c is None else _SPAN)
+    return signed_logs(msg_out, logs_out)
 
 
 def mps_sweep_epoch(model: MpsModel, dataset, config: TrainConfig, *,

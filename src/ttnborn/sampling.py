@@ -30,6 +30,19 @@ subtree ends at a table, ``c = A[x]``, and folds its path back up,
 amplitude psi(x), its log scale carried along, so the chain log returned
 with the samples is ``2 log|psi| - log Z``, both without ``log_norm``.
 
+Rows are scaled only where the float range needs it.  The rooted copy's
+centre, the root, has its max magnitude in [0.5, 1) (``born.rooted_copy``),
+and below it every T is an isometry, so a node's total draw weight is the
+row's ``||v||^2``: at most the root's, times ``||c||^2`` (c's max below 1)
+for each subtree completed on the way, so only a fall needs a check.  Where
+some row's total is under ``_FLOOR``, the node rescales ``v`` by the power
+of two of each row's max (``born.rescale_rows``, its log carried) and is
+formed again before it draws; the folds that complete a subtree, which no
+mass bounds, rescale at every node.  A power of two changes no mantissa
+bit, so the draws are those of a rescale at every node, and the chain log
+differs only in its last bits, unless a weight under the floor underflows
+(which only u = 0 could draw).
+
 Batches are drawn in lockstep.  Row ``i`` uses the ``i``-th row of the
 seeded generator's uniform stream, one column per node (n/4 - 1 for a tree
 of 8 pixels or more), so it depends on (seed, i) alone; each draw is one
@@ -58,11 +71,26 @@ from .errors import DegenerateDistributionError, StateError
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
 
-def _draw(weights, u):
-    """The smallest index in each row of ``weights`` whose cumulative weight
-    exceeds ``u`` times the total: never one of zero weight (0 <= u < 1).
-    ``weights`` is overwritten by its cumulative sums."""
-    cum = np.cumsum(weights, axis=1, out=weights)
+# A row whose draw mass at a node, ||v||^2 below the root, is under this
+# floor has v rescaled and the node formed again, so that every weight that
+# can decide a draw (2^-53 of the mass or more) is a normal float
+_FLOOR = 2.0 ** -600
+
+
+def _formed(v, t, by_value: bool):
+    """``M = v . T`` as (rows, first, second) and the cumulative sums of its
+    draw weights: over the first axis's values ``by_value``, else over the
+    second axis's indices."""
+    da, m1, m2 = t.shape
+    m = (v @ t.reshape(da, -1)).reshape(len(v), m1, m2)
+    weights = np.einsum("rxs,rxs->rx" if by_value else "rfs,rfs->rs", m, m)
+    return m, np.cumsum(weights, axis=1, out=weights)
+
+
+def _draw(cum, u):
+    """The smallest index in each row of the cumulative weights ``cum``
+    that exceeds ``u`` times the total: never one of zero weight
+    (0 <= u < 1)."""
     total = cum[:, -1]
     if not (total > 0.0).all():
         raise DegenerateDistributionError("zero mass at a sampling node")
@@ -86,15 +114,17 @@ class SampleState:
         logs, path = np.zeros(count), []
         while True:
             t, first, second = self.model.nodes[node]
-            da, m1, m2 = t.shape
-            v, logs = rescale_rows(v, logs)
-            m = (v @ t.reshape(da, -1)).reshape(count, m1, m2)
-            if isinstance(first, slice):
-                x = _draw(np.einsum("rxs,rxs->rx", m, m), self.u[:, node])
-                self.samples[:, first] = _BITS[x, 9 - m1.bit_length():]
+            by_value = isinstance(first, slice)
+            m, cum = _formed(v, t, by_value)
+            if (cum[:, -1] < _FLOOR).any():
+                v, logs = rescale_rows(v, logs)
+                m, cum = _formed(v, t, by_value)
+            if by_value:
+                x = _draw(cum, self.u[:, node])
+                self.samples[:, first] = _BITS[x, 9 - t.shape[1].bit_length():]
                 v = m[rows, x]
             else:
-                s = _draw(np.einsum("rfs,rfs->rs", m, m), self.u[:, node])
+                s = _draw(cum, self.u[:, node])
                 c, log = self._walk(first, m[rows, :, s], True)
                 v, logs = np.einsum("rf,rfs->rs", c, m), logs + log
                 if complete:

@@ -192,12 +192,15 @@ def kron_rows(mats):
 
 def frobenius_norm(t: DenseTensor) -> float:
     """log of the Frobenius norm; -inf for the zero tensor.  A norm whose
-    square passes the float range is taken of the data scaled to unit max."""
+    square may have left the float range (above it, or below 1e-300) is
+    taken of the data scaled to unit max."""
     if t.data.size == 0:
         raise DimensionError("tensor is empty")
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(t.data.ravel()))
-    if n == math.inf:
+    if not 1e-150 <= n < math.inf:
         top = float(np.abs(t.data).max())
+        if top == 0.0:
+            return NEG_INF
         return math.log(top) + math.log(np.linalg.norm(t.data.ravel() / top))
-    return math.log(n) if n else NEG_INF
+    return math.log(n)

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import training
 from .born import (LIFT_FLOATS, BornMachine, Pixel, bond_capacity,
-                   canonicalize, contract_node, log_probs, random_tensors,
-                   rescale_rows, rooted_copy, signed_logs,
+                   canonicalize, check_int, contract_node, log_probs,
+                   random_tensors, rescale_rows, rooted_copy, signed_logs,
                    single_site_marginals)
 from .errors import DimensionError, TopologyError
 from .tensor import kron_rows
@@ -160,8 +160,13 @@ class TtnModel(BornMachine):
 def build_random(n_pixels_padded: int, d_max: int, seed: int) -> TtnModel:
     """Random TTN with capacity-capped bonds (``born.bond_capacity``; the
     edge above node n has n_pixels_padded / 2^level(n) pixels below it),
-    canonicalized to the root; its entries are ``born.random_tensors``."""
+    canonicalized to the root; its entries are ``born.random_tensors``.
+    ``n_pixels_padded`` and ``d_max`` are integers (numpy ones too, never a
+    bool; else ValueError), a power of two >= 4 (else TopologyError) and
+    >= 1 (else DimensionError)."""
     n = n_pixels_padded
+    check_int("n_pixels_padded", n)
+    check_int("d_max", d_max)
     if n < 4 or n & (n - 1):
         raise TopologyError(
             f"n_pixels_padded must be a power of 2 >= 4, got {n}")

@@ -392,6 +392,23 @@ class TestChainKernel:
         monkeypatch.setattr(born, "_chunk_rows", lambda m, c: 3)
         assert np.array_equal(mps_log_probs(model, rows), whole)
 
+    def test_an_underflowed_row_is_walked_again_once(self, monkeypatch):
+        # all-ones rows underflow in every span; once walked again from
+        # their first span's start they keep a rescale per pair, so the walk
+        # reads each pair once and the first span twice
+        n = 1024
+        model = sharp_product_mps(n, 1e-300)
+        blocks, pair_block = [], mps._pair_block
+
+        def counted(*parts):
+            blocks.append(parts)
+            return pair_block(*parts)
+        monkeypatch.setattr(mps, "_pair_block", counted)
+        got = mps_log_probs(model, np.ones((5, n), dtype=np.uint8))
+        want = n * math.log(1e-300)
+        assert np.all(np.abs(got - want) <= 1e-13 * abs(want))
+        assert len(blocks) <= n // 2 + mps._SPAN
+
     def test_a_row_below_the_floor_before_the_centre_is_walked_again(self):
         # sites of amplitude 1e-160 at 1 around a centre of 1e150 at 1: the
         # row's message is subnormal, 1e-320, just before the centre pair,

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ttnborn import (DenseTensor, build_random, canonicalize,
-                     gen_random_patterns, log_probs, make_ordering, marginal,
-                     mps_build_random, sample_batch, save_samples_pbm, train,
+                     correlation_map, gen_random_patterns, log_probs,
+                     make_ordering, marginal, mps_build_random, sample_batch,
+                     save_samples_pbm, single_site_marginals, train,
                      TrainConfig)
-from ttnborn import pbm
+from ttnborn import pbm, sampling
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
                             StateError)
 from ttnborn.sampling import _sampler
@@ -292,7 +293,12 @@ class TestChainLogAtScale:
         lp = log_probs(model, rows)
         assert np.all(np.abs(chain - lp) <= 1e-10 * np.abs(lp))
 
-    def test_rows_far_below_the_float_range(self):
+    # whether the walk's floor rescales rows below: the tree's draws that
+    # fall far are at its tables, which end their walks, while the chain's
+    # mass falls along its one walk
+    floor_fires = False
+
+    def test_rows_far_below_the_float_range(self, monkeypatch):
         # all zeros but at most one pixel: p ~ 1e-2046, so the amplitudes
         # underflow unless their scales are carried in logs.  u = 0 draws
         # each node's first value, all zeros.  (All ones, the last value,
@@ -304,7 +310,9 @@ class TestChainLogAtScale:
         for row, pixel in enumerate((0, 513, 1023), start=1):
             column, u = _lone_one_uniform(model, pixel, 0.99)
             uniforms[row, column] = u
+        formed = _count_formed(monkeypatch)
         rows, chain_log = draw(uniforms)
+        assert (len(formed) > columns) == self.floor_fires
         assert rows.sum(axis=1).tolist() == [0, 1, 1, 1]
         assert rows[np.arange(1, 4), [0, 513, 1023]].tolist() == [1, 1, 1]
         lp = log_probs(model, rows)
@@ -315,6 +323,88 @@ class TestChainLogAtScale:
 class TestChainLogAtScaleMps(TestChainLogAtScale):
     build = staticmethod(mps_build_random)
     sharp = staticmethod(sharp_product_mps)
+    floor_fires = True
+
+
+def _count_formed(monkeypatch):
+    """The calls of ``sampling._formed`` from now on: one per node and
+    chunk, and one more wherever the floor rescales the chunk's rows."""
+    calls, formed = [], sampling._formed
+
+    def counted(*args):
+        calls.append(args)
+        return formed(*args)
+    monkeypatch.setattr(sampling, "_formed", counted)
+    return calls
+
+
+def _weak_index_tree():
+    """A D = 2 tree whose root gives its second bond's first index 1e-200
+    of the mass: u = 0 draws it, and the first subtree's walk starts from a
+    state far below the floor."""
+    model = build_random(64, 2, seed=58)
+    model.tensors[1] = DenseTensor(np.diag([1e-100, 1.0]))
+    return model
+
+
+_FLOOR_CASES = {
+    "random-tree": lambda: canonicalize(build_random(1024, 6, seed=21), 700),
+    "random-chain": lambda: canonicalize(mps_build_random(1024, 6, seed=21),
+                                         300),
+    "sharp-tree": lambda: sharp_product_ttn(1024, 0.99),
+    "sharp-chain": lambda: sharp_product_mps(1024, 0.99),
+    "weak-index-tree": _weak_index_tree,
+}
+
+
+class TestFloorRescales:
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53, None])
+    @pytest.mark.parametrize("case", sorted(_FLOOR_CASES))
+    def test_on_demand_walk_equals_a_rescale_at_every_node(
+            self, monkeypatch, case, u):
+        # an infinite floor rescales every row at every node; powers of two
+        # change no draw, and the chain logs only in their last bits.  The
+        # random ones are centred off the sampling root, so the rooted copy
+        # moves the centre first
+        model = _FLOOR_CASES[case]()
+        _, columns, draw = _sampler(model)
+        uniforms = (np.random.default_rng(59).random((8, columns))
+                    if u is None else np.full((8, columns), u))
+        formed = _count_formed(monkeypatch)
+        rows, chain_log = draw(uniforms)
+        monkeypatch.setattr(sampling, "_FLOOR", np.inf)
+        every_rows, every_log = draw(uniforms)
+        assert np.array_equal(rows, every_rows)
+        assert np.all(np.abs(chain_log - every_log)
+                      <= 1e-13 * np.abs(every_log))
+        if u == 0.0 and case in ("sharp-chain", "weak-index-tree"):
+            assert len(formed) > columns
+
+
+class TestCentreScale:
+    @pytest.mark.parametrize("factor", [1e-200, 1e160])
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_reads_of_a_scaled_centre_equal_the_model_s(self, build,
+                                                        factor):
+        # a centre far from unit norm: the draw weights and the marginal
+        # passes' masses would leave the float range without the rooted
+        # copy's power-of-two scale
+        model, scaled = build(64, 4, seed=1), build(64, 4, seed=1)
+        c = model.canonical_center
+        scaled.tensors[c] = DenseTensor(scaled.tensors[c].data * factor)
+        before = scaled.tensors[c].data.copy()
+        rows, chain_log = sample_batch(model, 20, seed=3,
+                                       return_chain_log=True)
+        got, got_log = sample_batch(scaled, 20, seed=3, return_chain_log=True)
+        assert np.array_equal(got, rows)
+        assert np.all(np.abs(got_log - chain_log) <= 1e-13 * -chain_log)
+        assert np.all(np.abs(log_probs(scaled, rows) - chain_log)
+                      <= 1e-13 * -chain_log)
+        assert np.max(np.abs(single_site_marginals(scaled)
+                             - single_site_marginals(model))) < 1e-13
+        assert np.max(np.abs(correlation_map(scaled, 5)
+                             - correlation_map(model, 5))) < 1e-13
+        assert np.array_equal(scaled.tensors[c].data, before)
 
 
 class TestSamplerMemory:

@@ -138,6 +138,13 @@ class TestFrobeniusNorm:
         got = frobenius_norm(DenseTensor(np.full((2, 2), 1e200)))
         assert abs(got - math.log(2e200)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_square_below_the_float_range(self, scale):
+        # the sum of squares underflows, to subnormals or to zero
+        got = frobenius_norm(DenseTensor(np.array([3.0, 4.0]) * scale))
+        want = math.log(5.0 * scale)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_random_matches_loop_sum(self, rng):
         t = rng.standard_normal((3, 4, 2))
         total = 0.0

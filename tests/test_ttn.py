@@ -65,6 +65,31 @@ class TestBuildRandom:
         with pytest.raises(TopologyError):
             build_random(2, 4, seed=0)
 
+    @pytest.mark.parametrize("build, size, d_max, error", [
+        (build_random, 16, 2.5, ValueError),
+        (mps_build_random, 8, 2.5, ValueError),
+        (build_random, 16, True, ValueError),
+        (mps_build_random, 8, True, ValueError),
+        (build_random, 16.0, 4, ValueError),
+        (mps_build_random, 8.0, 4, ValueError),
+        (build_random, True, 4, ValueError),
+        (build_random, 16, 0, DimensionError),
+        (mps_build_random, 8, 0, DimensionError),
+        (build_random, 12, 4, TopologyError),
+        (mps_build_random, 1, 4, TopologyError),
+    ])
+    def test_sizes_and_d_max_follow_the_integer_rule(self, build, size,
+                                                     d_max, error):
+        with pytest.raises(error):
+            build(size, d_max, seed=0)
+
+    @pytest.mark.parametrize("build", [build_random, mps_build_random])
+    def test_numpy_integer_sizes_build_the_same_model(self, build):
+        a, b = build(16, 3, seed=2), build(np.int64(16), np.int32(3), seed=2)
+        assert a.bond_dims() == b.bond_dims()
+        assert all(np.array_equal(s.data, t.data) for s, t in
+                   zip(a.tensors[a.first_tensor:], b.tensors[b.first_tensor:]))
+
     def test_built_model_is_canonical_at_root(self):
         m = build_random(16, 5, seed=1)
         assert m.canonical_center == 1
