@@ -11,7 +11,7 @@ from .tensor import DenseTensor, qr_split, svd_split
 from .born import (canonicalize, correlation, correlation_map, log_probs,
                    marginal, max_canonical_deviation, nll, partition_function,
                    push_qr, single_site_marginals)
-from .ttn import TtnModel, build_random, contract_pixel_vectors
+from .ttn import TtnModel, build_random
 from .training import (TrainConfig, TrainStats, gradient_one_site,
                        gradient_two_site, merged_tensor, sweep_epoch, train)
 from .sampling import sample_batch, save_samples_pbm

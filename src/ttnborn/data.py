@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParseError
-from .born import sample_matrix
+from .born import check_int, sample_matrix
 
 
 @dataclass
@@ -196,8 +196,9 @@ def gen_random_patterns(n_pixels: int, count: int, seed: int,
 
     With ``distinct`` set, duplicate rows are rejected and resampled.
     """
-    if n_pixels < 1 or count < 1:
-        raise ValueError("n_pixels and count must be positive")
+    check_int("n_pixels", n_pixels, 1)
+    check_int("count", count, 1)
+    check_int("seed", seed, 0)
     if distinct and count > 2 ** n_pixels:
         raise ValueError(f"only {2 ** n_pixels} distinct patterns of "
                          f"{n_pixels} pixels exist, {count} asked for")

@@ -12,7 +12,9 @@ center is canonical, the partition function is the squared norm of the
 center and per-sample environments come from cached subtree messages, each
 one contraction of a node with the messages on its other axes
 (``born.contract_node``), so a full epoch costs one message update per edge
-crossing.
+crossing.  Each message row is scaled by the power of two of its max
+(``born.rescale_rows``, as on every read path), its log carried, so the
+scale changes no mantissa bit.
 
 Both schemes take one gradient step (``_gradient_step``), on a matrix
 product K J whose rows and columns meet the batch environments.  The
@@ -46,7 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .born import (BornMachine, Pixel, canonicalize, check_int,
-                   contract_node, nll, push_qr, sample_matrix, toward_center)
+                   contract_node, nll, push_qr, rescale_rows, sample_matrix,
+                   toward_center)
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
 from .tensor import (DenseTensor, kept_rank, kron_rows, move_axis,
@@ -122,29 +125,18 @@ class TrainStats:
 # -- per-sample message cache -------------------------------------------------
 
 
-def _unit_max_rows(m, logs):
-    """Each row of ``m`` divided by its max magnitude in place, its log
-    added to ``logs`` (zero rows kept).  Not ``born.rescale_rows``: a sweep
-    turns any change in its messages' last bits into another model."""
-    mx = np.abs(m).max(axis=1, initial=0.0)
-    if not mx.all():
-        mx[mx == 0.0] = 1.0
-    m /= mx[:, None]
-    logs += np.log(mx)
-    return m, logs
-
-
 class _EnvCache:
     """Cached per-sample messages around the moving center, for the tree
     and the chain alike.
 
     ``msgs[(u, v)]`` holds the contraction of everything on u's side of the
-    edge (u, v) with the batch clamped: one (S, D) matrix plus per-sample
-    log factors.  Moving the center across an edge invalidates exactly one
-    directed message, which is recomputed on the spot; every message a
-    gradient needs is then always fresh.  The message the other way across
-    that edge is dropped, since nothing reads it before it is recomputed,
-    so the cache holds one message per edge, pointing at the center.
+    edge (u, v) with the batch clamped: one (S, D) matrix, each row scaled
+    by a power of two, plus per-sample log factors.  Moving the center
+    across an edge invalidates exactly one directed message, which is
+    recomputed on the spot; every message a gradient needs is then always
+    fresh.  The message the other way across that edge is dropped, since
+    nothing reads it before it is recomputed, so the cache holds one
+    message per edge, pointing at the center.
     """
 
     def __init__(self, model, samples: np.ndarray, center: int):
@@ -165,7 +157,7 @@ class _EnvCache:
         sites = sites or self.model.axis_sites(u)
         out = sites.index(v)
         self.msgs.pop((v, u), None)
-        self.msgs[(u, v)] = _unit_max_rows(*contract_node(
+        self.msgs[(u, v)] = rescale_rows(*contract_node(
             self.model.tensors[u], self.center_parts(u, out, sites), out))
 
     def center_parts(self, k: int, out=None, sites=None):

@@ -27,8 +27,6 @@ distinct rows) each 8-pixel subtree as one (256, D) table lifted from them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import training
@@ -42,14 +40,6 @@ from .tensor import kron_rows
 from .born import (correlation_map, max_canonical_deviation,  # noqa: F401
                    nll, push_qr)
 from .tensor import qr_split  # noqa: F401
-
-
-@dataclass
-class Amplitude:
-    """A signed scalar carried as (log |value|, sign)."""
-
-    log_abs: float
-    sign: int  # -1, 0, +1; 0 iff the value is exactly zero (log_abs = -inf)
 
 
 class TtnModel(BornMachine):
@@ -311,12 +301,6 @@ def amplitudes_from_vectors(model: TtnModel, vectors: np.ndarray):
         kron_rows(vectors.transpose(1, 0, 2)[4 * j:4 * j + 4]) @ blocks[j],
         np.zeros(vectors.shape[0])))
     return log_abs + model.log_norm, sign
-
-
-def contract_pixel_vectors(model: TtnModel, vectors) -> Amplitude:
-    """Linear contraction with arbitrary per-pixel 2-vectors (one row)."""
-    log_abs, sign = amplitudes_from_vectors(model, np.asarray(vectors))
-    return Amplitude(float(log_abs[0]), int(sign[0]))
 
 
 class _RootedTree(TtnModel):

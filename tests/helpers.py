@@ -5,9 +5,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from ttnborn import (DenseTensor, MpsModel, TrainConfig, TtnModel,
                      build_random, canonicalize, gen_random_patterns, train)
+from ttnborn import training
 from ttnborn.born import bond_capacity
 
 
@@ -196,3 +198,98 @@ def chi_square_pvalue(counts, probs):
 def config_indices(samples):
     n = samples.shape[1]
     return samples.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+
+
+# -- a training check that survives rounding ----------------------------------
+#
+# Sweep training amplifies a one-ulp change: a step whose correction one row
+# dominates can grow it twentyfold, so a change that only rounds differently
+# cannot keep training bit-identical.  Such a change is judged against the
+# code it replaces, which ``reference(monkeypatch)`` installs, at two levels.
+# The bounds were set before any comparison was run; a change that fails
+# them does not move them.
+
+STEP_RTOL = 1e-12       # step level: stepped tensors and messages
+TRAJECTORY_K = 10.0     # trajectory level: times the reference's own spread
+TRAJECTORY_FLOOR = 1e-9  # ... or this many nats, whichever is larger
+
+
+def _relative(a, b):
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+def first_two_steps(model, samples, config: TrainConfig):
+    """The epoch's opening run from ``model`` (canonical at its last tensor):
+    the right-to-left pass up to and including its second update, which
+    reads a message the first refreshed.  Returns the stepped copy, its
+    message cache and stats."""
+    model = model.copy()
+    last = model.n_sites - 1
+    steps = training.sweep_steps(model, last, rightward=False)
+    due = [i for i, (_, _, d) in enumerate(steps) if d]
+    cache = training._EnvCache(model, samples, last)
+    stats = training.TrainStats(truncation_errors=[[]])
+    training._execute_pass(model, cache, config, steps[:due[1] + 1], stats,
+                           None, training.push_qr,
+                           training.guarded_merge_factors)
+    return model, cache, stats
+
+
+def assert_steps_equivalent(reference, model, samples, d_max):
+    """One-site and two-site steps from ``model`` agree with the reference's
+    to ``STEP_RTOL`` relative, tensor by tensor and message by message (a
+    message compared on the reference's row scale), with the same
+    ``rejected_steps``."""
+    for scheme in ("one-site", "two-site"):
+        config = TrainConfig(d_max=d_max, scheme=scheme)
+        got, got_cache, got_stats = first_two_steps(model, samples, config)
+        with pytest.MonkeyPatch.context() as mp:
+            reference(mp)
+            want, want_cache, want_stats = first_two_steps(model, samples,
+                                                           config)
+        assert got_stats.rejected_steps == want_stats.rejected_steps, scheme
+        for k in range(got.first_tensor, got.n_sites):
+            assert (_relative(got.tensors[k].data, want.tensors[k].data)
+                    <= STEP_RTOL), (scheme, k)
+        assert got_cache.msgs.keys() == want_cache.msgs.keys(), scheme
+        for key, (m, logs) in got_cache.msgs.items():
+            want_m, want_logs = want_cache.msgs[key]
+            on_theirs = m * np.exp(logs - want_logs)[:, None]
+            assert _relative(on_theirs, want_m) <= STEP_RTOL, (scheme, key)
+
+
+def assert_trajectories_equivalent(reference, build, samples,
+                                   config: TrainConfig, seeds):
+    """Per-epoch NLLs of the current code within their bound of the
+    reference's on each model seed (at least five; ``build(seed)`` gives
+    the initial model).  The bound is ``TRAJECTORY_K`` times the reference's
+    own one-ulp spread, the largest move that raising one of three centre
+    entries by one ulp gives it, or ``TRAJECTORY_FLOOR``, whichever is
+    larger.  Returns one record per (seed, epoch)."""
+    assert len(seeds) >= 5
+    records = []
+    for seed in seeds:
+        model = build(seed)
+        last = model.n_sites - 1
+        canonicalize(model, last)
+        got = train(model.copy(), samples, config)[1].nll
+        nudged = []
+        for entry in np.linspace(0, model.tensors[last].data.size - 1,
+                                 3).astype(int):
+            copy = model.copy()
+            flat = copy.tensors[last].data.reshape(-1)
+            flat[entry] = np.nextafter(flat[entry], np.inf)
+            nudged.append(copy)
+        with pytest.MonkeyPatch.context() as mp:
+            reference(mp)
+            want = train(model.copy(), samples, config)[1].nll
+            nudged = [train(m, samples, config)[1].nll for m in nudged]
+        for epoch, (g, w) in enumerate(zip(got, want)):
+            spread = max(abs(n[epoch] - w) for n in nudged)
+            records.append({"seed": seed, "epoch": epoch, "diff": abs(g - w),
+                            "spread": spread,
+                            "bound": max(TRAJECTORY_K * spread,
+                                         TRAJECTORY_FLOOR)})
+    outside = [r for r in records if not r["diff"] <= r["bound"]]
+    assert not outside, outside
+    return records

@@ -78,6 +78,20 @@ class TestRandomPatterns:
         sigma = 0.5 / np.sqrt(n)
         assert abs(ds.samples.mean() - 0.5) < 3 * sigma
 
+    @pytest.mark.parametrize("args, name", [
+        ((0, 2, 0), "n_pixels"), ((4, 0, 0), "count"), ((4, 2, -1), "seed"),
+        ((4.0, 2, 0), "n_pixels"), ((4, True, 0), "count"),
+        ((4, 2, True), "seed"), ((4, 2.0, 0), "count")])
+    def test_non_integer_or_out_of_range_arguments_rejected(self, args, name):
+        # a bool is no count or seed; a float is no size
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            gen_random_patterns(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        ds = gen_random_patterns(np.int64(4), np.uint8(3), seed=np.int32(7))
+        assert np.array_equal(ds.samples, gen_random_patterns(4, 3, 7).samples)
+        assert ds.name == "random(seed=7)"
+
     def test_distinct_flag(self):
         ds = gen_random_patterns(2, 4, seed=0, distinct=True)
         assert len({r.tobytes() for r in ds.samples}) == 4

@@ -213,5 +213,5 @@ def test_names_only_unit_tests_use_are_not_exported():
     # each is imported from its module where a test needs it
     import ttnborn
     for name in ("QrResult", "SvdResult", "frobenius_norm", "Amplitude",
-                 "sweep_steps", "morton_index"):
+                 "contract_pixel_vectors", "sweep_steps", "morton_index"):
         assert not hasattr(ttnborn, name), name

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttnborn import (BinaryDataset, DenseTensor, MpsModel, TtnModel,
-                     apply_ordering, build_random, canonicalize,
-                     contract_pixel_vectors, correlation, correlation_map,
-                     gen_random_patterns, load_binarized_text, log_probs,
-                     make_ordering, marginal, max_canonical_deviation, nll,
+                     apply_ordering, build_random, canonicalize, correlation,
+                     correlation_map, gen_random_patterns, load_binarized_text,
+                     log_probs, make_ordering, marginal,
+                     max_canonical_deviation, nll,
                      partition_function, sample_batch, single_site_marginals,
                      train, TrainConfig)
 from ttnborn.errors import (DegenerateDistributionError, DimensionError,
@@ -226,46 +226,43 @@ class TestAmplitude:
         tensors = [None, DenseTensor(np.ones((2, 2)))]
         tensors += [DenseTensor(np.ones((2, 2, 2))) for _ in range(2)]
         m = TtnModel(tensors)
-        configs = all_configs(4)
-        vals = [contract_pixel_vectors(m, np.eye(2)[c]) for c in configs]
-        assert len({(round(a.log_abs, 12), a.sign) for a in vals}) == 1
+        log_abs, sign = amplitudes_from_vectors(m, np.eye(2)[all_configs(4)])
+        assert len(set(zip(np.round(log_abs, 12), sign))) == 1
 
     def test_single_pattern_model_signs(self):
         pattern = np.array([[0, 0, 0, 0]])
         m = ttn_from_patterns(pattern)
-        for c in all_configs(4):
-            a = contract_pixel_vectors(m, np.eye(2)[c])
-            if np.array_equal(c, pattern[0]):
-                assert a.sign == 1 and abs(a.log_abs) < 1e-12
-            else:
-                assert a.sign == 0 and a.log_abs == float("-inf")
+        configs = all_configs(4)
+        log_abs, sign = amplitudes_from_vectors(m, np.eye(2)[configs])
+        hit = (configs == pattern[0]).all(axis=1)
+        assert np.all(sign[hit] == 1) and np.all(np.abs(log_abs[hit]) < 1e-12)
+        assert np.all(sign[~hit] == 0)
+        assert np.all(log_abs[~hit] == float("-inf"))
 
     def test_matches_brute_force_oracle(self):
         m = build_random(8, 4, seed=6)
-        amps = brute_force_amplitudes(m)
-        for i, c in enumerate(all_configs(8)):
-            a = contract_pixel_vectors(m, np.eye(2)[c])
-            expect = amps[i]
-            got = a.sign * math.exp(a.log_abs)
-            assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
+        expect = brute_force_amplitudes(m)
+        log_abs, sign = amplitudes_from_vectors(m, np.eye(2)[all_configs(8)])
+        got = sign * np.exp(log_abs)
+        assert np.all(np.abs(got - expect)
+                      < 1e-10 * np.maximum(1.0, np.abs(expect)))
 
     def test_wrong_length_rejected(self):
         m = build_random(8, 2, seed=0)
         with pytest.raises(DimensionError):
-            contract_pixel_vectors(m, np.eye(2)[np.zeros(7, dtype=int)])
+            amplitudes_from_vectors(m, np.eye(2)[np.zeros(7, dtype=int)])
 
     @pytest.mark.parametrize("shape", [(16,), (), (1, 16, 2, 1)])
     def test_vectors_of_the_wrong_rank_rejected(self, shape):
         m = build_random(16, 2, seed=0)
-        for contract in (contract_pixel_vectors, amplitudes_from_vectors):
-            with pytest.raises(DimensionError, match=r"\(S, 16, 2\)"):
-                contract(m, np.ones(shape))
+        with pytest.raises(DimensionError, match=r"\(S, 16, 2\)"):
+            amplitudes_from_vectors(m, np.ones(shape))
 
     def test_linear_contraction_with_ones_sums_amplitudes(self):
         m = build_random(8, 3, seed=7)
-        a = contract_pixel_vectors(m, np.ones((8, 2)))
+        (log_abs,), (sign,) = amplitudes_from_vectors(m, np.ones((8, 2)))
         total = brute_force_amplitudes(m).sum()
-        assert abs(a.sign * math.exp(a.log_abs) - total) < 1e-9 * abs(total)
+        assert abs(sign * math.exp(log_abs) - total) < 1e-9 * abs(total)
 
 
 class TestRescaleRows:
