@@ -253,6 +253,27 @@ def data_log_z(model) -> float:
 
 # -- amplitudes --------------------------------------------------------------
 
+def distinct_keys(keys: np.ndarray):
+    """Each row's integer keys sorted, along the last axis, and where a
+    sorted key differs from the one before it (so a row's count of distinct
+    keys is its count of True).  With ``key_ranks``, the one ranking of
+    combined keys: the tree's evaluation labels its subtree patterns with
+    them (``ttn._pattern_picks``), and training its environments."""
+    ordered = np.sort(keys, axis=-1)
+    new = np.ones(keys.shape, bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=new[..., 1:])
+    return ordered, new
+
+
+def key_ranks(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The rank of every key among its row's distinct keys, given the
+    ``new`` of ``distinct_keys(keys)``."""
+    labels = np.empty(keys.shape, np.intp)
+    np.put_along_axis(labels, np.argsort(keys, axis=-1),
+                      np.cumsum(new, axis=-1) - 1, axis=-1)
+    return labels
+
+
 def rescale_rows(m, logs):
     """Scale each row of ``m`` in place by the power of two 2^-e that puts
     its max magnitude in [0.5, 1), adding e·ln 2 to ``logs``: no mantissa

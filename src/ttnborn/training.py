@@ -30,7 +30,12 @@ the merge; otherwise it materializes the merge and never the batch x batch
 Gram, so its memory stays linear in the batch.  In the factored form the
 tensor that is not the center is an isometry toward it, so its columns are
 already an orthonormal basis: the split QR-factors only the part of that
-side's environment block outside the basis.
+side's environment block outside the basis.  Rows whose pixels agree on one
+side of the merged pair hold one environment there, so the correction's
+rank is at most the smaller count of distinct rows, min(p, q), on the two
+sides; the factored step groups its rows by the cache's labels of those
+patterns (``_EnvCache.labels``, built once per batch from the pixels) and
+splits at width bond + min(p, q), not bond + S.
 
 Everything here serves the MPS (``mps``) too: the chain is the degenerate
 tree, one path with a pixel on every tensor, and the cache, the walk, the
@@ -48,8 +53,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .born import (BornMachine, Pixel, canonicalize, check_int,
-                   contract_node, nll, push_qr, rescale_rows, sample_matrix,
-                   toward_center)
+                   contract_node, distinct_keys, key_ranks, nll, push_qr,
+                   rescale_rows, sample_matrix, toward_center)
 from .errors import (DegenerateSampleError, DimensionError, NumericalError,
                      StateError, TopologyError)
 from .tensor import (DenseTensor, kept_rank, kron_rows, move_axis,
@@ -137,6 +142,10 @@ class _EnvCache:
     fresh.  The message the other way across that edge is dropped, since
     nothing reads it before it is recomputed, so the cache holds one
     message per edge, pointing at the center.
+
+    ``labels(u, v)`` names the batch's distinct pixel patterns on u's side
+    of the edge (u, v), whose rows hold equal messages; the factored
+    two-site step groups its rows by them.
     """
 
     def __init__(self, model, samples: np.ndarray, center: int):
@@ -144,6 +153,8 @@ class _EnvCache:
         self.samples = samples     # checked uint8 rows (``sample_matrix``)
         self.n_samples = self.samples.shape[0]
         self.msgs = {}
+        self._labels = {}
+        self._distinct = (np.arange(self.n_samples), self.n_samples)
         # the logs of every unscaled message: one shared, never written
         self._zeros = np.zeros(self.n_samples)
         self._boundary = (np.ones((self.n_samples, 1)), self._zeros)
@@ -176,14 +187,95 @@ class _EnvCache:
         # gathered on each use, so that no per-pixel array is kept
         return _EYE2.take(self.samples[:, site.index], axis=0), self._zeros
 
+    def labels(self, u: int, v: int):
+        """(labels, count): the (S,) rank of each row's pixels on u's side
+        of the edge (u, v) among the batch's distinct patterns there, and
+        their count, so two rows share a label exactly when their pixels
+        there agree.
+
+        Labels depend on the batch alone, so each is built when first
+        asked for and kept for the cache's life.  A side's label is built
+        from those of u's other axes and u's pixels, far sides first, by
+        a walk that holds its pending edges in a list, not in Python's
+        stack, so the chain's 1,024-site prefixes need no recursion.  A
+        side that contains an all-distinct side is all distinct itself; it
+        is marked without a sort, with the shared identity labels.
+        """
+        if (u, v) in self._labels:
+            return self._labels[u, v]
+        todo = [(u, v)]
+        while todo:
+            a, b = todo[-1]
+            sites = [s for s in self.model.axis_sites(a)
+                     if s is not None and s != b]
+            missing = [(s, a) for s in sites if not isinstance(s, Pixel)
+                       and (s, a) not in self._labels]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            self._labels[a, b] = self._combined(a, sites)
+        return self._labels[u, v]
+
+    def _combined(self, a: int, sites):
+        """The labels of a's side from those of its parts ``sites``: the
+        rank of each row's mixed-radix key over the parts' labels."""
+        n, key, count = self.n_samples, 0, 1
+        for s in sites:
+            part, width = ((self.samples[:, s.index], 2)
+                           if isinstance(s, Pixel) else self._labels[s, a])
+            if width == n:
+                return self._distinct
+            key, count = key * width + part.astype(np.intp), count * width
+        new = distinct_keys(key)[1]
+        count = int(np.count_nonzero(new))
+        return self._distinct if count == n else (key_ranks(key, new), count)
+
 
 # -- the gradient step ---------------------------------------------------------
 
 
-def _env_outer(uk, w, vj):
-    """uk^T diag(w) vj: the weighted environment sum of a merge, matricized
-    against the merged bond (rows x cols)."""
-    return (uk.T * w[None, :]) @ vj
+def _correction_factors(uk, vj, w, groups=None):
+    """uk^T diag(w) vj, the weighted environment sum of a merge, as a
+    product a @ b.T of a (rows x width) and b (cols x width).
+
+    ``groups`` is None or gives the (labels, count) of uk's rows and of
+    vj's rows (``_EnvCache.labels``).  Rows of one label hold one
+    environment, so with p and q distinct rows on the two sides the sum
+    has width min(p, q): grouped by the narrower side's labels, one row of
+    each label on that side, and the other side's rows weighted by w and
+    summed per label.  Where neither side repeats a row, a and b are
+    uk^T diag(w) and vj^T, width S.
+    """
+    s = len(w)
+    (lk, p), (lj, q) = groups() if groups is not None else ((None, s),
+                                                            (None, s))
+    if min(p, q) == s:
+        return uk.T * w[None, :], vj.T
+    if p <= q:
+        return uk[_one_row_each(lk, p)].T, vj.T @ _label_sums(lk, p, w)
+    return uk.T @ _label_sums(lj, q, w), vj[_one_row_each(lj, q)].T
+
+
+def _one_row_each(labels, count):
+    """A row of each label (which one does not matter: a label's rows hold
+    equal environments)."""
+    rows = np.empty(count, np.intp)
+    rows[labels] = np.arange(len(labels))
+    return rows
+
+
+def _label_sums(labels, count, w):
+    """The (S, count) matrix that sums rows weighted by ``w`` per label."""
+    sums = np.zeros((len(labels), count))
+    sums[np.arange(len(labels)), labels] = w
+    return sums
+
+
+def _env_outer(uk, w, vj, groups=None):
+    """uk^T diag(w) vj, formed (rows x cols) from ``_correction_factors``."""
+    a, b = _correction_factors(uk, vj, w, groups)
+    return a @ b.T
 
 
 def _unit_merge(kmat, jmat, uk, vj, zero_amplitude, stats=None):
@@ -218,29 +310,35 @@ def _unit_merge(kmat, jmat, uk, vj, zero_amplitude, stats=None):
     return c_kk, c_jj, norm, k_hat, psi, (2.0 / psi.shape[0]) / psi
 
 
-def _gradient_step(kmat, jmat, uk, vj, cfg, stats):
+def _gradient_step(kmat, jmat, uk, vj, cfg, stats, groups=None):
     """The backtracked gradient step of both schemes, on the merge
     m = kmat @ jmat (rows x bond, bond x cols) with the batch environments
-    uk (S x rows) and vj (S x cols).
+    uk (S x rows) and vj (S x cols); ``groups``, if given, gives the labels
+    of their rows (``_correction_factors``).
 
     The step moves the unit-norm merge against its gradient:
-    c0 * m_hat + alpha * M with M = uk^T diag(w) vj, a rank-S correction,
-    and c0 = 1 - 2 alpha.  The local batch NLL, the global NLL as a
-    function of m alone, is closed-form in alpha, so backtracking is cheap:
-    the step takes the first of lr, lr/2, ... (``MAX_BACKTRACKS`` halvings)
-    at which it does not rise, or alpha = 0, counted as a rejected step, if
-    there is none.  One of two forms is chosen from the shapes:
+    c0 * m_hat + alpha * M with M = uk^T diag(w) vj and c0 = 1 - 2 alpha.
+    M has rank at most min(p, q), the counts of distinct rows of uk and of
+    vj.  The local batch NLL, the global NLL as a function of m alone, is
+    closed-form in alpha, so backtracking is cheap: the step takes the
+    first of lr, lr/2, ... (``MAX_BACKTRACKS`` halvings) at which it does
+    not rise, or alpha = 0, counted as a rejected step, if there is none.
+    One of two forms is chosen from the shapes:
 
     - factored, when bond + S < 0.8 * min(rows, cols): the line search runs
       on the S x S Gram of the environments (S^2 < rows * cols, so it is
       never larger than the merge), and the stepped merge is returned as
-      the two sides [c0 / |m| * kmat | alpha uk^T diag(w)] and
-      [jmat^T | vj^T] of ``_split_factored``, whose product it is.
+      the two sides [c0 / |m| * kmat | a] and [jmat^T | b] of
+      ``_split_factored``, whose product it is, with alpha M = a @ b.T
+      from ``_correction_factors``.  So the split works at width
+      bond + min(p, q): the labels are asked for only here, and where
+      min(p, q) = S, a and b are alpha uk^T diag(w) and vj^T, at width
+      bond + S.
     - dense, otherwise, and always when jmat is the identity (cols = bond):
-      M is formed (rows x cols), the line search reads u_s^T M v_s and
-      ||M||_F^2 from it, and the stepped merge is returned as a rows x cols
-      matrix, which the two-site step splits by ``_split_dense``.  No S x S
-      array exists.
+      M is formed (rows x cols), ungrouped, the line search reads
+      u_s^T M v_s and ||M||_F^2 from it, and the stepped merge is returned
+      as a rows x cols matrix, which the two-site step splits by
+      ``_split_dense``.  No S x S array exists.
     """
     c_kk, c_jj, norm, k_hat, psi, w = _unit_merge(
         kmat, jmat, uk, vj, cfg.zero_amplitude, stats)
@@ -276,9 +374,9 @@ def _gradient_step(kmat, jmat, uk, vj, cfg, stats):
         alpha = 0.0
     c0 = 1.0 - 2.0 * alpha
     if factored:
-        return (_factor_side(c_kk, kmat, c0 / norm,
-                             uk.T * (alpha * w)[None, :]),
-                _factor_side(c_jj, jmat.T, 1.0, vj.T))
+        a, b = _correction_factors(uk, vj, alpha * w, groups)
+        return (_factor_side(c_kk, kmat, c0 / norm, a),
+                _factor_side(c_jj, jmat.T, 1.0, b))
     return c0 * (k_hat @ jmat) + alpha * m_grad
 
 
@@ -321,6 +419,12 @@ def _merge_operands(model, cache, k, j):
     return (kmat, jmat, uk, vj), (k_dims, j_dims, pair)
 
 
+def _pair_labels(cache, k, j):
+    """The ``groups`` of the (k, j) merge's steps: the labels of its
+    environment rows on k's side and on j's, asked for only when called."""
+    return lambda: (cache.labels(k, j), cache.labels(j, k))
+
+
 def merged_tensor(model: BornMachine, k: int, j: int) -> DenseTensor:
     """The merge of T[k] and T[j] over their shared bond (k's axes first)."""
     kmat, jmat, k_dims, j_dims, _ = _matricize_pair(model, k, j)
@@ -331,7 +435,9 @@ def _gradient(model: BornMachine, batch, k: int, j: int | None,
               zero_amplitude: str) -> DenseTensor:
     """The NLL gradient with respect to the center T[k] (j None) or the
     (k, j) merge, from the terms of the step that training takes on it:
-    (2 m_hat - M(w)) / |m|, in the notation of ``_unit_merge``."""
+    (2 m_hat - M(w)) / |m|, in the notation of ``_unit_merge``, with a
+    merge's M built from the factors of its factored step, grouped by the
+    batch's labels."""
     if model.canonical_center != k:
         raise StateError(f"model must be canonical at {k}, center is "
                          f"{model.canonical_center}")
@@ -339,14 +445,14 @@ def _gradient(model: BornMachine, batch, k: int, j: int | None,
         raise DimensionError(f"{j} is not adjacent to {k}")
     cache = _EnvCache(model, sample_matrix(batch, model.n_sites), k)
     if j is None:
-        shape = model.tensors[k].shape
+        shape, groups = model.tensors[k].shape, None
         kmat, jmat, uk, vj = _site_operands(model, cache, k)
     else:
         (kmat, jmat, uk, vj), (k_dims, j_dims, _) = _merge_operands(
             model, cache, k, j)
-        shape = k_dims + j_dims
+        shape, groups = k_dims + j_dims, _pair_labels(cache, k, j)
     _, _, norm, k_hat, _, w = _unit_merge(kmat, jmat, uk, vj, zero_amplitude)
-    grad = (2.0 * (k_hat @ jmat) - _env_outer(uk, w, vj)) / norm
+    grad = (2.0 * (k_hat @ jmat) - _env_outer(uk, w, vj, groups)) / norm
     return DenseTensor(grad.reshape(shape), validate=False)
 
 
@@ -488,27 +594,31 @@ def _factor_side(gram, mat, gamma, rest):
     return np.empty((mat.shape[0], 0)), 1.0, block
 
 
-def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j):
+def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j,
+                          groups=None):
     """Shared core of the two-site step for chain and tree models.
 
     Takes the pair matricized against their shared bond (kmat: rows x bond,
-    jmat: bond x cols) and the batch environments of each side (uk: S x rows,
-    vj: S x cols).  Gradient-updates the merge by ``_gradient_step`` and
-    returns the truncated factors (k_new rows x r, j_new r x cols) plus the
-    truncation error.  Singular values land on the j factor when
-    ``center_on_j``, normalized to unit norm.
+    jmat: bond x cols), the batch environments of each side (uk: S x rows,
+    vj: S x cols) and, optionally, the labels of their rows (``groups``, as
+    for ``_gradient_step``).  Gradient-updates the merge by
+    ``_gradient_step`` and returns the truncated factors (k_new rows x r,
+    j_new r x cols) plus the truncation error.  Singular values land on the
+    j factor when ``center_on_j``, normalized to unit norm.
 
     A step in factored form is split by an exact SVD in factored form,
-    O((bond + S)^2 (rows + cols)).  A side whose Gram matrix is the identity
-    is an isometry, as every tensor but the center is in a canonical sweep:
-    j in every sweep step, where k holds the center.  Its columns serve as
-    the basis of its QR, and only the S environment columns outside their
+    O((bond + w)^2 (rows + cols)) at width w = min(p, q), the smaller count
+    of distinct environment rows, S when neither side repeats a row.  A
+    side whose Gram matrix is the identity is an isometry, as every tensor
+    but the center is in a canonical sweep: j in every sweep step, where k
+    holds the center.  Its columns serve as
+    the basis of its QR, and only the w environment columns outside their
     span are factored; the other side gets a plain QR.  A dense step is
     split by ``_split_dense``: from the eigenvectors of its Gram matrix
     (``_gram_split``) where its smaller side is at least 4 d_max and the
     kept values pass a gap test, else by the full SVD.
     """
-    stepped = _gradient_step(kmat, jmat, uk, vj, cfg, stats)
+    stepped = _gradient_step(kmat, jmat, uk, vj, cfg, stats, groups)
     if isinstance(stepped, tuple):
         u, s, vt, err = _split_factored(*stepped, cfg.d_max, cfg.svd_cutoff)
     else:
@@ -528,7 +638,8 @@ def _merge_step(model, cache, k, j, cfg, stats, center_to, merge_factors):
     two-site core) and re-split it with truncation."""
     operands, (k_dims, j_dims, pair) = _merge_operands(model, cache, k, j)
     k_new, j_new, err = merge_factors(*operands, cfg, stats,
-                                      center_on_j=(center_to == j))
+                                      center_on_j=(center_to == j),
+                                      groups=_pair_labels(cache, k, j))
     stats.truncation_errors[-1].append(err)
     rank = k_new.shape[1]
     sites_k, sites_j, ak, aj = pair

@@ -31,9 +31,9 @@ import numpy as np
 
 from . import training
 from .born import (LIFT_FLOATS, BornMachine, Pixel, bond_capacity,
-                   canonicalize, check_int, contract_node, log_probs,
-                   random_tensors, rescale_rows, rooted_copy, signed_logs,
-                   single_site_marginals)
+                   canonicalize, check_int, contract_node, distinct_keys,
+                   key_ranks, log_probs, random_tensors, rescale_rows,
+                   rooted_copy, signed_logs, single_site_marginals)
 from .errors import DimensionError, TopologyError
 from .tensor import kron_rows
 # Not called here; ``perfbench`` calls or wraps these by their ``ttn`` names.
@@ -245,19 +245,15 @@ def _pattern_picks(labels: np.ndarray, bound: int):
     while len(labels) > 1:
         first = len(labels) // 2
         keys = labels[0::2].astype(np.intp) * bound + labels[1::2]
-        ordered = np.sort(keys, axis=1)
-        new = np.ones(keys.shape, bool)
-        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+        ordered, new = distinct_keys(keys)
         if 8 * np.count_nonzero(new) > 7 * keys.size:
             picks.update((first + j, labels[2 * j:2 * j + 2])
                          for j in range(first))
             return picks, slice(None)
-        rank = np.cumsum(new, axis=1) - 1
-        labels = np.empty_like(rank)
-        np.put_along_axis(labels, np.argsort(keys, axis=1), rank, axis=1)
+        labels = key_ranks(keys, new)
         picks.update((first + j, np.divmod(o[s], bound))
                      for j, (o, s) in enumerate(zip(ordered, new)))
-        bound = int(rank[:, -1].max()) + 1
+        bound = int(labels.max()) + 1
     return picks, labels[0]
 
 

@@ -218,35 +218,36 @@ def _relative(a, b):
     return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
 
 
-def first_two_steps(model, samples, config: TrainConfig):
+def first_two_steps(model, samples, config: TrainConfig, updates=2):
     """The epoch's opening run from ``model`` (canonical at its last tensor):
     the right-to-left pass up to and including its second update, which
-    reads a message the first refreshed.  Returns the stepped copy, its
-    message cache and stats."""
+    reads a message the first refreshed, or its ``updates``-th.  Returns
+    the stepped copy, its message cache and stats."""
     model = model.copy()
     last = model.n_sites - 1
     steps = training.sweep_steps(model, last, rightward=False)
     due = [i for i, (_, _, d) in enumerate(steps) if d]
     cache = training._EnvCache(model, samples, last)
     stats = training.TrainStats(truncation_errors=[[]])
-    training._execute_pass(model, cache, config, steps[:due[1] + 1], stats,
-                           None, training.push_qr,
-                           training.guarded_merge_factors)
+    training._execute_pass(model, cache, config,
+                           steps[:due[updates - 1] + 1], stats, None,
+                           training.push_qr, training.guarded_merge_factors)
     return model, cache, stats
 
 
-def assert_steps_equivalent(reference, model, samples, d_max):
-    """One-site and two-site steps from ``model`` agree with the reference's
-    to ``STEP_RTOL`` relative, tensor by tensor and message by message (a
-    message compared on the reference's row scale), with the same
-    ``rejected_steps``."""
+def assert_steps_equivalent(reference, model, samples, d_max, updates=2):
+    """One-site and two-site steps from ``model`` (the first two, or the
+    first ``updates``) agree with the reference's to ``STEP_RTOL``
+    relative, tensor by tensor and message by message (a message compared
+    on the reference's row scale), with the same ``rejected_steps``."""
     for scheme in ("one-site", "two-site"):
         config = TrainConfig(d_max=d_max, scheme=scheme)
-        got, got_cache, got_stats = first_two_steps(model, samples, config)
+        got, got_cache, got_stats = first_two_steps(model, samples, config,
+                                                    updates)
         with pytest.MonkeyPatch.context() as mp:
             reference(mp)
             want, want_cache, want_stats = first_two_steps(model, samples,
-                                                           config)
+                                                           config, updates)
         assert got_stats.rejected_steps == want_stats.rejected_steps, scheme
         for k in range(got.first_tensor, got.n_sites):
             assert (_relative(got.tensors[k].data, want.tensors[k].data)
@@ -258,14 +259,32 @@ def assert_steps_equivalent(reference, model, samples, d_max):
             assert _relative(on_theirs, want_m) <= STEP_RTOL, (scheme, key)
 
 
+def _jitter_refreshes(mp, seed):
+    """Move every nonzero entry of every message the cache refreshes by one
+    ulp, up or down at random (seeded): rounding of the kind a change to
+    training's arithmetic brings, on every message, not on a few entries."""
+    rng = np.random.default_rng(seed)
+    refresh = training._EnvCache.refresh_move
+
+    def jittered(self, u, v, sites=None):
+        refresh(self, u, v, sites)
+        m = self.msgs[u, v][0]
+        toward = np.where(rng.random(m.shape) < 0.5, -np.inf, np.inf)
+        np.copyto(m, np.nextafter(m, toward), where=m != 0.0)
+    mp.setattr(training._EnvCache, "refresh_move", jittered)
+
+
 def assert_trajectories_equivalent(reference, build, samples,
                                    config: TrainConfig, seeds):
     """Per-epoch NLLs of the current code within their bound of the
     reference's on each model seed (at least five; ``build(seed)`` gives
     the initial model).  The bound is ``TRAJECTORY_K`` times the reference's
-    own one-ulp spread, the largest move that raising one of three centre
-    entries by one ulp gives it, or ``TRAJECTORY_FLOOR``, whichever is
-    larger.  Returns one record per (seed, epoch)."""
+    own one-ulp spread, or ``TRAJECTORY_FLOOR``, whichever is larger.  The
+    spread is the largest move of the reference's NLL over three runs, each
+    with one of three centre entries raised by one ulp and every message
+    refresh jittered by one ulp (``_jitter_refreshes``, seeded per run), so
+    that it measures rounding as widespread as a change's.  Returns one
+    record per (seed, epoch)."""
     assert len(seeds) >= 5
     records = []
     for seed in seeds:
@@ -283,7 +302,12 @@ def assert_trajectories_equivalent(reference, build, samples,
         with pytest.MonkeyPatch.context() as mp:
             reference(mp)
             want = train(model.copy(), samples, config)[1].nll
-            nudged = [train(m, samples, config)[1].nll for m in nudged]
+            runs = []
+            for run, copy in enumerate(nudged):
+                with pytest.MonkeyPatch.context() as jitter:
+                    _jitter_refreshes(jitter, run)
+                    runs.append(train(copy, samples, config)[1].nll)
+            nudged = runs
         for epoch, (g, w) in enumerate(zip(got, want)):
             spread = max(abs(n[epoch] - w) for n in nudged)
             records.append({"seed": seed, "epoch": epoch, "diff": abs(g - w),

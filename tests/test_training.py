@@ -8,6 +8,7 @@ from ttnborn import (DenseTensor, MpsModel, TrainConfig, TrainStats,
                      gradient_one_site, gradient_two_site, log_probs,
                      max_canonical_deviation, merged_tensor, mps_build_random,
                      nll, partition_function, sweep_epoch, train, training)
+from ttnborn.born import Pixel
 from ttnborn.errors import DegenerateSampleError, StateError
 from ttnborn.training import _EnvCache, sweep_steps
 
@@ -179,14 +180,30 @@ class TestGradientTwoSite:
         *(pytest.param("mps", (k, j), id=f"mps-{k}-{j}")
           for k in range(8) for j in (k - 1, k + 1) if 0 <= j < 8)])
     def test_matches_finite_differences(self, model_type, edge, rng):
+        self._check(model_type, edge, rng.integers(0, 2, size=(4, 8)))
+
+    @pytest.mark.parametrize("model_type, edge", [
+        ("ttn", (1, 2)), ("ttn", (2, 5)), ("ttn", (3, 7)),
+        ("mps", (3, 4)), ("mps", (5, 4)), ("mps", (0, 1))])
+    def test_matches_finite_differences_on_repeated_rows(self, model_type,
+                                                         edge, rng):
+        # 3 distinct rows of 6, so each side of each edge repeats a row and
+        # the gradient's M is built at the grouped width
+        batch = rng.integers(0, 2, size=(3, 8))[[0, 1, 0, 2, 1, 0]]
+        widths = self._check(model_type, edge, batch)
+        assert widths and all(w <= 3 for w in widths)
+
+    @staticmethod
+    def _check(model_type, edge, batch):
         k, j = edge
         if model_type == "ttn":
             model = build_random(8, 3, seed=25)
         else:
             model = mps_build_random(8, 3, seed=25)
         canonicalize(model, k)
-        batch = rng.integers(0, 2, size=(4, 8))
-        g = gradient_two_site(model, (k, j), batch).data
+        with pytest.MonkeyPatch.context() as mp:
+            widths = _correction_widths(mp)
+            g = gradient_two_site(model, (k, j), batch).data
         merged = merged_tensor(model, k, j)
         # finite differences on the merged tensor: evaluate by substituting
         # the perturbed merge as a fresh pair via an exact SVD split
@@ -223,6 +240,21 @@ class TestGradientTwoSite:
             checked += 1
             if checked >= 24:   # two dozen entries per edge keep this quick
                 break
+        return [w for w, _ in widths]
+
+
+def _correction_widths(mp):
+    """The (width, S) of every correction built from now on
+    (``training._correction_factors``), grouped or not."""
+    widths = []
+    factors = training._correction_factors
+
+    def spy(uk, vj, w, groups=None):
+        a, b = factors(uk, vj, w, groups)
+        widths.append((a.shape[1], len(w)))
+        return a, b
+    mp.setattr(training, "_correction_factors", spy)
+    return widths
 
 
 class TestOneRowAmplifier:
@@ -812,6 +844,172 @@ class TestProjectedSplit:
         assert np.max(np.abs(q.T @ q - np.eye(12))) < 1e-14
         block = np.concatenate([0.3 * basis, rest], axis=1)
         assert np.max(np.abs(q @ r - block)) < 1e-14 * np.max(np.abs(block))
+
+
+def _side_pixels(model, u, v):
+    """The pixels on u's side of the edge (u, v), by a walk of the
+    topology."""
+    pixels, todo, seen = [], [u], {u, v}
+    while todo:
+        for s in model.axis_sites(todo.pop()):
+            if isinstance(s, Pixel):
+                pixels.append(s.index)
+            elif s is not None and s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return sorted(pixels)
+
+
+def _assert_labels_are_patterns(cache, samples, u, v, pixels):
+    """Two rows share a label of (u, v) exactly when their pixels on u's
+    side agree, and the count is that of the distinct patterns there."""
+    labels, count = cache.labels(u, v)
+    _, patterns = np.unique(samples[:, pixels], axis=0, return_inverse=True)
+    patterns = patterns.reshape(-1)
+    assert count == patterns.max() + 1, (u, v)
+    assert 0 <= labels.min() and labels.max() < count, (u, v)
+    assert np.array_equal(labels[:, None] == labels[None, :],
+                          patterns[:, None] == patterns[None, :]), (u, v)
+
+
+def _repeated_rows(n_sites, count=12):
+    """``count`` rows of 4 distinct ones, which agree on their first half."""
+    base = gen_random_patterns(n_sites, 4, seed=7).samples
+    rows = base[np.random.default_rng(8).integers(0, 4, count)]
+    rows[:, :n_sites // 2] = base[0, :n_sites // 2]
+    return rows
+
+
+def _ungrouped(mp):
+    """Training with grouping off: every side reads as all distinct."""
+    mp.setattr(training._EnvCache, "labels", lambda self, u, v: (
+        np.arange(self.n_samples), self.n_samples))
+
+
+class TestEnvLabels:
+    """``_EnvCache.labels`` against brute force: on every directed edge, two
+    rows share a label exactly when their pixels on that side agree."""
+
+    @pytest.mark.parametrize("rows", ["duplicated", "distinct"])
+    @pytest.mark.parametrize("build", [build_random, mps_build_random],
+                             ids=["ttn", "mps"])
+    def test_every_edge_matches_brute_force(self, build, rows):
+        samples = gen_random_patterns(16, 6, seed=11, distinct=True).samples
+        if rows == "duplicated":
+            samples = samples[[0, 1, 0, 2, 3, 1, 0, 4, 5, 2]]
+            samples[:, 4:8] = samples[0, 4:8]    # a block all rows share
+        model = build(16, 4, seed=12)
+        cache = _EnvCache(model, samples, model.n_sites - 1)
+        counts = []
+        for u in range(model.first_tensor, model.n_sites):
+            for v in model.neighbors(u):
+                _assert_labels_are_patterns(cache, samples, u, v,
+                                            _side_pixels(model, u, v))
+                counts.append(cache.labels(u, v)[1])
+        # all-distinct sides, marked without a sort, and repeating ones
+        assert min(counts) < len(samples)
+        assert (max(counts) == len(samples)) == (rows == "distinct")
+
+    def test_a_1024_site_chain(self):
+        base = gen_random_patterns(1024, 6, seed=13).samples
+        base[1, :900] = base[0, :900]     # rows 0 and 1 part at pixel 900
+        base[3, 100:] = base[2, 100:]     # rows 2 and 3 meet at pixel 100
+        samples = base[[0, 1, 2, 3, 4, 5, 0, 2]]
+        model = mps_build_random(1024, 2, seed=14)
+        cache = _EnvCache(model, samples, 1023)
+        # a suffix first, then a prefix 1,023 sites long, then the rest
+        edges = [(1000, 999), (1022, 1023)] + [
+            (u, v) for u in range(1024) for v in (u - 1, u + 1)
+            if 0 <= v < 1024]
+        for u, v in edges:
+            pixels = list(range(u + 1) if v > u else range(u, 1024))
+            _assert_labels_are_patterns(cache, samples, u, v, pixels)
+        assert cache.labels(850, 851)[1] == 5
+        assert cache.labels(950, 951)[1] == 6
+        assert cache.labels(50, 49)[1] == 6 and cache.labels(150, 149)[1] == 5
+
+    def test_labels_are_built_once(self, monkeypatch):
+        samples = _repeated_rows(16)
+        model = build_random(16, 4, seed=15)
+        cache = _EnvCache(model, samples, 15)
+        first, leaf = cache.labels(1, 2), cache.labels(4, 2)
+        monkeypatch.setattr(training, "distinct_keys", None)  # no sort now
+        assert cache.labels(1, 2) is first and cache.labels(4, 2) is leaf
+
+
+class TestGroupedStep:
+    """The factored step at width bond + min(p, q): equivalent to the
+    ungrouped step where rows repeat, and that step bit for bit where no
+    side repeats a row."""
+
+    @pytest.mark.parametrize("build, n_sites, d_max, count", [
+        (build_random, 64, 8, 12), (mps_build_random, 32, 16, 8)],
+        ids=["ttn", "mps"])
+    def test_steps_match_the_ungrouped_step(self, monkeypatch, build,
+                                            n_sites, d_max, count):
+        # the first factored steps come within ten updates on both models
+        samples = _repeated_rows(n_sites, count)
+        model, _ = train(build(n_sites, d_max, seed=9), samples,
+                         TrainConfig(d_max=d_max, epochs=1))
+        widths = _correction_widths(monkeypatch)
+        assert_steps_equivalent(_ungrouped, model, samples, d_max,
+                                updates=10)
+        assert any(w < s for w, s in widths)
+
+    @pytest.mark.parametrize("narrow", ["k", "j"])
+    def test_split_matches_the_ungrouped_split(self, narrow):
+        kmat, jmat, uk, vj = _isometric_merge(64, 48, 8, 6, seed=33,
+                                              side="b")
+        labels = np.array([0, 1, 0, 2, 1, 0])
+        rows = uk if narrow == "k" else vj
+        rows[:] = rows[[0, 1, 0, 3, 1, 0]]
+        ident = (np.arange(6), 6)
+        groups = (((labels, 3), ident) if narrow == "k"
+                  else (ident, (labels, 3)))
+        cfg = TrainConfig(d_max=64, svd_cutoff=0.0)
+        widths = []
+        with pytest.MonkeyPatch.context() as mp:
+            widths = _correction_widths(mp)
+            k_new, j_new, err = training.guarded_merge_factors(
+                kmat, jmat, uk, vj, cfg, TrainStats(), center_on_j=True,
+                groups=lambda: groups)
+        k_ref, j_ref, err_ref = training.guarded_merge_factors(
+            kmat, jmat, uk, vj, cfg, TrainStats(), center_on_j=True)
+        assert widths[-1] == (3, 6)
+        got, ref = k_new @ j_new, k_ref @ j_ref
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert abs(err - err_ref) < 1e-12
+
+    def test_distinct_labels_step_bit_for_bit(self):
+        merge = _isometric_merge(64, 48, 8, 6, seed=34, side="b")
+        perm = np.random.default_rng(1).permutation(6)
+        cfg = TrainConfig(d_max=8)
+        got = training.guarded_merge_factors(
+            *merge, cfg, TrainStats(), center_on_j=False,
+            groups=lambda: ((perm, 6), (perm[::-1].copy(), 6)))
+        ref = training.guarded_merge_factors(*merge, cfg, TrainStats(),
+                                             center_on_j=False)
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_all_distinct_sides_train_bit_for_bit(self, monkeypatch):
+        # each leaf's two pixels take all four values over the four rows,
+        # so every side of every edge holds four distinct patterns
+        rng = np.random.default_rng(16)
+        values = np.stack([rng.permutation(4) for _ in range(32)], axis=1)
+        samples = np.stack([values >> 1, values & 1], axis=2).reshape(4, 64)
+        cfg = TrainConfig(d_max=8, epochs=1)
+        widths = _correction_widths(monkeypatch)
+        got, got_stats = train(build_random(64, 8, seed=17), samples, cfg)
+        factored = len(widths)
+        with pytest.MonkeyPatch.context() as mp:
+            _ungrouped(mp)
+            ref, ref_stats = train(build_random(64, 8, seed=17), samples,
+                                   cfg)
+        assert factored and all(w == s == 4 for w, s in widths)
+        assert got_stats.nll == ref_stats.nll
+        for a, b in zip(got.tensors[1:], ref.tensors[1:]):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestTrainConfig:
