@@ -967,7 +967,6 @@ class TestGroupedStep:
         groups = (((labels, 3), ident) if narrow == "k"
                   else (ident, (labels, 3)))
         cfg = TrainConfig(d_max=64, svd_cutoff=0.0)
-        widths = []
         with pytest.MonkeyPatch.context() as mp:
             widths = _correction_widths(mp)
             k_new, j_new, err = training.guarded_merge_factors(
