@@ -105,16 +105,17 @@ def qr_split(t: DenseTensor, row_axes, col_axes):
     return q.reshape(row_dims + [k]), r.reshape([k] + col_dims)
 
 
-def kept_rank(s: np.ndarray, d_max: int, cutoff: float) -> int:
-    """Number of singular values to keep: min(d_max, #above-cutoff, all), >= 1.
+def kept_rank(sq: np.ndarray, d_max: int, cutoff: float) -> int:
+    """Number of singular values to keep, read from their squares ``sq``:
+    min(d_max, #above-cutoff, all), >= 1.
 
     A value is above the cutoff when its squared relative weight exceeds it.
     """
-    total = float(np.sum(s * s))
+    total = float(np.sum(sq))
     if total == 0.0:
         return 1
-    significant = int(np.sum((s * s) / total > cutoff))
-    return max(1, min(int(d_max), significant, len(s)))
+    significant = int(np.sum(sq / total > cutoff))
+    return max(1, min(int(d_max), significant, len(sq)))
 
 
 def svd_sign_fix(u, vt):
@@ -141,9 +142,10 @@ def truncated_svd(m: np.ndarray, d_max: int, cutoff: float):
         u, vt = ut.T, v.T
     else:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = kept_rank(s, d_max, cutoff)
-    total = float(np.sum(s * s))
-    err = float(np.sum(s[keep:] * s[keep:])) / total if total > 0 else 0.0
+    sq = s * s
+    keep = kept_rank(sq, d_max, cutoff)
+    total = float(np.sum(sq))
+    err = float(np.sum(sq[keep:])) / total if total > 0 else 0.0
     return u[:, :keep], s[:keep], vt[:keep, :], err
 
 

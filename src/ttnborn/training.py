@@ -30,12 +30,15 @@ the merge; otherwise it materializes the merge and never the batch x batch
 Gram, so its memory stays linear in the batch.  In the factored form the
 tensor that is not the center is an isometry toward it, so its columns are
 already an orthonormal basis: the split QR-factors only the part of that
-side's environment block outside the basis.  Rows whose pixels agree on one
-side of the merged pair hold one environment there, so the correction's
-rank is at most the smaller count of distinct rows, min(p, q), on the two
-sides; the factored step groups its rows by the cache's labels of those
-patterns (``_EnvCache.labels``, built once per batch from the pixels) and
-splits at width bond + min(p, q), not bond + S.
+side's environment block outside the basis.  The center's side is
+QR-factored only where its block is tall, at least twice as many rows as
+columns; a shorter block meets the other side's R in the split's one SVD as
+it stands.  Rows whose pixels agree on one side of the merged pair hold one
+environment there, so the correction's rank is at most the smaller count of
+distinct rows, min(p, q), on the two sides; the factored step groups its
+rows by the cache's labels of those patterns (``_EnvCache.labels``, built
+once per batch from the pixels) and splits at width bond + min(p, q), not
+bond + S.
 
 Everything here serves the MPS (``mps``) too: the chain is the degenerate
 tree, one path with a pixel on every tensor, and the cache, the walk, the
@@ -521,18 +524,37 @@ def _qr_on_basis(basis, gamma, rest):
     return np.concatenate([basis, q], axis=1), r_full
 
 
+def _side_qr(basis, gamma, rest):
+    """One side of a factored merge as (q, r), its block = q @ r, or as
+    (None, block) where the block is short and has no basis: fewer than
+    twice as many rows as columns (``_split_factored``)."""
+    if not basis.shape[1] and rest.shape[0] < 2 * rest.shape[1]:
+        return None, rest
+    return _qr_on_basis(basis, gamma, rest)
+
+
 def _split_factored(a, bt, d_max, cutoff):
     """Exact truncated SVD of a @ bt given in factored form.
 
     ``a`` and ``bt.T`` are each passed as (basis, gamma, rest), the factor
     [gamma * basis | rest] with ``basis`` orthonormal columns, so that
-    ``_qr_on_basis`` factors only what lies outside the basis.
+    ``_qr_on_basis`` factors only what lies outside the basis.  A side with
+    no basis (the centre side) whose block is short, fewer than twice as
+    many rows as columns, is not QR-factored: the block itself meets the
+    other side's R in the one SVD, whose U (or V) is that side's factor.
+    A tall block keeps its QR, and the SVD is of the small core.  The rule
+    mirrors LAPACK's own QR-first crossover in ``gesdd`` (rows >= 11/6
+    columns).  Against the block's QR, the core SVD and the product with
+    Q, the one SVD took 0.81-0.82 times as long at 64 x 40, 0.96 at
+    128 x 40, 1.00-1.05 at 256 x 40 and 1.08-1.25 at 1024 x 34 (one BLAS
+    thread, OpenBLAS 0.3.31, best of 400).
     """
-    qa, ra = _qr_on_basis(*a)
-    qb, rb = _qr_on_basis(*bt)
+    qa, ra = _side_qr(*a)
+    qb, rb = _side_qr(*bt)
     u, s, vt, err = truncated_svd(ra @ rb.T, d_max, cutoff)
-    u_full, vt_full = svd_sign_fix(qa @ u, vt @ qb.T)
-    return u_full, s, vt_full, err
+    u, vt = svd_sign_fix(u if qa is None else qa @ u,
+                         vt if qb is None else vt @ qb.T)
+    return u, s, vt, err
 
 
 def _gram_split(m, d_max, cutoff):
@@ -554,7 +576,7 @@ def _gram_split(m, d_max, cutoff):
         return None
     lam, v = np.linalg.eigh(a.T @ a)
     lam = np.maximum(lam[::-1], 0.0)
-    keep = kept_rank(np.sqrt(lam), d_max, cutoff)
+    keep = kept_rank(lam, d_max, cutoff)
     slack = np.finfo(float).eps * n * lam[0]
     gap = lam[keep - 1] - lam[keep]
     edge = lam[keep - 1:keep + (keep < d_max)] - cutoff * float(np.sum(lam))
@@ -574,7 +596,7 @@ def _split_dense(m, d_max, cutoff):
     it is safe, else ``truncated_svd``."""
     u, s, vt, err = (_gram_split(m, d_max, cutoff)
                      or truncated_svd(m, d_max, cutoff))
-    u, vt = svd_sign_fix(u.copy(), vt.copy())
+    u, vt = svd_sign_fix(u, vt)     # views of arrays fresh from LAPACK
     return u, s, vt, err
 
 
@@ -611,12 +633,14 @@ def guarded_merge_factors(kmat, jmat, uk, vj, cfg, stats, center_on_j,
     of distinct environment rows, S when neither side repeats a row.  A
     side whose Gram matrix is the identity is an isometry, as every tensor
     but the center is in a canonical sweep: j in every sweep step, where k
-    holds the center.  Its columns serve as
-    the basis of its QR, and only the w environment columns outside their
-    span are factored; the other side gets a plain QR.  A dense step is
-    split by ``_split_dense``: from the eigenvectors of its Gram matrix
-    (``_gram_split``) where its smaller side is at least 4 d_max and the
-    kept values pass a gap test, else by the full SVD.
+    holds the center.  Its columns serve as the basis of its QR, and only
+    the w environment columns outside their span are factored.  The other
+    side gets a plain QR where its block has at least twice as many rows
+    as columns; a shorter block is not factored, and the SVD of its
+    product with the first side's R gives the split (``_split_factored``).
+    A dense step is split by ``_split_dense``: from the eigenvectors of its
+    Gram matrix (``_gram_split``) where its smaller side is at least
+    4 d_max and the kept values pass a gap test, else by the full SVD.
     """
     stepped = _gradient_step(kmat, jmat, uk, vj, cfg, stats, groups)
     if isinstance(stepped, tuple):

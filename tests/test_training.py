@@ -846,6 +846,154 @@ class TestProjectedSplit:
         assert np.max(np.abs(q @ r - block)) < 1e-14 * np.max(np.abs(block))
 
 
+def _two_qr_split(a, bt, d_max, cutoff):
+    """The factored split with both sides QR-factored by ``_qr_on_basis``,
+    whatever their shape: the split that a short centre block skips."""
+    from ttnborn.tensor import svd_sign_fix, truncated_svd
+    qa, ra = training._qr_on_basis(*a)
+    qb, rb = training._qr_on_basis(*bt)
+    u, s, vt, err = truncated_svd(ra @ rb.T, d_max, cutoff)
+    u, vt = svd_sign_fix(qa @ u, vt @ qb.T)
+    return u, s, vt, err
+
+
+def _two_qr(mp):
+    """Training with every factored split taken by ``_two_qr_split``."""
+    mp.setattr(training, "_split_factored", _two_qr_split)
+
+
+def _assert_splits_agree(got, ref):
+    """Two truncated splits (u, s, vt, err) agree to 1e-12 relative: their
+    products, their singular values and their truncation errors (each a
+    share of the total weight)."""
+    (u, s, vt, err), (u_ref, s_ref, vt_ref, err_ref) = got, ref
+    assert s.shape == s_ref.shape
+    assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
+    product, want = (u * s) @ vt, (u_ref * s_ref) @ vt_ref
+    assert np.linalg.norm(product - want) <= 1e-12 * np.linalg.norm(want)
+    assert abs(err - err_ref) <= 1e-12
+    for q in (u.T @ u, vt @ vt.T):
+        assert np.max(np.abs(q - np.eye(len(s)))) < 1e-12
+
+
+class TestShortCentreSplit:
+    """A centre block (the side with no basis) with fewer than twice as
+    many rows as columns is not QR-factored: it meets the far side's R in
+    the split's one SVD.  That split agrees with the two-QR split; a tall
+    centre block keeps its QR, and the two-QR split bit for bit."""
+
+    @staticmethod
+    def _run(merge, lr, center_on_j, groups, reference):
+        """``guarded_merge_factors`` on the merge at d_max 32: its output,
+        the basis width of each ``_qr_on_basis`` call and the split."""
+        bases, splits = [], []
+        qr_on_basis = training._qr_on_basis
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                _two_qr(mp)
+            split_factored = training._split_factored
+
+            def split_spy(*args):
+                splits.append(split_factored(*args))
+                return splits[-1]
+
+            def qr_spy(basis, gamma, rest):
+                bases.append(basis.shape[1])
+                return qr_on_basis(basis, gamma, rest)
+            mp.setattr(training, "_split_factored", split_spy)
+            mp.setattr(training, "_qr_on_basis", qr_spy)
+            cfg = TrainConfig(learning_rate=lr, d_max=32, svd_cutoff=1e-12)
+            out = training.guarded_merge_factors(
+                *merge, cfg, TrainStats(), center_on_j=center_on_j,
+                groups=groups)
+        return out, bases, splits
+
+    @pytest.mark.parametrize("variant", ["generic", "grouped", "vj-in-span",
+                                         "duplicate-rows", "alpha-zero"])
+    @pytest.mark.parametrize("center_on_j", [False, True])
+    def test_matches_the_two_qr_split(self, variant, center_on_j):
+        # the chain's infer class: 64 x 32 x 64 at S = 8, j isometric, so
+        # the centre block is 64 x 40 (64 x 37 grouped)
+        bond, n_samples = 32, 8
+        kmat, jmat, uk, vj = _isometric_merge(64, 64, bond, n_samples,
+                                              seed=35, side="b")
+        rng = np.random.default_rng(36)
+        groups = None
+        if variant == "grouped":
+            uk[:] = uk[[0, 1, 0, 3, 1, 0, 6, 7]]
+            labels = np.array([0, 1, 0, 2, 1, 0, 3, 4])
+            groups = lambda: ((labels, 5), (np.arange(8), 8))  # noqa: E731
+        if variant == "vj-in-span":
+            vj = rng.standard_normal((n_samples, bond)) @ jmat
+        if variant == "duplicate-rows":
+            vj[1] = vj[0]
+            vj[4] = vj[0]
+            uk[3] = uk[2]
+        lr = 0.0 if variant == "alpha-zero" else 0.05
+        merge = (kmat, jmat, uk, vj)
+        (k_new, j_new, err), bases, splits = self._run(
+            merge, lr, center_on_j, groups, reference=False)
+        (k_ref, j_ref, err_ref), ref_bases, ref_splits = self._run(
+            merge, lr, center_on_j, groups, reference=True)
+        assert bases == [bond] and ref_bases == [0, bond]
+        assert err == splits[0][3] and err_ref == ref_splits[0][3]
+        _assert_splits_agree(splits[0], ref_splits[0])
+        assert k_new.shape == k_ref.shape and j_new.shape == j_ref.shape
+        got, ref = k_new @ j_new, k_ref @ j_ref
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the factor that does not carry the centre is an isometry
+        iso = j_new @ j_new.T if not center_on_j else k_new.T @ k_new
+        assert np.max(np.abs(iso - np.eye(iso.shape[0]))) < 1e-12
+
+    @pytest.mark.parametrize("rows, bond, width", [
+        (64, 32, 8), (79, 32, 8), (80, 32, 8), (1024, 32, 2), (256, 16, 8)],
+        ids=["64x40", "79x40", "80x40", "1024x34", "256x24"])
+    @pytest.mark.parametrize("centre", ["a", "b"])
+    def test_centre_block_is_qr_factored_where_tall(self, monkeypatch, rows,
+                                                    bond, width, centre):
+        rng = np.random.default_rng(37)
+        seen = []
+        qr_on_basis = training._qr_on_basis
+
+        def spy(basis, gamma, rest):
+            seen.append((basis.shape[1], rest.shape))
+            return qr_on_basis(basis, gamma, rest)
+        monkeypatch.setattr(training, "_qr_on_basis", spy)
+        plain = (np.empty((rows, 0)), 1.0,
+                 rng.standard_normal((rows, bond + width)))
+        basis = np.linalg.qr(rng.standard_normal((rows, bond)))[0]
+        far = (basis, 0.7, rng.standard_normal((rows, width)))
+        sides = (plain, far) if centre == "a" else (far, plain)
+        got = training._split_factored(*sides, bond, 1e-12)
+        tall = rows >= 2 * (bond + width)
+        calls = [(bond, (rows, width))]
+        if tall:
+            calls.insert(centre == "b", (0, (rows, bond + width)))
+        assert seen == calls
+        ref = _two_qr_split(*sides, bond, 1e-12)
+        if tall:
+            for a, b in zip(got, ref):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        else:
+            _assert_splits_agree(got, ref)
+
+    def test_steps_match_the_two_qr_split(self, monkeypatch):
+        # a 32-site chain at D = 8 and S = 4: from the fourth update on,
+        # its merges are 16 x 8 x 16, factored, with a short 16 x 12 centre
+        samples = gen_random_patterns(32, 4, seed=38).samples
+        model = mps_build_random(32, 8, seed=39)
+        short = []
+        side_qr = training._side_qr
+
+        def spy(basis, gamma, rest):
+            out = side_qr(basis, gamma, rest)
+            short.append(out[0] is None)
+            return out
+        monkeypatch.setattr(training, "_side_qr", spy)
+        assert_steps_equivalent(_two_qr, model, samples, d_max=8, updates=10)
+        assert any(short)
+
+
 def _side_pixels(model, u, v):
     """The pixels on u's side of the edge (u, v), by a walk of the
     topology."""
